@@ -8,6 +8,8 @@ Exit codes: 0 success, 1 usage/config error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import csv
+import inspect
 import sys
 from dataclasses import fields as dataclass_fields
 from datetime import date
@@ -33,9 +35,9 @@ from .evaluation import (
     write_summary_csv,
     write_ttest_csv,
 )
-from .model import DEFAULT_PROLIFERATION, IcrmClassifier, IcrmConfig, SnapshotError
+from .model import IcrmClassifier, IcrmConfig, SnapshotError
 from .nbayes import ModelError
-from .textprep import load_stopwords
+from .textprep import SAMPLERS, load_stopwords
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -46,32 +48,33 @@ class ConfigError(Exception):
     pass
 
 
-# Defaults follow the reference settings wherever one is stated.
+def _keyword_defaults(func) -> dict[str, object]:
+    return {
+        name: p.default
+        for name, p in inspect.signature(func).parameters.items()
+        if p.default is not p.empty
+    }
+
+
+# Every setting takes the library's own default, so the command line and
+# library callers cannot disagree; only the CLI's file locations are set here.
 DEFAULTS: dict[str, object] = {
-    "seed": 42,
-    "n": 50,
-    "n_a": 10,
-    "e0_ham": 6.0,
-    "r0_ham": 12.0,
-    "e0_spam": 6.0,
-    "r0_spam": 5.0,
-    "e0_test": 6.0,
-    "r0_test": 5.0,
-    "proliferation": DEFAULT_PROLIFERATION,
-    "death_rate": 0.0,
-    "runs": 10,
-    "train_per_class": 100,
-    "test_size": 200,
-    "spam_ratio": 0.5,
-    "shuffle_test": False,
-    "balance": None,            # None: balance whenever spam_ratio != 0.5
-    "window": 200,
-    "shift": 10,
-    "jobs": 1,
-    "limit": 1500,
+    **_keyword_defaults(eval_static),
+    **_keyword_defaults(eval_dynamic),
+    **{f.name: f.default for f in dataclass_fields(IcrmConfig)},
+    "limit": _keyword_defaults(ingest_enron_dir)["limit_per_class"],
+    "feature_sampler": SAMPLERS[0],
     "out": "icrm-out",
     "stopwords": None,
-    "feature_sampler": "first-last",
+}
+_PROTOCOLS = {"static": eval_static, "dynamic": eval_dynamic}
+# Settings whose flags are common to all commands, or belong to ingest.
+_NOT_EVAL_FLAGS = {"seed", "jobs", "out", "stopwords", "limit"}
+_EVAL_HELP = {
+    "balance": "balanced evaluation counting",
+    "n": "feature sample cap",
+    "n_a": "slots per feature",
+    "feature_sampler": "ablation switch for the feature selection rule",
 }
 
 _BOOL_STRINGS = {"true": True, "yes": True, "1": True,
@@ -130,9 +133,9 @@ def _merge_settings(args: argparse.Namespace) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
-    if settings["feature_sampler"] not in ("first-last", "random"):
+    if settings["feature_sampler"] not in SAMPLERS:
         raise ConfigError(
-            f"feature_sampler must be 'first-last' or 'random', "
+            f"feature_sampler must be one of {SAMPLERS}, "
             f"got {settings['feature_sampler']!r}"
         )
     return settings
@@ -197,36 +200,20 @@ def cmd_classify(args) -> int:
 def cmd_eval(args) -> int:
     settings = _merge_settings(args)
     cfg = _icrm_config(settings)
+    for key in ("runs", "window", "shift"):
+        if settings[key] < 1:
+            raise ConfigError(f"{key} must be >= 1, got {settings[key]}")
     stopwords = _load_stopwords(settings)
     dataset = read_canonical(args.data)
     out_dir = Path(settings["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     kinds = ["icrm", "nb"] if args.model == "both" else [args.model]
+    protocol = _PROTOCOLS[args.mode]
+    protocol_settings = {key: settings[key] for key in _keyword_defaults(protocol)}
     reports = []
     for kind in kinds:
         factory = make_factory(kind, cfg, stopwords, settings["feature_sampler"])
-        if args.mode == "static":
-            report = eval_static(
-                dataset,
-                factory,
-                runs=settings["runs"],
-                train_per_class=settings["train_per_class"],
-                test_size=settings["test_size"],
-                spam_ratio=settings["spam_ratio"],
-                shuffle_test=settings["shuffle_test"],
-                seed=settings["seed"],
-                balance=settings["balance"],
-                jobs=settings["jobs"],
-            )
-        else:
-            report = eval_dynamic(
-                dataset,
-                factory,
-                train_per_class=settings["train_per_class"],
-                window=settings["window"],
-                shift=settings["shift"],
-                seed=settings["seed"],
-            )
+        report = protocol(dataset, factory, **protocol_settings)
         write_runs_csv(report, out_dir / f"{args.mode}_{kind}.csv")
         write_summary_csv(report, out_dir / f"{args.mode}_{kind}_summary.csv")
         reports.append(report)
@@ -248,21 +235,21 @@ def cmd_report(args) -> int:
         raise CorpusError(f"no report files under {out_dir}")
     for path in summaries:
         print(path.name)
-        for line in path.read_text("utf-8").splitlines():
-            metric, _, rest = line.partition(",")
-            mean, _, rest = rest.partition(",")
-            sd, _, rest = rest.partition(",")
-            if metric == "metric":
-                continue
-            slope, _, r2 = rest.partition(",")
+        for row in _read_csv(path):
+            slope, r2 = row["slope"], row["r_squared"]
             extra = f"  slope {slope} R2 {r2}" if slope else ""
-            print(f"  {metric:<12} {mean} +/- {sd}{extra}")
+            print(f"  {row['metric']:<12} {row['mean']} +/- {row['sd']}{extra}")
     for path in ttests:
         print(path.name)
-        for line in path.read_text("utf-8").splitlines()[1:]:
-            metric, t, p = line.split(",")
-            print(f"  {metric:<12} t = {float(t):+.3f}  p = {float(p):.3f}")
+        for row in _read_csv(path):
+            t, p = float(row["t"]), float(row["p"])
+            print(f"  {row['metric']:<12} t = {t:+.3f}  p = {p:.3f}")
     return EXIT_OK
+
+
+def _read_csv(path) -> list[dict[str, str]]:
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 # -- argument wiring -------------------------------------------------------
@@ -270,7 +257,8 @@ def cmd_report(args) -> int:
 
 def _common_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, help="randomization seed (default 42)")
+    common.add_argument("--seed", type=int,
+                        help=f"randomization seed (default {DEFAULTS['seed']})")
     common.add_argument("--config", help="flat key = value settings file")
     common.add_argument("--out", help="output directory for report files")
     common.add_argument("--jobs", type=int, help="parallel evaluation runs")
@@ -288,7 +276,8 @@ def build_parser() -> _Parser:
     )
     p_ingest.add_argument("src_dir")
     p_ingest.add_argument("out_file")
-    p_ingest.add_argument("--limit", type=int, help="messages kept per class (default 1500)")
+    p_ingest.add_argument("--limit", type=int,
+                          help=f"messages kept per class (default {DEFAULTS['limit']})")
     p_ingest.set_defaults(handler=cmd_ingest)
 
     p_classify = sub.add_parser(
@@ -306,29 +295,17 @@ def build_parser() -> _Parser:
     p_eval.add_argument("mode", choices=["static", "dynamic"])
     p_eval.add_argument("model", choices=["icrm", "nb", "both"])
     p_eval.add_argument("--data", required=True, help="canonical dataset file")
-    p_eval.add_argument("--runs", type=int)
-    p_eval.add_argument("--train-per-class", type=int, dest="train_per_class")
-    p_eval.add_argument("--test-size", type=int, dest="test_size")
-    p_eval.add_argument("--spam-ratio", type=float, dest="spam_ratio")
-    p_eval.add_argument("--shuffle-test", action=argparse.BooleanOptionalAction,
-                        dest="shuffle_test", default=None)
-    p_eval.add_argument("--balance", action=argparse.BooleanOptionalAction,
-                        default=None, help="balanced evaluation counting")
-    p_eval.add_argument("--window", type=int)
-    p_eval.add_argument("--shift", type=int)
-    p_eval.add_argument("--n", type=int, help="feature sample cap")
-    p_eval.add_argument("--n-a", type=int, dest="n_a", help="slots per feature")
-    p_eval.add_argument("--e0-ham", type=float, dest="e0_ham")
-    p_eval.add_argument("--r0-ham", type=float, dest="r0_ham")
-    p_eval.add_argument("--e0-spam", type=float, dest="e0_spam")
-    p_eval.add_argument("--r0-spam", type=float, dest="r0_spam")
-    p_eval.add_argument("--e0-test", type=float, dest="e0_test")
-    p_eval.add_argument("--r0-test", type=float, dest="r0_test")
-    p_eval.add_argument("--proliferation", type=float)
-    p_eval.add_argument("--feature-sampler", choices=["first-last", "random"],
-                        dest="feature_sampler",
-                        help="ablation switch for the feature selection rule")
-    p_eval.add_argument("--death-rate", type=float, dest="death_rate")
+    for key, default in DEFAULTS.items():
+        if key in _NOT_EVAL_FLAGS:
+            continue
+        flag = "--" + key.replace("_", "-")
+        if key == "balance" or isinstance(default, bool):
+            spec = {"action": argparse.BooleanOptionalAction}
+        elif key == "feature_sampler":
+            spec = {"choices": SAMPLERS}
+        else:
+            spec = {"type": type(default)}
+        p_eval.add_argument(flag, help=_EVAL_HELP.get(key), **spec)
     p_eval.set_defaults(handler=cmd_eval)
 
     p_report = sub.add_parser(

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,6 +26,7 @@ from scipy.special import betainc
 from .corpus import HAM, SPAM, Dataset, make_split, merge_by_ratio
 from .model import IcrmClassifier, IcrmConfig
 from .nbayes import NaiveBayesClassifier
+from .textprep import SAMPLE_CAP, SAMPLERS
 
 METRIC_FIELDS = ("f_score", "accuracy", "precision", "recall", "pct_fp", "pct_fn")
 
@@ -188,7 +190,7 @@ def paired_t_test(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]
 class IcrmFactory:
     config: IcrmConfig = field(default_factory=IcrmConfig)
     stopwords: frozenset[str] | None = None
-    sampler: str = "first-last"
+    sampler: str = SAMPLERS[0]
 
     name = "icrm"
 
@@ -200,7 +202,7 @@ class IcrmFactory:
 
 @dataclass
 class NbFactory:
-    n: int = 50
+    n: int = SAMPLE_CAP
     stopwords: frozenset[str] | None = None
 
     name = "nb"
@@ -209,7 +211,7 @@ class NbFactory:
         return NaiveBayesClassifier(self.n, self.stopwords)
 
 
-def make_factory(kind: str, config: IcrmConfig, stopwords=None, sampler="first-last"):
+def make_factory(kind: str, config: IcrmConfig, stopwords=None, sampler=SAMPLERS[0]):
     if kind == "icrm":
         return IcrmFactory(config, stopwords, sampler)
     if kind == "nb":
@@ -219,16 +221,6 @@ def make_factory(kind: str, config: IcrmConfig, stopwords=None, sampler="first-l
 
 
 # -- static protocol -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _StaticParams:
-    train_per_class: int
-    test_size: int
-    spam_ratio: float
-    shuffle_test: bool
-    balance: bool
-    seed: int
 
 
 def _balanced_records(
@@ -246,30 +238,23 @@ def _balanced_records(
 
 
 def _static_run(
-    dataset: Dataset, factory, k: int, params: _StaticParams
+    dataset: Dataset, factory, k: int, *, train_per_class: int, test_size: int,
+    spam_ratio: float, shuffle_test: bool, balance: bool, seed: int,
 ) -> RunMetrics:
     split = make_split(
-        dataset,
-        params.train_per_class,
-        params.test_size,
-        params.spam_ratio,
-        offset=k * params.train_per_class,
+        dataset, train_per_class, test_size, spam_ratio, offset=k * train_per_class
     )
-    run_seed = params.seed + k
+    run_seed = seed + k
     clf = factory(run_seed)
     clf.train(split.train)
     stream = split.test
-    if params.shuffle_test:
+    if shuffle_test:
         perm = np.random.default_rng([run_seed, 1]).permutation(len(stream))
         stream = [stream[int(i)] for i in perm]
     records = [(msg.label, clf.classify(msg)) for msg in stream]
-    if params.balance:
+    if balance:
         records = _balanced_records(records, np.random.default_rng([run_seed, 2]))
     return metrics_from_counts(counts_from_records(records))
-
-
-def _static_run_star(args) -> RunMetrics:
-    return _static_run(*args)
 
 
 def eval_static(
@@ -293,9 +278,6 @@ def eval_static(
     """
     if balance is None:
         balance = spam_ratio != 0.5
-    params = _StaticParams(
-        train_per_class, test_size, spam_ratio, shuffle_test, balance, seed
-    )
     # Fail before any run executes if the corpus cannot cover the schedule.
     try:
         make_split(
@@ -304,12 +286,16 @@ def eval_static(
         )
     except Exception as exc:
         raise EvalError(f"corpus too small for {runs} runs: {exc}") from None
-    tasks = [(dataset, factory, k, params) for k in range(runs)]
+    run = partial(
+        _static_run, dataset, factory, train_per_class=train_per_class,
+        test_size=test_size, spam_ratio=spam_ratio, shuffle_test=shuffle_test,
+        balance=balance, seed=seed,
+    )
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            metrics = list(pool.map(_static_run_star, tasks))
+            metrics = list(pool.map(run, range(runs)))
     else:
-        metrics = [_static_run_star(t) for t in tasks]
+        metrics = list(map(run, range(runs)))
     return EvalReport(
         mode="static", classifier=getattr(factory, "name", "?"), metrics=metrics
     )

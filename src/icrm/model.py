@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Iterable
 
 import numpy as np
 
 from .corpus import HAM, SPAM, Message
-from .textprep import preprocess
+from .textprep import SAMPLE_CAP, SAMPLERS, check_sample_cap, preprocess
 
 # Slot binding codes.
 BIND_E = 0
@@ -59,7 +59,7 @@ class SnapshotError(Exception):
 class IcrmConfig:
     """Model parameters; defaults follow the reference configuration."""
 
-    n: int = 50                 # max distinct features sampled per message
+    n: int = SAMPLE_CAP         # max distinct features sampled per message
     n_a: int = 10               # binding slots per sampled feature
     e0_ham: float = 6.0         # initial populations for first-seen features,
     r0_ham: float = 12.0        # by stage: ham training biases regulators,
@@ -72,8 +72,11 @@ class IcrmConfig:
     seed: int = 42
 
     def validate(self) -> None:
-        if self.n < 2 or self.n % 2:
-            raise ValueError(f"n must be even and >= 2, got {self.n}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+        check_sample_cap(self.n)
         if self.n_a < 1:
             raise ValueError(f"n_a must be >= 1, got {self.n_a}")
         if not self.e0_ham < self.r0_ham:
@@ -218,7 +221,7 @@ def process_message(
     cfg: IcrmConfig,
     rng: np.random.Generator,
     stopwords: frozenset[str] | None = None,
-    sampler: str = "first-last",
+    sampler: str = SAMPLERS[0],
 ) -> Verdict:
     """Run the full per-message cycle and return the verdict.
 
@@ -262,10 +265,12 @@ class IcrmClassifier:
         self,
         config: IcrmConfig | None = None,
         stopwords: frozenset[str] | None = None,
-        sampler: str = "first-last",
+        sampler: str = SAMPLERS[0],
     ):
         self.config = config or IcrmConfig()
         self.config.validate()
+        if sampler not in SAMPLERS:
+            raise ValueError(f"unknown sampler {sampler!r}")
         self.stopwords = stopwords
         self.sampler = sampler
         self.repertoire: Repertoire = {}
@@ -321,13 +326,19 @@ class IcrmClassifier:
             raise SnapshotError(
                 f"unsupported state version {state.get('version')!r}"
             )
-        clf = cls(
-            IcrmConfig(**state["config"]),
-            stopwords=stopwords,
-            sampler=state.get("sampler", "first-last"),
-        )
-        clf.repertoire = {
-            f: (float(e), float(r)) for f, (e, r) in state["repertoire"].items()
-        }
-        clf.rng.bit_generator.state = state["rng_state"]
+        try:
+            clf = cls(
+                IcrmConfig(**state["config"]),
+                stopwords=stopwords,
+                sampler=state.get("sampler", SAMPLERS[0]),
+            )
+            clf.repertoire = {
+                f: (float(e), float(r)) for f, (e, r) in state["repertoire"].items()
+            }
+            for e, r in clf.repertoire.values():
+                if not (0.0 <= e < math.inf and 0.0 <= r < math.inf):  # NaN fails too
+                    raise ValueError(f"populations must be finite and >= 0: {e}, {r}")
+            clf.rng.bit_generator.state = state["rng_state"]
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise SnapshotError(f"malformed state file {path}: {exc!r}") from None
         return clf

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .corpus import HAM, SPAM, LABELS, Message
-from .textprep import preprocess
+from .textprep import SAMPLE_CAP, check_sample_cap, preprocess
 
 
 class ModelError(Exception):
@@ -34,7 +34,7 @@ class NbModel:
 
 def nb_train(
     messages: Iterable[Message],
-    n: int = 50,
+    n: int = SAMPLE_CAP,
     stopwords: frozenset[str] | None = None,
 ) -> NbModel:
     """Accumulate Boolean per-document feature counts from labeled messages."""
@@ -79,7 +79,7 @@ def nb_posterior(model: NbModel, sample: Iterable[str]) -> float:
 def nb_classify(
     model: NbModel,
     msg: Message,
-    n: int = 50,
+    n: int = SAMPLE_CAP,
     stopwords: frozenset[str] | None = None,
 ) -> str:
     """Spam iff the posterior strictly exceeds 0.5 (ties go to ham)."""
@@ -90,7 +90,8 @@ def nb_classify(
 class NaiveBayesClassifier:
     """Train-once wrapper; classification never mutates the model."""
 
-    def __init__(self, n: int = 50, stopwords: frozenset[str] | None = None):
+    def __init__(self, n: int = SAMPLE_CAP, stopwords: frozenset[str] | None = None):
+        check_sample_cap(n)
         self.n = n
         self.stopwords = stopwords
         self.model: NbModel | None = None
@@ -133,13 +134,30 @@ class NaiveBayesClassifier:
             raise ModelError(f"{path} is not a Naive Bayes model file")
         if state.get("version") != cls._VERSION:
             raise ModelError(f"unsupported model version {state.get('version')!r}")
-        clf = cls(n=state["n"], stopwords=stopwords)
-        clf.model = NbModel(
-            doc_count={k: int(v) for k, v in state["doc_count"].items()},
-            feature_doc_count={
-                label: {f: int(c) for f, c in counts.items()}
-                for label, counts in state["feature_doc_count"].items()
-            },
-            vocabulary=set(state["vocabulary"]),
-        )
+        try:
+            clf = cls(n=state["n"], stopwords=stopwords)
+            clf.model = NbModel(
+                doc_count=_per_label(state["doc_count"], _count),
+                feature_doc_count=_per_label(
+                    state["feature_doc_count"],
+                    lambda counts: {f: _count(c) for f, c in counts.items()},
+                ),
+                vocabulary=set(state["vocabulary"]),
+            )
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ModelError(f"malformed model file {path}: {exc!r}") from None
         return clf
+
+
+def _per_label(value: dict, convert) -> dict:
+    """``convert`` applied to each entry of a mapping keyed by exactly the labels."""
+    if set(value) != set(LABELS):
+        raise ValueError(f"expected one entry per label {LABELS}, got {sorted(value)}")
+    return {label: convert(value[label]) for label in LABELS}
+
+
+def _count(value) -> int:
+    count = int(value)
+    if count < 0:
+        raise ValueError(f"negative count {value!r}")
+    return count

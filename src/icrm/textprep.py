@@ -16,6 +16,9 @@ from .porter import stem
 
 __all__ = ["tokenize", "preprocess", "stem", "load_stopwords", "default_stopwords"]
 
+SAMPLE_CAP = 50                      # reference cap on distinct stems per message
+SAMPLERS = ("first-last", "random")  # feature selection rules, default first
+
 _MIN_TOKEN_LEN = 3
 _default_stopwords: frozenset[str] | None = None
 
@@ -37,6 +40,12 @@ def default_stopwords() -> frozenset[str]:
             line.strip() for line in text.splitlines() if line.strip()
         )
     return _default_stopwords
+
+
+def check_sample_cap(n: int) -> None:
+    """The first/last sampler halves the cap, so it must be even and >= 2."""
+    if n < 2 or n % 2:
+        raise ValueError(f"sample cap must be even and >= 2, got {n}")
 
 
 def _clean(raw: str) -> str:
@@ -68,9 +77,9 @@ def tokenize(subject: str, body: str) -> list[str]:
 
 def preprocess(
     msg,
-    n: int = 50,
+    n: int = SAMPLE_CAP,
     stopwords: frozenset[str] | None = None,
-    sampler: str = "first-last",
+    sampler: str = SAMPLERS[0],
     rng=None,
 ) -> list[str]:
     """Reduce a message to its feature sample (<= n distinct stems).
@@ -83,9 +92,8 @@ def preprocess(
     uniformly without replacement, preserving document order; it exists
     for ablation runs and requires a generator.
     """
-    if n < 2 or n % 2:
-        raise ValueError(f"sample cap must be even and >= 2, got {n}")
-    if sampler not in ("first-last", "random"):
+    check_sample_cap(n)
+    if sampler not in SAMPLERS:
         raise ValueError(f"unknown sampler {sampler!r}")
     if stopwords is None:
         stopwords = default_stopwords()

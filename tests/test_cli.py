@@ -1,10 +1,17 @@
 """End-to-end CLI behaviour: commands, files, exit codes, determinism."""
 
+import csv
+import inspect
+import json
+import re
+from dataclasses import fields
+
 import pytest
 
-from icrm.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from icrm.cli import DEFAULTS, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from icrm.corpus import HAM, SPAM, read_canonical, write_canonical
-from icrm.model import IcrmClassifier, IcrmConfig
+from icrm.evaluation import eval_dynamic, eval_static
+from icrm.model import IcrmClassifier, IcrmConfig, SnapshotError
 from icrm.synth import synthetic_dataset
 
 
@@ -131,10 +138,31 @@ class TestEval:
         ])
         assert code == EXIT_USAGE
 
-    def test_invalid_model_config_reported_before_compute(self, tmp_path, canonical_file):
+    @pytest.mark.parametrize("flags, config", [
+        (["--e0-ham", "20"], None),
+        (["--runs", "0"], None),
+        (["--runs", "-1"], None),
+        (["--window", "0"], None),
+        (["--shift", "0"], None),
+        (["--shift", "-5"], None),
+        ([], "runs = 0"),
+        ([], "proliferation = nan"),
+        ([], "proliferation = inf"),
+        ([], "e0_spam = inf"),
+    ], ids=[
+        "e0-ham-20", "runs-0", "runs-negative", "window-0", "shift-0", "shift-negative",
+        "config-runs-0", "config-proliferation-nan", "config-proliferation-inf",
+        "config-e0-spam-inf",
+    ])
+    def test_invalid_model_config_reported_before_compute(
+        self, tmp_path, canonical_file, flags, config
+    ):
+        if config is not None:
+            (tmp_path / "bad.conf").write_text(config + "\n", encoding="utf-8")
+            flags = flags + ["--config", str(tmp_path / "bad.conf")]
         code = main([
             "eval", "static", "icrm", "--data", str(canonical_file),
-            "--e0-ham", "20", "--out", str(tmp_path / "o"),
+            *flags, "--out", str(tmp_path / "o"),
         ])
         assert code == EXIT_USAGE
         assert not (tmp_path / "o").exists()
@@ -176,6 +204,29 @@ class TestClassify:
         feature, value = lines[1].split()
         float(value)
 
+    @pytest.mark.parametrize("mutate", [
+        pytest.param(lambda s: s.pop("config"), id="missing-config"),
+        pytest.param(lambda s: s["config"].update(n=3), id="odd-n"),
+        pytest.param(lambda s: s["config"].update(bogus=1), id="unknown-config-key"),
+        pytest.param(lambda s: s.update(sampler="bogus"), id="unknown-sampler"),
+        pytest.param(lambda s: s["repertoire"].update(alpha=["x", 1.0]), id="population-x"),
+        pytest.param(lambda s: s["repertoire"].update(alpha=[-1.0, 1.0]),
+                     id="population-negative"),
+        pytest.param(lambda s: s["repertoire"].update(alpha=[1.0, float("nan")]),
+                     id="population-nan"),
+        pytest.param(lambda s: s.update(rng_state={"a": 1}), id="rng-state"),
+    ])
+    def test_malformed_snapshot_is_data_error(self, tmp_path, snapshot, capsys, mutate):
+        state = json.loads(snapshot.read_text(encoding="utf-8"))
+        mutate(state)
+        snapshot.write_text(json.dumps(state), encoding="utf-8")
+        with pytest.raises(SnapshotError):
+            IcrmClassifier.load(snapshot)
+        msg = tmp_path / "m.txt"
+        msg.write_text("Subject: x\nhello", encoding="utf-8")
+        assert main(["classify", str(snapshot), str(msg)]) == EXIT_DATA
+        assert "malformed state file" in capsys.readouterr().err
+
     def test_missing_snapshot_is_data_error(self, tmp_path, capsys):
         msg = tmp_path / "m.txt"
         msg.write_text("Subject: x\nhello", encoding="utf-8")
@@ -196,5 +247,54 @@ class TestReport:
         assert "f_score" in printed
         assert "static_ttest.csv" in printed
 
+    def test_rerenders_dynamic_drift(self, tmp_path, canonical_file, capsys):
+        out = tmp_path / "dynrep"
+        main([
+            "eval", "dynamic", "icrm", "--data", str(canonical_file),
+            "--window", "100", "--shift", "50", "--out", str(out),
+        ])
+        capsys.readouterr()
+        assert main(["report", str(out)]) == EXIT_OK
+        printed = capsys.readouterr().out.splitlines()
+        with open(out / "dynamic_icrm_summary.csv", encoding="utf-8") as fh:
+            fp = next(row for row in csv.DictReader(fh) if row["metric"] == "pct_fp")
+        assert (
+            f"  pct_fp       {fp['mean']} +/- {fp['sd']}"
+            f"  slope {fp['slope']} R2 {fp['r_squared']}"
+        ) in printed
+
     def test_missing_dir_is_data_error(self, tmp_path):
         assert main(["report", str(tmp_path / "missing")]) == EXIT_DATA
+
+
+def _keyword_defaults(func):
+    return {
+        name: p.default
+        for name, p in inspect.signature(func).parameters.items()
+        if p.default is not p.empty
+    }
+
+
+def test_settings_surface(capsys):
+    """Library defaults are config keys and eval flags; the flags stay fixed."""
+    assert main(["eval", "--help"]) == EXIT_OK
+    options = set(re.findall(r"--[a-z0-9-]+", capsys.readouterr().out))
+    sources = [
+        {f.name: f.default for f in fields(IcrmConfig)},
+        _keyword_defaults(eval_static),
+        _keyword_defaults(eval_dynamic),
+    ]
+    for source in sources:
+        for key, default in source.items():
+            assert "--" + key.replace("_", "-") in options, key
+            assert key in DEFAULTS and DEFAULTS[key] == default, key
+    assert sources[0]["seed"] == sources[1]["seed"] == sources[2]["seed"] == 42
+    assert sources[1]["train_per_class"] == sources[2]["train_per_class"] == 100
+    assert options == {
+        "--balance", "--config", "--data", "--death-rate", "--e0-ham",
+        "--e0-spam", "--e0-test", "--feature-sampler", "--help", "--jobs",
+        "--n", "--n-a", "--no-balance", "--no-shuffle-test", "--out",
+        "--proliferation", "--r0-ham", "--r0-spam", "--r0-test", "--runs",
+        "--seed", "--shift", "--shuffle-test", "--spam-ratio", "--stopwords",
+        "--test-size", "--train-per-class", "--window",
+    }

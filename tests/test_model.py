@@ -1,6 +1,7 @@
 """Cross-regulation dynamics: binding, interaction laws, scoring, persistence."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -72,6 +73,14 @@ class TestConfig:
             IcrmConfig(n_a=0).validate()
         with pytest.raises(ValueError):
             IcrmConfig(death_rate=1.0).validate()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name", [f.name for f in fields(IcrmConfig) if isinstance(f.default, float)]
+    )
+    def test_non_finite_floats_rejected(self, name, value):
+        with pytest.raises(ValueError, match="finite"):
+            IcrmConfig(**{name: value}).validate()
 
 
 class TestInitFeatures:

@@ -1,5 +1,6 @@
 """Naive Bayes baseline: counting, posterior oracle agreement, decision rule."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -163,6 +164,26 @@ class TestPersistence:
         assert again.model == clf.model
         probe = disjoint_corpus.ham[30:40] + disjoint_corpus.spam[30:40]
         assert [again.classify(m) for m in probe] == [clf.classify(m) for m in probe]
+
+    @pytest.mark.parametrize("mutate", [
+        pytest.param(lambda s: s.pop("n"), id="missing-n"),
+        pytest.param(lambda s: s.update(n=3), id="odd-n"),
+        pytest.param(lambda s: s["feature_doc_count"][HAM].update(alpha="x"), id="count-x"),
+        pytest.param(lambda s: s["feature_doc_count"][SPAM].update(beta=-1),
+                     id="negative-count"),
+        pytest.param(lambda s: s.update(doc_count=[1, 2]), id="doc-count-list"),
+        pytest.param(lambda s: s["doc_count"].pop(SPAM), id="doc-count-missing-class"),
+    ])
+    def test_malformed_file_is_model_error(self, tmp_path, mutate):
+        clf = NaiveBayesClassifier()
+        clf.model = _model([["alpha", "gamma"]], [["beta"]])
+        path = tmp_path / "nb.json"
+        clf.save(path)
+        state = json.loads(path.read_text(encoding="utf-8"))
+        mutate(state)
+        path.write_text(json.dumps(state), encoding="utf-8")
+        with pytest.raises(ModelError):
+            NaiveBayesClassifier.load(path)
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "x.json"
