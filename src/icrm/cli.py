@@ -235,21 +235,44 @@ def cmd_report(args) -> int:
         raise CorpusError(f"no report files under {out_dir}")
     for path in summaries:
         print(path.name)
-        for row in _read_csv(path):
+        for row in _read_csv(path, ("metric", "mean", "sd", "slope", "r_squared")):
             slope, r2 = row["slope"], row["r_squared"]
             extra = f"  slope {slope} R2 {r2}" if slope else ""
             print(f"  {row['metric']:<12} {row['mean']} +/- {row['sd']}{extra}")
     for path in ttests:
         print(path.name)
-        for row in _read_csv(path):
-            t, p = float(row["t"]), float(row["p"])
+        for row in _read_csv(path, ("metric", "t", "p")):
+            t, p = _number(path, row, "t"), _number(path, row, "p")
             print(f"  {row['metric']:<12} t = {t:+.3f}  p = {p:.3f}")
     return EXIT_OK
 
 
-def _read_csv(path) -> list[dict[str, str]]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        return list(csv.DictReader(fh))
+def _read_csv(path, columns: tuple[str, ...]) -> list[dict[str, str]]:
+    """The rows of a report CSV, each holding every one of ``columns``."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)
+            rows = []
+            for row in reader:
+                missing = [c for c in columns if row.get(c) is None]
+                if missing:
+                    raise CorpusError(
+                        f"{path}: line {reader.line_num}: missing column "
+                        f"{', '.join(missing)}"
+                    )
+                rows.append(row)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise CorpusError(f"cannot read report file {path}: {exc}") from None
+    return rows
+
+
+def _number(path, row: dict[str, str], column: str) -> float:
+    try:
+        return float(row[column])
+    except ValueError:
+        raise CorpusError(
+            f"{path}: column {column} is not a number: {row[column]!r}"
+        ) from None
 
 
 # -- argument wiring -------------------------------------------------------

@@ -21,6 +21,7 @@ LABELS = (HAM, SPAM)
 
 _FILENAME_DATE = re.compile(r"^\d+\.(\d{4}-\d{2}-\d{2})\.")
 _CANONICAL_FIELDS = ("id", "timestamp", "label", "subject", "body")
+_TEXT_FIELDS = ("id", "timestamp", "subject", "body")
 
 
 class CorpusError(Exception):
@@ -153,7 +154,7 @@ def read_canonical(path, name: str | None = None) -> Dataset:
     """Read a canonical file back into a Dataset.
 
     Raises CanonicalFormatError naming the offending line for malformed
-    records, unknown labels, bad dates, or duplicate ids.
+    records, non-string fields, unknown labels, bad dates, or duplicate ids.
     """
     ham: list[Message] = []
     spam: list[Message] = []
@@ -176,6 +177,11 @@ def read_canonical(path, name: str | None = None) -> Dataset:
             if missing:
                 raise CanonicalFormatError(
                     f"line {lineno}: missing field(s) {', '.join(missing)}"
+                )
+            not_text = [k for k in _TEXT_FIELDS if not isinstance(record[k], str)]
+            if not_text:
+                raise CanonicalFormatError(
+                    f"line {lineno}: field(s) {', '.join(not_text)} must be strings"
                 )
             if record["label"] not in LABELS:
                 raise CanonicalFormatError(

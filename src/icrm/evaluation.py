@@ -21,7 +21,6 @@ from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import betainc
 
 from .corpus import HAM, SPAM, Dataset, make_split, merge_by_ratio
 from .model import IcrmClassifier, IcrmConfig
@@ -177,6 +176,10 @@ def paired_t_test(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]
         if mean == 0.0:
             return (0.0, 1.0)
         return (math.copysign(math.inf, mean), 0.0)
+    # scipy.special costs more to import than the rest of the package, and
+    # only the t-test needs it
+    from scipy.special import betainc
+
     t = mean / (sd / math.sqrt(n))
     df = n - 1
     p = float(betainc(df / 2.0, 0.5, df / (df + t * t)))

@@ -12,6 +12,13 @@ uniformly); adjacent slot pairs then interact:
   proliferate,
 * regulators alone persist unchanged.
 
+Binding and interaction are one array pass per message: each slot holds
+an index into the message's distinct features, pairs are a reshape of the
+binding codes, and each feature's gains are summed with ``np.bincount`` in
+slot order. The pass draws the same random numbers in the same order as
+the per-slot loops in ``tests/model_reference.py`` and is bit-identical to
+them.
+
 Populations only grow unless a per-message death rate is configured, in
 which case every known feature decays multiplicatively after each
 message. A message's verdict is the sum of per-feature scores
@@ -24,7 +31,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, fields
-from typing import Iterable
+from functools import cached_property
+from itertools import chain
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -104,15 +113,59 @@ class IcrmConfig:
 Repertoire = dict[str, tuple[float, float]]
 
 
-@dataclass
 class SlotArray:
-    """Per-message antigen presentation: parallel feature/binding lists."""
+    """Per-message antigen presentation, in slot order.
 
-    features: list[str]
-    bound: list[int]
+    ``keys`` are the message's distinct features, ``index`` gives each
+    slot's position in ``keys`` and ``bound`` each slot's binding code.
+    ``SlotArray(features, bound)`` builds one from parallel per-slot
+    sequences; ``features`` spells the slots out again on first read.
+    """
+
+    def __init__(self, features: Sequence[str], bound: Sequence[int]):
+        keys, index = _intern(features)
+        bound = np.asarray(bound, dtype=np.int64)
+        if bound.shape != index.shape:
+            raise ValueError(f"{len(index)} slot features but {bound.size} bindings")
+        if not np.isin(bound, (BIND_E, BIND_R, BIND_EMPTY)).all():
+            raise ValueError(f"unknown binding code in {bound.tolist()}")
+        self.keys, self.index, self.bound = keys, index, bound
+
+    @classmethod
+    def from_index(
+        cls, keys: list[str], index: np.ndarray, bound: np.ndarray
+    ) -> "SlotArray":
+        """Wrap arrays the kernel built, without interning or checks again."""
+        slots = cls.__new__(cls)
+        slots.keys, slots.index, slots.bound = keys, index, bound
+        return slots
+
+    @cached_property
+    def features(self) -> list[str]:
+        keys = self.keys
+        return [keys[i] for i in self.index.tolist()]
 
     def __len__(self) -> int:
-        return len(self.features)
+        return len(self.index)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SlotArray):
+            return NotImplemented
+        return self.features == other.features and np.array_equal(
+            self.bound, other.bound
+        )
+
+    def __repr__(self) -> str:
+        return f"SlotArray({self.features!r}, {self.bound.tolist()!r})"
+
+
+def _intern(features: Sequence[str]) -> tuple[list[str], np.ndarray]:
+    """Distinct features in first-seen order, and each position's index."""
+    keys = list(dict.fromkeys(features))
+    if len(keys) == len(features):
+        return keys, np.arange(len(keys))
+    ids = {f: i for i, f in enumerate(keys)}
+    return keys, np.array([ids[f] for f in features], dtype=np.int64)
 
 
 @dataclass
@@ -159,16 +212,34 @@ def build_slot_array(
         return SlotArray([], [])
     order = rng.permutation(total)
     draws = rng.random(total)
-    features = [None] * total
-    bound = [BIND_EMPTY] * total
-    for pos in range(total):
-        feature = sample[int(order[pos]) // cfg.n_a]
-        features[pos] = feature
-        e, r = rep[feature]
-        mass = e + r
-        if mass > 0.0:
-            bound[pos] = BIND_E if draws[pos] < e / mass else BIND_R
-    return SlotArray(features, bound)
+    keys, sample_index = _intern(sample)
+    pops = np.fromiter(
+        chain.from_iterable(map(rep.__getitem__, keys)), np.float64, 2 * len(keys)
+    ).reshape(-1, 2)
+    mass = pops[:, 0] + pops[:, 1]
+    live = mass > 0.0
+    p_effector = np.divide(pops[:, 0], mass, out=np.zeros(len(keys)), where=live)
+    index = sample_index[order // cfg.n_a]
+    bound = np.where(draws < p_effector[index], BIND_E, BIND_R)
+    bound[~live[index]] = BIND_EMPTY
+    return SlotArray.from_index(keys, index, bound)
+
+
+def _proliferates(code: int, partner: int) -> bool:
+    """Whether a slot bound ``code`` gains a cell next to one bound ``partner``."""
+    if code == BIND_E:
+        return partner != BIND_R
+    if code == BIND_R:
+        return partner == BIND_E
+    return False
+
+
+# Row 3 * a + b, over the three binding codes: 1.0 for each slot of an
+# (a, b) pair that proliferates.
+_PAIR_GAINS = np.array(
+    [[_proliferates(a, b), _proliferates(b, a)] for a in range(3) for b in range(3)],
+    dtype=np.float64,
+)
 
 
 def interact(rep: Repertoire, slots: SlotArray, cfg: IcrmConfig) -> Repertoire:
@@ -179,29 +250,26 @@ def interact(rep: Repertoire, slots: SlotArray, cfg: IcrmConfig) -> Repertoire:
     being applied, so pair processing order is irrelevant. With a nonzero
     death rate every repertoire feature then decays by (1 - rate).
     """
-    p = cfg.proliferation
-    delta_e: dict[str, float] = {}
-    delta_r: dict[str, float] = {}
-    n = len(slots)
-    for i in range(0, n, 2):
-        group = [(slots.features[i], slots.bound[i])]
-        if i + 1 < n:
-            group.append((slots.features[i + 1], slots.bound[i + 1]))
-        effectors = [f for f, b in group if b == BIND_E]
-        regulators = [f for f, b in group if b == BIND_R]
-        if effectors and not regulators:
-            for f in effectors:
-                delta_e[f] = delta_e.get(f, 0.0) + p
-        elif effectors and regulators:
-            for f in regulators:
-                delta_r[f] = delta_r.get(f, 0.0) + p
-        # regulators alone (or empty pairs): no change
-    for f, d in delta_e.items():
-        e, r = rep[f]
-        rep[f] = (e + d, r)
-    for f, d in delta_r.items():
-        e, r = rep[f]
-        rep[f] = (e, r + d)
+    total = len(slots)
+    if total:
+        bound = slots.bound
+        if total % 2:
+            bound = np.append(bound, BIND_EMPTY)
+        pairs = bound.reshape(-1, 2)
+        gains = _PAIR_GAINS[3 * pairs[:, 0] + pairs[:, 1]].ravel()[:total]
+        # row i of deltas holds feature i's (E, R) gain; bincount adds the
+        # weights in slot order, as a running sum per feature would
+        deltas = np.bincount(
+            2 * slots.index + (slots.bound == BIND_R),
+            weights=gains * cfg.proliferation,
+            minlength=2 * len(slots.keys),
+        ).reshape(-1, 2)
+        for f, (de, dr) in zip(slots.keys, deltas.tolist()):
+            if de or dr:
+                # a side that gained nothing keeps its value untouched, as
+                # in the per-slot loop (no -0.0 -> 0.0, no int -> float)
+                e, r = rep[f]
+                rep[f] = (e + de if de else e, r + dr if dr else r)
     rate = cfg.death_rate
     if rate > 0.0:
         keep = 1.0 - rate
