@@ -200,9 +200,13 @@ def cmd_classify(args) -> int:
 def cmd_eval(args) -> int:
     settings = _merge_settings(args)
     cfg = _icrm_config(settings)
-    for key in ("runs", "window", "shift"):
+    for key in ("runs", "window", "shift", "train_per_class", "test_size", "jobs"):
         if settings[key] < 1:
             raise ConfigError(f"{key} must be >= 1, got {settings[key]}")
+    if not 0.0 < settings["spam_ratio"] < 1.0:
+        raise ConfigError(
+            f"spam_ratio must be in (0, 1), got {settings['spam_ratio']}"
+        )
     stopwords = _load_stopwords(settings)
     dataset = read_canonical(args.data)
     out_dir = Path(settings["out"])

@@ -1,9 +1,12 @@
 """Porter suffix-stripping stemmer (classic 1980 rule set, steps 1a-5b).
 
 Words are analysed as [C](VC)^m[V] where C/V are maximal consonant/vowel
-runs; m is the "measure" that gates most rules.  Within each step only the
-rule with the longest matching suffix is considered; if its condition
-fails, the step performs no change.
+runs; m is the "measure" that gates most rules.  Steps 1a, 2, 3 and 4 are
+(suffix, replacement) tables sorted longest suffix first, each gated by a
+minimum measure of the remaining stem (none, > 0, > 0, > 1).  Within a
+step only the longest matching suffix is considered; if its condition
+fails, the step performs no change.  Steps 1b, 1c, 5a and 5b carry their
+own conditions.
 """
 
 from __future__ import annotations
@@ -59,39 +62,6 @@ def _ends_cvc(word: str) -> bool:
     )
 
 
-def _apply_rule_list(word: str, rules) -> str:
-    """Apply the longest-matching rule of a step, or nothing.
-
-    ``rules`` is a list of (suffix, replacement, condition) with condition
-    evaluated on the stem (word minus suffix); ``None`` means no condition.
-    Only the longest matching suffix is ever considered.
-    """
-    best = None
-    for suffix, replacement, condition in rules:
-        if word.endswith(suffix):
-            if best is None or len(suffix) > len(best[0]):
-                best = (suffix, replacement, condition)
-    if best is None:
-        return word
-    suffix, replacement, condition = best
-    stem = word[: len(word) - len(suffix)]
-    if condition is None or condition(stem):
-        return stem + replacement
-    return word
-
-
-def _step1a(word: str) -> str:
-    return _apply_rule_list(
-        word,
-        [
-            ("sses", "ss", None),
-            ("ies", "i", None),
-            ("ss", "ss", None),
-            ("s", "", None),
-        ],
-    )
-
-
 def _step1b(word: str) -> str:
     if word.endswith("eed"):
         stem = word[:-3]
@@ -121,66 +91,47 @@ def _step1c(word: str) -> str:
     return word
 
 
-_STEP2_RULES = [
-    ("ational", "ate"),
-    ("tional", "tion"),
-    ("enci", "ence"),
-    ("anci", "ance"),
-    ("izer", "ize"),
-    ("abli", "able"),
-    ("alli", "al"),
-    ("entli", "ent"),
-    ("eli", "e"),
-    ("ousli", "ous"),
-    ("ization", "ize"),
-    ("ation", "ate"),
-    ("ator", "ate"),
-    ("alism", "al"),
-    ("iveness", "ive"),
-    ("fulness", "ful"),
-    ("ousness", "ous"),
-    ("aliti", "al"),
-    ("iviti", "ive"),
-    ("biliti", "ble"),
-]
+def _longest_first(rules) -> tuple[tuple[str, str], ...]:
+    return tuple(sorted(rules, key=lambda rule: len(rule[0]), reverse=True))
 
-_STEP3_RULES = [
-    ("icate", "ic"),
-    ("ative", ""),
-    ("alize", "al"),
-    ("iciti", "ic"),
-    ("ical", "ic"),
-    ("ful", ""),
-    ("ness", ""),
-]
 
-_STEP4_SUFFIXES = [
+_STEP1A = _longest_first([("sses", "ss"), ("ies", "i"), ("ss", "ss"), ("s", "")])
+
+_STEP2 = _longest_first([
+    ("ational", "ate"), ("tional", "tion"), ("enci", "ence"), ("anci", "ance"),
+    ("izer", "ize"), ("abli", "able"), ("alli", "al"), ("entli", "ent"),
+    ("eli", "e"), ("ousli", "ous"), ("ization", "ize"), ("ation", "ate"),
+    ("ator", "ate"), ("alism", "al"), ("iveness", "ive"), ("fulness", "ful"),
+    ("ousness", "ous"), ("aliti", "al"), ("iviti", "ive"), ("biliti", "ble"),
+])
+
+_STEP3 = _longest_first([
+    ("icate", "ic"), ("ative", ""), ("alize", "al"), ("iciti", "ic"),
+    ("ical", "ic"), ("ful", ""), ("ness", ""),
+])
+
+_STEP4 = _longest_first((suffix, "") for suffix in (
     "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
     "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
-]
+))
 
 
-def _step2(word: str) -> str:
-    rules = [(s, r, lambda stem: _measure(stem) > 0) for s, r in _STEP2_RULES]
-    return _apply_rule_list(word, rules)
+def _replace_suffix(word: str, rules, min_measure: int) -> str:
+    """Replace the longest suffix in ``rules`` if its stem's measure > min_measure.
 
-
-def _step3(word: str) -> str:
-    rules = [(s, r, lambda stem: _measure(stem) > 0) for s, r in _STEP3_RULES]
-    return _apply_rule_list(word, rules)
-
-
-def _step4(word: str) -> str:
-    def plain(stem: str) -> bool:
-        return _measure(stem) > 1
-
-    def ion_cond(stem: str) -> bool:
-        return _measure(stem) > 1 and stem.endswith(("s", "t"))
-
-    rules = [
-        (s, "", ion_cond if s == "ion" else plain) for s in _STEP4_SUFFIXES
-    ]
-    return _apply_rule_list(word, rules)
+    ``rules`` is sorted longest suffix first, so the first match is the
+    only candidate. ``min_measure`` -1 means no condition; -ion (step 4)
+    also needs a stem ending in s or t.
+    """
+    for suffix, replacement in rules:
+        if word.endswith(suffix):
+            stem = word[: len(word) - len(suffix)]
+            if (min_measure < 0 or _measure(stem) > min_measure) and (
+                suffix != "ion" or stem.endswith(("s", "t"))
+            ):
+                return stem + replacement
+            return word
+    return word
 
 
 def _step5a(word: str) -> str:
@@ -212,12 +163,10 @@ def stem(word: str) -> str:
         return cached
     result = word
     if len(word) > 2:
-        for step in (
-            _step1a, _step1b, _step1c,
-            _step2, _step3, _step4,
-            _step5a, _step5b,
-        ):
-            result = step(result)
+        result = _step1c(_step1b(_replace_suffix(word, _STEP1A, -1)))
+        result = _replace_suffix(result, _STEP2, 0)
+        result = _replace_suffix(result, _STEP3, 0)
+        result = _step5b(_step5a(_replace_suffix(result, _STEP4, 1)))
     if len(_cache) < 1 << 20:
         _cache[word] = result
     return result

@@ -10,6 +10,7 @@ than ``n`` distinct stems remain only the first and last ``n/2`` are kept
 
 from __future__ import annotations
 
+from functools import cache
 from importlib import resources
 
 from .porter import stem
@@ -20,26 +21,24 @@ SAMPLE_CAP = 50                      # reference cap on distinct stems per messa
 SAMPLERS = ("first-last", "random")  # feature selection rules, default first
 
 _MIN_TOKEN_LEN = 3
-_default_stopwords: frozenset[str] | None = None
+
+
+def _parse_stopwords(lines) -> frozenset[str]:
+    """One stopword per line, surrounding whitespace stripped, blanks skipped."""
+    return frozenset(word for line in lines if (word := line.strip()))
 
 
 def load_stopwords(path) -> frozenset[str]:
     """Read a stopword file, one word per line; blank lines are ignored."""
     with open(path, encoding="utf-8") as fh:
-        return frozenset(line.strip() for line in fh if line.strip())
+        return _parse_stopwords(fh)
 
 
+@cache
 def default_stopwords() -> frozenset[str]:
     """The stopword list shipped with the package (SMART English list)."""
-    global _default_stopwords
-    if _default_stopwords is None:
-        text = (
-            resources.files("icrm.data").joinpath("stopwords.txt").read_text("utf-8")
-        )
-        _default_stopwords = frozenset(
-            line.strip() for line in text.splitlines() if line.strip()
-        )
-    return _default_stopwords
+    text = resources.files("icrm.data").joinpath("stopwords.txt").read_text("utf-8")
+    return _parse_stopwords(text.splitlines())
 
 
 def check_sample_cap(n: int) -> None:

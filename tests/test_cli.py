@@ -149,10 +149,24 @@ class TestEval:
         ([], "proliferation = nan"),
         ([], "proliferation = inf"),
         ([], "e0_spam = inf"),
+        (["--test-size", "0"], None),
+        (["--test-size", "-3"], None),
+        (["--train-per-class", "0"], None),
+        (["--jobs", "0"], None),
+        (["--jobs", "-1"], None),
+        (["--spam-ratio", "0"], None),
+        (["--spam-ratio", "1"], None),
+        (["--spam-ratio", "1.5"], None),
+        (["--spam-ratio", "nan"], None),
+        ([], "spam_ratio = nan"),
+        ([], "test_size = 0"),
     ], ids=[
         "e0-ham-20", "runs-0", "runs-negative", "window-0", "shift-0", "shift-negative",
         "config-runs-0", "config-proliferation-nan", "config-proliferation-inf",
-        "config-e0-spam-inf",
+        "config-e0-spam-inf", "test-size-0", "test-size-negative",
+        "train-per-class-0", "jobs-0", "jobs-negative", "spam-ratio-0",
+        "spam-ratio-1", "spam-ratio-1.5", "spam-ratio-nan", "config-spam-ratio-nan",
+        "config-test-size-0",
     ])
     def test_invalid_model_config_reported_before_compute(
         self, tmp_path, canonical_file, flags, config

@@ -3,6 +3,7 @@
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from icrm.porter import stem
 
@@ -99,6 +100,42 @@ def test_independent_implementation_agrees_on_fresh_forms():
         for suffix in suffixes:
             word = base + suffix
             assert stem(word) == reference_stem(word), word
+
+
+# Every suffix of the step 1a-4 tables, written out independently of the
+# package's own tables, plus the step 1b/1c/5 endings they interact with.
+TABLE_SUFFIXES = [
+    "sses", "ies", "ss", "s",
+    "ational", "tional", "enci", "anci", "izer", "abli", "alli", "entli",
+    "eli", "ousli", "ization", "ation", "ator", "alism", "iveness",
+    "fulness", "ousness", "aliti", "iviti", "biliti",
+    "icate", "ative", "alize", "iciti", "ical", "ful", "ness",
+    "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
+    "ment", "ent", "ion", "sion", "tion", "ou", "ism", "ate", "iti", "ous",
+    "ive", "ize",
+    "eed", "ed", "ing", "y", "e", "ll",
+]
+# Vowels, y, the consonants the tables mention, w and x (which end no
+# consonant-vowel-consonant stem), and a digit.
+RULE_ALPHABET = "aeiouy" + "".join(
+    sorted(set("".join(TABLE_SUFFIXES)) - set("aeiouy"))
+) + "wx1"
+
+
+@given(word=st.text(alphabet=RULE_ALPHABET, max_size=16))
+@settings(max_examples=1000, deadline=None)
+def test_independent_implementation_agrees_on_random_words(word):
+    assert stem(word) == reference_stem(word)
+
+
+@given(
+    base=st.text(alphabet=RULE_ALPHABET, max_size=8),
+    suffix=st.sampled_from(TABLE_SUFFIXES),
+)
+@settings(max_examples=1000, deadline=None)
+def test_independent_implementation_agrees_on_suffixed_words(base, suffix):
+    word = base + suffix
+    assert stem(word) == reference_stem(word)
 
 
 def test_deterministic():
