@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import inspect
+import io
 import sys
 from dataclasses import fields as dataclass_fields
 from datetime import date
@@ -35,9 +36,10 @@ from .evaluation import (
     write_summary_csv,
     write_ttest_csv,
 )
+from .files import read_text
 from .model import IcrmClassifier, IcrmConfig, SnapshotError
 from .nbayes import ModelError
-from .textprep import SAMPLERS, load_stopwords
+from .textprep import SAMPLERS, parse_stopwords
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -102,10 +104,7 @@ def _coerce(key: str, raw: str):
 
 def _parse_config_file(path) -> dict:
     settings = {}
-    try:
-        text = Path(path).read_text("utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from None
+    text = read_text(path, ConfigError, "config file")
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -155,10 +154,7 @@ def _load_stopwords(settings: dict):
     path = settings.get("stopwords")
     if path is None:
         return None  # modules fall back to the shipped list
-    try:
-        return load_stopwords(path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read stopword file: {exc}") from None
+    return parse_stopwords(read_text(path, ConfigError, "stopword file"))
 
 
 # -- commands -------------------------------------------------------------
@@ -167,7 +163,10 @@ def _load_stopwords(settings: dict):
 def cmd_ingest(args) -> int:
     settings = _merge_settings(args)
     result = ingest_enron_dir(args.src_dir, limit_per_class=settings["limit"])
-    write_canonical(result.dataset, args.out_file)
+    try:
+        write_canonical(result.dataset, args.out_file)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {args.out_file}: {exc}") from None
     ds = result.dataset
     print(f"ham: {len(ds.ham)}  spam: {len(ds.spam)}  rejected: {result.rejected}")
     print(f"wrote {args.out_file}")
@@ -210,7 +209,10 @@ def cmd_eval(args) -> int:
     stopwords = _load_stopwords(settings)
     dataset = read_canonical(args.data)
     out_dir = Path(settings["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from None
     kinds = ["icrm", "nb"] if args.model == "both" else [args.model]
     protocol = _PROTOCOLS[args.mode]
     protocol_settings = {key: settings[key] for key in _keyword_defaults(protocol)}
@@ -253,19 +255,18 @@ def cmd_report(args) -> int:
 
 def _read_csv(path, columns: tuple[str, ...]) -> list[dict[str, str]]:
     """The rows of a report CSV, each holding every one of ``columns``."""
+    reader = csv.DictReader(io.StringIO(read_text(path, CorpusError, "report file")))
+    rows = []
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            rows = []
-            for row in reader:
-                missing = [c for c in columns if row.get(c) is None]
-                if missing:
-                    raise CorpusError(
-                        f"{path}: line {reader.line_num}: missing column "
-                        f"{', '.join(missing)}"
-                    )
-                rows.append(row)
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        for row in reader:
+            missing = [c for c in columns if row.get(c) is None]
+            if missing:
+                raise CorpusError(
+                    f"{path}: line {reader.line_num}: missing column "
+                    f"{', '.join(missing)}"
+                )
+            rows.append(row)
+    except csv.Error as exc:
         raise CorpusError(f"cannot read report file {path}: {exc}") from None
     return rows
 

@@ -153,18 +153,25 @@ def write_canonical(dataset: Dataset, path) -> None:
 def read_canonical(path, name: str | None = None) -> Dataset:
     """Read a canonical file back into a Dataset.
 
-    Raises CanonicalFormatError naming the offending line for malformed
-    records, non-string fields, unknown labels, bad dates, or duplicate ids.
+    Raises CanonicalFormatError naming the offending line for text that is
+    not UTF-8, malformed records, non-string fields, unknown labels, bad
+    dates, or duplicate ids.
     """
     ham: list[Message] = []
     spam: list[Message] = []
     seen: set[str] = set()
     try:
-        fh = open(path, encoding="utf-8")
+        fh = open(path, "rb")
     except OSError as exc:
         raise CanonicalFormatError(f"cannot read dataset: {exc}") from None
     with fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CanonicalFormatError(
+                    f"{path}: line {lineno}: not UTF-8 ({exc})"
+                ) from None
             if not line.strip():
                 continue
             try:

@@ -28,6 +28,7 @@ from .nbayes import NaiveBayesClassifier
 from .textprep import SAMPLE_CAP, SAMPLERS
 
 METRIC_FIELDS = ("f_score", "accuracy", "precision", "recall", "pct_fp", "pct_fn")
+_WINDOW_FIELDS = ("f_score", "accuracy", "pct_fp", "pct_fn")
 
 
 class EvalError(Exception):
@@ -363,42 +364,38 @@ def _fmt(value: float) -> str:
     return f"{value:.6f}"
 
 
+def _write_csv(path, header: Iterable[str], rows: Iterable[Iterable[str]]) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for row in (header, *rows):
+            fh.write(",".join(row) + "\n")
+
+
 def write_runs_csv(report: EvalReport, path) -> None:
     """Per-run (static) or per-window (dynamic) machine-readable series."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if report.mode == "static":
-            fh.write("run,f_score,accuracy,precision,recall,pct_fp,pct_fn\n")
-            for k, m in enumerate(report.metrics):
-                fh.write(
-                    f"{k},{_fmt(m.f_score)},{_fmt(m.accuracy)},{_fmt(m.precision)},"
-                    f"{_fmt(m.recall)},{_fmt(m.pct_fp)},{_fmt(m.pct_fn)}\n"
-                )
-        else:
-            fh.write("window_start,f_score,accuracy,pct_fp,pct_fn\n")
-            for start, m in zip(report.window_starts, report.metrics):
-                fh.write(
-                    f"{start},{_fmt(m.f_score)},{_fmt(m.accuracy)},"
-                    f"{_fmt(m.pct_fp)},{_fmt(m.pct_fn)}\n"
-                )
+    if report.mode == "static":
+        index, names, keys = "run", METRIC_FIELDS, range(len(report.metrics))
+    else:
+        index, names, keys = "window_start", _WINDOW_FIELDS, report.window_starts
+    rows = (
+        (str(k), *(_fmt(getattr(m, name)) for name in names))
+        for k, m in zip(keys, report.metrics)
+    )
+    _write_csv(path, (index, *names), rows)
 
 
 def write_summary_csv(report: EvalReport, path) -> None:
     """Means and deviations per metric, plus drift slopes in dynamic mode."""
     drift = {"pct_fp": report.drift_fp, "pct_fn": report.drift_fn}
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("metric,mean,sd,slope,r_squared\n")
-        for name in METRIC_FIELDS:
-            summary = drift.get(name) if report.mode == "dynamic" else None
-            slope = _fmt(summary.slope) if summary else ""
-            r2 = _fmt(summary.r_squared) if summary else ""
-            fh.write(f"{name},{_fmt(report.mean(name))},{_fmt(report.sd(name))},{slope},{r2}\n")
+    rows = []
+    for name in METRIC_FIELDS:
+        summary = drift.get(name) if report.mode == "dynamic" else None
+        fit = (_fmt(summary.slope), _fmt(summary.r_squared)) if summary else ("", "")
+        rows.append((name, _fmt(report.mean(name)), _fmt(report.sd(name)), *fit))
+    _write_csv(path, ("metric", "mean", "sd", "slope", "r_squared"), rows)
 
 
 def write_ttest_csv(rows: list[tuple[str, float, float]], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("metric,t,p\n")
-        for name, t, p in rows:
-            fh.write(f"{name},{_fmt(t)},{_fmt(p)}\n")
+    _write_csv(path, ("metric", "t", "p"), ((n, _fmt(t), _fmt(p)) for n, t, p in rows))
 
 
 def compare_reports(a: EvalReport, b: EvalReport) -> list[tuple[str, float, float]]:

@@ -28,8 +28,8 @@ own interaction pass; a non-positive sum means spam.
 
 from __future__ import annotations
 
-import json
 import math
+import sys
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from itertools import chain
@@ -38,6 +38,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import HAM, SPAM, Message
+from .files import read_state, write_state
 from .textprep import SAMPLE_CAP, SAMPLERS, check_sample_cap, preprocess
 
 # Slot binding codes.
@@ -83,11 +84,17 @@ class IcrmConfig:
     def validate(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
+            if f.type == "int" and type(value) is not int:
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float" and not (  # NaN fails too
+                isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+            ):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         check_sample_cap(self.n)
         if self.n_a < 1:
             raise ValueError(f"n_a must be >= 1, got {self.n_a}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.e0_ham < self.r0_ham:
             raise ValueError("ham initialisation requires E0 < R0")
         if not self.e0_spam > self.r0_spam:
@@ -370,43 +377,29 @@ class IcrmClassifier:
 
     def save(self, path) -> None:
         """Write a lossless, versioned JSON snapshot of the full state."""
-        state = {
-            "format": self._FORMAT,
-            "version": self._VERSION,
+        write_state(path, self._FORMAT, self._VERSION, {
             "config": asdict(self.config),
             "sampler": self.sampler,
             "rng_state": self.rng.bit_generator.state,
             "repertoire": {f: [e, r] for f, (e, r) in self.repertoire.items()},
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(state, fh, sort_keys=True)
+        })
 
     @classmethod
     def load(cls, path, stopwords: frozenset[str] | None = None) -> "IcrmClassifier":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                state = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise SnapshotError(f"cannot read state file {path}: {exc}") from None
-        if not isinstance(state, dict) or state.get("format") != cls._FORMAT:
-            raise SnapshotError(f"{path} is not a classifier state file")
-        if state.get("version") != cls._VERSION:
-            raise SnapshotError(
-                f"unsupported state version {state.get('version')!r}"
-            )
+        state = read_state(path, cls._FORMAT, cls._VERSION, SnapshotError)
         try:
             clf = cls(
                 IcrmConfig(**state["config"]),
                 stopwords=stopwords,
                 sampler=state.get("sampler", SAMPLERS[0]),
             )
-            clf.repertoire = {
-                f: (float(e), float(r)) for f, (e, r) in state["repertoire"].items()
-            }
-            for e, r in clf.repertoire.values():
+            clf.repertoire = rep = {}
+            for f, (e, r) in state["repertoire"].items():
+                e, r = float(e), float(r)
                 if not (0.0 <= e < math.inf and 0.0 <= r < math.inf):  # NaN fails too
                     raise ValueError(f"populations must be finite and >= 0: {e}, {r}")
+                rep[f] = (e, r)
             clf.rng.bit_generator.state = state["rng_state"]
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise SnapshotError(f"malformed state file {path}: {exc!r}") from None
         return clf

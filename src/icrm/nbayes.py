@@ -10,12 +10,12 @@ P(spam | features) > 0.5, strictly.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from .corpus import HAM, SPAM, LABELS, Message
+from .files import read_state, write_state
 from .textprep import SAMPLE_CAP, check_sample_cap, preprocess
 
 
@@ -112,29 +112,20 @@ class NaiveBayesClassifier:
     def save(self, path) -> None:
         if self.model is None:
             raise ModelError("nothing to save: classifier has not been trained")
-        state = {
-            "format": self._FORMAT,
-            "version": self._VERSION,
+        write_state(path, self._FORMAT, self._VERSION, {
             "n": self.n,
             "doc_count": self.model.doc_count,
             "feature_doc_count": self.model.feature_doc_count,
             "vocabulary": sorted(self.model.vocabulary),
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(state, fh, sort_keys=True)
+        })
 
     @classmethod
     def load(cls, path, stopwords: frozenset[str] | None = None) -> "NaiveBayesClassifier":
+        state = read_state(path, cls._FORMAT, cls._VERSION, ModelError)
         try:
-            with open(path, encoding="utf-8") as fh:
-                state = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ModelError(f"cannot read model file {path}: {exc}") from None
-        if not isinstance(state, dict) or state.get("format") != cls._FORMAT:
-            raise ModelError(f"{path} is not a Naive Bayes model file")
-        if state.get("version") != cls._VERSION:
-            raise ModelError(f"unsupported model version {state.get('version')!r}")
-        try:
+            words = state["vocabulary"]
+            if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
+                raise ValueError("vocabulary must be a list of strings")
             clf = cls(n=state["n"], stopwords=stopwords)
             clf.model = NbModel(
                 doc_count=_per_label(state["doc_count"], _count),
@@ -142,7 +133,7 @@ class NaiveBayesClassifier:
                     state["feature_doc_count"],
                     lambda counts: {f: _count(c) for f, c in counts.items()},
                 ),
-                vocabulary=set(state["vocabulary"]),
+                vocabulary=set(words),
             )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ModelError(f"malformed model file {path}: {exc!r}") from None
@@ -157,7 +148,7 @@ def _per_label(value: dict, convert) -> dict:
 
 
 def _count(value) -> int:
-    count = int(value)
-    if count < 0:
-        raise ValueError(f"negative count {value!r}")
-    return count
+    # the bound keeps every smoothed likelihood ratio far above float underflow
+    if type(value) is not int or not 0 <= value < 2**63:
+        raise ValueError(f"counts must be integers in [0, 2**63), got {value!r}")
+    return value

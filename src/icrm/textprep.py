@@ -15,7 +15,7 @@ from importlib import resources
 
 from .porter import stem
 
-__all__ = ["tokenize", "preprocess", "stem", "load_stopwords", "default_stopwords"]
+__all__ = ["tokenize", "preprocess", "stem", "parse_stopwords", "default_stopwords"]
 
 SAMPLE_CAP = 50                      # reference cap on distinct stems per message
 SAMPLERS = ("first-last", "random")  # feature selection rules, default first
@@ -23,28 +23,22 @@ SAMPLERS = ("first-last", "random")  # feature selection rules, default first
 _MIN_TOKEN_LEN = 3
 
 
-def _parse_stopwords(lines) -> frozenset[str]:
+def parse_stopwords(text: str) -> frozenset[str]:
     """One stopword per line, surrounding whitespace stripped, blanks skipped."""
-    return frozenset(word for line in lines if (word := line.strip()))
-
-
-def load_stopwords(path) -> frozenset[str]:
-    """Read a stopword file, one word per line; blank lines are ignored."""
-    with open(path, encoding="utf-8") as fh:
-        return _parse_stopwords(fh)
+    return frozenset(word for line in text.split("\n") if (word := line.strip()))
 
 
 @cache
 def default_stopwords() -> frozenset[str]:
     """The stopword list shipped with the package (SMART English list)."""
     text = resources.files("icrm.data").joinpath("stopwords.txt").read_text("utf-8")
-    return _parse_stopwords(text.splitlines())
+    return parse_stopwords(text)
 
 
 def check_sample_cap(n: int) -> None:
-    """The first/last sampler halves the cap, so it must be even and >= 2."""
-    if n < 2 or n % 2:
-        raise ValueError(f"sample cap must be even and >= 2, got {n}")
+    """The first/last sampler halves the cap, so it must be an even int >= 2."""
+    if type(n) is not int or n < 2 or n % 2:
+        raise ValueError(f"sample cap must be an even integer >= 2, got {n!r}")
 
 
 def _clean(raw: str) -> str:

@@ -8,6 +8,7 @@ from dataclasses import fields
 
 import pytest
 
+from icrm import cli
 from icrm.cli import DEFAULTS, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from icrm.corpus import HAM, SPAM, read_canonical, write_canonical
 from icrm.evaluation import eval_dynamic, eval_static
@@ -56,6 +57,14 @@ class TestIngest:
         code = main(["ingest", str(tmp_path / "tree"), str(tmp_path / "out.jsonl")])
         assert code == EXIT_DATA
         assert "spam" in capsys.readouterr().err
+
+    def test_unwritable_output_is_usage_error(self, tmp_path, capsys):
+        _write_enron_tree(tmp_path / "tree")
+        out = tmp_path / "missing-dir" / "out.jsonl"
+        assert main(["ingest", str(tmp_path / "tree"), str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("icrm: config error: ") and err.count("\n") == 1
+        assert str(out) in err
 
 
 class TestEval:
@@ -160,13 +169,14 @@ class TestEval:
         (["--spam-ratio", "nan"], None),
         ([], "spam_ratio = nan"),
         ([], "test_size = 0"),
+        (["--seed", "-1"], None),
     ], ids=[
         "e0-ham-20", "runs-0", "runs-negative", "window-0", "shift-0", "shift-negative",
         "config-runs-0", "config-proliferation-nan", "config-proliferation-inf",
         "config-e0-spam-inf", "test-size-0", "test-size-negative",
         "train-per-class-0", "jobs-0", "jobs-negative", "spam-ratio-0",
         "spam-ratio-1", "spam-ratio-1.5", "spam-ratio-nan", "config-spam-ratio-nan",
-        "config-test-size-0",
+        "config-test-size-0", "seed-negative",
     ])
     def test_invalid_model_config_reported_before_compute(
         self, tmp_path, canonical_file, flags, config
@@ -180,6 +190,27 @@ class TestEval:
         ])
         assert code == EXIT_USAGE
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("make_out", [
+        pytest.param(lambda tmp: tmp / "taken", id="existing-file"),
+        pytest.param(lambda tmp: tmp / "taken" / "sub", id="below-a-file"),
+    ])
+    def test_unwritable_out_is_usage_error_before_compute(
+        self, tmp_path, canonical_file, capsys, monkeypatch, make_out
+    ):
+        (tmp_path / "taken").write_text("not a directory\n", encoding="utf-8")
+        out = make_out(tmp_path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the protocol ran before the output check")
+
+        monkeypatch.setitem(cli._PROTOCOLS, "static", refuse)
+        code = main(["eval", "static", "icrm", "--data", str(canonical_file),
+                     "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("icrm: config error: ") and err.count("\n") == 1
+        assert str(out) in err
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["eval", "nonsense", "icrm", "--data", "x"]) == EXIT_USAGE
@@ -229,6 +260,9 @@ class TestClassify:
         pytest.param(lambda s: s["repertoire"].update(alpha=[1.0, float("nan")]),
                      id="population-nan"),
         pytest.param(lambda s: s.update(rng_state={"a": 1}), id="rng-state"),
+        pytest.param(lambda s: s["config"].update(n=50.0), id="float-n"),
+        pytest.param(lambda s: s["config"].update(n_a=10.0), id="float-n_a"),
+        pytest.param(lambda s: s["config"].update(e0_test=10**400), id="huge-int-e0"),
     ])
     def test_malformed_snapshot_is_data_error(self, tmp_path, snapshot, capsys, mutate):
         state = json.loads(snapshot.read_text(encoding="utf-8"))
@@ -240,6 +274,14 @@ class TestClassify:
         msg.write_text("Subject: x\nhello", encoding="utf-8")
         assert main(["classify", str(snapshot), str(msg)]) == EXIT_DATA
         assert "malformed state file" in capsys.readouterr().err
+
+    def test_deeply_nested_snapshot_is_data_error(self, tmp_path, capsys):
+        state = tmp_path / "state.json"
+        state.write_text("[" * 100_000, encoding="utf-8")
+        msg = tmp_path / "m.txt"
+        msg.write_text("Subject: x\nhello", encoding="utf-8")
+        assert main(["classify", str(state), str(msg)]) == EXIT_DATA
+        assert str(state) in capsys.readouterr().err
 
     def test_missing_snapshot_is_data_error(self, tmp_path, capsys):
         msg = tmp_path / "m.txt"

@@ -1,5 +1,6 @@
-"""Malformed canonical records and report files fail with typed errors."""
+"""Malformed inputs (canonical records, report, state, settings files) fail typed."""
 
+import functools
 import json
 import os
 import subprocess
@@ -11,8 +12,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from icrm.cli import EXIT_DATA, EXIT_OK, main
+from icrm.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from icrm.corpus import LABELS, CanonicalFormatError, Dataset, read_canonical
+from icrm.model import IcrmClassifier, IcrmConfig, SnapshotError
+from icrm.nbayes import ModelError, NaiveBayesClassifier
+from icrm.synth import synthetic_dataset
+
+from conftest import make_message
 
 _GOOD = {
     "id": "m1", "timestamp": "2001-02-03", "label": "ham",
@@ -155,3 +161,119 @@ class TestReportFiles:
         out = self._report_dir(tmp_path)
         (out / "static_ttest.csv").write_bytes(b"metric,t,p\n\xff\xfe,1,2\n")
         assert main(["report", str(out)]) == EXIT_DATA
+
+
+@pytest.mark.parametrize("case", ["config", "stopwords", "state", "nb-model", "corpus"])
+def test_non_utf8_file_is_typed_error_naming_it(tmp_path, capsys, case):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(json.dumps(_GOOD).encode() + b"\n\xff\n")  # 0xff on line 2
+    if case == "nb-model":
+        with pytest.raises(ModelError, match="bad.txt"):
+            NaiveBayesClassifier.load(bad)
+        return
+    good = _write_lines(tmp_path / "good.jsonl", [_GOOD, dict(_GOOD, id="m2")])
+    msg = tmp_path / "m.txt"
+    msg.write_text("Subject: x\nhello", encoding="utf-8")
+    out = tmp_path / "out"
+    eval_data = ["eval", "static", "icrm", "--out", str(out), "--data"]
+    argv, code = {
+        "config": (eval_data + [str(good), "--config", str(bad)], EXIT_USAGE),
+        "stopwords": (eval_data + [str(good), "--stopwords", str(bad)], EXIT_USAGE),
+        "state": (["classify", str(bad), str(msg)], EXIT_DATA),
+        "corpus": (eval_data + [str(bad)], EXIT_DATA),
+    }[case]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(bad) in err
+    assert not out.exists()
+    if case == "corpus":
+        assert "line 2: not UTF-8" in err
+
+
+# -- any value under any key of a real saved state ---------------------------
+
+
+def _json_values(max_int=None):
+    ints = st.integers(max_value=max_int)
+    # integral floats (50.0) are drawn on purpose: they pass range checks
+    scalars = (st.none() | st.booleans() | ints | ints.map(float) | st.floats()
+               | st.text(max_size=6))
+    # scalars on their own as often as containers
+    return scalars | st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=6,
+    )
+
+
+# Sample caps and slot counts stay small: a valid state with a huge n_a
+# allocates n * n_a slots for every message.
+_SMALL = ("n", "n_a")
+_VALUES, _SMALL_VALUES = _json_values(), _json_values(max_int=64)
+
+
+def _near(key, old):
+    """Numbers one step from a saved number: as a float, negated, text, huge."""
+    if isinstance(old, bool) or not isinstance(old, (int, float)):
+        return st.nothing()
+    near = [float(old), -old, str(old)]
+    huge = [old * 2**70, int(old) * 10**400]  # the second is beyond any float
+    return st.sampled_from(near if key in _SMALL else near + huge)
+
+
+def _replace_one(data, doc) -> None:
+    """Replace the value under one key or list index, at any depth, of ``doc``."""
+    node = doc
+    while True:
+        key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                        else range(len(node))))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and data.draw(st.booleans()):
+            node = child
+            continue
+        values = _SMALL_VALUES if key in _SMALL else _VALUES
+        node[key] = data.draw(_near(key, child) | values)
+        return
+
+
+@functools.cache
+def _saved(kind: str) -> str:
+    """The text of a state file saved after training on a small corpus."""
+    ds = synthetic_dataset(n_ham=30, n_spam=30, vocab_per_class=60, seed=4)
+    clf = IcrmClassifier(IcrmConfig(seed=2)) if kind == "icrm" else NaiveBayesClassifier()
+    clf.train(ds.ham + ds.spam)
+    with tempfile.TemporaryDirectory() as tmp:
+        clf.save(Path(tmp) / "state.json")
+        return (Path(tmp) / "state.json").read_text(encoding="utf-8")
+
+
+# 120 distinct stems (synthetic words stem to themselves): more than any
+# sample cap the states hold, so sampling slices the stem list.
+_LONG = make_message(body=" ".join(
+    [f"hamw{i:03d}" for i in range(60)] + [f"spamw{i:03d}" for i in range(60)]
+))
+
+
+@pytest.mark.parametrize("kind, load, error", [
+    ("icrm", IcrmClassifier.load, SnapshotError),
+    ("nb", NaiveBayesClassifier.load, ModelError),
+])
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_any_value_under_any_key_gives_typed_error_or_classifier(kind, load, error, data):
+    doc = json.loads(_saved(kind))
+    _replace_one(data, doc)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "state.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        try:
+            clf = load(path)
+        except error:
+            return
+    try:
+        label = clf.classify(_LONG)
+    except ModelError:
+        assert kind == "nb"  # a loaded model without documents of one class
+        return
+    assert label in LABELS

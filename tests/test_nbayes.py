@@ -173,6 +173,11 @@ class TestPersistence:
                      id="negative-count"),
         pytest.param(lambda s: s.update(doc_count=[1, 2]), id="doc-count-list"),
         pytest.param(lambda s: s["doc_count"].pop(SPAM), id="doc-count-missing-class"),
+        pytest.param(lambda s: s.update(n=50.0), id="float-n"),
+        pytest.param(lambda s: s.update(vocabulary="abc"), id="vocabulary-string"),
+        pytest.param(lambda s: s.update(vocabulary=["alpha", 7]), id="vocabulary-int"),
+        pytest.param(lambda s: s["doc_count"].update(ham=2.5), id="float-count"),
+        pytest.param(lambda s: s["doc_count"].update(ham=10**400), id="huge-count"),
     ])
     def test_malformed_file_is_model_error(self, tmp_path, mutate):
         clf = NaiveBayesClassifier()
