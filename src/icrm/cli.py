@@ -26,6 +26,7 @@ from .corpus import (
 from .corpus import Message, split_subject
 from .evaluation import (
     EvalError,
+    check_settings,
     compare_reports,
     eval_dynamic,
     eval_static,
@@ -90,15 +91,15 @@ class _Parser(argparse.ArgumentParser):
 
 def _coerce(key: str, raw: str):
     default = DEFAULTS[key]
-    if key == "balance" or isinstance(default, bool):
-        value = _BOOL_STRINGS.get(raw.strip().lower())
-        if value is None:
-            raise ConfigError(f"config key {key!r}: expected a boolean, got {raw!r}")
-        return value
-    if isinstance(default, int):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
+    try:
+        if key == "balance" or isinstance(default, bool):
+            return _BOOL_STRINGS[raw.lower()]
+        if isinstance(default, int):
+            return int(raw)
+        if isinstance(default, float):
+            return float(raw)
+    except (KeyError, ValueError):
+        raise ValueError(f"bad value {raw!r} for {key!r}") from None
     return raw
 
 
@@ -109,18 +110,15 @@ def _parse_config_file(path) -> dict:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        if "=" not in stripped:
-            raise ConfigError(f"config line {lineno}: expected 'key = value'")
-        key, _, raw = stripped.partition("=")
-        key = key.strip()
-        if key not in DEFAULTS:
-            raise ConfigError(f"config line {lineno}: unknown key {key!r}")
+        key, sep, raw = (part.strip() for part in stripped.partition("="))
         try:
-            settings[key] = _coerce(key, raw.strip())
-        except ValueError:
-            raise ConfigError(
-                f"config line {lineno}: bad value {raw.strip()!r} for {key!r}"
-            ) from None
+            if not sep:
+                raise ValueError("expected 'key = value'")
+            if key not in DEFAULTS:
+                raise ValueError(f"unknown key {key!r}")
+            settings[key] = _coerce(key, raw)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: line {lineno}: {exc}") from None
     return settings
 
 
@@ -196,16 +194,20 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
+def _write_report(write, data, path) -> None:
+    try:
+        write(data, path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
+
+
 def cmd_eval(args) -> int:
     settings = _merge_settings(args)
     cfg = _icrm_config(settings)
-    for key in ("runs", "window", "shift", "train_per_class", "test_size", "jobs"):
-        if settings[key] < 1:
-            raise ConfigError(f"{key} must be >= 1, got {settings[key]}")
-    if not 0.0 < settings["spam_ratio"] < 1.0:
-        raise ConfigError(
-            f"spam_ratio must be in (0, 1), got {settings['spam_ratio']}"
-        )
+    try:
+        check_settings(settings)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     stopwords = _load_stopwords(settings)
     dataset = read_canonical(args.data)
     out_dir = Path(settings["out"])
@@ -214,19 +216,25 @@ def cmd_eval(args) -> int:
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from None
     kinds = ["icrm", "nb"] if args.model == "both" else [args.model]
+    names = [f"{kind}{part}" for kind in kinds for part in ("", "_summary")]
+    names += ["ttest"] if len(kinds) == 2 else []
+    paths = {name: out_dir / f"{args.mode}_{name}.csv" for name in names}
+    for path in paths.values():
+        if path.is_dir():
+            raise ConfigError(f"report path {path} is a directory")
     protocol = _PROTOCOLS[args.mode]
     protocol_settings = {key: settings[key] for key in _keyword_defaults(protocol)}
     reports = []
     for kind in kinds:
         factory = make_factory(kind, cfg, stopwords, settings["feature_sampler"])
         report = protocol(dataset, factory, **protocol_settings)
-        write_runs_csv(report, out_dir / f"{args.mode}_{kind}.csv")
-        write_summary_csv(report, out_dir / f"{args.mode}_{kind}_summary.csv")
+        _write_report(write_runs_csv, report, paths[kind])
+        _write_report(write_summary_csv, report, paths[f"{kind}_summary"])
         reports.append(report)
     print(format_summary_table(reports, dataset.name))
     if len(reports) == 2:
         rows = compare_reports(reports[0], reports[1])
-        write_ttest_csv(rows, out_dir / f"{args.mode}_ttest.csv")
+        _write_report(write_ttest_csv, rows, paths["ttest"])
         print(format_ttest_block(rows, reports[0].classifier, reports[1].classifier))
     return EXIT_OK
 

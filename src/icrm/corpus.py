@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import date
+from operator import itemgetter
 from pathlib import Path
 
 HAM = "ham"
@@ -20,8 +21,6 @@ SPAM = "spam"
 LABELS = (HAM, SPAM)
 
 _FILENAME_DATE = re.compile(r"^\d+\.(\d{4}-\d{2}-\d{2})\.")
-_CANONICAL_FIELDS = ("id", "timestamp", "label", "subject", "body")
-_TEXT_FIELDS = ("id", "timestamp", "subject", "body")
 
 
 class CorpusError(Exception):
@@ -49,6 +48,11 @@ class Message:
     label: str
     subject: str
     body: str
+
+
+# The canonical record layout: one JSON field per Message field.
+_FIELDS = tuple(f.name for f in fields(Message))
+_field_values = itemgetter(*_FIELDS)
 
 
 @dataclass
@@ -139,26 +143,53 @@ def write_canonical(dataset: Dataset, path) -> None:
     """Write one JSON record per line, ham first then spam, class order."""
     with open(path, "w", encoding="utf-8") as fh:
         for msg in list(dataset.ham) + list(dataset.spam):
-            record = {
-                "id": msg.id,
-                "timestamp": msg.timestamp.isoformat(),
-                "label": msg.label,
-                "subject": msg.subject,
-                "body": msg.body,
-            }
-            fh.write(json.dumps(record, sort_keys=True, ensure_ascii=False))
+            record = {name: getattr(msg, name) for name in _FIELDS}
+            fh.write(json.dumps(
+                record, sort_keys=True, ensure_ascii=False, default=date.isoformat
+            ))
             fh.write("\n")
+
+
+def _parse_record(raw: bytes, seen: set[str]) -> Message | None:
+    """The message on one canonical line, None for a blank line; adds its id
+    to ``seen``. Raises ValueError saying why the line is not a record."""
+    try:
+        line = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"not UTF-8 ({exc})") from None
+    if not line.strip():
+        return None
+    try:
+        record = json.loads(line)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"invalid JSON ({exc})") from None
+    if not isinstance(record, dict):
+        raise ValueError("record is not an object")
+    missing = [k for k in _FIELDS if k not in record]
+    if missing:
+        raise ValueError(f"missing field(s) {', '.join(missing)}")
+    not_text = [k for k in _FIELDS if not isinstance(record[k], str)]
+    if not_text:
+        raise ValueError(f"field(s) {', '.join(not_text)} must be strings")
+    if record["label"] not in LABELS:
+        raise ValueError(f"unknown label {record['label']!r}")
+    try:
+        record["timestamp"] = date.fromisoformat(record["timestamp"])
+    except ValueError:
+        raise ValueError(f"bad timestamp {record['timestamp']!r}") from None
+    if record["id"] in seen:
+        raise ValueError(f"duplicate id {record['id']!r}")
+    seen.add(record["id"])
+    return Message(*_field_values(record))
 
 
 def read_canonical(path, name: str | None = None) -> Dataset:
     """Read a canonical file back into a Dataset.
 
-    Raises CanonicalFormatError naming the offending line for text that is
-    not UTF-8, malformed records, non-string fields, unknown labels, bad
-    dates, or duplicate ids.
+    Raises CanonicalFormatError, naming the file and the offending line,
+    for any line :func:`_parse_record` refuses.
     """
-    ham: list[Message] = []
-    spam: list[Message] = []
+    by_label: dict[str, list[Message]] = {HAM: [], SPAM: []}
     seen: set[str] = set()
     try:
         fh = open(path, "rb")
@@ -167,55 +198,16 @@ def read_canonical(path, name: str | None = None) -> Dataset:
     with fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise CanonicalFormatError(
-                    f"{path}: line {lineno}: not UTF-8 ({exc})"
-                ) from None
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CanonicalFormatError(f"line {lineno}: invalid JSON ({exc})") from None
-            if not isinstance(record, dict):
-                raise CanonicalFormatError(f"line {lineno}: record is not an object")
-            missing = [k for k in _CANONICAL_FIELDS if k not in record]
-            if missing:
-                raise CanonicalFormatError(
-                    f"line {lineno}: missing field(s) {', '.join(missing)}"
-                )
-            not_text = [k for k in _TEXT_FIELDS if not isinstance(record[k], str)]
-            if not_text:
-                raise CanonicalFormatError(
-                    f"line {lineno}: field(s) {', '.join(not_text)} must be strings"
-                )
-            if record["label"] not in LABELS:
-                raise CanonicalFormatError(
-                    f"line {lineno}: unknown label {record['label']!r}"
-                )
-            try:
-                stamp = date.fromisoformat(record["timestamp"])
-            except ValueError:
-                raise CanonicalFormatError(
-                    f"line {lineno}: bad timestamp {record['timestamp']!r}"
-                ) from None
-            if record["id"] in seen:
-                raise CanonicalFormatError(
-                    f"line {lineno}: duplicate id {record['id']!r}"
-                )
-            seen.add(record["id"])
-            msg = Message(
-                id=record["id"],
-                timestamp=stamp,
-                label=record["label"],
-                subject=record["subject"],
-                body=record["body"],
-            )
-            (ham if msg.label == HAM else spam).append(msg)
-    ham.sort(key=_sort_key)
-    spam.sort(key=_sort_key)
-    return Dataset(name=name or Path(path).stem, ham=ham, spam=spam)
+                msg = _parse_record(raw, seen)
+            except ValueError as exc:
+                raise CanonicalFormatError(f"{path}: line {lineno}: {exc}") from None
+            if msg is not None:
+                by_label[msg.label].append(msg)
+    return Dataset(
+        name=name or Path(path).stem,
+        ham=sorted(by_label[HAM], key=_sort_key),
+        spam=sorted(by_label[SPAM], key=_sort_key),
+    )
 
 
 def merge_by_ratio(ham: list[Message], spam: list[Message]) -> list[Message]:
@@ -223,24 +215,16 @@ def merge_by_ratio(ham: list[Message], spam: list[Message]) -> list[Message]:
 
     Spam messages are placed at positions where the cumulative spam quota
     ``floor((i+1) * n_spam / total)`` increments; at 50% spam this is
-    strict alternation starting with ham.
+    strict alternation starting with ham. Over ``range(total)`` the quota
+    rises exactly ``n_spam`` times, so neither list runs out early.
     """
     total = len(ham) + len(spam)
     n_spam = len(spam)
-    out: list[Message] = []
-    hi = si = 0
-    for i in range(total):
-        spam_turn = (i + 1) * n_spam // total > i * n_spam // total
-        if spam_turn and si < len(spam):
-            out.append(spam[si])
-            si += 1
-        elif hi < len(ham):
-            out.append(ham[hi])
-            hi += 1
-        else:
-            out.append(spam[si])
-            si += 1
-    return out
+    hams, spams = iter(ham), iter(spam)
+    return [
+        next(spams) if (i + 1) * n_spam // total > i * n_spam // total else next(hams)
+        for i in range(total)
+    ]
 
 
 def _round_half_up(x: float) -> int:
@@ -264,24 +248,19 @@ def make_split(
     if not 0.0 < spam_ratio < 1.0:
         raise SplitError(f"spam_ratio must be in (0, 1), got {spam_ratio}")
     n_spam_test = _round_half_up(spam_ratio * test_size)
-    n_ham_test = test_size - n_spam_test
-    needs = {
-        HAM: offset + train_per_class + n_ham_test,
-        SPAM: offset + train_per_class + n_spam_test,
-    }
-    for label, needed in needs.items():
-        available = len(dataset.by_label(label))
-        if available < needed:
+    cut = offset + train_per_class
+    train, test = [], []
+    for label, n_test in ((HAM, test_size - n_spam_test), (SPAM, n_spam_test)):
+        messages = dataset.by_label(label)
+        if len(messages) < cut + n_test:
             raise SplitError(
-                f"class {label!r}: need {needed} messages at offset {offset}, "
-                f"have {available}"
+                f"class {label!r}: need {cut + n_test} messages at offset {offset}, "
+                f"have {len(messages)}"
             )
-    train_ham = dataset.ham[offset : offset + train_per_class]
-    train_spam = dataset.spam[offset : offset + train_per_class]
-    test_ham = dataset.ham[offset + train_per_class : offset + train_per_class + n_ham_test]
-    test_spam = dataset.spam[offset + train_per_class : offset + train_per_class + n_spam_test]
+        train.append(messages[offset:cut])
+        test.append(messages[cut : cut + n_test])
     return Split(
-        train=merge_by_ratio(train_ham, train_spam),
-        test=merge_by_ratio(test_ham, test_spam),
+        train=merge_by_ratio(*train),
+        test=merge_by_ratio(*test),
         spam_ratio=spam_ratio,
     )

@@ -18,11 +18,11 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import HAM, SPAM, Dataset, make_split, merge_by_ratio
+from .corpus import HAM, SPAM, Dataset, SplitError, make_split, merge_by_ratio
 from .model import IcrmClassifier, IcrmConfig
 from .nbayes import NaiveBayesClassifier
 from .textprep import SAMPLE_CAP, SAMPLERS
@@ -33,6 +33,20 @@ _WINDOW_FIELDS = ("f_score", "accuracy", "pct_fp", "pct_fn")
 
 class EvalError(Exception):
     pass
+
+
+def check_settings(settings: Mapping[str, object]) -> None:
+    """Raise ValueError naming the first protocol setting out of range.
+
+    Counts (runs, train_per_class, test_size, jobs, window, shift) must be
+    at least 1 and spam_ratio inside (0, 1), where NaN fails; keys missing
+    from ``settings`` are not checked.
+    """
+    for key in ("runs", "train_per_class", "test_size", "jobs", "window", "shift"):
+        if key in settings and not settings[key] >= 1:
+            raise ValueError(f"{key} must be >= 1, got {settings[key]}")
+    if "spam_ratio" in settings and not 0.0 < settings["spam_ratio"] < 1.0:
+        raise ValueError(f"spam_ratio must be in (0, 1), got {settings['spam_ratio']}")
 
 
 @dataclass
@@ -278,8 +292,11 @@ def eval_static(
     Run k trains on per-class messages [k*tpc, (k+1)*tpc) and tests on the
     following block at the requested spam ratio. ``balance`` (default: on
     for ratios other than 0.5) restores a balanced evaluation set by
-    seeded down-sampling of the majority class before counting.
+    seeded down-sampling of the majority class before counting. At most
+    ``runs`` worker processes are started.
     """
+    check_settings({"runs": runs, "train_per_class": train_per_class,
+                    "test_size": test_size, "spam_ratio": spam_ratio, "jobs": jobs})
     if balance is None:
         balance = spam_ratio != 0.5
     # Fail before any run executes if the corpus cannot cover the schedule.
@@ -288,15 +305,16 @@ def eval_static(
             dataset, train_per_class, test_size, spam_ratio,
             offset=(runs - 1) * train_per_class,
         )
-    except Exception as exc:
+    except SplitError as exc:
         raise EvalError(f"corpus too small for {runs} runs: {exc}") from None
     run = partial(
         _static_run, dataset, factory, train_per_class=train_per_class,
         test_size=test_size, spam_ratio=spam_ratio, shuffle_test=shuffle_test,
         balance=balance, seed=seed,
     )
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, runs)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             metrics = list(pool.map(run, range(runs)))
     else:
         metrics = list(map(run, range(runs)))
@@ -323,16 +341,15 @@ def eval_dynamic(
     for pct_fp and pct_fn are least-squares fits against the window index
     0, 1, 2, ...
     """
-    for label in (HAM, SPAM):
-        if len(dataset.by_label(label)) < train_per_class:
-            raise EvalError(
-                f"class {label!r}: need {train_per_class} training messages, "
-                f"have {len(dataset.by_label(label))}"
-            )
-    clf = factory(seed)
-    clf.train(
-        merge_by_ratio(dataset.ham[:train_per_class], dataset.spam[:train_per_class])
+    check_settings(
+        {"train_per_class": train_per_class, "window": window, "shift": shift}
     )
+    try:
+        train = make_split(dataset, train_per_class, 0).train
+    except SplitError as exc:
+        raise EvalError(f"corpus too small to train: {exc}") from None
+    clf = factory(seed)
+    clf.train(train)
     stream = merge_by_ratio(
         dataset.ham[train_per_class:], dataset.spam[train_per_class:]
     )

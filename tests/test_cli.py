@@ -7,11 +7,12 @@ import re
 from dataclasses import fields
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from icrm import cli
 from icrm.cli import DEFAULTS, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from icrm.corpus import HAM, SPAM, read_canonical, write_canonical
-from icrm.evaluation import eval_dynamic, eval_static
+from icrm.evaluation import check_settings, eval_dynamic, eval_static
 from icrm.model import IcrmClassifier, IcrmConfig, SnapshotError
 from icrm.synth import synthetic_dataset
 
@@ -194,6 +195,10 @@ class TestEval:
     @pytest.mark.parametrize("make_out", [
         pytest.param(lambda tmp: tmp / "taken", id="existing-file"),
         pytest.param(lambda tmp: tmp / "taken" / "sub", id="below-a-file"),
+        pytest.param(
+            lambda tmp: (tmp / "o" / "static_icrm.csv").mkdir(parents=True) or tmp / "o",
+            id="report-path-is-a-directory",
+        ),
     ])
     def test_unwritable_out_is_usage_error_before_compute(
         self, tmp_path, canonical_file, capsys, monkeypatch, make_out
@@ -212,8 +217,79 @@ class TestEval:
         assert err.startswith("icrm: config error: ") and err.count("\n") == 1
         assert str(out) in err
 
+    def test_report_write_error_is_usage_error(
+        self, tmp_path, canonical_file, capsys, monkeypatch
+    ):
+        def refuse_write(report, path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setitem(cli._PROTOCOLS, "static", lambda *a, **k: None)
+        monkeypatch.setattr(cli, "write_runs_csv", refuse_write)
+        out = tmp_path / "o"
+        code = main(["eval", "static", "icrm", "--data", str(canonical_file),
+                     "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"icrm: config error: cannot write {out}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("line", [
+        "runs 3", "frobnicate = 3", "runs = three", "balance = maybe",
+    ], ids=["no-equals", "unknown-key", "bad-int", "bad-bool"])
+    def test_config_error_names_file_and_line(self, tmp_path, canonical_file, capsys, line):
+        cfg = tmp_path / "bad.conf"
+        cfg.write_text(f"# settings\n{line}\n", encoding="utf-8")
+        code = main(["eval", "static", "icrm", "--data", str(canonical_file),
+                     "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"icrm: config error: {cfg}: line 2: ") and err.count("\n") == 1
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["eval", "nonsense", "icrm", "--data", "x"]) == EXIT_USAGE
+
+
+class _ProtocolReached(Exception):
+    pass
+
+
+def _checking_protocol(dataset, factory, **protocol_settings):
+    factory.config.validate()
+    check_settings(protocol_settings)
+    raise _ProtocolReached
+
+
+_CONFIG_VALUES = (
+    st.text(max_size=12)
+    | st.integers(-10**6, 10**6).map(str)
+    | st.floats().map(repr)
+    | st.sampled_from(sorted(cli._BOOL_STRINGS) + ["first-last", "random", "0.5"])
+)
+
+
+@given(key=st.sampled_from(sorted(set(DEFAULTS) - {"out", "stopwords"})),
+       value=_CONFIG_VALUES)
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_any_config_line_gives_config_error_or_valid_settings(
+    tmp_path, capsys, monkeypatch, key, value
+):
+    """One ``key = <any text>`` line: a one-line config error, or settings
+    that pass both the model's and the protocol's own checks."""
+    data = tmp_path / "data.jsonl"
+    if not data.exists():
+        write_canonical(synthetic_dataset(n_ham=3, n_spam=3, seed=1), data)
+    cfg = tmp_path / "fuzz.conf"
+    cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+    monkeypatch.setitem(cli._PROTOCOLS, "static", _checking_protocol)
+    capsys.readouterr()
+    try:
+        code = main(["eval", "static", "icrm", "--data", str(data),
+                     "--config", str(cfg), "--out", str(tmp_path / "o")])
+    except _ProtocolReached:
+        return
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE, err
+    assert err.startswith("icrm: config error: ") and err.count("\n") == 1, err
 
 
 class TestClassify:

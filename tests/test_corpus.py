@@ -3,6 +3,7 @@
 from datetime import date
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from icrm.corpus import (
     CanonicalFormatError,
@@ -118,8 +119,9 @@ class TestCanonical:
             '{"id": "a", "timestamp": "2001-01-01", "subject": "s", "body": "b"}\n',
             encoding="utf-8",
         )
-        with pytest.raises(CanonicalFormatError, match="line 1.*label"):
+        with pytest.raises(CanonicalFormatError, match="line 1.*label") as exc:
             read_canonical(path)
+        assert str(exc.value).startswith(f"{path}: line 1: ")
 
     def test_duplicate_id(self, tmp_path):
         record = '{"id": "a", "timestamp": "2001-01-01", "label": "ham", "subject": "", "body": ""}\n'
@@ -144,6 +146,12 @@ class TestCanonical:
             encoding="utf-8",
         )
         with pytest.raises(CanonicalFormatError, match="timestamp"):
+            read_canonical(path)
+
+    def test_deeply_nested_line_is_format_error(self, tmp_path):
+        path = tmp_path / "deep.jsonl"
+        path.write_text("[" * 100_000 + "\n", encoding="utf-8")
+        with pytest.raises(CanonicalFormatError, match="line 1: invalid JSON"):
             read_canonical(path)
 
     def test_embedded_newlines_survive(self, tmp_path):
@@ -177,6 +185,22 @@ class TestMergeByRatio:
         merged = merge_by_ratio(ham, spam)
         assert [m.id for m in merged if m.label == HAM] == [m.id for m in ham]
         assert [m.id for m in merged if m.label == SPAM] == [m.id for m in spam]
+
+
+@given(n_ham=st.integers(0, 300), n_spam=st.integers(0, 300))
+@settings(max_examples=200, deadline=None)
+def test_merge_by_ratio_rule(n_ham, n_spam):
+    ham = [make_message(HAM, mid=f"h{i}") for i in range(n_ham)]
+    spam = [make_message(SPAM, mid=f"s{i}") for i in range(n_spam)]
+    merged = merge_by_ratio(ham, spam)
+    total = n_ham + n_spam
+    assert len(merged) == total
+    spam_so_far = 0
+    for i, msg in enumerate(merged, start=1):
+        spam_so_far += msg.label == SPAM
+        assert spam_so_far == i * n_spam // total
+    assert [m for m in merged if m.label == HAM] == ham
+    assert [m for m in merged if m.label == SPAM] == spam
 
 
 class TestMakeSplit:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+from icrm import evaluation
 from icrm.corpus import HAM, SPAM
 from icrm.evaluation import (
     ConfusionCounts,
@@ -170,6 +171,28 @@ class TestPairedTTest:
             paired_t_test([1.0, 2.0], [1.0])
 
 
+@pytest.mark.parametrize("protocol, settings, named", [
+    (eval_static, {"runs": 0}, "runs"),
+    (eval_static, {"train_per_class": 0}, "train_per_class"),
+    (eval_static, {"test_size": 0}, "test_size"),
+    (eval_static, {"jobs": 0}, "jobs"),
+    (eval_static, {"spam_ratio": 1.5}, "spam_ratio"),
+    (eval_static, {"spam_ratio": math.nan}, "spam_ratio"),
+    (eval_dynamic, {"shift": 0}, "shift"),
+    (eval_dynamic, {"window": -5}, "window"),
+    (eval_dynamic, {"window": 0}, "window"),
+    (eval_dynamic, {"train_per_class": -3}, "train_per_class"),
+], ids=[
+    "static-runs-0", "static-train-per-class-0", "static-test-size-0",
+    "static-jobs-0", "static-spam-ratio-1.5", "static-spam-ratio-nan",
+    "dynamic-shift-0", "dynamic-window-negative", "dynamic-window-0",
+    "dynamic-train-per-class-negative",
+])
+def test_protocols_reject_out_of_range_settings(protocol_corpus, protocol, settings, named):
+    with pytest.raises(ValueError, match=f"^{named} must be"):
+        protocol(protocol_corpus, AllHamFactory(), **settings)
+
+
 class TestEvalStatic:
     def test_perfect_stub(self, protocol_corpus):
         report = eval_static(protocol_corpus, PerfectFactory(), runs=10)
@@ -196,6 +219,27 @@ class TestEvalStatic:
         seq = eval_static(disjoint_corpus, IcrmFactory(), runs=2, seed=9, jobs=1)
         par = eval_static(disjoint_corpus, IcrmFactory(), runs=2, seed=9, jobs=2)
         assert seq == par
+
+    def test_jobs_capped_at_runs(self, protocol_corpus, monkeypatch):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", RecordingPool)
+        eval_static(protocol_corpus, PerfectFactory(), runs=2, jobs=5000)
+        eval_static(protocol_corpus, PerfectFactory(), runs=1, jobs=8)
+        assert started == [2]  # the one-run call takes the serial path
 
     def test_shuffle_flag_changes_stream_not_determinism(self, disjoint_corpus):
         a = eval_static(

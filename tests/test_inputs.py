@@ -67,7 +67,7 @@ class TestCanonicalFieldTypes:
         code = main(["eval", "static", "icrm", "--data", str(path),
                      "--out", str(tmp_path / "out")])
         assert code == EXIT_DATA
-        assert "line 1" in capsys.readouterr().err
+        assert f"{path}: line 1: " in capsys.readouterr().err
 
 
 _JSON = st.recursive(
@@ -95,7 +95,8 @@ def test_any_json_object_lines_give_typed_error_or_dataset(records):
         path = _write_lines(Path(tmp) / "data.jsonl", records)
         try:
             dataset = read_canonical(path)
-        except CanonicalFormatError:
+        except CanonicalFormatError as exc:
+            assert str(exc).startswith(f"{path}: line ")
             return
     assert isinstance(dataset, Dataset)
     messages = dataset.ham + dataset.spam
