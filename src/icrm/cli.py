@@ -160,7 +160,10 @@ def _load_stopwords(settings: dict):
 
 def cmd_ingest(args) -> int:
     settings = _merge_settings(args)
-    result = ingest_enron_dir(args.src_dir, limit_per_class=settings["limit"])
+    try:
+        result = ingest_enron_dir(args.src_dir, limit_per_class=settings["limit"])
+    except ValueError as exc:  # only the limit check raises it
+        raise ConfigError(str(exc)) from None
     try:
         write_canonical(result.dataset, args.out_file)
     except OSError as exc:

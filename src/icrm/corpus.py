@@ -92,9 +92,12 @@ def ingest_enron_dir(path, limit_per_class: int = 1500) -> IngestResult:
     """Load an Enron-spam style directory tree.
 
     Each class list is sorted by timestamp (ties broken by id) and
-    truncated to the first ``limit_per_class`` messages. Files whose name
-    carries no parseable date are counted as rejected, not fatal.
+    truncated to the first ``limit_per_class`` messages, which must be at
+    least 1 (``ValueError`` otherwise, before the tree is read). Files whose
+    name carries no parseable date are counted as rejected, not fatal.
     """
+    if not limit_per_class >= 1:
+        raise ValueError(f"limit must be >= 1, got {limit_per_class}")
     root = Path(path)
     per_class: dict[str, list[Message]] = {}
     rejected = 0

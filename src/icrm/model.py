@@ -19,21 +19,35 @@ slot order. The pass draws the same random numbers in the same order as
 the per-slot loops in ``tests/model_reference.py`` and is bit-identical to
 them.
 
+The repertoire stores a feature -> row dict and one float64 array whose
+two columns are E and R, doubling its capacity when full. A message's rows
+are looked up once, when it is bound, and carried to interaction and
+scoring; each step gathers or scatters the populations of those rows.
+
 Populations only grow unless a per-message death rate is configured, in
 which case every known feature decays multiplicatively after each
-message. A message's verdict is the sum of per-feature scores
+message: one in-place multiply of the columns, then features whose two
+populations both fell below ``_ZERO_CLAMP`` are cleared. Each element gets
+the same IEEE product the per-feature loop computed, so populations stay
+bit-identical to it. A message's verdict is the sum of per-feature scores
 ``(R - E) / sqrt(R^2 + E^2)`` over its sample, read after the message's
 own interaction pass; a non-positive sum means spam.
+
+``init_features``, ``build_slot_array``, ``interact`` and
+``process_message`` also accept a plain ``dict`` of feature -> (E, R):
+they run the same kernel on a column copy of it and write the
+populations back.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
-from itertools import chain
-from typing import Iterable, Sequence
+from itertools import chain, starmap
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -53,6 +67,9 @@ TEST = "test"
 
 # Populations this close to zero (after decay) are clamped out entirely.
 _ZERO_CLAMP = 1e-12
+
+# Rows an empty repertoire has room for before its columns first double.
+_INITIAL_ROWS = 256
 
 # Fixed additive amount a proliferating cell gains per slot-pair event.
 # Calibrated so that binding noise on a fresh feature (population ~11 cells
@@ -86,10 +103,13 @@ class IcrmConfig:
             value = getattr(self, f.name)
             if f.type == "int" and type(value) is not int:
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
-            if f.type == "float" and not (  # NaN fails too
-                isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-            ):
-                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+            if f.type == "float":
+                if not (  # NaN fails too
+                    isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+                ):
+                    raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+                # an int given in Python saves as the float the CLI would give
+                setattr(self, f.name, float(value))
         check_sample_cap(self.n)
         if self.n_a < 1:
             raise ValueError(f"n_a must be >= 1, got {self.n_a}")
@@ -116,8 +136,90 @@ class IcrmConfig:
         raise ValueError(f"unknown mode {mode!r}")
 
 
-# The repertoire is the classifier's entire mutable state: feature -> (E, R).
-Repertoire = dict[str, tuple[float, float]]
+class Repertoire(Mapping):
+    """The classifier's entire mutable state: feature -> (E, R).
+
+    ``rows`` maps each feature to its row of ``populations``, an array of
+    shape (features, 2) whose columns are E and R. Rows are handed out in
+    insertion order and never move, so iteration follows first sight.
+    Reading a feature gives a tuple of Python floats; assigning one sets
+    its row, or appends a row for a new feature.
+    """
+
+    def __init__(self, populations: Mapping[str, tuple[float, float]] | None = None):
+        populations = populations or {}
+        self._fill(populations, list(populations.values()))
+
+    @classmethod
+    def from_rows(cls, features: Iterable[str], pops) -> "Repertoire":
+        """Feature i of ``features`` (all distinct) at row i of ``pops``, (E, R) pairs."""
+        rep = cls.__new__(cls)
+        rep._fill(features, pops)
+        return rep
+
+    def _fill(self, features: Iterable[str], pops) -> None:
+        pops = np.asarray(pops, dtype=np.float64).reshape(-1, 2)
+        self.rows: dict[str, int] = dict(zip(features, range(len(pops)), strict=True))
+        if len(self.rows) != len(pops):
+            raise ValueError("repeated feature")
+        self._pops = np.empty((max(len(pops), _INITIAL_ROWS), 2))
+        self._pops[: len(pops)] = pops
+
+    @property
+    def populations(self) -> np.ndarray:
+        """A view of the used rows: column 0 is E, column 1 is R."""
+        return self._pops[: len(self.rows)]
+
+    def add(self, features: Iterable[str], pops: tuple[float, float]) -> None:
+        """Append a row set to ``pops`` for each feature not yet present."""
+        rows = self.rows
+        start = end = len(rows)
+        for feature in features:
+            if feature not in rows:
+                rows[feature] = end
+                end += 1
+        if end == start:
+            return
+        if end > len(self._pops):
+            grown = np.empty((max(end, 2 * len(self._pops)), 2))
+            grown[:start] = self._pops[:start]
+            self._pops = grown
+        self._pops[start:end] = pops
+
+    def find(self, features: Sequence[str]) -> np.ndarray:
+        """The rows of ``features``; a feature never seen is a KeyError."""
+        return np.fromiter(map(self.rows.__getitem__, features), np.intp, len(features))
+
+    def __getitem__(self, feature: str) -> tuple[float, float]:
+        e, r = self._pops[self.rows[feature]].tolist()
+        return (e, r)
+
+    def __setitem__(self, feature: str, pops: tuple[float, float]) -> None:
+        row = self.rows.get(feature)
+        if row is None:
+            self.add((feature,), pops)
+        else:
+            self._pops[row] = pops
+
+    def __contains__(self, feature) -> bool:
+        return feature in self.rows
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __repr__(self) -> str:
+        return f"Repertoire({dict(self.items())!r})"
+
+
+def _via_columns(rep: dict, step: Callable[[Repertoire], object]):
+    """Run ``step`` on a column copy of a plain dict, then copy populations back."""
+    cols = Repertoire(rep)
+    result = step(cols)
+    rep.update(cols.items())
+    return result
 
 
 class SlotArray:
@@ -125,6 +227,9 @@ class SlotArray:
 
     ``keys`` are the message's distinct features, ``index`` gives each
     slot's position in ``keys`` and ``bound`` each slot's binding code.
+    ``rows`` are the keys' rows in the :class:`Repertoire` that
+    ``build_slot_array`` bound the slots to, else None; such slots interact
+    with that repertoire.
     ``SlotArray(features, bound)`` builds one from parallel per-slot
     sequences; ``features`` spells the slots out again on first read.
     """
@@ -137,14 +242,16 @@ class SlotArray:
         if not np.isin(bound, (BIND_E, BIND_R, BIND_EMPTY)).all():
             raise ValueError(f"unknown binding code in {bound.tolist()}")
         self.keys, self.index, self.bound = keys, index, bound
+        self.rows = None
 
     @classmethod
     def from_index(
-        cls, keys: list[str], index: np.ndarray, bound: np.ndarray
+        cls, keys: list[str], index: np.ndarray, bound: np.ndarray,
+        rows: np.ndarray | None = None,
     ) -> "SlotArray":
         """Wrap arrays the kernel built, without interning or checks again."""
         slots = cls.__new__(cls)
-        slots.keys, slots.index, slots.bound = keys, index, bound
+        slots.keys, slots.index, slots.bound, slots.rows = keys, index, bound, rows
         return slots
 
     @cached_property
@@ -191,22 +298,25 @@ def score_feature(e: float, r: float) -> float:
 
 
 def init_features(
-    rep: Repertoire, sample: Iterable[str], mode: str, cfg: IcrmConfig
-) -> Repertoire:
+    rep: Repertoire | dict, sample: Iterable[str], mode: str, cfg: IcrmConfig
+) -> Repertoire | dict:
     """Insert first-seen features at the stage's initial populations.
 
     Features already in the repertoire keep their populations: memory
-    persists across messages and stages.
+    persists across messages and stages. New features get their rows in
+    one append.
     """
     initial = cfg.initial_populations(mode)
-    for feature in sample:
-        if feature not in rep:
-            rep[feature] = initial
+    if not isinstance(rep, Repertoire):
+        _via_columns(rep, lambda cols: init_features(cols, sample, mode, cfg))
+        return rep
+    rep.add(sample, initial)
     return rep
 
 
 def build_slot_array(
-    sample: list[str], rep: Repertoire, cfg: IcrmConfig, rng: np.random.Generator
+    sample: list[str], rep: Repertoire | dict, cfg: IcrmConfig,
+    rng: np.random.Generator,
 ) -> SlotArray:
     """Lay out n_a slots per sampled feature and bind cells to them.
 
@@ -214,22 +324,25 @@ def build_slot_array(
     slot for feature f binds an effector with probability E_f/(E_f+R_f),
     a regulator otherwise, and stays empty when both populations are zero.
     """
+    if not isinstance(rep, Repertoire):
+        slots = build_slot_array(sample, Repertoire(rep), cfg, rng)
+        slots.rows = None  # rows of the copy, not of ``rep``
+        return slots
     total = len(sample) * cfg.n_a
     if total == 0:
         return SlotArray([], [])
     order = rng.permutation(total)
     draws = rng.random(total)
     keys, sample_index = _intern(sample)
-    pops = np.fromiter(
-        chain.from_iterable(map(rep.__getitem__, keys)), np.float64, 2 * len(keys)
-    ).reshape(-1, 2)
+    rows = rep.find(keys)
+    pops = rep._pops.take(rows, 0)
     mass = pops[:, 0] + pops[:, 1]
     live = mass > 0.0
     p_effector = np.divide(pops[:, 0], mass, out=np.zeros(len(keys)), where=live)
     index = sample_index[order // cfg.n_a]
     bound = np.where(draws < p_effector[index], BIND_E, BIND_R)
     bound[~live[index]] = BIND_EMPTY
-    return SlotArray.from_index(keys, index, bound)
+    return SlotArray.from_index(keys, index, bound, rows)
 
 
 def _proliferates(code: int, partner: int) -> bool:
@@ -249,14 +362,20 @@ _PAIR_GAINS = np.array(
 )
 
 
-def interact(rep: Repertoire, slots: SlotArray, cfg: IcrmConfig) -> Repertoire:
+def interact(
+    rep: Repertoire | dict, slots: SlotArray, cfg: IcrmConfig
+) -> Repertoire | dict:
     """Run one interaction pass and apply decay.
 
     Slots are paired consecutively, a trailing slot is handled alone, and
     all deltas are computed against pre-interaction populations before
-    being applied, so pair processing order is irrelevant. With a nonzero
-    death rate every repertoire feature then decays by (1 - rate).
+    being applied, so pair processing order is irrelevant. Then
+    :func:`decay` runs.
     """
+    if not isinstance(rep, Repertoire):
+        unbound = SlotArray.from_index(slots.keys, slots.index, slots.bound)
+        _via_columns(rep, lambda cols: interact(cols, unbound, cfg))
+        return rep
     total = len(slots)
     if total:
         bound = slots.bound
@@ -271,26 +390,34 @@ def interact(rep: Repertoire, slots: SlotArray, cfg: IcrmConfig) -> Repertoire:
             weights=gains * cfg.proliferation,
             minlength=2 * len(slots.keys),
         ).reshape(-1, 2)
-        for f, (de, dr) in zip(slots.keys, deltas.tolist()):
-            if de or dr:
-                # a side that gained nothing keeps its value untouched, as
-                # in the per-slot loop (no -0.0 -> 0.0, no int -> float)
-                e, r = rep[f]
-                rep[f] = (e + de if de else e, r + dr if dr else r)
+        rows = slots.rows if slots.rows is not None else rep.find(slots.keys)
+        pops = rep._pops.take(rows, 0)
+        # a side that gained nothing keeps its value untouched, as in the
+        # per-slot loop (-0.0 stays -0.0)
+        np.add(pops, deltas, out=pops, where=deltas != 0.0)
+        rep._pops[rows] = pops
+    return decay(rep, cfg)
+
+
+def decay(rep: Repertoire, cfg: IcrmConfig) -> Repertoire:
+    """Shrink every population by (1 - death rate), if that rate is nonzero.
+
+    A feature whose E and R both end below ``_ZERO_CLAMP`` is cleared to
+    (0, 0). One in-place multiply covers every row.
+    """
     rate = cfg.death_rate
     if rate > 0.0:
-        keep = 1.0 - rate
-        for f, (e, r) in rep.items():
-            e *= keep
-            r *= keep
-            if e < _ZERO_CLAMP and r < _ZERO_CLAMP:
-                e = r = 0.0
-            rep[f] = (e, r)
+        pops = rep.populations
+        pops *= 1.0 - rate
+        e, r = pops.T
+        dead = np.maximum(e, r) < _ZERO_CLAMP
+        e[dead] = 0.0
+        r[dead] = 0.0
     return rep
 
 
 def process_message(
-    rep: Repertoire,
+    rep: Repertoire | dict,
     msg: Message,
     mode: str,
     cfg: IcrmConfig,
@@ -309,6 +436,9 @@ def process_message(
         raise ValueError(f"training mode {mode} on a {msg.label} message")
     if mode == TRAIN_SPAM and msg.label != SPAM:
         raise ValueError(f"training mode {mode} on a {msg.label} message")
+    if not isinstance(rep, Repertoire):
+        return _via_columns(rep, lambda cols: process_message(
+            cols, msg, mode, cfg, rng, stopwords, sampler))
     sample = preprocess(
         msg, cfg.n, stopwords, sampler=sampler,
         rng=rng if sampler == "random" else None,
@@ -316,11 +446,16 @@ def process_message(
     init_features(rep, sample, mode, cfg)
     slots = build_slot_array(sample, rep, cfg, rng)
     interact(rep, slots, cfg)
-    per_feature = [(f, score_feature(*rep[f])) for f in sample]
-    score = math.fsum(s for _, s in per_feature)
+    # the slots' rows are the sample's unless the sample repeats a feature,
+    # or a bind other than the kernel's made the slots
+    rows = getattr(slots, "rows", None)
+    if rows is None or len(rows) != len(sample):
+        rows = rep.find(sample)
+    scores = list(starmap(score_feature, rep._pops.take(rows, 0).tolist()))
+    score = math.fsum(scores)
     return Verdict(
         score=score,
-        per_feature=per_feature,
+        per_feature=list(zip(sample, scores)),
         label=SPAM if score <= 0.0 else HAM,
     )
 
@@ -348,7 +483,7 @@ class IcrmClassifier:
             raise ValueError(f"unknown sampler {sampler!r}")
         self.stopwords = stopwords
         self.sampler = sampler
-        self.repertoire: Repertoire = {}
+        self.repertoire = Repertoire()
         self.rng = np.random.default_rng(self.config.seed)
 
     def train_message(self, msg: Message) -> Verdict:
@@ -381,7 +516,9 @@ class IcrmClassifier:
             "config": asdict(self.config),
             "sampler": self.sampler,
             "rng_state": self.rng.bit_generator.state,
-            "repertoire": {f: [e, r] for f, (e, r) in self.repertoire.items()},
+            "repertoire": dict(
+                zip(self.repertoire.rows, self.repertoire.populations.tolist())
+            ),
         })
 
     @classmethod
@@ -393,12 +530,17 @@ class IcrmClassifier:
                 stopwords=stopwords,
                 sampler=state.get("sampler", SAMPLERS[0]),
             )
-            clf.repertoire = rep = {}
-            for f, (e, r) in state["repertoire"].items():
-                e, r = float(e), float(r)
-                if not (0.0 <= e < math.inf and 0.0 <= r < math.inf):  # NaN fails too
-                    raise ValueError(f"populations must be finite and >= 0: {e}, {r}")
-                rep[f] = (e, r)
+            entries = state["repertoire"]
+            pairs = list(entries.values())
+            if set(map(len, pairs)) - {2}:
+                raise ValueError("populations must be [E, R] pairs")
+            pops = np.fromiter(chain.from_iterable(pairs), np.float64, 2 * len(pairs))
+            pops = pops.reshape(-1, 2)
+            ok = (pops >= 0.0) & (pops < math.inf)  # NaN fails too
+            if not ok.all():
+                e, r = pops[np.flatnonzero(~ok)[0] // 2].tolist()
+                raise ValueError(f"populations must be finite and >= 0: {e}, {r}")
+            clf.repertoire = Repertoire.from_rows(entries, pops)
             clf.rng.bit_generator.state = state["rng_state"]
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise SnapshotError(f"malformed state file {path}: {exc!r}") from None

@@ -2,18 +2,29 @@
 
 These are the per-slot loops that ``icrm.model.build_slot_array`` and
 ``icrm.model.interact`` replaced, with the list-backed ``SlotArray`` they
-were written against. The kernel must reproduce them bit for bit: same
-slot layout, same bindings, same float in every repertoire entry.
-Test-only; never imported by the package.
+were written against, and the per-message cycle and state-file body as
+they were over a plain dict repertoire. The kernel must reproduce them bit
+for bit: same slot layout, same bindings, same float in every repertoire
+entry, same bytes in a saved state. Test-only; never imported by the
+package.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from icrm.model import BIND_E, BIND_EMPTY, BIND_R, _ZERO_CLAMP, IcrmConfig, Repertoire
+from icrm.corpus import HAM, SPAM, Message
+from icrm.model import (
+    BIND_E, BIND_EMPTY, BIND_R, TRAIN_HAM, TRAIN_SPAM, _ZERO_CLAMP,
+    IcrmConfig, Verdict, score_feature,
+)
+from icrm.textprep import SAMPLERS, preprocess
+
+# The repertoire the loops were written against: feature -> (E, R).
+Repertoire = dict[str, tuple[float, float]]
 
 
 @dataclass
@@ -94,3 +105,53 @@ def interact(rep: Repertoire, slots: SlotArray, cfg: IcrmConfig) -> Repertoire:
                 e = r = 0.0
             rep[f] = (e, r)
     return rep
+
+
+def init_features(rep: Repertoire, sample, mode: str, cfg: IcrmConfig) -> Repertoire:
+    """Insert first-seen features at the stage's initial populations."""
+    initial = cfg.initial_populations(mode)
+    for feature in sample:
+        if feature not in rep:
+            rep[feature] = initial
+    return rep
+
+
+def process_message(
+    rep: Repertoire,
+    msg: Message,
+    mode: str,
+    cfg: IcrmConfig,
+    rng: np.random.Generator,
+    stopwords: frozenset[str] | None = None,
+    sampler: str = SAMPLERS[0],
+) -> Verdict:
+    """Preprocess, initialise, bind, interact and score, all on the dict."""
+    if mode == TRAIN_HAM and msg.label != HAM:
+        raise ValueError(f"training mode {mode} on a {msg.label} message")
+    if mode == TRAIN_SPAM and msg.label != SPAM:
+        raise ValueError(f"training mode {mode} on a {msg.label} message")
+    sample = preprocess(
+        msg, cfg.n, stopwords, sampler=sampler,
+        rng=rng if sampler == "random" else None,
+    )
+    init_features(rep, sample, mode, cfg)
+    slots = build_slot_array(sample, rep, cfg, rng)
+    interact(rep, slots, cfg)
+    per_feature = [(f, score_feature(*rep[f])) for f in sample]
+    score = math.fsum(s for _, s in per_feature)
+    return Verdict(
+        score=score, per_feature=per_feature, label=SPAM if score <= 0.0 else HAM,
+    )
+
+
+def state_body(
+    rep: Repertoire, cfg: IcrmConfig, rng: np.random.Generator,
+    sampler: str = SAMPLERS[0],
+) -> dict:
+    """The body ``IcrmClassifier.save`` wrote for a dict repertoire."""
+    return {
+        "config": asdict(cfg),
+        "sampler": sampler,
+        "rng_state": rng.bit_generator.state,
+        "repertoire": {f: [e, r] for f, (e, r) in rep.items()},
+    }

@@ -53,6 +53,15 @@ class TestIngest:
         ds = read_canonical(out)
         assert (len(ds.ham), len(ds.spam)) == (2, 2)
 
+    @pytest.mark.parametrize("limit", ["-1", "0"])
+    def test_limit_below_one_is_usage_error(self, tmp_path, capsys, limit):
+        # no tree exists: the limit is refused before the tree is read
+        out = tmp_path / "corpus.jsonl"
+        assert main(["ingest", str(tmp_path / "tree"), str(out), "--limit", limit]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"icrm: config error: limit must be >= 1, got {limit}\n"
+        assert not out.exists()
+
     def test_missing_class_dir_is_data_error(self, tmp_path, capsys):
         (tmp_path / "tree" / HAM).mkdir(parents=True)
         code = main(["ingest", str(tmp_path / "tree"), str(tmp_path / "out.jsonl")])

@@ -52,6 +52,12 @@ class TestIngest:
         assert len(result.dataset.spam) == 0
         assert result.rejected == 0
 
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_limit_below_one_rejected(self, tmp_path, limit):
+        # tmp_path holds no class directories: the limit is checked first
+        with pytest.raises(ValueError, match="limit must be >= 1"):
+            ingest_enron_dir(tmp_path, limit_per_class=limit)
+
     def test_missing_class_dir_names_it(self, tmp_path):
         (tmp_path / HAM).mkdir()
         with pytest.raises(IngestError, match="spam"):

@@ -2,7 +2,8 @@
 
 Every comparison is ``==`` on floats: the kernel makes the same generator
 calls in the same order and sums each feature's gains in slot order, so
-there is no rounding difference to tolerate.
+there is no rounding difference to tolerate. Where the sign of a zero
+matters, floats are compared by ``float.hex``.
 """
 
 import numpy as np
@@ -11,12 +12,18 @@ import pytest
 import icrm.model
 import model_reference as ref
 from icrm.corpus import HAM, SPAM
+from icrm.files import write_state
 from icrm.model import (
     BIND_E,
     BIND_EMPTY,
     BIND_R,
+    TRAIN_HAM,
+    TRAIN_SPAM,
+    _INITIAL_ROWS,
+    _ZERO_CLAMP,
     IcrmClassifier,
     IcrmConfig,
+    Repertoire,
     SlotArray,
     TEST,
     build_slot_array,
@@ -174,3 +181,108 @@ def test_process_message_calls_bind_and_interact_once(monkeypatch):
     for count, msg in enumerate(messages, start=1):
         process_message(rep, msg, TEST, IcrmConfig(), rng)
         assert calls == {"build_slot_array": count, "interact": count}
+
+
+# -- the array repertoire against the dict it replaced ----------------------
+
+
+def _bits(rep) -> list[tuple[str, str, str]]:
+    """Every entry in order, populations as hex so that -0.0 != 0.0."""
+    return [(f, float(e).hex(), float(r).hex()) for f, (e, r) in rep.items()]
+
+
+@pytest.mark.parametrize("death_rate", [0.02, 0.3])
+def test_array_repertoire_matches_dict_reference(tmp_path, death_rate):
+    data = synthetic_dataset(shared_vocab=60, seed=5)
+    train = [m for pair in zip(data.ham[:100], data.spam[:100]) for m in pair]
+    stream = [m for pair in zip(data.ham[100:], data.spam[100:]) for m in pair]
+    cfg = IcrmConfig(seed=13, death_rate=death_rate)
+    clf = IcrmClassifier(cfg)
+    rep, rng = {}, np.random.default_rng(cfg.seed)
+    modes = {HAM: TRAIN_HAM, SPAM: TRAIN_SPAM}
+
+    fast = [clf.train_message(m).per_feature for m in train]
+    fast += [clf.verdict(m).per_feature for m in stream[:200]]
+    slow = [ref.process_message(rep, m, modes[m.label], cfg, rng).per_feature
+            for m in train]
+    slow += [ref.process_message(rep, m, TEST, cfg, rng).per_feature
+             for m in stream[:200]]
+    assert fast == slow
+    assert _bits(clf.repertoire) == _bits(rep)
+    if death_rate == 0.3:  # the clamp has run on real data
+        assert (0.0, 0.0) in clf.repertoire.values()
+
+    # the state file the dict classifier wrote, byte for byte
+    clf.save(tmp_path / "array.json")
+    write_state(tmp_path / "dict.json", "icrm-state", 1, ref.state_body(rep, cfg, rng))
+    assert (tmp_path / "array.json").read_bytes() == (tmp_path / "dict.json").read_bytes()
+
+    # and a state written the dict way resumes on the same path
+    resumed = IcrmClassifier.load(tmp_path / "dict.json")
+    assert [resumed.verdict(m).score for m in stream[200:]] == [
+        ref.process_message(rep, m, TEST, cfg, rng).score for m in stream[200:]
+    ]
+    # a state file lists features sorted, so a loaded repertoire is in that order
+    assert _bits(resumed.repertoire) == sorted(_bits(rep))
+
+
+_EDGES = {
+    "one-side-low": (5e-13, 3.0),
+    "both-low": (5e-13, 9e-13),
+    "at-clamp": (_ZERO_CLAMP, _ZERO_CLAMP),
+    "lands-on-clamp": (2 * _ZERO_CLAMP, 2 * _ZERO_CLAMP),  # x 0.5 is exact
+    "one-lands-on-clamp": (2 * _ZERO_CLAMP, 1e-13),
+    "subnormal-pair": (5e-324, 1e-310),
+    "subnormal-live": (5e-324, 3.0),
+    "neg-zero-live": (-0.0, 3.0),
+    "neg-zero-pair": (-0.0, -0.0),
+    "neg-zero-low": (-0.0, 1e-13),
+    "extinct": (0.0, 0.0),
+    "plain": (6.0, 12.0),
+}
+
+
+@pytest.mark.parametrize("death_rate", [0.0, 0.02, 0.5])
+@pytest.mark.parametrize(
+    "features, bound",
+    [
+        ([], []),
+        (["neg-zero-live"], [BIND_R]),  # a lone regulator gains nothing
+        (["neg-zero-pair", "neg-zero-pair"], [BIND_E, BIND_E]),
+        (["extinct", "plain", "subnormal-live"], [BIND_EMPTY, BIND_E, BIND_E]),
+        (["neg-zero-live", "both-low"], [BIND_E, BIND_R]),
+    ],
+)
+def test_decay_edges_match_reference(features, bound, death_rate):
+    cfg = IcrmConfig(proliferation=0.25, death_rate=death_rate)
+    cols, rep = Repertoire(_EDGES), dict(_EDGES)
+    for _ in range(3):
+        interact(cols, SlotArray(features, bound), cfg)
+        ref.interact(rep, ref.SlotArray(features, bound), cfg)
+        assert _bits(cols) == _bits(rep)
+
+
+def test_first_seen_features_across_a_capacity_doubling():
+    cfg = IcrmConfig(seed=2, death_rate=0.02)
+    known = {f"old{i}": (float(i % 7), float(i % 5)) for i in range(_INITIAL_ROWS - 3)}
+    cols, rep = Repertoire(known), dict(known)
+    msg = make_message(
+        HAM, body="old1 old2 " + " ".join(f"novel{i}" for i in range(12))
+    )
+    fast = process_message(cols, msg, TRAIN_HAM, cfg, np.random.default_rng(4))
+    slow = ref.process_message(rep, msg, TRAIN_HAM, cfg, np.random.default_rng(4))
+    assert len(cols._pops) == 2 * _INITIAL_ROWS
+    assert len(cols) == _INITIAL_ROWS + 9
+    assert fast == slow
+    assert _bits(cols) == _bits(rep)
+
+
+def test_int_populations_save_as_floats(tmp_path):
+    ints = IcrmClassifier(IcrmConfig(e0_ham=6, r0_ham=12, death_rate=0))
+    floats = IcrmClassifier(IcrmConfig(e0_ham=6.0, r0_ham=12.0, death_rate=0.0))
+    for clf in (ints, floats):
+        clf.train_message(make_message(HAM, body="meeting agenda notes"))
+    ints.save(tmp_path / "ints.json")
+    floats.save(tmp_path / "floats.json")
+    assert (tmp_path / "ints.json").read_bytes() == (tmp_path / "floats.json").read_bytes()
+    assert type(ints.config.e0_ham) is float
