@@ -23,6 +23,8 @@ The repertoire stores a feature -> row dict and one float64 array whose
 two columns are E and R, doubling its capacity when full. A message's rows
 are looked up once, when it is bound, and carried to interaction and
 scoring; each step gathers or scatters the populations of those rows.
+Those rows belong to the repertoire that bound the slots: any other
+repertoire the slots are applied to looks their features up again.
 
 Populations only grow unless a per-message death rate is configured, in
 which case every known feature decays multiplicatively after each
@@ -32,11 +34,6 @@ the same IEEE product the per-feature loop computed, so populations stay
 bit-identical to it. A message's verdict is the sum of per-feature scores
 ``(R - E) / sqrt(R^2 + E^2)`` over its sample, read after the message's
 own interaction pass; a non-positive sum means spam.
-
-``init_features``, ``build_slot_array``, ``interact`` and
-``process_message`` also accept a plain ``dict`` of feature -> (E, R):
-they run the same kernel on a column copy of it and write the
-populations back.
 """
 
 from __future__ import annotations
@@ -47,7 +44,7 @@ from collections.abc import Mapping
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from itertools import chain, starmap
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -142,8 +139,8 @@ class Repertoire(Mapping):
     ``rows`` maps each feature to its row of ``populations``, an array of
     shape (features, 2) whose columns are E and R. Rows are handed out in
     insertion order and never move, so iteration follows first sight.
-    Reading a feature gives a tuple of Python floats; assigning one sets
-    its row, or appends a row for a new feature.
+    Reading a feature gives a tuple of Python floats; :meth:`add` appends
+    rows for new features.
     """
 
     def __init__(self, populations: Mapping[str, tuple[float, float]] | None = None):
@@ -194,13 +191,6 @@ class Repertoire(Mapping):
         e, r = self._pops[self.rows[feature]].tolist()
         return (e, r)
 
-    def __setitem__(self, feature: str, pops: tuple[float, float]) -> None:
-        row = self.rows.get(feature)
-        if row is None:
-            self.add((feature,), pops)
-        else:
-            self._pops[row] = pops
-
     def __contains__(self, feature) -> bool:
         return feature in self.rows
 
@@ -214,44 +204,40 @@ class Repertoire(Mapping):
         return f"Repertoire({dict(self.items())!r})"
 
 
-def _via_columns(rep: dict, step: Callable[[Repertoire], object]):
-    """Run ``step`` on a column copy of a plain dict, then copy populations back."""
-    cols = Repertoire(rep)
-    result = step(cols)
-    rep.update(cols.items())
-    return result
-
-
 class SlotArray:
     """Per-message antigen presentation, in slot order.
 
     ``keys`` are the message's distinct features, ``index`` gives each
     slot's position in ``keys`` and ``bound`` each slot's binding code.
-    ``rows`` are the keys' rows in the :class:`Repertoire` that
-    ``build_slot_array`` bound the slots to, else None; such slots interact
-    with that repertoire.
+    ``rows`` are the keys' rows in ``repertoire``, the :class:`Repertoire`
+    that ``build_slot_array`` bound the slots to; ``interact`` uses them
+    for that repertoire only.
     ``SlotArray(features, bound)`` builds one from parallel per-slot
-    sequences; ``features`` spells the slots out again on first read.
+    sequences, bound to no repertoire; ``features`` spells the slots out
+    again on first read.
     """
 
     def __init__(self, features: Sequence[str], bound: Sequence[int]):
         keys, index = _intern(features)
-        bound = np.asarray(bound, dtype=np.int64)
+        bound = np.asarray(bound)
         if bound.shape != index.shape:
             raise ValueError(f"{len(index)} slot features but {bound.size} bindings")
-        if not np.isin(bound, (BIND_E, BIND_R, BIND_EMPTY)).all():
+        # integer codes only, though an empty list arrives as a float array
+        integral = bound.dtype.kind in "iu" or not bound.size
+        if not (integral and np.isin(bound, (BIND_E, BIND_R, BIND_EMPTY)).all()):
             raise ValueError(f"unknown binding code in {bound.tolist()}")
-        self.keys, self.index, self.bound = keys, index, bound
-        self.rows = None
+        self.keys, self.index, self.bound = keys, index, bound.astype(np.int64)
+        self.rows = self.repertoire = None
 
     @classmethod
     def from_index(
         cls, keys: list[str], index: np.ndarray, bound: np.ndarray,
-        rows: np.ndarray | None = None,
+        rows: np.ndarray, repertoire: Repertoire,
     ) -> "SlotArray":
         """Wrap arrays the kernel built, without interning or checks again."""
         slots = cls.__new__(cls)
-        slots.keys, slots.index, slots.bound, slots.rows = keys, index, bound, rows
+        slots.keys, slots.index, slots.bound = keys, index, bound
+        slots.rows, slots.repertoire = rows, repertoire
         return slots
 
     @cached_property
@@ -298,24 +284,20 @@ def score_feature(e: float, r: float) -> float:
 
 
 def init_features(
-    rep: Repertoire | dict, sample: Iterable[str], mode: str, cfg: IcrmConfig
-) -> Repertoire | dict:
+    rep: Repertoire, sample: Iterable[str], mode: str, cfg: IcrmConfig
+) -> Repertoire:
     """Insert first-seen features at the stage's initial populations.
 
     Features already in the repertoire keep their populations: memory
     persists across messages and stages. New features get their rows in
     one append.
     """
-    initial = cfg.initial_populations(mode)
-    if not isinstance(rep, Repertoire):
-        _via_columns(rep, lambda cols: init_features(cols, sample, mode, cfg))
-        return rep
-    rep.add(sample, initial)
+    rep.add(sample, cfg.initial_populations(mode))
     return rep
 
 
 def build_slot_array(
-    sample: list[str], rep: Repertoire | dict, cfg: IcrmConfig,
+    sample: list[str], rep: Repertoire, cfg: IcrmConfig,
     rng: np.random.Generator,
 ) -> SlotArray:
     """Lay out n_a slots per sampled feature and bind cells to them.
@@ -324,13 +306,7 @@ def build_slot_array(
     slot for feature f binds an effector with probability E_f/(E_f+R_f),
     a regulator otherwise, and stays empty when both populations are zero.
     """
-    if not isinstance(rep, Repertoire):
-        slots = build_slot_array(sample, Repertoire(rep), cfg, rng)
-        slots.rows = None  # rows of the copy, not of ``rep``
-        return slots
     total = len(sample) * cfg.n_a
-    if total == 0:
-        return SlotArray([], [])
     order = rng.permutation(total)
     draws = rng.random(total)
     keys, sample_index = _intern(sample)
@@ -342,7 +318,7 @@ def build_slot_array(
     index = sample_index[order // cfg.n_a]
     bound = np.where(draws < p_effector[index], BIND_E, BIND_R)
     bound[~live[index]] = BIND_EMPTY
-    return SlotArray.from_index(keys, index, bound, rows)
+    return SlotArray.from_index(keys, index, bound, rows, rep)
 
 
 def _proliferates(code: int, partner: int) -> bool:
@@ -362,9 +338,7 @@ _PAIR_GAINS = np.array(
 )
 
 
-def interact(
-    rep: Repertoire | dict, slots: SlotArray, cfg: IcrmConfig
-) -> Repertoire | dict:
+def interact(rep: Repertoire, slots: SlotArray, cfg: IcrmConfig) -> Repertoire:
     """Run one interaction pass and apply decay.
 
     Slots are paired consecutively, a trailing slot is handled alone, and
@@ -372,10 +346,6 @@ def interact(
     being applied, so pair processing order is irrelevant. Then
     :func:`decay` runs.
     """
-    if not isinstance(rep, Repertoire):
-        unbound = SlotArray.from_index(slots.keys, slots.index, slots.bound)
-        _via_columns(rep, lambda cols: interact(cols, unbound, cfg))
-        return rep
     total = len(slots)
     if total:
         bound = slots.bound
@@ -390,7 +360,7 @@ def interact(
             weights=gains * cfg.proliferation,
             minlength=2 * len(slots.keys),
         ).reshape(-1, 2)
-        rows = slots.rows if slots.rows is not None else rep.find(slots.keys)
+        rows = slots.rows if slots.repertoire is rep else rep.find(slots.keys)
         pops = rep._pops.take(rows, 0)
         # a side that gained nothing keeps its value untouched, as in the
         # per-slot loop (-0.0 stays -0.0)
@@ -417,7 +387,7 @@ def decay(rep: Repertoire, cfg: IcrmConfig) -> Repertoire:
 
 
 def process_message(
-    rep: Repertoire | dict,
+    rep: Repertoire,
     msg: Message,
     mode: str,
     cfg: IcrmConfig,
@@ -436,9 +406,6 @@ def process_message(
         raise ValueError(f"training mode {mode} on a {msg.label} message")
     if mode == TRAIN_SPAM and msg.label != SPAM:
         raise ValueError(f"training mode {mode} on a {msg.label} message")
-    if not isinstance(rep, Repertoire):
-        return _via_columns(rep, lambda cols: process_message(
-            cols, msg, mode, cfg, rng, stopwords, sampler))
     sample = preprocess(
         msg, cfg.n, stopwords, sampler=sampler,
         rng=rng if sampler == "random" else None,
@@ -446,12 +413,8 @@ def process_message(
     init_features(rep, sample, mode, cfg)
     slots = build_slot_array(sample, rep, cfg, rng)
     interact(rep, slots, cfg)
-    # the slots' rows are the sample's unless the sample repeats a feature,
-    # or a bind other than the kernel's made the slots
-    rows = getattr(slots, "rows", None)
-    if rows is None or len(rows) != len(sample):
-        rows = rep.find(sample)
-    scores = list(starmap(score_feature, rep._pops.take(rows, 0).tolist()))
+    # the sample is distinct, so the slots' keys are the sample in order
+    scores = list(starmap(score_feature, rep._pops.take(slots.rows, 0).tolist()))
     score = math.fsum(scores)
     return Verdict(
         score=score,

@@ -31,6 +31,7 @@ from icrm.model import (
     BIND_E,
     IcrmClassifier,
     IcrmConfig,
+    Repertoire,
     SlotArray,
     interact,
     score_feature,
@@ -167,10 +168,10 @@ def test_criterion_3_dynamics_invariants():
     for _ in range(10_000):
         n_features = int(rng.integers(1, 5))
         features = [f"w{i}" for i in range(n_features)]
-        rep = {
+        rep = Repertoire({
             f: (float(rng.uniform(0, 30)), float(rng.uniform(0, 30)))
             for f in features
-        }
+        })
         before = dict(rep)
         n_slots = int(rng.integers(0, 11))
         slots = SlotArray(
@@ -191,7 +192,7 @@ def test_criterion_3_dynamics_invariants():
 
     # untouched features shrink by (1 - r)^k under decay
     cfg = IcrmConfig(death_rate=0.02)
-    rep = {"untouched": (6.0, 12.0), "other": (1.0, 0.0)}
+    rep = Repertoire({"untouched": (6.0, 12.0), "other": (1.0, 0.0)})
     k = 137
     for _ in range(k):
         interact(rep, SlotArray(["other"], [BIND_E]), cfg)

@@ -58,13 +58,13 @@ def test_bind_and_interact_match_reference(n_a, death_rate):
         seed = int(rng.integers(2**32))
 
         fast_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        fast = build_slot_array(sample, rep, cfg, fast_rng)
-        expected = ref.build_slot_array(sample, rep, cfg, ref_rng)
+        fast_rep, ref_rep = Repertoire(rep), dict(rep)
+        fast = build_slot_array(sample, fast_rep, cfg, fast_rng)
+        expected = ref.build_slot_array(sample, ref_rep, cfg, ref_rng)
         assert fast.features == expected.features
         assert fast.bound.tolist() == expected.bound
         assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
 
-        fast_rep, ref_rep = dict(rep), dict(rep)
         interact(fast_rep, fast, cfg)
         ref.interact(ref_rep, expected, cfg)
         assert fast_rep == ref_rep
@@ -75,10 +75,10 @@ def test_one_feature_sample_matches_reference():
     cfg = IcrmConfig(n_a=7)
     for seed in range(50):
         rep = {"only": (6.0, 5.0)}
-        fast = build_slot_array(["only"], rep, cfg, np.random.default_rng(seed))
-        expected = ref.build_slot_array(["only"], rep, cfg, np.random.default_rng(seed))
+        fast_rep, ref_rep = Repertoire(rep), dict(rep)
+        fast = build_slot_array(["only"], fast_rep, cfg, np.random.default_rng(seed))
+        expected = ref.build_slot_array(["only"], ref_rep, cfg, np.random.default_rng(seed))
         assert fast.bound.tolist() == expected.bound
-        fast_rep, ref_rep = dict(rep), dict(rep)
         interact(fast_rep, fast, cfg)
         ref.interact(ref_rep, expected, cfg)
         assert fast_rep == ref_rep
@@ -88,7 +88,7 @@ def test_repeated_sample_features_match_reference():
     cfg = IcrmConfig(n_a=3)
     rep = {"a": (2.0, 1.0), "b": (0.0, 0.0), "c": (1.0, 4.0)}
     sample = ["a", "b", "a", "c", "a"]
-    fast = build_slot_array(sample, rep, cfg, np.random.default_rng(5))
+    fast = build_slot_array(sample, Repertoire(rep), cfg, np.random.default_rng(5))
     expected = ref.build_slot_array(sample, rep, cfg, np.random.default_rng(5))
     assert fast.features == expected.features
     assert fast.bound.tolist() == expected.bound
@@ -108,10 +108,34 @@ def test_hand_built_slot_arrays_match_reference(death_rate):
         cfg = IcrmConfig(
             proliferation=float(rng.uniform(0.001, 3.0)), death_rate=death_rate
         )
-        fast_rep, ref_rep = dict(rep), dict(rep)
+        fast_rep, ref_rep = Repertoire(rep), dict(rep)
         interact(fast_rep, SlotArray(features, bound), cfg)
         ref.interact(ref_rep, ref.SlotArray(features, bound), cfg)
         assert fast_rep == ref_rep
+
+
+@pytest.mark.parametrize(
+    "bound_on, sample, applied_to",
+    [
+        # the same features, inserted in the other order
+        ({"x": (6.0, 0.0), "y": (0.0, 6.0)}, ["x", "y"],
+         {"y": (0.0, 6.0), "x": (6.0, 0.0)}),
+        # fewer rows: x's row where the slots were bound is unused here
+        ({"w": (1.0, 1.0), "x": (6.0, 0.0)}, ["x"], {"x": (6.0, 0.0)}),
+    ],
+)
+def test_slots_applied_to_another_repertoire_match_reference(
+    bound_on, sample, applied_to
+):
+    # x binds only effectors and y only regulators, so every slot pair
+    # credits a gain to one of them
+    cfg = IcrmConfig(n_a=3, proliferation=0.5)
+    slots = build_slot_array(sample, Repertoire(bound_on), cfg, np.random.default_rng(0))
+    fast_rep, ref_rep = Repertoire(applied_to), dict(applied_to)
+    interact(fast_rep, slots, cfg)
+    ref.interact(ref_rep, ref.SlotArray(slots.features, slots.bound.tolist()), cfg)
+    assert fast_rep == ref_rep
+    assert fast_rep != applied_to
 
 
 def test_hand_built_slot_array_round_trips():
@@ -128,34 +152,44 @@ def test_hand_built_slot_array_round_trips():
         SlotArray(["f", "g"], [BIND_E])
     with pytest.raises(ValueError):
         SlotArray(["f"], [3])
+    # a code must be an int, not a float, string or bool that casts to one
+    for codes in ([0.7], [1.9], ["1"], [True]):
+        with pytest.raises(ValueError):
+            SlotArray(["f"], codes)
+    empty = SlotArray([], [])
+    assert len(empty) == 0
+    assert empty.bound.dtype == np.int64
 
 
-def _classify_all(seed, sampler, death_rate, patch):
+_TRAIN_MODES = {HAM: TRAIN_HAM, SPAM: TRAIN_SPAM}
+
+
+@pytest.mark.parametrize(
+    "sampler, death_rate",
+    [("first-last", 0.0), ("first-last", 0.01), ("random", 0.0), ("random", 0.02)],
+)
+def test_classifier_matches_reference(sampler, death_rate):
     data = synthetic_dataset(
         n_ham=120, n_spam=120, vocab_per_class=60, shared_vocab=40, seed=3,
         words_per_message=(20, 120),
     )
-    with pytest.MonkeyPatch.context() as mp:
-        if patch:
-            mp.setattr(icrm.model, "build_slot_array", ref.build_slot_array)
-            mp.setattr(icrm.model, "interact", ref.interact)
-        clf = IcrmClassifier(
-            IcrmConfig(seed=seed, death_rate=death_rate), sampler=sampler
-        )
-        train = [m for pair in zip(data.ham[:80], data.spam[:80]) for m in pair]
-        clf.train(train)
-        scores = [clf.verdict(m).score for m in data.ham[80:] + data.spam[80:]]
-    return clf.repertoire, scores
+    train = [m for pair in zip(data.ham[:80], data.spam[:80]) for m in pair]
+    test = data.ham[80:] + data.spam[80:]
+    cfg = IcrmConfig(seed=9, death_rate=death_rate)
 
+    clf = IcrmClassifier(cfg, sampler=sampler)
+    clf.train(train)
+    fast_scores = [clf.verdict(m).score for m in test]
 
-@pytest.mark.parametrize(
-    "sampler, death_rate", [("first-last", 0.0), ("first-last", 0.01), ("random", 0.0)]
-)
-def test_classifier_matches_reference(sampler, death_rate):
-    fast_rep, fast_scores = _classify_all(9, sampler, death_rate, patch=False)
-    ref_rep, ref_scores = _classify_all(9, sampler, death_rate, patch=True)
+    ref_rep, rng = {}, np.random.default_rng(cfg.seed)
+    for m in train:
+        ref.process_message(ref_rep, m, _TRAIN_MODES[m.label], cfg, rng, sampler=sampler)
+    ref_scores = [
+        ref.process_message(ref_rep, m, TEST, cfg, rng, sampler=sampler).score
+        for m in test
+    ]
     assert fast_scores == ref_scores
-    assert fast_rep == ref_rep
+    assert clf.repertoire == ref_rep
 
 
 def test_process_message_calls_bind_and_interact_once(monkeypatch):
@@ -172,7 +206,7 @@ def test_process_message_calls_bind_and_interact_once(monkeypatch):
     )
     monkeypatch.setattr(icrm.model, "interact", counted("interact", interact))
     rng = np.random.default_rng(0)
-    rep = {}
+    rep = Repertoire()
     messages = [
         make_message(HAM, body="meeting agenda notes"),
         make_message(SPAM, body=""),
@@ -199,11 +233,10 @@ def test_array_repertoire_matches_dict_reference(tmp_path, death_rate):
     cfg = IcrmConfig(seed=13, death_rate=death_rate)
     clf = IcrmClassifier(cfg)
     rep, rng = {}, np.random.default_rng(cfg.seed)
-    modes = {HAM: TRAIN_HAM, SPAM: TRAIN_SPAM}
 
     fast = [clf.train_message(m).per_feature for m in train]
     fast += [clf.verdict(m).per_feature for m in stream[:200]]
-    slow = [ref.process_message(rep, m, modes[m.label], cfg, rng).per_feature
+    slow = [ref.process_message(rep, m, _TRAIN_MODES[m.label], cfg, rng).per_feature
             for m in train]
     slow += [ref.process_message(rep, m, TEST, cfg, rng).per_feature
              for m in stream[:200]]

@@ -14,6 +14,7 @@ from icrm.model import (
     BIND_R,
     IcrmClassifier,
     IcrmConfig,
+    Repertoire,
     SlotArray,
     SnapshotError,
     TEST,
@@ -86,7 +87,7 @@ class TestConfig:
 class TestInitFeatures:
     def test_mode_table(self):
         cfg = IcrmConfig()
-        rep = {}
+        rep = Repertoire()
         init_features(rep, ["f1"], TRAIN_HAM, cfg)
         init_features(rep, ["f2"], TRAIN_SPAM, cfg)
         init_features(rep, ["f3"], TEST, cfg)
@@ -94,7 +95,7 @@ class TestInitFeatures:
 
     def test_existing_untouched(self):
         cfg = IcrmConfig()
-        rep = {"f": (40.0, 3.0)}
+        rep = Repertoire({"f": (40.0, 3.0)})
         for mode in (TRAIN_HAM, TRAIN_SPAM, TEST):
             init_features(rep, ["f"], mode, cfg)
             assert rep["f"] == (40.0, 3.0)
@@ -104,14 +105,16 @@ class TestBuildSlotArray:
     def test_size_contract(self):
         cfg = IcrmConfig()
         rng = np.random.default_rng(0)
-        slots = build_slot_array(["f"], {"f": (6.0, 5.0)}, cfg, rng)
+        slots = build_slot_array(["f"], Repertoire({"f": (6.0, 5.0)}), cfg, rng)
         assert len(slots) == 10
         assert set(slots.features) == {"f"}
 
     def test_each_feature_gets_na_slots(self):
         cfg = IcrmConfig(n_a=4)
         rng = np.random.default_rng(1)
-        slots = build_slot_array(["a", "b", "c"], {k: (1.0, 1.0) for k in "abc"}, cfg, rng)
+        slots = build_slot_array(
+            ["a", "b", "c"], Repertoire({k: (1.0, 1.0) for k in "abc"}), cfg, rng
+        )
         assert len(slots) == 12
         assert slots.features.count("a") == 4
         assert slots.features.count("b") == 4
@@ -119,13 +122,13 @@ class TestBuildSlotArray:
     def test_pure_effector_population_binds_all_effector(self):
         cfg = IcrmConfig()
         rng = np.random.default_rng(2)
-        slots = build_slot_array(["f"], {"f": (6.0, 0.0)}, cfg, rng)
+        slots = build_slot_array(["f"], Repertoire({"f": (6.0, 0.0)}), cfg, rng)
         assert all(b == BIND_E for b in slots.bound)
 
     def test_extinct_population_leaves_slots_empty(self):
         cfg = IcrmConfig()
         rng = np.random.default_rng(3)
-        slots = build_slot_array(["f"], {"f": (0.0, 0.0)}, cfg, rng)
+        slots = build_slot_array(["f"], Repertoire({"f": (0.0, 0.0)}), cfg, rng)
         assert all(b == BIND_EMPTY for b in slots.bound)
 
     def test_binding_rate_matches_population_ratio(self):
@@ -134,13 +137,13 @@ class TestBuildSlotArray:
         rng = np.random.default_rng(4)
         effector_slots = 0
         for _ in range(1000):
-            slots = build_slot_array(["f"], {"f": (5.0, 5.0)}, cfg, rng)
+            slots = build_slot_array(["f"], Repertoire({"f": (5.0, 5.0)}), cfg, rng)
             effector_slots += sum(1 for b in slots.bound if b == BIND_E)
         assert abs(effector_slots / 10000 - 0.5) < 0.02
 
     def test_shuffle_is_seed_deterministic(self):
         cfg = IcrmConfig()
-        rep = {"a": (3.0, 3.0), "b": (3.0, 3.0)}
+        rep = Repertoire({"a": (3.0, 3.0), "b": (3.0, 3.0)})
         s1 = build_slot_array(["a", "b"], rep, cfg, np.random.default_rng(7))
         s2 = build_slot_array(["a", "b"], rep, cfg, np.random.default_rng(7))
         assert s1 == s2
@@ -152,61 +155,61 @@ def _cfg(p=1.0, r=0.0):
 
 class TestInteract:
     def test_effector_pair_both_proliferate(self):
-        rep = {"f": (1.0, 0.0), "g": (1.0, 0.0)}
+        rep = Repertoire({"f": (1.0, 0.0), "g": (1.0, 0.0)})
         interact(rep, SlotArray(["f", "g"], [BIND_E, BIND_E]), _cfg(p=1.0))
         assert rep == {"f": (2.0, 0.0), "g": (2.0, 0.0)}
 
     def test_mixed_pair_only_regulator_proliferates(self):
-        rep = {"f": (1.0, 0.0), "g": (0.0, 1.0)}
+        rep = Repertoire({"f": (1.0, 0.0), "g": (0.0, 1.0)})
         interact(rep, SlotArray(["f", "g"], [BIND_E, BIND_R]), _cfg(p=1.0))
         assert rep == {"f": (1.0, 0.0), "g": (0.0, 2.0)}
 
     def test_regulator_pair_no_change(self):
-        rep = {"f": (0.0, 1.0), "g": (0.0, 1.0)}
+        rep = Repertoire({"f": (0.0, 1.0), "g": (0.0, 1.0)})
         interact(rep, SlotArray(["f", "g"], [BIND_R, BIND_R]), _cfg(p=1.0))
         assert rep == {"f": (0.0, 1.0), "g": (0.0, 1.0)}
 
     def test_lone_effector_proliferates(self):
-        rep = {"f": (1.0, 0.0)}
+        rep = Repertoire({"f": (1.0, 0.0)})
         interact(rep, SlotArray(["f"], [BIND_E]), _cfg(p=1.0))
         assert rep["f"] == (2.0, 0.0)
 
     def test_effector_with_empty_partner_proliferates(self):
-        rep = {"f": (1.0, 0.0), "g": (0.0, 0.0)}
+        rep = Repertoire({"f": (1.0, 0.0), "g": (0.0, 0.0)})
         interact(rep, SlotArray(["f", "g"], [BIND_E, BIND_EMPTY]), _cfg(p=1.0))
         assert rep["f"] == (2.0, 0.0)
 
     def test_lone_regulator_persists(self):
-        rep = {"f": (0.0, 1.0)}
+        rep = Repertoire({"f": (0.0, 1.0)})
         interact(rep, SlotArray(["f"], [BIND_R]), _cfg(p=1.0))
         assert rep["f"] == (0.0, 1.0)
 
     def test_same_feature_effector_pair_gains_twice(self):
-        rep = {"f": (1.0, 0.0)}
+        rep = Repertoire({"f": (1.0, 0.0)})
         interact(rep, SlotArray(["f", "f"], [BIND_E, BIND_E]), _cfg(p=1.0))
         assert rep["f"] == (3.0, 0.0)
 
     def test_deltas_applied_synchronously(self):
         # regulator proliferation reads pre-interaction populations only;
         # the effector gained in pair one must not affect pair two
-        rep = {"f": (1.0, 1.0), "g": (1.0, 1.0)}
+        rep = Repertoire({"f": (1.0, 1.0), "g": (1.0, 1.0)})
         slots = SlotArray(["f", "f", "f", "g"], [BIND_E, BIND_E, BIND_E, BIND_R])
         interact(rep, slots, _cfg(p=1.0))
         assert rep == {"f": (3.0, 1.0), "g": (1.0, 2.0)}
 
     def test_decay_on_empty_slot_array(self):
-        rep = {"f": (10.0, 10.0)}
+        rep = Repertoire({"f": (10.0, 10.0)})
         interact(rep, SlotArray([], []), _cfg(p=1.0, r=0.02))
         assert rep["f"] == pytest.approx((9.8, 9.8), abs=1e-15)
 
     def test_decay_hits_every_feature(self):
-        rep = {"f": (10.0, 0.0), "g": (4.0, 2.0)}
+        rep = Repertoire({"f": (10.0, 0.0), "g": (4.0, 2.0)})
         interact(rep, SlotArray(["f"], [BIND_E]), _cfg(p=1.0, r=0.5))
         assert rep["f"] == pytest.approx((5.5, 0.0))  # (10 + 1) * 0.5
         assert rep["g"] == pytest.approx((2.0, 1.0))
 
     def test_tiny_populations_clamp_to_zero(self):
-        rep = {"f": (1e-12, 1e-12)}
+        rep = Repertoire({"f": (1e-12, 1e-12)})
         interact(rep, SlotArray([], []), _cfg(p=1.0, r=0.5))
         assert rep["f"] == (0.0, 0.0)
 
@@ -215,10 +218,10 @@ class TestInteract:
         for _ in range(500):
             n_features = int(rng.integers(1, 6))
             features = [f"w{i}" for i in range(n_features)]
-            rep = {
+            rep = Repertoire({
                 f: (float(rng.uniform(0, 20)), float(rng.uniform(0, 20)))
                 for f in features
-            }
+            })
             before = dict(rep)
             n_slots = int(rng.integers(0, 13))
             slots = SlotArray(
@@ -241,7 +244,7 @@ class TestProcessMessage:
     def test_empty_message_is_spam_with_zero_score(self):
         cfg = IcrmConfig()
         verdict = process_message(
-            {}, make_message(SPAM, subject="", body=""), TEST, cfg,
+            Repertoire(), make_message(SPAM, subject="", body=""), TEST, cfg,
             np.random.default_rng(0),
         )
         assert verdict.score == 0.0
@@ -250,7 +253,7 @@ class TestProcessMessage:
 
     def test_empty_message_still_ticks_decay(self):
         cfg = IcrmConfig(death_rate=0.02)
-        rep = {"f": (10.0, 10.0)}
+        rep = Repertoire({"f": (10.0, 10.0)})
         process_message(
             rep, make_message(SPAM, body=""), TEST, cfg, np.random.default_rng(0)
         )
@@ -259,8 +262,8 @@ class TestProcessMessage:
     def test_novel_features_read_as_spam(self):
         cfg = IcrmConfig()
         verdict = process_message(
-            {}, make_message(SPAM, body="zanzibar quixotic jumble vortex"), TEST,
-            cfg, np.random.default_rng(1),
+            Repertoire(), make_message(SPAM, body="zanzibar quixotic jumble vortex"),
+            TEST, cfg, np.random.default_rng(1),
         )
         assert verdict.label == SPAM
         assert verdict.score < 0.0
@@ -279,7 +282,7 @@ class TestProcessMessage:
         cfg = IcrmConfig()
         with pytest.raises(ValueError):
             process_message(
-                {}, make_message(HAM, body="alpha"), TRAIN_SPAM, cfg,
+                Repertoire(), make_message(HAM, body="alpha"), TRAIN_SPAM, cfg,
                 np.random.default_rng(0),
             )
 
