@@ -6,6 +6,15 @@ stripped of surrounding punctuation and lowercased, short tokens and
 stopwords are discarded, the survivors are Porter-stemmed, and when more
 than ``n`` distinct stems remain only the first and last ``n/2`` are kept
 (message openings and signatures carry the most signal).
+
+That first-last sample depends only on the message, ``n`` and the
+stopwords, so a message remembers the last one computed for it, keyed by
+``(n, stopwords)``: the evaluation protocols show each message to both
+classifiers and to several runs, and only the first call tokenizes and
+stems it. The memo is an attribute outside the dataclass fields, so a
+message's equality, hash, repr and canonical record do not see it. The
+``random`` sampler draws from the caller's generator and recomputes on
+every call.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ SAMPLE_CAP = 50                      # reference cap on distinct stems per messa
 SAMPLERS = ("first-last", "random")  # feature selection rules, default first
 
 _MIN_TOKEN_LEN = 3
+_MEMO = "_first_last_sample"  # message attribute: (n, stopwords, sample tuple)
 
 
 def parse_stopwords(text: str) -> frozenset[str]:
@@ -84,24 +94,44 @@ def preprocess(
     windows share stems). The "random" sampler instead draws ``n`` stems
     uniformly without replacement, preserving document order; it exists
     for ablation runs and requires a generator.
+
+    A first-last sample is remembered on ``msg``; a later call with the
+    same ``n`` and stopwords returns a new list copied from it.
     """
     check_sample_cap(n)
     if sampler not in SAMPLERS:
         raise ValueError(f"unknown sampler {sampler!r}")
     if stopwords is None:
         stopwords = default_stopwords()
+    if sampler == "random":
+        unique = _distinct_stems(msg, stopwords)
+        if len(unique) <= n:
+            return unique
+        if rng is None:
+            raise ValueError("random sampling requires a generator")
+        picked = rng.choice(len(unique), size=n, replace=False)
+        return [unique[i] for i in sorted(int(i) for i in picked)]
+    memo = getattr(msg, _MEMO, None)
+    # identity first: frozenset equality walks the set even for the same object
+    if memo is not None and memo[0] == n and (
+        memo[1] is stopwords or memo[1] == stopwords
+    ):
+        return list(memo[2])
+    unique = _distinct_stems(msg, stopwords)
+    if len(unique) > n:
+        half = n // 2
+        unique = list(dict.fromkeys(unique[:half] + unique[-half:]))
+    # a frozen copy, so a caller's set changed later cannot match this key
+    key = stopwords if type(stopwords) is frozenset else frozenset(stopwords)
+    object.__setattr__(msg, _MEMO, (n, key, tuple(unique)))
+    return unique
+
+
+def _distinct_stems(msg, stopwords) -> list[str]:
+    """The message's stems in document order, first occurrence kept."""
     stems = [
         stem(token)
         for token in tokenize(msg.subject, msg.body)
         if token not in stopwords
     ]
-    unique = list(dict.fromkeys(stems))
-    if len(unique) <= n:
-        return unique
-    if sampler == "random":
-        if rng is None:
-            raise ValueError("random sampling requires a generator")
-        picked = rng.choice(len(unique), size=n, replace=False)
-        return [unique[i] for i in sorted(int(i) for i in picked)]
-    half = n // 2
-    return list(dict.fromkeys(unique[:half] + unique[-half:]))
+    return list(dict.fromkeys(stems))

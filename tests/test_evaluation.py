@@ -336,3 +336,31 @@ class TestEvalDynamic:
         model_before = nb.model
         nb.classify(disjoint_corpus.ham[20])
         assert nb.model == model_before
+
+
+def test_protocols_reuse_memoized_messages():
+    """Reports on a dataset whose messages hold samples equal fresh ones."""
+    def corpus():
+        return synthetic_dataset(n_ham=300, n_spam=300, shared_vocab=60, seed=21)
+
+    shared = corpus()
+    custom = frozenset(f"hamw{i:03d}" for i in range(0, 200, 3)) | {"bothw007"}
+    settings = [(50, None), (10, None), (50, custom), (50, None)]
+
+    def reports(dataset, n, stopwords):
+        out = []
+        for kind in ("icrm", "nb"):
+            factory = evaluation.make_factory(kind, IcrmConfig(n=n), stopwords)
+            out.append(eval_static(dataset, factory, runs=2, train_per_class=50,
+                                   test_size=100, seed=3))
+            out.append(eval_dynamic(dataset, factory, train_per_class=50,
+                                    window=100, shift=25, seed=3))
+        return out
+
+    for n, stopwords in settings:
+        assert reports(shared, n, stopwords) == reports(corpus(), n, stopwords)
+    factory = IcrmFactory(IcrmConfig(n=10))
+    seq = eval_static(shared, factory, runs=2, train_per_class=50, test_size=100, seed=3)
+    par = eval_static(shared, factory, runs=2, train_per_class=50, test_size=100,
+                      seed=3, jobs=2)
+    assert seq == par

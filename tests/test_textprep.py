@@ -1,11 +1,16 @@
 """Tokenizer and feature-sampling behaviour."""
 
+import dataclasses
+import pickle
 import string
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from icrm.textprep import default_stopwords, preprocess, tokenize
+from icrm import textprep
+from icrm.corpus import Dataset, write_canonical
+from icrm.textprep import SAMPLERS, default_stopwords, preprocess, tokenize
 from icrm.porter import stem
 
 from conftest import make_message
@@ -122,3 +127,120 @@ def test_no_short_or_stopword_tokens_feed_samples(body):
         stem(t) for t in tokenize(msg.subject, msg.body) if t not in stopwords
     }
     assert set(preprocess(msg, n=50)) <= allowed
+
+
+# -- the per-message sample memo ------------------------------------------
+
+_VOCAB = [f"wordx{i:03d}" for i in range(80)] + ["the", "about", "running", "runs"]
+_CUSTOM_STOPWORDS = frozenset(_VOCAB[::3])
+
+
+def _oracle(msg, n, stopwords, sampler, rng):
+    """The sampling rule from scratch, on a fresh copy of the message."""
+    fresh = dataclasses.replace(msg)
+    stems = [stem(t) for t in tokenize(fresh.subject, fresh.body) if t not in stopwords]
+    unique = list(dict.fromkeys(stems))
+    if len(unique) <= n:
+        return unique
+    if sampler == "random":
+        picked = rng.choice(len(unique), size=n, replace=False)
+        return [unique[i] for i in sorted(int(i) for i in picked)]
+    half = n // 2
+    return list(dict.fromkeys(unique[:half] + unique[-half:]))
+
+
+@given(
+    words=st.lists(st.sampled_from(_VOCAB), max_size=150),
+    calls=st.lists(
+        st.tuples(
+            st.sampled_from([2, 10, 50]),
+            st.sampled_from(["default", "custom", "plain"]),
+            st.sampled_from(SAMPLERS),
+        ),
+        min_size=1,
+        max_size=10,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_memo_matches_memo_free_oracle(words, calls, seed):
+    msg = make_message(subject=" ".join(words[:5]), body=" ".join(words[5:]))
+    plain = set(_VOCAB[1::4])  # a mutable set, grown after every use by a word of msg
+    rng = np.random.default_rng(seed)
+    oracle_rng = np.random.default_rng(seed)
+    for step, (n, which, sampler) in enumerate(calls):
+        stopwords = {"default": None, "custom": _CUSTOM_STOPWORDS, "plain": plain}[which]
+        got = preprocess(msg, n, stopwords, sampler=sampler, rng=rng)
+        full = default_stopwords() if stopwords is None else stopwords
+        want = _oracle(msg, n, full, sampler, oracle_rng)
+        assert got == want
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        got.append("mutated")  # a caller's list is its own
+        got.reverse()
+        if which == "plain":
+            plain.add(next((w for w in words if w not in plain), "none"))
+
+
+def _count_tokenize(monkeypatch):
+    calls = []
+    real = textprep.tokenize
+
+    def counted(subject, body):
+        calls.append(subject)
+        return real(subject, body)
+
+    monkeypatch.setattr(textprep, "tokenize", counted)
+    return calls
+
+
+def test_memo_tokenizes_once_per_setting(monkeypatch):
+    calls = _count_tokenize(monkeypatch)
+    msg = make_message(body=" ".join(_VOCAB))
+    first = preprocess(msg, n=10)
+    assert preprocess(msg, n=10) == first
+    assert preprocess(msg, n=10, stopwords=set(default_stopwords())) == first
+    assert len(calls) == 1
+    preprocess(msg, n=50)  # a new setting replaces the memo ...
+    preprocess(msg, n=10)  # ... so the old one is computed again
+    assert len(calls) == 3
+    preprocess(msg, n=10, sampler="random", rng=np.random.default_rng(0))
+    assert len(calls) == 4  # the random sampler never reads the memo
+
+
+def test_equal_messages_do_not_share_a_memo(monkeypatch):
+    calls = _count_tokenize(monkeypatch)
+    a = make_message(body="alpha beta gamma")
+    b = make_message(body="alpha beta gamma")
+    assert a == b and a is not b
+    preprocess(a, n=10)
+    preprocess(a, n=10)
+    preprocess(b, n=10)
+    assert len(calls) == 2
+
+
+def test_invalid_settings_raise_with_a_memo():
+    msg = make_message(body=" ".join(_VOCAB))
+    preprocess(msg, n=10)
+    for bad in (7, 0, 10.0, True):
+        with pytest.raises(ValueError):
+            preprocess(msg, n=bad)
+    with pytest.raises(ValueError):
+        preprocess(msg, n=10, sampler="bogus")
+    with pytest.raises(ValueError):
+        preprocess(msg, n=10, sampler="random")  # no generator
+
+
+def test_memo_leaves_value_semantics_alone(tmp_path):
+    msg = make_message(subject="cheap offer", body=" ".join(_VOCAB))
+    twin = dataclasses.replace(msg)
+    before = (repr(msg), hash(msg), dataclasses.asdict(msg))
+    write_canonical(Dataset("d", ham=[msg]), tmp_path / "before.jsonl")
+    sample = preprocess(msg, n=10)
+    assert msg == twin
+    assert (repr(msg), hash(msg), dataclasses.asdict(msg)) == before
+    write_canonical(Dataset("d", ham=[msg]), tmp_path / "after.jsonl")
+    assert (tmp_path / "after.jsonl").read_bytes() == (tmp_path / "before.jsonl").read_bytes()
+    copy = pickle.loads(pickle.dumps(msg))
+    assert copy == msg
+    assert preprocess(copy, n=10) == sample
+    assert preprocess(copy, n=50) == preprocess(twin, n=50)
