@@ -6,13 +6,23 @@ feature counts at most once per training document; estimates are add-one
 smoothed over the training vocabulary and the posterior is evaluated in
 log space with two-class normalization. A message is spam when
 P(spam | features) > 0.5, strictly.
+
+Every log term the posterior can add depends only on the trained counts,
+so a model builds its scoring tables once, when it is made (by
+:func:`nb_train`, by :meth:`NaiveBayesClassifier.load` or directly): per
+class the log prior, ``log((1 + c) / denom)`` for each feature the class
+has seen, and ``log(1 / denom)`` for any other feature. The counts are
+read-only, so the tables cannot go stale, and :func:`nb_posterior` is one
+table lookup per feature per class, adding the same floats in the same
+order as evaluating the smoothed estimates message by message.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .corpus import HAM, SPAM, LABELS, Message
 from .files import read_state, write_state
@@ -23,13 +33,62 @@ class ModelError(Exception):
     """Raised when classifying with an untrained or unreadable model."""
 
 
-@dataclass
+# Per class: log prior, log smoothed likelihood of each feature the class
+# has seen, and that of any other feature (None when no training document
+# held a feature, so there is nothing to smooth over).
+_ClassTable = tuple[float, dict[str, float], float | None]
+
+
+@dataclass(frozen=True)
 class NbModel:
-    doc_count: dict[str, int] = field(default_factory=lambda: {HAM: 0, SPAM: 0})
-    feature_doc_count: dict[str, dict[str, int]] = field(
-        default_factory=lambda: {HAM: {}, SPAM: {}}
-    )
-    vocabulary: set[str] = field(default_factory=set)
+    """Per-class document counts and Boolean feature counts, read-only.
+
+    ``vocabulary`` is the union of the features either class has seen.
+    ``tables`` holds one :data:`_ClassTable` per label, in ``LABELS``
+    order, or None unless both classes have training documents.
+    """
+
+    doc_count: Mapping[str, int]
+    feature_doc_count: Mapping[str, Mapping[str, int]]
+    tables: tuple[_ClassTable, ...] | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        doc_count = MappingProxyType(dict(self.doc_count))
+        feature_doc_count = MappingProxyType({
+            label: MappingProxyType(dict(counts))
+            for label, counts in self.feature_doc_count.items()
+        })
+        object.__setattr__(self, "doc_count", doc_count)
+        object.__setattr__(self, "feature_doc_count", feature_doc_count)
+        object.__setattr__(self, "tables", self._score_tables())
+
+    @property
+    def vocabulary(self) -> frozenset[str]:
+        return frozenset().union(*self.feature_doc_count.values())
+
+    def _score_tables(self) -> tuple[_ClassTable, ...] | None:
+        if any(self.doc_count.get(label, 0) <= 0 for label in LABELS):
+            return None
+        total_docs = sum(self.doc_count.values())
+        vocab_size = len(self.vocabulary)
+        tables = []
+        for label in LABELS:
+            counts = self.feature_doc_count[label]
+            denom = vocab_size + sum(counts.values())
+            log_prior = math.log(self.doc_count[label] / total_docs)
+            if denom == 0:  # degenerate: no features ever seen in training
+                tables.append((log_prior, {}, None))
+                continue
+            seen = {f: math.log((1 + c) / denom) for f, c in counts.items()}
+            tables.append((log_prior, seen, math.log(1 / denom)))
+        return tuple(tables)
+
+    def __reduce__(self):
+        # read-only views do not pickle: rebuild from plain copies
+        return type(self), (
+            dict(self.doc_count),
+            {label: dict(counts) for label, counts in self.feature_doc_count.items()},
+        )
 
 
 def nb_train(
@@ -38,15 +97,15 @@ def nb_train(
     stopwords: frozenset[str] | None = None,
 ) -> NbModel:
     """Accumulate Boolean per-document feature counts from labeled messages."""
-    model = NbModel()
+    doc_count = {HAM: 0, SPAM: 0}
+    feature_doc_count = {HAM: {}, SPAM: {}}
     for msg in messages:
         sample = preprocess(msg, n, stopwords)
-        model.doc_count[msg.label] += 1
-        counts = model.feature_doc_count[msg.label]
+        doc_count[msg.label] += 1
+        counts = feature_doc_count[msg.label]
         for feature in sample:  # sample is already distinct per message
             counts[feature] = counts.get(feature, 0) + 1
-            model.vocabulary.add(feature)
-    return model
+    return NbModel(doc_count, feature_doc_count)
 
 
 def nb_posterior(model: NbModel, sample: Iterable[str]) -> float:
@@ -55,19 +114,13 @@ def nb_posterior(model: NbModel, sample: Iterable[str]) -> float:
     Features outside the training vocabulary still contribute their
     smoothed probability. An empty sample reduces to the class priors.
     """
-    if any(model.doc_count[label] <= 0 for label in LABELS):
+    if model.tables is None:
         raise ModelError("model must contain training documents for both classes")
-    total_docs = sum(model.doc_count.values())
-    vocab_size = len(model.vocabulary)
     log_like = {}
-    for label in LABELS:
-        counts = model.feature_doc_count[label]
-        denom = vocab_size + sum(counts.values())
-        ll = math.log(model.doc_count[label] / total_docs)
-        for feature in sample:
-            if denom == 0:
-                continue  # degenerate: no features ever seen in training
-            ll += math.log((1 + counts.get(feature, 0)) / denom)
+    for label, (ll, seen, unseen) in zip(LABELS, model.tables):
+        if unseen is not None:
+            for feature in sample:
+                ll += seen.get(feature, unseen)
         log_like[label] = ll
     # P(spam|x) = exp(ls) / (exp(ls) + exp(lh)), computed stably.
     diff = log_like[HAM] - log_like[SPAM]
@@ -114,8 +167,11 @@ class NaiveBayesClassifier:
             raise ModelError("nothing to save: classifier has not been trained")
         write_state(path, self._FORMAT, self._VERSION, {
             "n": self.n,
-            "doc_count": self.model.doc_count,
-            "feature_doc_count": self.model.feature_doc_count,
+            "doc_count": dict(self.model.doc_count),
+            "feature_doc_count": {
+                label: dict(counts)
+                for label, counts in self.model.feature_doc_count.items()
+            },
             "vocabulary": sorted(self.model.vocabulary),
         })
 
@@ -123,18 +179,24 @@ class NaiveBayesClassifier:
     def load(cls, path, stopwords: frozenset[str] | None = None) -> "NaiveBayesClassifier":
         state = read_state(path, cls._FORMAT, cls._VERSION, ModelError)
         try:
-            words = state["vocabulary"]
-            if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
-                raise ValueError("vocabulary must be a list of strings")
             clf = cls(n=state["n"], stopwords=stopwords)
-            clf.model = NbModel(
-                doc_count=_per_label(state["doc_count"], _count),
-                feature_doc_count=_per_label(
-                    state["feature_doc_count"],
-                    lambda counts: {f: _count(c) for f, c in counts.items()},
-                ),
-                vocabulary=set(words),
+            doc_count = _per_label(state["doc_count"], _count)
+            feature_doc_count = _per_label(
+                state["feature_doc_count"],
+                lambda counts: {f: _count(c) for f, c in counts.items()},
             )
+            for label, counts in feature_doc_count.items():
+                if not all(1 <= c <= doc_count[label] for c in counts.values()):
+                    raise ValueError(
+                        f"{label} feature counts must be in [1, doc_count "
+                        f"{doc_count[label]}]"
+                    )
+            clf.model = NbModel(doc_count, feature_doc_count)
+            # the vocabulary is saved for readers of the file; the model derives it
+            if state["vocabulary"] != sorted(clf.model.vocabulary):
+                raise ValueError(
+                    "vocabulary must be the sorted union of the features counted"
+                )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ModelError(f"malformed model file {path}: {exc!r}") from None
         return clf

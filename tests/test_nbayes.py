@@ -1,10 +1,16 @@
 """Naive Bayes baseline: counting, posterior oracle agreement, decision rule."""
 
+import copy
 import json
+import pickle
+import re
+import tempfile
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from icrm.corpus import HAM, SPAM
 from icrm.nbayes import (
@@ -15,22 +21,43 @@ from icrm.nbayes import (
     nb_posterior,
     nb_train,
 )
+from icrm.textprep import preprocess
 
+import nb_reference
 from conftest import make_message
 
 
 def _model(ham_docs, spam_docs):
     """Build a model from lists of feature lists (already preprocessed)."""
-    model = NbModel()
+    doc_count = {HAM: 0, SPAM: 0}
+    feature_doc_count = {HAM: {}, SPAM: {}}
     for label, docs in ((HAM, ham_docs), (SPAM, spam_docs)):
         for doc in docs:
-            model.doc_count[label] += 1
+            doc_count[label] += 1
+            counts = feature_doc_count[label]
             for f in set(doc):
-                model.feature_doc_count[label][f] = (
-                    model.feature_doc_count[label].get(f, 0) + 1
-                )
-                model.vocabulary.add(f)
-    return model
+                counts[f] = counts.get(f, 0) + 1
+    return NbModel(doc_count, feature_doc_count)
+
+
+def _round_trip(model):
+    """``model`` saved to a model file and loaded back."""
+    clf = NaiveBayesClassifier()
+    clf.model = model
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "nb.json"
+        clf.save(path)
+        return NaiveBayesClassifier.load(path).model
+
+
+# Ham documents draw from words 0-4 and spam documents from words 3-7, so
+# 0-2 are seen by ham only, 5-7 by spam only; word 8 is never trained on.
+_WORDS = [f"nbw{i:03d}" for i in range(9)]
+_HAM_DOCS = st.lists(st.lists(st.sampled_from(_WORDS[:5]), max_size=5),
+                     min_size=1, max_size=8)
+_SPAM_DOCS = st.lists(st.lists(st.sampled_from(_WORDS[3:8]), max_size=5),
+                      min_size=1, max_size=8)
+_SAMPLE = st.lists(st.sampled_from(_WORDS), max_size=8)
 
 
 def _posterior_oracle(model, sample):
@@ -125,13 +152,65 @@ class TestPosterior:
                 HAM: model.feature_doc_count[SPAM],
                 SPAM: model.feature_doc_count[HAM],
             },
-            vocabulary=model.vocabulary,
         )
         assert p_spam + nb_posterior(mirrored, sample) == pytest.approx(1.0, abs=1e-12)
         # log-space result agrees with exact direct-space evaluation
         assert p_spam == pytest.approx(
             float(_posterior_oracle(model, sample)), abs=1e-9
         )
+
+
+class TestScoringTables:
+    """The table posterior against the per-message loop it replaced."""
+
+    @given(ham_docs=_HAM_DOCS, spam_docs=_SPAM_DOCS, sample=_SAMPLE)
+    @example(ham_docs=[[]], spam_docs=[[], []], sample=["nbw000"])  # denom == 0
+    @settings(max_examples=300, deadline=None)
+    def test_helper_model_matches_reference_bit_for_bit(self, ham_docs, spam_docs, sample):
+        model = _model(ham_docs, spam_docs)
+        want = nb_reference.nb_posterior(model, sample)
+        assert nb_posterior(model, sample) == want
+        assert nb_posterior(_round_trip(model), sample) == want
+
+    @given(ham_docs=_HAM_DOCS, spam_docs=_SPAM_DOCS, sample=_SAMPLE)
+    @example(ham_docs=[[]], spam_docs=[[], []], sample=["nbw000"])  # denom == 0
+    @settings(max_examples=150, deadline=None)
+    def test_trained_model_matches_reference_bit_for_bit(self, ham_docs, spam_docs, sample):
+        messages = [
+            make_message(label, body=" ".join(doc))
+            for label, docs in ((HAM, ham_docs), (SPAM, spam_docs))
+            for doc in docs
+        ]
+        model = nb_train(messages)
+        features = preprocess(make_message(body=" ".join(sample)))
+        want = nb_reference.nb_posterior(model, features)
+        assert nb_posterior(model, features) == want
+        again = _round_trip(model)
+        assert again == model
+        assert nb_posterior(again, features) == want
+
+    def test_counts_are_read_only_copies(self):
+        doc_count = {HAM: 1, SPAM: 1}
+        feature_doc_count = {HAM: {"a": 1}, SPAM: {"b": 1}}
+        model = NbModel(doc_count, feature_doc_count)
+        before = nb_posterior(model, ["a", "c"])
+        doc_count[HAM] = 5
+        feature_doc_count[HAM]["c"] = 1
+        assert model.doc_count == {HAM: 1, SPAM: 1}
+        assert model.vocabulary == {"a", "b"}
+        assert nb_posterior(model, ["a", "c"]) == before
+        with pytest.raises(TypeError):
+            model.feature_doc_count[HAM]["a"] = 7
+        with pytest.raises(TypeError):
+            model.doc_count[SPAM] = 7
+        with pytest.raises(FrozenInstanceError):
+            model.doc_count = {HAM: 3, SPAM: 3}
+
+    def test_pickle_and_deepcopy_rebuild_the_tables(self, disjoint_corpus):
+        model = nb_train(disjoint_corpus.ham[:20] + disjoint_corpus.spam[:20])
+        for again in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
+            assert again == model
+            assert again.tables == model.tables
 
 
 class TestClassify:
@@ -178,6 +257,16 @@ class TestPersistence:
         pytest.param(lambda s: s.update(vocabulary=["alpha", 7]), id="vocabulary-int"),
         pytest.param(lambda s: s["doc_count"].update(ham=2.5), id="float-count"),
         pytest.param(lambda s: s["doc_count"].update(ham=10**400), id="huge-count"),
+        pytest.param(lambda s: s["vocabulary"].extend(["ghost1", "ghost2"]),
+                     id="ghost-vocabulary"),
+        pytest.param(lambda s: s.update(vocabulary=[]), id="empty-vocabulary"),
+        pytest.param(lambda s: s["vocabulary"].insert(0, "alpha"),
+                     id="duplicate-vocabulary"),
+        pytest.param(lambda s: s["vocabulary"].reverse(), id="unsorted-vocabulary"),
+        pytest.param(lambda s: s["feature_doc_count"][HAM].update(alpha=99),
+                     id="count-above-doc-count"),
+        pytest.param(lambda s: s["feature_doc_count"][SPAM].update(beta=0),
+                     id="zero-count"),
     ])
     def test_malformed_file_is_model_error(self, tmp_path, mutate):
         clf = NaiveBayesClassifier()
@@ -187,7 +276,7 @@ class TestPersistence:
         state = json.loads(path.read_text(encoding="utf-8"))
         mutate(state)
         path.write_text(json.dumps(state), encoding="utf-8")
-        with pytest.raises(ModelError):
+        with pytest.raises(ModelError, match=re.escape(str(path))):
             NaiveBayesClassifier.load(path)
 
     def test_wrong_magic(self, tmp_path):
