@@ -19,11 +19,12 @@ from pathlib import Path
 from .corpus import (
     CorpusError,
     HAM,
+    Message,
     ingest_enron_dir,
     read_canonical,
+    read_message_file,
     write_canonical,
 )
-from .corpus import Message, split_subject
 from .evaluation import (
     EvalError,
     check_settings,
@@ -71,9 +72,12 @@ DEFAULTS: dict[str, object] = {
     "stopwords": None,
 }
 _PROTOCOLS = {"static": eval_static, "dynamic": eval_dynamic}
-# Settings whose flags are common to all commands, or belong to ingest.
-_NOT_EVAL_FLAGS = {"seed", "jobs", "out", "stopwords", "limit"}
-_EVAL_HELP = {
+_HELP = {
+    "seed": f"randomization seed (default {DEFAULTS['seed']})",
+    "limit": f"messages kept per class (default {DEFAULTS['limit']})",
+    "out": "output directory for report files",
+    "jobs": "parallel evaluation runs",
+    "stopwords": "override the shipped stopword list",
     "balance": "balanced evaluation counting",
     "n": "feature sample cap",
     "n_a": "slots per feature",
@@ -86,7 +90,7 @@ _BOOL_STRINGS = {"true": True, "yes": True, "1": True,
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        self.exit(EXIT_USAGE, f"icrm: config error: {message}\n")
 
 
 def _coerce(key: str, raw: str):
@@ -130,12 +134,15 @@ def _merge_settings(args: argparse.Namespace) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
-    if settings["feature_sampler"] not in SAMPLERS:
-        raise ConfigError(
-            f"feature_sampler must be one of {SAMPLERS}, "
-            f"got {settings['feature_sampler']!r}"
-        )
     return settings
+
+
+def _run_settings(mode: str, model: str) -> set[str]:
+    """The settings an ``eval`` run of ``model`` under ``mode`` reads."""
+    keys = {*_keyword_defaults(_PROTOCOLS[mode]), "out", "stopwords", "n"}
+    if model != "nb":
+        keys |= {f.name for f in dataclass_fields(IcrmConfig)} | {"feature_sampler"}
+    return keys
 
 
 def _icrm_config(settings: dict) -> IcrmConfig:
@@ -177,18 +184,10 @@ def cmd_ingest(args) -> int:
 def cmd_classify(args) -> int:
     settings = _merge_settings(args)
     clf = IcrmClassifier.load(args.state_file, stopwords=_load_stopwords(settings))
-    try:
-        text = Path(args.message_file).read_text("utf-8", errors="replace")
-    except OSError as exc:
-        raise CorpusError(f"cannot read message file: {exc}") from None
-    subject, body = split_subject(text)
-    msg = Message(
-        id=Path(args.message_file).name,
-        timestamp=date(1970, 1, 1),
-        label=HAM,  # placeholder; the test stage never reads the label
-        subject=subject,
-        body=body,
-    )
+    subject, body = read_message_file(args.message_file)
+    # the label is a placeholder: the test stage never reads it
+    msg = Message(id=Path(args.message_file).name, timestamp=date(1970, 1, 1),
+                  label=HAM, subject=subject, body=body)
     verdict = clf.verdict(msg)
     print(f"{verdict.label} {verdict.score:.6f}")
     if args.explain:
@@ -205,7 +204,16 @@ def _write_report(write, data, path) -> None:
 
 
 def cmd_eval(args) -> int:
+    reads = _run_settings(args.mode, args.model)
+    for key in DEFAULTS:
+        value = getattr(args, key, None)
+        if value is not None and key not in reads:
+            flag = "--" + "no-" * (value is False) + key.replace("_", "-")
+            raise ConfigError(f"eval {args.mode} {args.model} does not read {flag}")
     settings = _merge_settings(args)
+    if settings["feature_sampler"] not in SAMPLERS:
+        raise ConfigError(f"feature_sampler must be one of {SAMPLERS}, "
+                          f"got {settings['feature_sampler']!r}")
     cfg = _icrm_config(settings)
     try:
         check_settings(settings)
@@ -294,61 +302,52 @@ def _number(path, row: dict[str, str], column: str) -> float:
 # -- argument wiring -------------------------------------------------------
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int,
-                        help=f"randomization seed (default {DEFAULTS['seed']})")
-    common.add_argument("--config", help="flat key = value settings file")
-    common.add_argument("--out", help="output directory for report files")
-    common.add_argument("--jobs", type=int, help="parallel evaluation runs")
-    common.add_argument("--stopwords", help="override the shipped stopword list")
-    return common
-
-
-def build_parser() -> _Parser:
-    common = _common_flags()
-    parser = _Parser(prog="icrm", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_ingest = sub.add_parser(
-        "ingest", parents=[common], help="convert an Enron-spam tree to canonical form"
-    )
-    p_ingest.add_argument("src_dir")
-    p_ingest.add_argument("out_file")
-    p_ingest.add_argument("--limit", type=int,
-                          help=f"messages kept per class (default {DEFAULTS['limit']})")
-    p_ingest.set_defaults(handler=cmd_ingest)
-
-    p_classify = sub.add_parser(
-        "classify", parents=[common], help="classify one message file with a saved state"
-    )
-    p_classify.add_argument("state_file")
-    p_classify.add_argument("message_file")
-    p_classify.add_argument("--explain", action="store_true",
-                            help="also print one score line per sampled feature")
-    p_classify.set_defaults(handler=cmd_classify)
-
-    p_eval = sub.add_parser(
-        "eval", parents=[common], help="run an evaluation protocol"
-    )
-    p_eval.add_argument("mode", choices=["static", "dynamic"])
-    p_eval.add_argument("model", choices=["icrm", "nb", "both"])
-    p_eval.add_argument("--data", required=True, help="canonical dataset file")
-    for key, default in DEFAULTS.items():
-        if key in _NOT_EVAL_FLAGS:
-            continue
-        flag = "--" + key.replace("_", "-")
+def _add_settings(parser: argparse.ArgumentParser, keys) -> None:
+    """``--config`` and one flag per setting in ``keys``, each defaulting to None."""
+    parser.add_argument("--config", help="flat key = value settings file")
+    for key in keys:
+        default = DEFAULTS[key]
         if key == "balance" or isinstance(default, bool):
             spec = {"action": argparse.BooleanOptionalAction}
         elif key == "feature_sampler":
             spec = {"choices": SAMPLERS}
-        else:
-            spec = {"type": type(default)}
-        p_eval.add_argument(flag, help=_EVAL_HELP.get(key), **spec)
+        else:  # a file path defaults to None
+            spec = {} if default is None else {"type": type(default)}
+        parser.add_argument("--" + key.replace("_", "-"), help=_HELP.get(key), **spec)
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(prog="icrm", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_ingest = sub.add_parser(
+        "ingest", help="convert an Enron-spam tree to canonical form"
+    )
+    p_ingest.add_argument("src_dir")
+    p_ingest.add_argument("out_file")
+    _add_settings(p_ingest, ["limit"])
+    p_ingest.set_defaults(handler=cmd_ingest)
+
+    p_classify = sub.add_parser(
+        "classify", help="classify one message file with a saved state"
+    )
+    p_classify.add_argument("state_file")
+    p_classify.add_argument("message_file")
+    _add_settings(p_classify, ["stopwords"])
+    p_classify.add_argument("--explain", action="store_true",
+                            help="also print one score line per sampled feature")
+    p_classify.set_defaults(handler=cmd_classify)
+
+    p_eval = sub.add_parser("eval", help="run an evaluation protocol")
+    p_eval.add_argument("mode", choices=list(_PROTOCOLS))
+    p_eval.add_argument("model", choices=["icrm", "nb", "both"])
+    p_eval.add_argument("--data", required=True, help="canonical dataset file")
+    read = _run_settings("static", "icrm") | _run_settings("dynamic", "icrm")
+    _add_settings(p_eval, [key for key in DEFAULTS if key in read])
     p_eval.set_defaults(handler=cmd_eval)
 
     p_report = sub.add_parser(
-        "report", parents=[common], help="re-render tables from an output directory"
+        "report", help="re-render tables from an output directory"
     )
     p_report.add_argument("path")
     p_report.set_defaults(handler=cmd_report)

@@ -94,7 +94,8 @@ def ingest_enron_dir(path, limit_per_class: int = 1500) -> IngestResult:
     Each class list is sorted by timestamp (ties broken by id) and
     truncated to the first ``limit_per_class`` messages, which must be at
     least 1 (``ValueError`` otherwise, before the tree is read). Files whose
-    name carries no parseable date are counted as rejected, not fatal.
+    name carries no parseable date are counted as rejected, not fatal; a
+    directory or file that cannot be read raises a :class:`CorpusError`.
     """
     if not limit_per_class >= 1:
         raise ValueError(f"limit must be >= 1, got {limit_per_class}")
@@ -105,8 +106,12 @@ def ingest_enron_dir(path, limit_per_class: int = 1500) -> IngestResult:
         class_dir = root / label
         if not class_dir.is_dir():
             raise IngestError(f"missing class directory {label!r} under {root}")
+        try:
+            files = sorted(class_dir.iterdir())
+        except OSError as exc:
+            raise IngestError(f"cannot list class directory {class_dir}: {exc}") from None
         messages = []
-        for file in sorted(class_dir.iterdir()):
+        for file in files:
             if not file.is_file():
                 continue
             m = _FILENAME_DATE.match(file.name)
@@ -118,7 +123,7 @@ def ingest_enron_dir(path, limit_per_class: int = 1500) -> IngestResult:
             except ValueError:
                 rejected += 1
                 continue
-            subject, body = split_subject(file.read_text("utf-8", errors="replace"))
+            subject, body = read_message_file(file)
             messages.append(
                 Message(
                     id=f"{label}/{file.name}",
@@ -132,6 +137,19 @@ def ingest_enron_dir(path, limit_per_class: int = 1500) -> IngestResult:
         per_class[label] = messages[:limit_per_class]
     dataset = Dataset(name=root.name, ham=per_class[HAM], spam=per_class[SPAM])
     return IngestResult(dataset=dataset, rejected=rejected)
+
+
+def read_message_file(path) -> tuple[str, str]:
+    """The (subject, body) of one e-mail file, decoded leniently.
+
+    Undecodable bytes become U+FFFD; a file that cannot be read raises a
+    :class:`CorpusError` naming it.
+    """
+    try:
+        text = Path(path).read_text("utf-8", errors="replace")
+    except OSError as exc:
+        raise CorpusError(f"cannot read message file {path}: {exc}") from None
+    return split_subject(text)
 
 
 def split_subject(text: str) -> tuple[str, str]:

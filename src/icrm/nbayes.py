@@ -113,17 +113,18 @@ def nb_posterior(model: NbModel, sample: Iterable[str]) -> float:
 
     Features outside the training vocabulary still contribute their
     smoothed probability. An empty sample reduces to the class priors.
+    ``sample`` is iterated once, so it may be an iterator.
     """
     if model.tables is None:
         raise ModelError("model must contain training documents for both classes")
-    log_like = {}
-    for label, (ll, seen, unseen) in zip(LABELS, model.tables):
-        if unseen is not None:
-            for feature in sample:
-                ll += seen.get(feature, unseen)
-        log_like[label] = ll
+    (lh, seen_h, unseen_h), (ls, seen_s, unseen_s) = model.tables  # LABELS order
+    # the vocabulary size is shared, so either both classes smooth or neither
+    if unseen_h is not None:
+        for feature in sample:
+            lh += seen_h.get(feature, unseen_h)
+            ls += seen_s.get(feature, unseen_s)
     # P(spam|x) = exp(ls) / (exp(ls) + exp(lh)), computed stably.
-    diff = log_like[HAM] - log_like[SPAM]
+    diff = lh - ls
     if diff > 700.0:
         return 0.0
     return 1.0 / (1.0 + math.exp(diff))

@@ -5,6 +5,7 @@ import inspect
 import json
 import re
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -33,6 +34,18 @@ def _write_enron_tree(root):
             (d / f"{i:04d}.2002-03-{10 + i:02d}.x.{label}.txt").write_text(
                 f"Subject: {label} message {i}\nsome body words here", encoding="utf-8"
             )
+
+
+def _refuse_reading(monkeypatch, path):
+    """Make ``Path.read_text`` raise ``PermissionError`` for ``path`` only."""
+    real_read_text = Path.read_text
+
+    def read_text(self, *args, **kwargs):
+        if self == path:
+            raise PermissionError(13, "Permission denied", str(self))
+        return real_read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", read_text)
 
 
 class TestIngest:
@@ -67,6 +80,31 @@ class TestIngest:
         code = main(["ingest", str(tmp_path / "tree"), str(tmp_path / "out.jsonl")])
         assert code == EXIT_DATA
         assert "spam" in capsys.readouterr().err
+
+    def test_unreadable_message_file_is_data_error(self, tmp_path, capsys, monkeypatch):
+        _write_enron_tree(tmp_path / "tree")
+        unreadable = tmp_path / "tree" / SPAM / "0002.2002-03-12.x.spam.txt"
+        _refuse_reading(monkeypatch, unreadable)
+        out = tmp_path / "corpus.jsonl"
+        assert main(["ingest", str(tmp_path / "tree"), str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("icrm: error: cannot read message file ")
+        assert err.count("\n") == 1 and str(unreadable) in err
+        assert not out.exists()
+
+    def test_unlistable_class_directory_is_data_error(self, tmp_path, capsys, monkeypatch):
+        _write_enron_tree(tmp_path / "tree")
+        real_iterdir = Path.iterdir
+
+        def iterdir(self):
+            if self.name == HAM:
+                raise PermissionError(13, "Permission denied", str(self))
+            return real_iterdir(self)
+
+        monkeypatch.setattr(Path, "iterdir", iterdir)
+        assert main(["ingest", str(tmp_path / "tree"), str(tmp_path / "o.jsonl")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(tmp_path / "tree" / HAM) in err
 
     def test_unwritable_output_is_usage_error(self, tmp_path, capsys):
         _write_enron_tree(tmp_path / "tree")
@@ -157,45 +195,47 @@ class TestEval:
         ])
         assert code == EXIT_USAGE
 
-    @pytest.mark.parametrize("flags, config", [
-        (["--e0-ham", "20"], None),
-        (["--runs", "0"], None),
-        (["--runs", "-1"], None),
-        (["--window", "0"], None),
-        (["--shift", "0"], None),
-        (["--shift", "-5"], None),
-        ([], "runs = 0"),
-        ([], "proliferation = nan"),
-        ([], "proliferation = inf"),
-        ([], "e0_spam = inf"),
-        (["--test-size", "0"], None),
-        (["--test-size", "-3"], None),
-        (["--train-per-class", "0"], None),
-        (["--jobs", "0"], None),
-        (["--jobs", "-1"], None),
-        (["--spam-ratio", "0"], None),
-        (["--spam-ratio", "1"], None),
-        (["--spam-ratio", "1.5"], None),
-        (["--spam-ratio", "nan"], None),
-        ([], "spam_ratio = nan"),
-        ([], "test_size = 0"),
-        (["--seed", "-1"], None),
+    @pytest.mark.parametrize("mode, flags, config", [
+        ("static", ["--e0-ham", "20"], None),
+        ("static", ["--runs", "0"], None),
+        ("static", ["--runs", "-1"], None),
+        ("static", ["--window", "0"], None),
+        ("static", ["--shift", "0"], None),
+        ("static", ["--shift", "-5"], None),
+        ("static", [], "runs = 0"),
+        ("static", [], "proliferation = nan"),
+        ("static", [], "proliferation = inf"),
+        ("static", [], "e0_spam = inf"),
+        ("static", ["--test-size", "0"], None),
+        ("static", ["--test-size", "-3"], None),
+        ("static", ["--train-per-class", "0"], None),
+        ("static", ["--jobs", "0"], None),
+        ("static", ["--jobs", "-1"], None),
+        ("static", ["--spam-ratio", "0"], None),
+        ("static", ["--spam-ratio", "1"], None),
+        ("static", ["--spam-ratio", "1.5"], None),
+        ("static", ["--spam-ratio", "nan"], None),
+        ("static", [], "spam_ratio = nan"),
+        ("static", [], "test_size = 0"),
+        ("static", ["--seed", "-1"], None),
+        ("dynamic", ["--window", "0"], None),
+        ("dynamic", ["--shift", "0"], None),
     ], ids=[
         "e0-ham-20", "runs-0", "runs-negative", "window-0", "shift-0", "shift-negative",
         "config-runs-0", "config-proliferation-nan", "config-proliferation-inf",
         "config-e0-spam-inf", "test-size-0", "test-size-negative",
         "train-per-class-0", "jobs-0", "jobs-negative", "spam-ratio-0",
         "spam-ratio-1", "spam-ratio-1.5", "spam-ratio-nan", "config-spam-ratio-nan",
-        "config-test-size-0", "seed-negative",
+        "config-test-size-0", "seed-negative", "dynamic-window-0", "dynamic-shift-0",
     ])
     def test_invalid_model_config_reported_before_compute(
-        self, tmp_path, canonical_file, flags, config
+        self, tmp_path, canonical_file, mode, flags, config
     ):
         if config is not None:
             (tmp_path / "bad.conf").write_text(config + "\n", encoding="utf-8")
             flags = flags + ["--config", str(tmp_path / "bad.conf")]
         code = main([
-            "eval", "static", "icrm", "--data", str(canonical_file),
+            "eval", mode, "icrm", "--data", str(canonical_file),
             *flags, "--out", str(tmp_path / "o"),
         ])
         assert code == EXIT_USAGE
@@ -368,6 +408,17 @@ class TestClassify:
         assert main(["classify", str(state), str(msg)]) == EXIT_DATA
         assert str(state) in capsys.readouterr().err
 
+    def test_unreadable_message_file_is_data_error(
+        self, tmp_path, snapshot, capsys, monkeypatch
+    ):
+        msg = tmp_path / "m.txt"
+        msg.write_text("Subject: x\nhello", encoding="utf-8")
+        _refuse_reading(monkeypatch, msg)
+        assert main(["classify", str(snapshot), str(msg)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"icrm: error: cannot read message file {msg}: ")
+        assert err.count("\n") == 1
+
     def test_missing_snapshot_is_data_error(self, tmp_path, capsys):
         msg = tmp_path / "m.txt"
         msg.write_text("Subject: x\nhello", encoding="utf-8")
@@ -439,3 +490,58 @@ def test_settings_surface(capsys):
         "--seed", "--shift", "--shuffle-test", "--spam-ratio", "--stopwords",
         "--test-size", "--train-per-class", "--window",
     }
+    for command, want in (
+        ("ingest", {"--config", "--help", "--limit"}),
+        ("classify", {"--config", "--explain", "--help", "--stopwords"}),
+        ("report", {"--help"}),
+    ):
+        assert main([command, "--help"]) == EXIT_OK
+        assert set(re.findall(r"--[a-z0-9-]+", capsys.readouterr().out)) == want, command
+
+
+_ICRM_ONLY = [
+    ["--n-a", "1"], ["--e0-ham", "1"], ["--r0-ham", "20"], ["--e0-spam", "9"],
+    ["--r0-spam", "1"], ["--e0-test", "9"], ["--r0-test", "1"],
+    ["--proliferation", "0.5"], ["--death-rate", "0.5"], ["--feature-sampler", "random"],
+]
+_REFUSED = (
+    [("ingest", f) for f in (["--seed", "9"], ["--out", "x"], ["--jobs", "2"],
+                             ["--stopwords", "x"])]
+    + [("classify", f) for f in (["--seed", "9"], ["--out", "x"], ["--jobs", "2"])]
+    + [("report", f) for f in (["--seed", "9"], ["--out", "x"], ["--jobs", "2"],
+                               ["--stopwords", "x"], ["--config", "x"])]
+    + [(f"eval static {model}", f)
+       for model in ("icrm", "nb", "both") for f in (["--window", "100"], ["--shift", "20"])]
+    + [(f"eval dynamic {model}", f)
+       for model in ("icrm", "nb", "both")
+       for f in (["--runs", "3"], ["--test-size", "50"], ["--spam-ratio", "0.3"],
+                 ["--jobs", "2"], ["--balance"], ["--no-balance"], ["--shuffle-test"],
+                 ["--no-shuffle-test"])]
+    + [(f"eval {mode} nb", f) for mode in ("static", "dynamic") for f in _ICRM_ONLY]
+)
+
+
+@pytest.mark.parametrize("command, flag", _REFUSED,
+                         ids=[f"{c.replace(' ', '-')}{f[0]}" for c, f in _REFUSED])
+def test_flag_a_command_does_not_read_is_refused(
+    tmp_path, canonical_file, capsys, monkeypatch, command, flag
+):
+    """A flag the run would ignore exits 1 naming it, before any input is
+    read or any output is written."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the corpus was read before the flag check")
+
+    monkeypatch.setattr(cli, "read_canonical", refuse)
+    out = tmp_path / "o"
+    name, *rest = command.split()
+    positional = {
+        "ingest": [str(tmp_path / "tree"), str(out)],
+        "classify": [str(tmp_path / "state.json"), str(tmp_path / "m.txt")],
+        "report": [str(out)],
+        "eval": [*rest, "--data", str(canonical_file), "--out", str(out)],
+    }[name]
+    assert main([name, *positional, *flag]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("icrm: config error: ") and err.count("\n") == 1, err
+    assert flag[0] in err
+    assert not out.exists()

@@ -170,6 +170,8 @@ class TestScoringTables:
         model = _model(ham_docs, spam_docs)
         want = nb_reference.nb_posterior(model, sample)
         assert nb_posterior(model, sample) == want
+        assert nb_posterior(model, iter(sample)) == want
+        assert nb_posterior(model, (feature for feature in sample)) == want
         assert nb_posterior(_round_trip(model), sample) == want
 
     @given(ham_docs=_HAM_DOCS, spam_docs=_SPAM_DOCS, sample=_SAMPLE)
@@ -185,9 +187,17 @@ class TestScoringTables:
         features = preprocess(make_message(body=" ".join(sample)))
         want = nb_reference.nb_posterior(model, features)
         assert nb_posterior(model, features) == want
+        assert nb_posterior(model, iter(features)) == want
         again = _round_trip(model)
         assert again == model
         assert nb_posterior(again, features) == want
+
+    def test_iterator_sample_is_read_once_for_both_classes(self):
+        model = _model([["a"], ["a"]], [["b"], ["b"]])
+        want = nb_posterior(model, ["b", "b"])
+        assert want == pytest.approx(0.9, abs=1e-12)
+        assert nb_posterior(model, iter(["b", "b"])) == want
+        assert nb_posterior(model, (f for f in "bb")) == want
 
     def test_counts_are_read_only_copies(self):
         doc_count = {HAM: 1, SPAM: 1}
