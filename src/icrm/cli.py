@@ -142,6 +142,10 @@ def _run_settings(mode: str, model: str) -> set[str]:
     keys = {*_keyword_defaults(_PROTOCOLS[mode]), "out", "stopwords", "n"}
     if model != "nb":
         keys |= {f.name for f in dataclass_fields(IcrmConfig)} | {"feature_sampler"}
+    elif mode == "dynamic":
+        # the dynamic protocol hands its seed to the classifier alone, and
+        # Naive Bayes draws nothing
+        keys.discard("seed")
     return keys
 
 

@@ -1,7 +1,9 @@
 """The package's file boundary: versioned JSON state files and UTF-8 text.
 
 A state file is one JSON object, keys sorted, holding a ``format`` tag and
-an integer ``version`` next to the classifier's own body. Strict text
+an integer ``version`` next to the classifier's own body. A loader names
+the versions it reads; :func:`read_state` hands back the version it found
+with the body, so each classifier decodes its own versions. Strict text
 inputs are read whole by :func:`read_text`, which turns a file that cannot
 be read or is not UTF-8 into the caller's typed error naming the file.
 """
@@ -22,15 +24,22 @@ def write_state(path, fmt: str, version: int, body: dict) -> None:
         json.dump({"format": fmt, "version": version, **body}, fh, sort_keys=True)
 
 
-def read_state(path, fmt: str, version: int, error: type[Exception]) -> dict:
-    """The body of a ``fmt`` file at ``version``; the body's keys are not checked."""
+def read_state(
+    path, fmt: str, versions: set[int], error: type[Exception]
+) -> tuple[int, dict]:
+    """The version and body of a ``fmt`` file at one of ``versions``.
+
+    The version must be an ``int`` (not a bool, not a float that equals
+    one); the body's keys are not checked.
+    """
     try:
         state = json.loads(read_text(path, error, f"{fmt} file"))
     except (json.JSONDecodeError, RecursionError) as exc:
         raise error(f"cannot read {fmt} file {path}: {exc}") from None
     if not isinstance(state, dict) or state.get("format") != fmt:
         raise error(f"{path} is not an {fmt} file")
-    if state.get("version") != version:
-        raise error(f"{path}: unsupported {fmt} version {state.get('version')!r}")
+    version = state.get("version")
+    if type(version) is not int or version not in versions:
+        raise error(f"{path}: unsupported {fmt} version {version!r}")
     del state["format"], state["version"]
-    return state
+    return version, state

@@ -38,6 +38,7 @@ own interaction pass; a non-positive sum means spam.
 
 from __future__ import annotations
 
+import base64
 import math
 import sys
 from collections.abc import Mapping
@@ -140,7 +141,9 @@ class Repertoire(Mapping):
     shape (features, 2) whose columns are E and R. Rows are handed out in
     insertion order and never move, so iteration follows first sight.
     Reading a feature gives a tuple of Python floats; :meth:`add` appends
-    rows for new features.
+    rows for new features. A state file of version 2 keeps the rows in
+    this order; one of version 1 listed features sorted, so a repertoire
+    loaded from it iterates in sorted order.
     """
 
     def __init__(self, populations: Mapping[str, tuple[float, float]] | None = None):
@@ -471,40 +474,77 @@ class IcrmClassifier:
     # -- persistence ---------------------------------------------------
 
     _FORMAT = "icrm-state"
-    _VERSION = 1
+    _VERSION = 2
 
     def save(self, path) -> None:
-        """Write a lossless, versioned JSON snapshot of the full state."""
+        """Write a lossless, versioned JSON snapshot of the full state.
+
+        Version 2 lists the features in row order and holds their (E, R)
+        pairs, in the same order, as one base64 string of little-endian
+        float64s: loading it restores every population bit for bit and
+        the first-sight row order.
+        """
+        rep = self.repertoire
+        raw = np.ascontiguousarray(rep.populations, "<f8").tobytes()
         write_state(path, self._FORMAT, self._VERSION, {
             "config": asdict(self.config),
             "sampler": self.sampler,
             "rng_state": self.rng.bit_generator.state,
-            "repertoire": dict(
-                zip(self.repertoire.rows, self.repertoire.populations.tolist())
-            ),
+            "features": list(rep.rows),
+            "populations": base64.b64encode(raw).decode("ascii"),
         })
 
     @classmethod
     def load(cls, path, stopwords: frozenset[str] | None = None) -> "IcrmClassifier":
-        state = read_state(path, cls._FORMAT, cls._VERSION, SnapshotError)
+        """Resume from a version 1 or version 2 snapshot.
+
+        Version 1 holds a ``repertoire`` object, feature -> [E, R], whose
+        keys were saved sorted, so its rows load in sorted order. Either
+        way every population must be finite and non-negative and every
+        feature distinct; anything else is a :class:`SnapshotError`
+        naming the file.
+        """
+        version, state = read_state(path, cls._FORMAT, {1, 2}, SnapshotError)
         try:
             clf = cls(
                 IcrmConfig(**state["config"]),
                 stopwords=stopwords,
                 sampler=state.get("sampler", SAMPLERS[0]),
             )
-            entries = state["repertoire"]
-            pairs = list(entries.values())
-            if set(map(len, pairs)) - {2}:
-                raise ValueError("populations must be [E, R] pairs")
-            pops = np.fromiter(chain.from_iterable(pairs), np.float64, 2 * len(pairs))
-            pops = pops.reshape(-1, 2)
+            features, pops = (_v1_rows if version == 1 else _v2_rows)(state)
             ok = (pops >= 0.0) & (pops < math.inf)  # NaN fails too
             if not ok.all():
                 e, r = pops[np.flatnonzero(~ok)[0] // 2].tolist()
                 raise ValueError(f"populations must be finite and >= 0: {e}, {r}")
-            clf.repertoire = Repertoire.from_rows(entries, pops)
+            clf.repertoire = Repertoire.from_rows(features, pops)
             clf.rng.bit_generator.state = state["rng_state"]
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise SnapshotError(f"malformed state file {path}: {exc!r}") from None
         return clf
+
+
+def _v1_rows(state: dict) -> tuple[list[str], np.ndarray]:
+    """Features and (E, R) rows of a version 1 ``repertoire`` object."""
+    entries = state["repertoire"]
+    pairs = list(entries.values())
+    if set(map(len, pairs)) - {2}:
+        raise ValueError("populations must be [E, R] pairs")
+    pops = np.fromiter(chain.from_iterable(pairs), np.float64, 2 * len(pairs))
+    return list(entries), pops.reshape(-1, 2)
+
+
+def _v2_rows(state: dict) -> tuple[list[str], np.ndarray]:
+    """Features and (E, R) rows of version 2's ``features`` and ``populations``."""
+    features = state["features"]
+    if not isinstance(features, list) or set(map(type, features)) - {str}:
+        raise ValueError("features must be a list of strings")
+    text = state["populations"]
+    raw = base64.b64decode(text, validate=True)  # binascii.Error is a ValueError
+    if len(text) != 4 * -(-len(raw) // 3):
+        raise ValueError("populations carry padding beyond their last byte")
+    if len(raw) != 16 * len(features):
+        raise ValueError(
+            f"populations hold {len(raw)} bytes, not 16 for each of "
+            f"{len(features)} features"
+        )
+    return features, np.frombuffer(raw, "<f8").reshape(-1, 2)

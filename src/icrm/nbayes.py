@@ -178,7 +178,7 @@ class NaiveBayesClassifier:
 
     @classmethod
     def load(cls, path, stopwords: frozenset[str] | None = None) -> "NaiveBayesClassifier":
-        state = read_state(path, cls._FORMAT, cls._VERSION, ModelError)
+        _, state = read_state(path, cls._FORMAT, {cls._VERSION}, ModelError)
         try:
             clf = cls(n=state["n"], stopwords=stopwords)
             doc_count = _per_label(state["doc_count"], _count)

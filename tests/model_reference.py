@@ -5,13 +5,15 @@ These are the per-slot loops that ``icrm.model.build_slot_array`` and
 were written against, and the per-message cycle and state-file body as
 they were over a plain dict repertoire. The kernel must reproduce them bit
 for bit: same slot layout, same bindings, same float in every repertoire
-entry, same bytes in a saved state. Test-only; never imported by the
+entry, same bytes in a saved state of either version. Test-only; never imported by the
 package.
 """
 
 from __future__ import annotations
 
+import base64
 import math
+import struct
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -148,10 +150,26 @@ def state_body(
     rep: Repertoire, cfg: IcrmConfig, rng: np.random.Generator,
     sampler: str = SAMPLERS[0],
 ) -> dict:
-    """The body ``IcrmClassifier.save`` wrote for a dict repertoire."""
+    """The version 1 body ``IcrmClassifier.save`` wrote for a dict repertoire."""
     return {
         "config": asdict(cfg),
         "sampler": sampler,
         "rng_state": rng.bit_generator.state,
         "repertoire": {f: [e, r] for f, (e, r) in rep.items()},
+    }
+
+
+def state_body_v2(
+    rep: Repertoire, cfg: IcrmConfig, rng: np.random.Generator,
+    sampler: str = SAMPLERS[0],
+) -> dict:
+    """The version 2 body for a dict repertoire: features in insertion
+    order, their (E, R) pairs packed one by one as little-endian doubles."""
+    packed = b"".join(struct.pack("<dd", e, r) for e, r in rep.values())
+    return {
+        "config": asdict(cfg),
+        "sampler": sampler,
+        "rng_state": rng.bit_generator.state,
+        "features": list(rep),
+        "populations": base64.b64encode(packed).decode("ascii"),
     }

@@ -1,9 +1,11 @@
 """End-to-end CLI behaviour: commands, files, exit codes, determinism."""
 
+import base64
 import csv
 import inspect
 import json
 import re
+import struct
 from dataclasses import fields
 from pathlib import Path
 
@@ -14,8 +16,11 @@ from icrm import cli
 from icrm.cli import DEFAULTS, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from icrm.corpus import HAM, SPAM, read_canonical, write_canonical
 from icrm.evaluation import check_settings, eval_dynamic, eval_static
+from icrm.files import write_state
 from icrm.model import IcrmClassifier, IcrmConfig, SnapshotError
 from icrm.synth import synthetic_dataset
+
+from model_reference import state_body
 
 
 @pytest.fixture(scope="module")
@@ -341,6 +346,24 @@ def test_any_config_line_gives_config_error_or_valid_settings(
     assert err.startswith("icrm: config error: ") and err.count("\n") == 1, err
 
 
+def _edit_block(state: dict, edit) -> None:
+    """Replace a version 2 state's population bytes with ``edit`` of them."""
+    raw = base64.b64decode(state["populations"])
+    state["populations"] = base64.b64encode(edit(raw)).decode("ascii")
+
+
+def _keep_rows(state: dict, count: int, suffix: str) -> None:
+    """Cut a version 2 state to its first ``count`` rows, then append ``suffix``."""
+    state["features"] = state["features"][:count]
+    _edit_block(state, lambda raw: raw[: 16 * count])
+    state["populations"] += suffix
+
+
+def _set_first(value: float):
+    """An edit that sets the first population to ``value``."""
+    return lambda raw: struct.pack("<d", value) + raw[8:]
+
+
 class TestClassify:
     @pytest.fixture()
     def snapshot(self, tmp_path, disjoint_corpus):
@@ -374,31 +397,68 @@ class TestClassify:
         feature, value = lines[1].split()
         float(value)
 
-    @pytest.mark.parametrize("mutate", [
-        pytest.param(lambda s: s.pop("config"), id="missing-config"),
-        pytest.param(lambda s: s["config"].update(n=3), id="odd-n"),
-        pytest.param(lambda s: s["config"].update(bogus=1), id="unknown-config-key"),
-        pytest.param(lambda s: s.update(sampler="bogus"), id="unknown-sampler"),
-        pytest.param(lambda s: s["repertoire"].update(alpha=["x", 1.0]), id="population-x"),
-        pytest.param(lambda s: s["repertoire"].update(alpha=[-1.0, 1.0]),
+    @pytest.mark.parametrize("version, mutate", [
+        pytest.param(2, lambda s: s.pop("config"), id="missing-config"),
+        pytest.param(2, lambda s: s["config"].update(n=3), id="odd-n"),
+        pytest.param(2, lambda s: s["config"].update(bogus=1), id="unknown-config-key"),
+        pytest.param(2, lambda s: s.update(sampler="bogus"), id="unknown-sampler"),
+        pytest.param(1, lambda s: s["repertoire"].update(alpha=["x", 1.0]),
+                     id="population-x"),
+        pytest.param(1, lambda s: s["repertoire"].update(alpha=[-1.0, 1.0]),
                      id="population-negative"),
-        pytest.param(lambda s: s["repertoire"].update(alpha=[1.0, float("nan")]),
+        pytest.param(1, lambda s: s["repertoire"].update(alpha=[1.0, float("nan")]),
                      id="population-nan"),
-        pytest.param(lambda s: s.update(rng_state={"a": 1}), id="rng-state"),
-        pytest.param(lambda s: s["config"].update(n=50.0), id="float-n"),
-        pytest.param(lambda s: s["config"].update(n_a=10.0), id="float-n_a"),
-        pytest.param(lambda s: s["config"].update(e0_test=10**400), id="huge-int-e0"),
+        pytest.param(2, lambda s: s.update(rng_state={"a": 1}), id="rng-state"),
+        pytest.param(2, lambda s: s["config"].update(n=50.0), id="float-n"),
+        pytest.param(2, lambda s: s["config"].update(n_a=10.0), id="float-n_a"),
+        pytest.param(2, lambda s: s["config"].update(e0_test=10**400), id="huge-int-e0"),
+        pytest.param(2, lambda s: s.update(populations=s["populations"][:-1]),
+                     id="v2-truncated-base64"),
+        pytest.param(2, lambda s: s.update(populations=s["populations"] + "="),
+                     id="v2-extra-padding"),
+        # 48 bytes fill 16 base64 quads exactly, and decoding lets a "=" after them pass
+        pytest.param(2, lambda s: _keep_rows(s, 3, "="), id="v2-padding-after-last-quad"),
+        pytest.param(2, lambda s: s.update(populations="-" + s["populations"][1:]),
+                     id="v2-outside-alphabet"),
+        pytest.param(2, lambda s: _edit_block(s, lambda raw: raw[:-8]),
+                     id="v2-8-bytes-short"),
+        pytest.param(2, lambda s: _edit_block(s, lambda raw: raw + bytes(8)),
+                     id="v2-8-bytes-long"),
+        pytest.param(2, lambda s: s["features"].__setitem__(0, 7),
+                     id="v2-non-string-feature"),
+        pytest.param(2, lambda s: s["features"].__setitem__(1, s["features"][0]),
+                     id="v2-repeated-feature"),
+        pytest.param(2, lambda s: _edit_block(s, _set_first(float("nan"))), id="v2-nan"),
+        pytest.param(2, lambda s: _edit_block(s, _set_first(float("inf"))), id="v2-inf"),
+        pytest.param(2, lambda s: _edit_block(s, _set_first(-1.0)), id="v2-negative"),
     ])
-    def test_malformed_snapshot_is_data_error(self, tmp_path, snapshot, capsys, mutate):
+    def test_malformed_snapshot_is_data_error(
+        self, tmp_path, snapshot, capsys, version, mutate
+    ):
+        if version == 1:
+            clf = IcrmClassifier.load(snapshot)
+            write_state(snapshot, "icrm-state", 1,
+                        state_body(dict(clf.repertoire), clf.config, clf.rng))
         state = json.loads(snapshot.read_text(encoding="utf-8"))
+        assert state["version"] == version
         mutate(state)
         snapshot.write_text(json.dumps(state), encoding="utf-8")
-        with pytest.raises(SnapshotError):
+        with pytest.raises(SnapshotError, match=re.escape(str(snapshot))):
             IcrmClassifier.load(snapshot)
         msg = tmp_path / "m.txt"
         msg.write_text("Subject: x\nhello", encoding="utf-8")
         assert main(["classify", str(snapshot), str(msg)]) == EXIT_DATA
-        assert "malformed state file" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"icrm: error: malformed state file {snapshot}: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("version", [True, 1.0, 2.0, "2", None])
+    def test_version_must_be_an_accepted_int(self, snapshot, version):
+        state = json.loads(snapshot.read_text(encoding="utf-8"))
+        state["version"] = version
+        snapshot.write_text(json.dumps(state), encoding="utf-8")
+        with pytest.raises(SnapshotError, match=re.escape(f"{snapshot}: unsupported")):
+            IcrmClassifier.load(snapshot)
 
     def test_deeply_nested_snapshot_is_data_error(self, tmp_path, capsys):
         state = tmp_path / "state.json"
@@ -518,6 +578,8 @@ _REFUSED = (
                  ["--jobs", "2"], ["--balance"], ["--no-balance"], ["--shuffle-test"],
                  ["--no-shuffle-test"])]
     + [(f"eval {mode} nb", f) for mode in ("static", "dynamic") for f in _ICRM_ONLY]
+    # the dynamic protocol's seed reaches the classifier alone, and NB draws nothing
+    + [("eval dynamic nb", ["--seed", "9"])]
 )
 
 
@@ -545,3 +607,12 @@ def test_flag_a_command_does_not_read_is_refused(
     assert err.startswith("icrm: config error: ") and err.count("\n") == 1, err
     assert flag[0] in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mode, model", [
+    ("static", "icrm"), ("static", "nb"), ("static", "both"),
+    ("dynamic", "icrm"), ("dynamic", "both"),
+])
+def test_seed_is_read_where_something_draws_from_it(mode, model):
+    """Static runs shuffle and balance with the seed; ICRM draws from it."""
+    assert "seed" in cli._run_settings(mode, model)

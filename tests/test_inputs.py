@@ -14,11 +14,13 @@ from hypothesis import given, settings, strategies as st
 
 from icrm.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from icrm.corpus import LABELS, CanonicalFormatError, Dataset, read_canonical
+from icrm.files import write_state
 from icrm.model import IcrmClassifier, IcrmConfig, SnapshotError
 from icrm.nbayes import ModelError, NaiveBayesClassifier
 from icrm.synth import synthetic_dataset
 
 from conftest import make_message
+from model_reference import state_body
 
 _GOOD = {
     "id": "m1", "timestamp": "2001-02-03", "label": "ham",
@@ -215,7 +217,11 @@ _VALUES, _SMALL_VALUES = _json_values(), _json_values(max_int=64)
 
 
 def _near(key, old):
-    """Numbers one step from a saved number: as a float, negated, text, huge."""
+    """Values one step from a saved one. A string is cut short or padded,
+    which is how base64 goes wrong; a number is made a float, negated, text
+    or huge."""
+    if isinstance(old, str):
+        return st.sampled_from([old[:-1], old[:-4], old + "=", old + "A", old[1:]])
     if isinstance(old, bool) or not isinstance(old, (int, float)):
         return st.nothing()
     near = [float(old), -old, str(old)]
@@ -240,13 +246,19 @@ def _replace_one(data, doc) -> None:
 
 @functools.cache
 def _saved(kind: str) -> str:
-    """The text of a state file saved after training on a small corpus."""
+    """The text of a state file saved after training on a small corpus;
+    ``icrm-v1`` is the ICRM state as version 1 wrote it."""
     ds = synthetic_dataset(n_ham=30, n_spam=30, vocab_per_class=60, seed=4)
-    clf = IcrmClassifier(IcrmConfig(seed=2)) if kind == "icrm" else NaiveBayesClassifier()
+    clf = NaiveBayesClassifier() if kind == "nb" else IcrmClassifier(IcrmConfig(seed=2))
     clf.train(ds.ham + ds.spam)
     with tempfile.TemporaryDirectory() as tmp:
-        clf.save(Path(tmp) / "state.json")
-        return (Path(tmp) / "state.json").read_text(encoding="utf-8")
+        path = Path(tmp) / "state.json"
+        if kind == "icrm-v1":
+            body = state_body(dict(clf.repertoire), clf.config, clf.rng)
+            write_state(path, "icrm-state", 1, body)
+        else:
+            clf.save(path)
+        return path.read_text(encoding="utf-8")
 
 
 # 120 distinct stems (synthetic words stem to themselves): more than any
@@ -258,6 +270,7 @@ _LONG = make_message(body=" ".join(
 
 @pytest.mark.parametrize("kind, load, error", [
     ("icrm", IcrmClassifier.load, SnapshotError),
+    ("icrm-v1", IcrmClassifier.load, SnapshotError),
     ("nb", NaiveBayesClassifier.load, ModelError),
 ])
 @given(data=st.data())

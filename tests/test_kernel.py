@@ -6,6 +6,9 @@ there is no rounding difference to tolerate. Where the sign of a zero
 matters, floats are compared by ``float.hex``.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -245,17 +248,21 @@ def test_array_repertoire_matches_dict_reference(tmp_path, death_rate):
     if death_rate == 0.3:  # the clamp has run on real data
         assert (0.0, 0.0) in clf.repertoire.values()
 
-    # the state file the dict classifier wrote, byte for byte
+    # the version 2 state file the dict classifier writes, byte for byte
     clf.save(tmp_path / "array.json")
-    write_state(tmp_path / "dict.json", "icrm-state", 1, ref.state_body(rep, cfg, rng))
-    assert (tmp_path / "array.json").read_bytes() == (tmp_path / "dict.json").read_bytes()
+    write_state(tmp_path / "dict-v2.json", "icrm-state", 2,
+                ref.state_body_v2(rep, cfg, rng))
+    assert (tmp_path / "array.json").read_bytes() == (tmp_path / "dict-v2.json").read_bytes()
+    # version 2 keeps the rows in first-sight order
+    assert _bits(IcrmClassifier.load(tmp_path / "array.json").repertoire) == _bits(rep)
 
-    # and a state written the dict way resumes on the same path
+    # and a version 1 state written the dict way resumes on the same path
+    write_state(tmp_path / "dict.json", "icrm-state", 1, ref.state_body(rep, cfg, rng))
     resumed = IcrmClassifier.load(tmp_path / "dict.json")
     assert [resumed.verdict(m).score for m in stream[200:]] == [
         ref.process_message(rep, m, TEST, cfg, rng).score for m in stream[200:]
     ]
-    # a state file lists features sorted, so a loaded repertoire is in that order
+    # version 1 lists features sorted, so a repertoire loaded from it is in that order
     assert _bits(resumed.repertoire) == sorted(_bits(rep))
 
 
@@ -293,6 +300,37 @@ def test_decay_edges_match_reference(features, bound, death_rate):
         interact(cols, SlotArray(features, bound), cfg)
         ref.interact(rep, ref.SlotArray(features, bound), cfg)
         assert _bits(cols) == _bits(rep)
+
+
+def test_edge_populations_round_trip_through_a_state_file(tmp_path):
+    # -0.0, subnormals and the values at the clamp keep every bit
+    clf = IcrmClassifier()
+    clf.repertoire = Repertoire(_EDGES)
+    clf.save(tmp_path / "edges.json")
+    loaded = IcrmClassifier.load(tmp_path / "edges.json")
+    assert _bits(loaded.repertoire) == _bits(_EDGES)
+    loaded.save(tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == (tmp_path / "edges.json").read_bytes()
+
+
+_V1_FIXTURE = Path(__file__).parent / "data" / "icrm-state-v1.json"
+
+
+def test_version_1_fixture_loads_like_its_version_2_resave(tmp_path):
+    """A version 1 state, written by the version 1 ``save`` after training on
+    ``synthetic_dataset(30, 30, seed=4)`` with seed 2, resaved as version 2."""
+    assert json.loads(_V1_FIXTURE.read_text(encoding="utf-8"))["version"] == 1
+    old = IcrmClassifier.load(_V1_FIXTURE)
+    old.save(tmp_path / "v2.json")
+    new = IcrmClassifier.load(tmp_path / "v2.json")
+    assert json.loads((tmp_path / "v2.json").read_text(encoding="utf-8"))["version"] == 2
+    assert _bits(new.repertoire) == _bits(old.repertoire)
+    assert new.rng.bit_generator.state == old.rng.bit_generator.state
+    data = synthetic_dataset(30, 30, seed=4)
+    probe = data.ham[:10] + data.spam[:10] + [make_message(HAM, body="unseen words")]
+    assert [new.verdict(m) for m in probe] == [old.verdict(m) for m in probe]
+    # and the verdicts' updates left both repertoires alike
+    assert _bits(new.repertoire) == _bits(old.repertoire)
 
 
 def test_first_seen_features_across_a_capacity_doubling():

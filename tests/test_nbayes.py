@@ -289,6 +289,18 @@ class TestPersistence:
         with pytest.raises(ModelError, match=re.escape(str(path))):
             NaiveBayesClassifier.load(path)
 
+    @pytest.mark.parametrize("version", [True, 1.0, 2, "1", None])
+    def test_version_must_be_the_int_1(self, tmp_path, version):
+        clf = NaiveBayesClassifier()
+        clf.model = _model([["alpha"]], [["beta"]])
+        path = tmp_path / "nb.json"
+        clf.save(path)
+        state = json.loads(path.read_text(encoding="utf-8"))
+        state["version"] = version
+        path.write_text(json.dumps(state), encoding="utf-8")
+        with pytest.raises(ModelError, match=re.escape(f"{path}: unsupported")):
+            NaiveBayesClassifier.load(path)
+
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "x.json"
         path.write_text('{"format": "icrm-state", "version": 1}', encoding="utf-8")
