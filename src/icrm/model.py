@@ -106,6 +106,9 @@ class IcrmConfig:
                     isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
                 ):
                     raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+                # an initial population is a cell count; -0.0 passes, as on load
+                if f.name.startswith(("e0_", "r0_")) and value < 0:
+                    raise ValueError(f"{f.name} must be >= 0, got {value!r}")
                 # an int given in Python saves as the float the CLI would give
                 setattr(self, f.name, float(value))
         check_sample_cap(self.n)

@@ -2,16 +2,23 @@
 
 Words are analysed as [C](VC)^m[V] where C/V are maximal consonant/vowel
 runs; m is the "measure" that gates most rules.  Steps 1a, 2, 3 and 4 are
-(suffix, replacement) tables sorted longest suffix first, each gated by a
-minimum measure of the remaining stem (none, > 0, > 0, > 1).  Within a
-step only the longest matching suffix is considered; if its condition
-fails, the step performs no change.  Steps 1b, 1c, 5a and 5b carry their
-own conditions.
+(suffix, replacement) tables, each gated by a minimum measure of the
+remaining stem (none, > 0, > 0, > 1).  Within a step only the longest
+matching suffix is considered; if its condition fails, the step performs
+no change.  A table rejects most words with one ``str.endswith`` over all
+its suffixes and otherwise looks the word's ending up in per-length dicts,
+longest first.  Steps 1b, 1c, 5a and 5b carry their own conditions.
 """
 
 from __future__ import annotations
 
+import re
+from typing import NamedTuple
+
 _VOWELS = frozenset("aeiou")
+# Without a y every letter's class is fixed, so one VC pair is one match.
+_VC = re.compile("[aeiou][^aeiou]")
+_VOWEL = re.compile("[aeiou]")
 
 
 def _is_consonant(word: str, i: int) -> bool:
@@ -27,6 +34,8 @@ def _is_consonant(word: str, i: int) -> bool:
 
 def _measure(stem: str) -> int:
     """Count VC sequences: one per vowel-run followed by a consonant-run."""
+    if "y" not in stem:
+        return len(_VC.findall(stem))
     m = 0
     prev_cons = True
     for i in range(len(stem)):
@@ -38,6 +47,8 @@ def _measure(stem: str) -> int:
 
 
 def _contains_vowel(stem: str) -> bool:
+    if "y" not in stem:
+        return _VOWEL.search(stem) is not None
     return any(not _is_consonant(stem, i) for i in range(len(stem)))
 
 
@@ -91,13 +102,28 @@ def _step1c(word: str) -> str:
     return word
 
 
-def _longest_first(rules) -> tuple[tuple[str, str], ...]:
-    return tuple(sorted(rules, key=lambda rule: len(rule[0]), reverse=True))
+class _Step(NamedTuple):
+    """One suffix table: every suffix for a single ``endswith`` rejection,
+    then the (suffix -> replacement) dicts keyed by suffix length, longest
+    first."""
+
+    suffixes: tuple[str, ...]
+    by_length: tuple[tuple[int, dict[str, str]], ...]
 
 
-_STEP1A = _longest_first([("sses", "ss"), ("ies", "i"), ("ss", "ss"), ("s", "")])
+def _step(rules) -> _Step:
+    by_length: dict[int, dict[str, str]] = {}
+    for suffix, replacement in rules:
+        by_length.setdefault(len(suffix), {})[suffix] = replacement
+    return _Step(
+        tuple(suffix for suffix, _ in rules),
+        tuple(sorted(by_length.items(), reverse=True)),
+    )
 
-_STEP2 = _longest_first([
+
+_STEP1A = _step([("sses", "ss"), ("ies", "i"), ("ss", "ss"), ("s", "")])
+
+_STEP2 = _step([
     ("ational", "ate"), ("tional", "tion"), ("enci", "ence"), ("anci", "ance"),
     ("izer", "ize"), ("abli", "able"), ("alli", "al"), ("entli", "ent"),
     ("eli", "e"), ("ousli", "ous"), ("ization", "ize"), ("ation", "ate"),
@@ -105,27 +131,30 @@ _STEP2 = _longest_first([
     ("ousness", "ous"), ("aliti", "al"), ("iviti", "ive"), ("biliti", "ble"),
 ])
 
-_STEP3 = _longest_first([
+_STEP3 = _step([
     ("icate", "ic"), ("ative", ""), ("alize", "al"), ("iciti", "ic"),
     ("ical", "ic"), ("ful", ""), ("ness", ""),
 ])
 
-_STEP4 = _longest_first((suffix, "") for suffix in (
+_STEP4 = _step([(suffix, "") for suffix in (
     "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
     "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
-))
+)])
 
 
-def _replace_suffix(word: str, rules, min_measure: int) -> str:
-    """Replace the longest suffix in ``rules`` if its stem's measure > min_measure.
+def _replace_suffix(word: str, step: _Step, min_measure: int) -> str:
+    """Replace the longest suffix in ``step`` if its stem's measure > min_measure.
 
-    ``rules`` is sorted longest suffix first, so the first match is the
-    only candidate. ``min_measure`` -1 means no condition; -ion (step 4)
-    also needs a stem ending in s or t.
+    Only the longest matching suffix is a candidate. ``min_measure`` -1
+    means no condition; -ion (step 4) also needs a stem ending in s or t.
     """
-    for suffix, replacement in rules:
-        if word.endswith(suffix):
-            stem = word[: len(word) - len(suffix)]
+    if not word.endswith(step.suffixes):
+        return word
+    for length, replacements in step.by_length:
+        suffix = word[-length:]
+        replacement = replacements.get(suffix)
+        if replacement is not None:
+            stem = word[:-length]
             if (min_measure < 0 or _measure(stem) > min_measure) and (
                 suffix != "ion" or stem.endswith(("s", "t"))
             ):
@@ -144,11 +173,8 @@ def _step5a(word: str) -> str:
 
 
 def _step5b(word: str) -> str:
-    if (
-        _measure(word) > 1
-        and _ends_double_consonant(word)
-        and word.endswith("l")
-    ):
+    # a double consonant ending in l is "ll"
+    if word.endswith("ll") and _measure(word) > 1:
         return word[:-1]
     return word
 

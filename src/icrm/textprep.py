@@ -51,9 +51,12 @@ def check_sample_cap(n: int) -> None:
         raise ValueError(f"sample cap must be an even integer >= 2, got {n!r}")
 
 
-def _clean(raw: str) -> str:
-    """Lowercase and strip leading/trailing non-alphanumeric characters."""
-    token = raw.lower()
+# What str.strip takes off a token's ends before the per-character loop.
+_ASCII_EDGES = "".join(ch for ch in map(chr, range(128)) if not ch.isalnum())
+
+
+def _clean(token: str) -> str:
+    """Strip leading/trailing characters that are not alphanumeric."""
     start = 0
     end = len(token)
     while start < end and not token[start].isalnum():
@@ -66,13 +69,20 @@ def _clean(raw: str) -> str:
 def tokenize(subject: str, body: str) -> list[str]:
     """Split subject then body into cleaned tokens of length >= 3.
 
-    Markup is not treated specially: ``<table>`` survives as ``table``
-    while ``<br>`` dies on the length filter. Order and duplicates are
+    The text is lowercased once and split on ``str.split`` whitespace;
+    each token loses its leading and trailing characters that are not
+    ``isalnum``. Lowercasing before the split gives the same tokens as
+    lowercasing each one: no character's lowercase form adds or removes
+    whitespace, and a final sigma's context ends at whitespace. Markup
+    is not treated specially: ``<table>`` survives as ``table`` while
+    ``<br>`` dies on the length filter. Order and duplicates are
     preserved.
     """
     tokens = []
-    for raw in f"{subject} {body}".split():
-        token = _clean(raw)
+    for token in f"{subject} {body}".lower().split():
+        if not token.isalnum():
+            # ASCII punctuation first, at C speed; the loop for the Unicode rest
+            token = _clean(token.strip(_ASCII_EDGES))
         if len(token) >= _MIN_TOKEN_LEN:
             tokens.append(token)
     return tokens
@@ -128,10 +138,15 @@ def preprocess(
 
 
 def _distinct_stems(msg, stopwords) -> list[str]:
-    """The message's stems in document order, first occurrence kept."""
+    """The message's stems in document order, first occurrence kept.
+
+    Tokens are deduplicated before stemming: a stem first appears where
+    its first token first appears, so stemming each distinct token once
+    gives the same list.
+    """
     stems = [
         stem(token)
-        for token in tokenize(msg.subject, msg.body)
+        for token in dict.fromkeys(tokenize(msg.subject, msg.body))
         if token not in stopwords
     ]
     return list(dict.fromkeys(stems))

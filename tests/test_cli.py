@@ -225,6 +225,10 @@ class TestEval:
         ("static", ["--seed", "-1"], None),
         ("dynamic", ["--window", "0"], None),
         ("dynamic", ["--shift", "0"], None),
+        ("static", ["--r0-spam", "-1"], None),
+        ("static", ["--e0-ham", "-0.5"], None),
+        ("dynamic", ["--r0-test", "-1e-300"], None),
+        ("static", [], "r0_test = -2"),
     ], ids=[
         "e0-ham-20", "runs-0", "runs-negative", "window-0", "shift-0", "shift-negative",
         "config-runs-0", "config-proliferation-nan", "config-proliferation-inf",
@@ -232,6 +236,8 @@ class TestEval:
         "train-per-class-0", "jobs-0", "jobs-negative", "spam-ratio-0",
         "spam-ratio-1", "spam-ratio-1.5", "spam-ratio-nan", "config-spam-ratio-nan",
         "config-test-size-0", "seed-negative", "dynamic-window-0", "dynamic-shift-0",
+        "r0-spam-negative", "e0-ham-negative", "dynamic-r0-test-negative",
+        "config-r0-test-negative",
     ])
     def test_invalid_model_config_reported_before_compute(
         self, tmp_path, canonical_file, mode, flags, config

@@ -75,6 +75,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             IcrmConfig(death_rate=1.0).validate()
 
+    def test_initial_populations_not_negative(self):
+        # the bound a loaded state holds its populations to: 0 and -0.0 pass
+        for name in ("e0_ham", "r0_spam", "r0_test"):
+            with pytest.raises(ValueError, match=f"{name} must be >= 0"):
+                IcrmConfig(**{name: -1.0}).validate()
+        IcrmConfig(e0_ham=0, r0_spam=-0.0, r0_test=0.0).validate()
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
         "name", [f.name for f in fields(IcrmConfig) if isinstance(f.default, float)]

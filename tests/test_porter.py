@@ -5,7 +5,7 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from icrm.porter import stem
+from icrm.porter import _STEP1A, _STEP2, _STEP3, _STEP4, stem
 
 from porter_reference import reference_stem
 
@@ -134,6 +134,26 @@ def test_independent_implementation_agrees_on_random_words(word):
 )
 @settings(max_examples=1000, deadline=None)
 def test_independent_implementation_agrees_on_suffixed_words(base, suffix):
+    word = base + suffix
+    assert stem(word) == reference_stem(word)
+
+
+PACKAGE_SUFFIXES = [
+    suffix for step in (_STEP1A, _STEP2, _STEP3, _STEP4) for suffix in step.suffixes
+]
+
+
+def test_package_tables_hold_the_written_out_suffixes():
+    assert len(PACKAGE_SUFFIXES) == len(set(PACKAGE_SUFFIXES)) == 50
+    assert set(PACKAGE_SUFFIXES) <= set(TABLE_SUFFIXES)
+
+
+# Every suffix of the package's own tables after a random stem: the stem's
+# measure ranges over 0 to 4, so each gated rule is both taken and refused.
+@pytest.mark.parametrize("suffix", PACKAGE_SUFFIXES)
+@given(base=st.text(alphabet=RULE_ALPHABET, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_each_table_suffix_agrees_with_reference(suffix, base):
     word = base + suffix
     assert stem(word) == reference_stem(word)
 

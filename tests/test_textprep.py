@@ -13,6 +13,7 @@ from icrm.corpus import Dataset, write_canonical
 from icrm.textprep import SAMPLERS, default_stopwords, preprocess, tokenize
 from icrm.porter import stem
 
+import textprep_reference
 from conftest import make_message
 
 
@@ -244,3 +245,80 @@ def test_memo_leaves_value_semantics_alone(tmp_path):
     assert copy == msg
     assert preprocess(copy, n=10) == sample
     assert preprocess(copy, n=50) == preprocess(twin, n=50)
+
+
+# -- the one-split front end against the token-at-a-time reference -------
+
+# Characters at the edges of the tokenizer contract: whitespace that only
+# str.split knows (information separators, NEL, line separator,
+# ideographic space), "_", Greek capital sigma (lowercased by context),
+# dotted capital I (lowercased to two characters), combining marks, and
+# numerics that are alphanumeric without being ASCII digits.
+_EDGE_CHARS = (
+    "\x1c\x1d\x1e\x1f\x85\u2028\u3000 \t_'.-<>!"
+    "\u03a3\u03c3\u03c2\u0391\u0130\u0131\u0301\u0307\u00b2\u0663\u00bdaZy"
+)
+_CHARS = st.one_of(st.characters(), st.sampled_from(_EDGE_CHARS))
+_REPEATS = [
+    "Runs", "running", "RUN", "ΣΑΣ", "σας", "the", "About", "x²y", "__init__",
+    "e\u0301te\u0301", "İstanbul", "٣٣٣",
+]
+_TEXT = st.one_of(
+    st.text(_CHARS, max_size=60),
+    st.lists(st.text(_CHARS, min_size=1, max_size=8), max_size=30).map(" ".join),
+    st.lists(st.sampled_from(_REPEATS), max_size=30).map(" ".join),
+)
+
+PINNED = [
+    pytest.param("alpha\x1cbeta\x1dgamma", "delta\x1eepsilon\x1fzeta", id="info-separators"),
+    pytest.param("one\x85two", "three\u2028four\u3000five", id="nel-ls-ideographic"),
+    pytest.param("__init__", "snake_case ___ _abc_ a_b", id="underscore"),
+    pytest.param("ΣΑΣ", "ΟΔΟΣ. ΣΑΣ's (ΣΑΣ) ΑΣΑ", id="final-sigma"),
+    pytest.param("İstanbul İİİ", "e\u0301te\u0301 \u0301\u0301abc\u0301 caf\u0301", id="dotted-i-combining"),
+    pytest.param("x²y ²²²", "٣٣٣ abc٣ ½½½ Ⅻ", id="numerics"),
+]
+
+
+@pytest.mark.parametrize("subject, body", PINNED)
+def test_front_end_matches_reference_on_edges(subject, body):
+    stopwords = default_stopwords()
+    assert tokenize(subject, body) == textprep_reference.tokenize(subject, body)
+    assert textprep._distinct_stems(make_message(subject=subject, body=body), stopwords) == (
+        textprep_reference.distinct_stems(subject, body, stopwords)
+    )
+    for n in (2, 4, 50):
+        assert preprocess(make_message(subject=subject, body=body), n=n) == (
+            textprep_reference.first_last_sample(subject, body, n, stopwords)
+        )
+
+
+def test_edge_tokens():
+    assert tokenize("a\x1cbcd\u3000efg", "hij\x85klm\u2028nop") == [
+        "bcd", "efg", "hij", "klm", "nop",
+    ]
+    assert tokenize("__init__", "_abc_ snake_case") == ["init", "abc", "snake_case"]
+    assert tokenize("ΣΑΣ", "ΣΑΣ.") == ["σας", "σας"]
+    assert tokenize("", "İİİ x²y ٣٣٣") == ["i\u0307i\u0307i", "x²y", "٣٣٣"]
+
+
+@given(subject=_TEXT, body=_TEXT)
+@settings(max_examples=400, deadline=None)
+def test_front_end_matches_reference(subject, body):
+    stopwords = default_stopwords()
+    assert tokenize(subject, body) == textprep_reference.tokenize(subject, body)
+    assert textprep._distinct_stems(make_message(subject=subject, body=body), stopwords) == (
+        textprep_reference.distinct_stems(subject, body, stopwords)
+    )
+
+
+@given(
+    subject=_TEXT, body=_TEXT, n=st.sampled_from([2, 4, 10, 50]), every=st.integers(1, 4)
+)
+@settings(max_examples=300, deadline=None)
+def test_preprocess_matches_reference(subject, body, n, every):
+    # stopwords drawn from the message itself, so some tokens always drop
+    stopwords = frozenset(textprep_reference.tokenize(subject, body)[::every])
+    msg = make_message(subject=subject, body=body)
+    want = textprep_reference.first_last_sample(subject, body, n, stopwords)
+    assert preprocess(msg, n=n, stopwords=stopwords) == want
+    assert preprocess(msg, n=n, stopwords=stopwords) == want  # from the memo
