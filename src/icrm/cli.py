@@ -76,7 +76,6 @@ _HELP = {
     "seed": f"randomization seed (default {DEFAULTS['seed']})",
     "limit": f"messages kept per class (default {DEFAULTS['limit']})",
     "out": "output directory for report files",
-    "jobs": "parallel evaluation runs",
     "stopwords": "override the shipped stopword list",
     "balance": "balanced evaluation counting",
     "n": "feature sample cap",
@@ -223,6 +222,9 @@ def cmd_eval(args) -> int:
         check_settings(settings)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    if args.mode == "static" and args.model == "both" and settings["runs"] < 2:
+        raise ConfigError(f"eval static both compares the two models' runs with a "
+                          f"paired t-test and needs runs >= 2, got {settings['runs']}")
     stopwords = _load_stopwords(settings)
     dataset = read_canonical(args.data)
     out_dir = Path(settings["out"])

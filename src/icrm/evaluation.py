@@ -15,9 +15,7 @@ Spam counts as the positive class throughout.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -38,11 +36,11 @@ class EvalError(Exception):
 def check_settings(settings: Mapping[str, object]) -> None:
     """Raise ValueError naming the first protocol setting out of range.
 
-    Counts (runs, train_per_class, test_size, jobs, window, shift) must be
-    at least 1 and spam_ratio inside (0, 1), where NaN fails; keys missing
+    Counts (runs, train_per_class, test_size, window, shift) must be at
+    least 1 and spam_ratio inside (0, 1), where NaN fails; keys missing
     from ``settings`` are not checked.
     """
-    for key in ("runs", "train_per_class", "test_size", "jobs", "window", "shift"):
+    for key in ("runs", "train_per_class", "test_size", "window", "shift"):
         if key in settings and not settings[key] >= 1:
             raise ValueError(f"{key} must be >= 1, got {settings[key]}")
     if "spam_ratio" in settings and not 0.0 < settings["spam_ratio"] < 1.0:
@@ -201,7 +199,7 @@ def paired_t_test(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]
     return (t, p)
 
 
-# -- classifier factories (picklable, for parallel runs) ----------------
+# -- classifier factories: one fresh classifier per run seed -----------
 
 
 @dataclass
@@ -255,26 +253,6 @@ def _balanced_records(
     return [records[i] for i in keep]
 
 
-def _static_run(
-    dataset: Dataset, factory, k: int, *, train_per_class: int, test_size: int,
-    spam_ratio: float, shuffle_test: bool, balance: bool, seed: int,
-) -> RunMetrics:
-    split = make_split(
-        dataset, train_per_class, test_size, spam_ratio, offset=k * train_per_class
-    )
-    run_seed = seed + k
-    clf = factory(run_seed)
-    clf.train(split.train)
-    stream = split.test
-    if shuffle_test:
-        perm = np.random.default_rng([run_seed, 1]).permutation(len(stream))
-        stream = [stream[int(i)] for i in perm]
-    records = [(msg.label, clf.classify(msg)) for msg in stream]
-    if balance:
-        records = _balanced_records(records, np.random.default_rng([run_seed, 2]))
-    return metrics_from_counts(counts_from_records(records))
-
-
 def eval_static(
     dataset: Dataset,
     factory,
@@ -285,39 +263,43 @@ def eval_static(
     shuffle_test: bool = False,
     seed: int = 42,
     balance: bool | None = None,
-    jobs: int = 1,
 ) -> EvalReport:
     """Repeated train/test blocks advancing by train_per_class per run.
 
-    Run k trains on per-class messages [k*tpc, (k+1)*tpc) and tests on the
-    following block at the requested spam ratio. ``balance`` (default: on
-    for ratios other than 0.5) restores a balanced evaluation set by
-    seeded down-sampling of the majority class before counting. At most
-    ``runs`` worker processes are started.
+    Run k trains a fresh classifier (seed + k) on per-class messages
+    [k*tpc, (k+1)*tpc) and tests it on the following block at the
+    requested spam ratio. ``balance`` (default: on for ratios other than
+    0.5) restores a balanced evaluation set by seeded down-sampling of the
+    majority class before counting. The runs execute in order, in this
+    process.
     """
     check_settings({"runs": runs, "train_per_class": train_per_class,
-                    "test_size": test_size, "spam_ratio": spam_ratio, "jobs": jobs})
+                    "test_size": test_size, "spam_ratio": spam_ratio})
     if balance is None:
         balance = spam_ratio != 0.5
-    # Fail before any run executes if the corpus cannot cover the schedule.
+    # Every split is made before any run executes, so a corpus that cannot
+    # cover the schedule fails first.
     try:
-        make_split(
-            dataset, train_per_class, test_size, spam_ratio,
-            offset=(runs - 1) * train_per_class,
-        )
+        splits = [
+            make_split(dataset, train_per_class, test_size, spam_ratio,
+                       offset=k * train_per_class)
+            for k in range(runs)
+        ]
     except SplitError as exc:
         raise EvalError(f"corpus too small for {runs} runs: {exc}") from None
-    run = partial(
-        _static_run, dataset, factory, train_per_class=train_per_class,
-        test_size=test_size, spam_ratio=spam_ratio, shuffle_test=shuffle_test,
-        balance=balance, seed=seed,
-    )
-    workers = min(jobs, runs)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            metrics = list(pool.map(run, range(runs)))
-    else:
-        metrics = list(map(run, range(runs)))
+    metrics = []
+    for k, split in enumerate(splits):
+        run_seed = seed + k
+        clf = factory(run_seed)
+        clf.train(split.train)
+        stream = split.test
+        if shuffle_test:
+            perm = np.random.default_rng([run_seed, 1]).permutation(len(stream))
+            stream = [stream[int(i)] for i in perm]
+        records = [(msg.label, clf.classify(msg)) for msg in stream]
+        if balance:
+            records = _balanced_records(records, np.random.default_rng([run_seed, 2]))
+        metrics.append(metrics_from_counts(counts_from_records(records)))
     return EvalReport(
         mode="static", classifier=getattr(factory, "name", "?"), metrics=metrics
     )
@@ -339,7 +321,8 @@ def eval_dynamic(
     Every validation message is classified exactly once, in order; window
     metrics are recomputed over each span [s, s + window). Drift slopes
     for pct_fp and pct_fn are least-squares fits against the window index
-    0, 1, 2, ...
+    0, 1, 2, ..., so a stream holding fewer than two windows is refused
+    before the classifier trains.
     """
     check_settings(
         {"train_per_class": train_per_class, "window": window, "shift": shift}
@@ -348,17 +331,18 @@ def eval_dynamic(
         train = make_split(dataset, train_per_class, 0).train
     except SplitError as exc:
         raise EvalError(f"corpus too small to train: {exc}") from None
-    clf = factory(seed)
-    clf.train(train)
     stream = merge_by_ratio(
         dataset.ham[train_per_class:], dataset.spam[train_per_class:]
     )
-    if window > len(stream):
+    starts = list(range(0, len(stream) - window + 1, shift))
+    if len(starts) < 2:
         raise EvalError(
-            f"window {window} exceeds validation stream length {len(stream)}"
+            f"validation stream of {len(stream)} messages holds {len(starts)} "
+            f"window(s) of {window} at shift {shift}; at least 2 are needed"
         )
+    clf = factory(seed)
+    clf.train(train)
     records = [(msg.label, clf.classify(msg)) for msg in stream]
-    starts = list(range(0, len(records) - window + 1, shift))
     metrics = [
         metrics_from_counts(counts_from_records(records[s : s + window]))
         for s in starts

@@ -229,6 +229,7 @@ class TestEval:
         ("static", ["--e0-ham", "-0.5"], None),
         ("dynamic", ["--r0-test", "-1e-300"], None),
         ("static", [], "r0_test = -2"),
+        ("static", [], "jobs = 2"),
     ], ids=[
         "e0-ham-20", "runs-0", "runs-negative", "window-0", "shift-0", "shift-negative",
         "config-runs-0", "config-proliferation-nan", "config-proliferation-inf",
@@ -237,7 +238,7 @@ class TestEval:
         "spam-ratio-1", "spam-ratio-1.5", "spam-ratio-nan", "config-spam-ratio-nan",
         "config-test-size-0", "seed-negative", "dynamic-window-0", "dynamic-shift-0",
         "r0-spam-negative", "e0-ham-negative", "dynamic-r0-test-negative",
-        "config-r0-test-negative",
+        "config-r0-test-negative", "config-jobs-2",
     ])
     def test_invalid_model_config_reported_before_compute(
         self, tmp_path, canonical_file, mode, flags, config
@@ -550,8 +551,7 @@ def test_settings_surface(capsys):
     assert sources[1]["train_per_class"] == sources[2]["train_per_class"] == 100
     assert options == {
         "--balance", "--config", "--data", "--death-rate", "--e0-ham",
-        "--e0-spam", "--e0-test", "--feature-sampler", "--help", "--jobs",
-        "--n", "--n-a", "--no-balance", "--no-shuffle-test", "--out",
+        "--e0-spam", "--e0-test", "--feature-sampler", "--help", "--n", "--n-a", "--no-balance", "--no-shuffle-test", "--out",
         "--proliferation", "--r0-ham", "--r0-spam", "--r0-test", "--runs",
         "--seed", "--shift", "--shuffle-test", "--spam-ratio", "--stopwords",
         "--test-size", "--train-per-class", "--window",
@@ -613,6 +613,67 @@ def test_flag_a_command_does_not_read_is_refused(
     assert err.startswith("icrm: config error: ") and err.count("\n") == 1, err
     assert flag[0] in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, config", [
+    (["--runs", "1"], None), ([], "runs = 1"),
+], ids=["flag", "config"])
+def test_static_both_with_one_run_is_refused(
+    tmp_path, canonical_file, capsys, monkeypatch, flags, config
+):
+    """The paired t-test of ``both`` needs two runs; one run exits 1 before
+    the corpus is read or any output is written."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the corpus was read before the runs check")
+
+    monkeypatch.setattr(cli, "read_canonical", refuse)
+    if config is not None:
+        (tmp_path / "one.conf").write_text(config + "\n", encoding="utf-8")
+        flags = flags + ["--config", str(tmp_path / "one.conf")]
+    out = tmp_path / "o"
+    code = main(["eval", "static", "both", "--data", str(canonical_file),
+                 "--out", str(out), *flags])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("icrm: config error: ") and err.count("\n") == 1, err
+    assert "runs >= 2, got 1" in err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def edge_corpus(tmp_path_factory):
+    """60 messages per class: 10 + 10 train and a 100-message dynamic stream."""
+    path = tmp_path_factory.mktemp("edge") / "edge.jsonl"
+    write_canonical(synthetic_dataset(n_ham=60, n_spam=60, seed=3), path)
+    return path
+
+
+_EDGE_STREAM = 100
+_EDGE_CASES = (
+    [("static", model, ["--runs", str(runs), "--test-size", "20"],
+      1 if model == "both" and runs == 1 else 0)
+     for runs in (1, 2) for model in ("icrm", "nb", "both")]
+    + [("dynamic", model, ["--window", str(window), "--shift", str(shift)],
+        0 if len(range(0, _EDGE_STREAM - window + 1, shift)) >= 2 else 2)
+       for window in (_EDGE_STREAM - 1, _EDGE_STREAM, _EDGE_STREAM + 1)
+       for shift in (1, 10) for model in ("icrm", "nb", "both")]
+)
+
+
+@pytest.mark.parametrize(
+    "mode, model, flags, want", _EDGE_CASES,
+    ids=[f"{mode}-{model}{''.join(flags)}" for mode, model, flags, _ in _EDGE_CASES],
+)
+def test_eval_near_its_edges(tmp_path, edge_corpus, capsys, mode, model, flags, want):
+    """Fewest runs and windows: an exit code, and one stderr line when not 0."""
+    code = main(["eval", mode, model, "--data", str(edge_corpus),
+                 "--train-per-class", "10", "--out", str(tmp_path / "o"), *flags])
+    err = capsys.readouterr().err
+    assert code == want, err
+    if code:
+        assert err.startswith("icrm: ") and err.count("\n") == 1, err
+    else:
+        assert err == ""
 
 
 @pytest.mark.parametrize("mode, model", [

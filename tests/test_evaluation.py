@@ -32,6 +32,15 @@ from conftest import (
 )
 
 
+class UncalledFactory:
+    """A factory whose use fails the test: nothing may be trained."""
+
+    name = "uncalled"
+
+    def __call__(self, run_seed):
+        raise AssertionError("a classifier was built")
+
+
 def _metrics_oracle(tp, tn, fp, fn):
     """Recompute the footnote formulas in exact rational arithmetic."""
     def ratio(num, den):
@@ -175,7 +184,6 @@ class TestPairedTTest:
     (eval_static, {"runs": 0}, "runs"),
     (eval_static, {"train_per_class": 0}, "train_per_class"),
     (eval_static, {"test_size": 0}, "test_size"),
-    (eval_static, {"jobs": 0}, "jobs"),
     (eval_static, {"spam_ratio": 1.5}, "spam_ratio"),
     (eval_static, {"spam_ratio": math.nan}, "spam_ratio"),
     (eval_dynamic, {"shift": 0}, "shift"),
@@ -184,7 +192,7 @@ class TestPairedTTest:
     (eval_dynamic, {"train_per_class": -3}, "train_per_class"),
 ], ids=[
     "static-runs-0", "static-train-per-class-0", "static-test-size-0",
-    "static-jobs-0", "static-spam-ratio-1.5", "static-spam-ratio-nan",
+    "static-spam-ratio-1.5", "static-spam-ratio-nan",
     "dynamic-shift-0", "dynamic-window-negative", "dynamic-window-0",
     "dynamic-train-per-class-negative",
 ])
@@ -207,39 +215,13 @@ class TestEvalStatic:
 
     def test_insufficient_corpus_fails_before_running(self):
         tiny = synthetic_dataset(n_ham=150, n_spam=150, seed=2)
-        with pytest.raises(EvalError):
-            eval_static(tiny, PerfectFactory(), runs=10)
+        with pytest.raises(EvalError, match="^corpus too small for 10 runs"):
+            eval_static(tiny, UncalledFactory(), runs=10)
 
     def test_bit_reproducible(self, disjoint_corpus):
         r1 = eval_static(disjoint_corpus, IcrmFactory(), runs=2, seed=9)
         r2 = eval_static(disjoint_corpus, IcrmFactory(), runs=2, seed=9)
         assert r1 == r2
-
-    def test_parallel_matches_sequential(self, disjoint_corpus):
-        seq = eval_static(disjoint_corpus, IcrmFactory(), runs=2, seed=9, jobs=1)
-        par = eval_static(disjoint_corpus, IcrmFactory(), runs=2, seed=9, jobs=2)
-        assert seq == par
-
-    def test_jobs_capped_at_runs(self, protocol_corpus, monkeypatch):
-        started = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, iterable):
-                return map(fn, iterable)
-
-        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", RecordingPool)
-        eval_static(protocol_corpus, PerfectFactory(), runs=2, jobs=5000)
-        eval_static(protocol_corpus, PerfectFactory(), runs=1, jobs=8)
-        assert started == [2]  # the one-run call takes the serial path
 
     def test_shuffle_flag_changes_stream_not_determinism(self, disjoint_corpus):
         a = eval_static(
@@ -318,6 +300,19 @@ class TestEvalDynamic:
         with pytest.raises(EvalError):
             eval_dynamic(tiny, AllHamFactory(), train_per_class=100, window=200)
 
+    @pytest.mark.parametrize("window, shift", [
+        (100, 1), (101, 1), (200, 10), (90, 20),
+    ], ids=["one-window", "window-over-stream", "window-far-over-stream",
+            "shift-past-second-window"])
+    def test_fewer_than_two_windows_fail_before_training(self, window, shift):
+        # 50 + 50 messages follow the 10 + 10 training messages
+        tiny = synthetic_dataset(n_ham=60, n_spam=60, seed=4)
+        with pytest.raises(
+            EvalError, match=f"^validation stream of 100 messages .* {window} at shift {shift};"
+        ):
+            eval_dynamic(tiny, UncalledFactory(), train_per_class=10,
+                         window=window, shift=shift)
+
     def test_insufficient_training(self):
         tiny = synthetic_dataset(n_ham=50, n_spam=50, seed=4)
         with pytest.raises(EvalError):
@@ -359,8 +354,3 @@ def test_protocols_reuse_memoized_messages():
 
     for n, stopwords in settings:
         assert reports(shared, n, stopwords) == reports(corpus(), n, stopwords)
-    factory = IcrmFactory(IcrmConfig(n=10))
-    seq = eval_static(shared, factory, runs=2, train_per_class=50, test_size=100, seed=3)
-    par = eval_static(shared, factory, runs=2, train_per_class=50, test_size=100,
-                      seed=3, jobs=2)
-    assert seq == par
