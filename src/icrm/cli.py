@@ -265,24 +265,40 @@ def cmd_report(args) -> int:
     if not summaries and not ttests:
         raise CorpusError(f"no report files under {out_dir}")
     for path in summaries:
+        rows = _read_csv(path, ("metric", "mean", "sd", "slope", "r_squared"))
+        for row in rows:
+            _number(path, row, "mean")
+            _number(path, row, "sd")
+            for column in ("slope", "r_squared"):  # empty outside dynamic mode
+                if row[column]:
+                    _number(path, row, column)
         print(path.name)
-        for row in _read_csv(path, ("metric", "mean", "sd", "slope", "r_squared")):
+        for row in rows:
             slope, r2 = row["slope"], row["r_squared"]
             extra = f"  slope {slope} R2 {r2}" if slope else ""
             print(f"  {row['metric']:<12} {row['mean']} +/- {row['sd']}{extra}")
     for path in ttests:
+        rows = _read_csv(path, ("metric", "t", "p"))
+        numbers = [(_number(path, row, "t"), _number(path, row, "p")) for row in rows]
         print(path.name)
-        for row in _read_csv(path, ("metric", "t", "p")):
-            t, p = _number(path, row, "t"), _number(path, row, "p")
+        for row, (t, p) in zip(rows, numbers):
             print(f"  {row['metric']:<12} t = {t:+.3f}  p = {p:.3f}")
     return EXIT_OK
 
 
 def _read_csv(path, columns: tuple[str, ...]) -> list[dict[str, str]]:
-    """The rows of a report CSV, each holding every one of ``columns``."""
+    """The rows of a report CSV: a header naming every one of ``columns``,
+    then one or more rows, each holding every one of them."""
     reader = csv.DictReader(io.StringIO(read_text(path, CorpusError, "report file")))
     rows = []
     try:
+        if reader.fieldnames is None:
+            raise CorpusError(f"{path}: empty report file")
+        missing = [c for c in columns if c not in reader.fieldnames]
+        if missing:
+            raise CorpusError(
+                f"{path}: line {reader.line_num}: missing column {', '.join(missing)}"
+            )
         for row in reader:
             missing = [c for c in columns if row.get(c) is None]
             if missing:
@@ -293,6 +309,8 @@ def _read_csv(path, columns: tuple[str, ...]) -> list[dict[str, str]]:
             rows.append(row)
     except csv.Error as exc:
         raise CorpusError(f"cannot read report file {path}: {exc}") from None
+    if not rows:
+        raise CorpusError(f"{path}: no rows below the header")
     return rows
 
 

@@ -13,11 +13,17 @@ uniformly); adjacent slot pairs then interact:
 * regulators alone persist unchanged.
 
 Binding and interaction are one array pass per message: each slot holds
-an index into the message's distinct features, pairs are a reshape of the
-binding codes, and each feature's gains are summed with ``np.bincount`` in
-slot order. The pass draws the same random numbers in the same order as
-the per-slot loops in ``tests/model_reference.py`` and is bit-identical to
-them.
+an index into the message's distinct features, and the random permutation
+of the slots becomes that index in place. When no sampled feature is
+extinct, binding is one comparison of the draws with E / (E + R); a sample
+holding an extinct feature, whose slots stay empty, takes a masked path.
+Each slot's gain is looked up by the binding codes of its pair and summed
+per feature with ``np.bincount`` in slot order. The sums are of negated
+gains, and interaction subtracts them: x - (-d) is x + d exactly, and a
+side that gained nothing has a sum of +0.0, which leaves every x, -0.0
+included, as it was. The pass draws the same random numbers in the same
+order as the per-slot loops in ``tests/model_reference.py`` and is
+bit-identical to them.
 
 The repertoire stores a feature -> row dict and one float64 array whose
 two columns are E and R, doubling its capacity when full. A message's rows
@@ -33,7 +39,11 @@ populations both fell below ``_ZERO_CLAMP`` are cleared. Each element gets
 the same IEEE product the per-feature loop computed, so populations stay
 bit-identical to it. A message's verdict is the sum of per-feature scores
 ``(R - E) / sqrt(R^2 + E^2)`` over its sample, read after the message's
-own interaction pass; a non-positive sum means spam.
+own interaction pass; a non-positive sum means spam. A message's scores
+are computed together: numpy takes the differences and the quotients,
+the same IEEE operations as Python's, and ``math.hypot`` the norms
+(``np.hypot`` can be an ulp off it), so each is the float
+:func:`score_feature` gives, +0.0 for a (0, 0) feature.
 """
 
 from __future__ import annotations
@@ -44,7 +54,7 @@ import sys
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
-from itertools import chain, starmap
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -225,6 +235,8 @@ class SlotArray:
 
     def __init__(self, features: Sequence[str], bound: Sequence[int]):
         keys, index = _intern(features)
+        if index is None:
+            index = np.arange(len(keys))
         bound = np.asarray(bound)
         if bound.shape != index.shape:
             raise ValueError(f"{len(index)} slot features but {bound.size} bindings")
@@ -265,11 +277,15 @@ class SlotArray:
         return f"SlotArray({self.features!r}, {self.bound.tolist()!r})"
 
 
-def _intern(features: Sequence[str]) -> tuple[list[str], np.ndarray]:
-    """Distinct features in first-seen order, and each position's index."""
+def _intern(features: Sequence[str]) -> tuple[list[str], np.ndarray | None]:
+    """Distinct features in first-seen order, and each position's index.
+
+    The index is None when the features are already distinct: position i
+    is then key i.
+    """
+    if len(set(features)) == len(features):
+        return list(features), None
     keys = list(dict.fromkeys(features))
-    if len(keys) == len(features):
-        return keys, np.arange(len(keys))
     ids = {f: i for i, f in enumerate(keys)}
     return keys, np.array([ids[f] for f in features], dtype=np.int64)
 
@@ -313,17 +329,25 @@ def build_slot_array(
     a regulator otherwise, and stays empty when both populations are zero.
     """
     total = len(sample) * cfg.n_a
-    order = rng.permutation(total)
+    index = rng.permutation(total)
     draws = rng.random(total)
     keys, sample_index = _intern(sample)
     rows = rep.find(keys)
     pops = rep._pops.take(rows, 0)
-    mass = pops[:, 0] + pops[:, 1]
-    live = mass > 0.0
-    p_effector = np.divide(pops[:, 0], mass, out=np.zeros(len(keys)), where=live)
-    index = sample_index[order // cfg.n_a]
-    bound = np.where(draws < p_effector[index], BIND_E, BIND_R)
-    bound[~live[index]] = BIND_EMPTY
+    e = pops[:, 0]
+    mass = e + pops[:, 1]
+    # the permutation becomes each slot's index into keys in place
+    index //= cfg.n_a
+    if sample_index is not None:
+        index = sample_index[index]
+    if np.count_nonzero(mass) == len(keys):
+        # no extinct feature: a draw below E / (E + R) binds an effector
+        bound = (draws >= (e / mass)[index]).astype(np.int64)
+    else:
+        live = mass > 0.0
+        p_effector = np.divide(e, mass, out=np.zeros(len(keys)), where=live)
+        bound = np.where(draws < p_effector[index], BIND_E, BIND_R)
+        bound[~live[index]] = BIND_EMPTY
     return SlotArray.from_index(keys, index, bound, rows, rep)
 
 
@@ -357,21 +381,23 @@ def interact(rep: Repertoire, slots: SlotArray, cfg: IcrmConfig) -> Repertoire:
         bound = slots.bound
         if total % 2:
             bound = np.append(bound, BIND_EMPTY)
-        pairs = bound.reshape(-1, 2)
-        gains = _PAIR_GAINS[3 * pairs[:, 0] + pairs[:, 1]].ravel()[:total]
-        # row i of deltas holds feature i's (E, R) gain; bincount adds the
-        # weights in slot order, as a running sum per feature would
-        deltas = np.bincount(
-            2 * slots.index + (slots.bound == BIND_R),
-            weights=gains * cfg.proliferation,
-            minlength=2 * len(slots.keys),
-        ).reshape(-1, 2)
+        # each slot's gain, negated, looked up by its pair's two codes
+        slot_loss = (_PAIR_GAINS * -cfg.proliferation).take(
+            3 * bound[::2] + bound[1::2], 0
+        ).ravel()[:total]
+        # bincount sums each feature's losses in slot order, as a running sum
+        # would: row i of loss is minus feature i's (E, R) gain. An empty slot
+        # loses -0.0, which changes no sum, so its target (the next feature's
+        # E side, or one past the end) does not matter
+        width = 2 * len(slots.keys)
+        loss = np.bincount(
+            2 * slots.index + slots.bound, weights=slot_loss, minlength=width
+        )[:width].reshape(-1, 2)
         rows = slots.rows if slots.repertoire is rep else rep.find(slots.keys)
-        pops = rep._pops.take(rows, 0)
-        # a side that gained nothing keeps its value untouched, as in the
-        # per-slot loop (-0.0 stays -0.0)
-        np.add(pops, deltas, out=pops, where=deltas != 0.0)
-        rep._pops[rows] = pops
+        # x - (-d) is x + d, rounding being symmetric in sign, and a side that
+        # gained nothing keeps its bits: x - (+0.0) is x, also for x = -0.0
+        pops = rep._pops
+        pops[rows] = pops.take(rows, 0) - loss
     return decay(rep, cfg)
 
 
@@ -419,8 +445,15 @@ def process_message(
     init_features(rep, sample, mode, cfg)
     slots = build_slot_array(sample, rep, cfg, rng)
     interact(rep, slots, cfg)
-    # the sample is distinct, so the slots' keys are the sample in order
-    scores = list(starmap(score_feature, rep._pops.take(slots.rows, 0).tolist()))
+    # the sample is distinct, so the slots' keys are the sample in order;
+    # score_feature's floats, computed together (see the module docstring)
+    pops = rep._pops.take(slots.rows, 0)
+    e, r = pops.T.tolist()
+    norm = np.fromiter(map(math.hypot, r, e), np.float64, len(r))
+    if np.count_nonzero(norm) == len(r):
+        scores = ((pops[:, 1] - pops[:, 0]) / norm).tolist()
+    else:  # an extinct feature, which score_feature scores +0.0
+        scores = list(map(score_feature, e, r))
     score = math.fsum(scores)
     return Verdict(
         score=score,

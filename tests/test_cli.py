@@ -214,8 +214,8 @@ class TestEval:
         ("static", ["--test-size", "0"], None),
         ("static", ["--test-size", "-3"], None),
         ("static", ["--train-per-class", "0"], None),
-        ("static", ["--jobs", "0"], None),
-        ("static", ["--jobs", "-1"], None),
+        ("static", ["--n-a", "0"], None),
+        ("static", ["--n", "3"], None),
         ("static", ["--spam-ratio", "0"], None),
         ("static", ["--spam-ratio", "1"], None),
         ("static", ["--spam-ratio", "1.5"], None),
@@ -234,7 +234,7 @@ class TestEval:
         "e0-ham-20", "runs-0", "runs-negative", "window-0", "shift-0", "shift-negative",
         "config-runs-0", "config-proliferation-nan", "config-proliferation-inf",
         "config-e0-spam-inf", "test-size-0", "test-size-negative",
-        "train-per-class-0", "jobs-0", "jobs-negative", "spam-ratio-0",
+        "train-per-class-0", "n-a-0", "n-3", "spam-ratio-0",
         "spam-ratio-1", "spam-ratio-1.5", "spam-ratio-nan", "config-spam-ratio-nan",
         "config-test-size-0", "seed-negative", "dynamic-window-0", "dynamic-shift-0",
         "r0-spam-negative", "e0-ham-negative", "dynamic-r0-test-negative",
@@ -571,17 +571,16 @@ _ICRM_ONLY = [
     ["--proliferation", "0.5"], ["--death-rate", "0.5"], ["--feature-sampler", "random"],
 ]
 _REFUSED = (
-    [("ingest", f) for f in (["--seed", "9"], ["--out", "x"], ["--jobs", "2"],
-                             ["--stopwords", "x"])]
-    + [("classify", f) for f in (["--seed", "9"], ["--out", "x"], ["--jobs", "2"])]
-    + [("report", f) for f in (["--seed", "9"], ["--out", "x"], ["--jobs", "2"],
-                               ["--stopwords", "x"], ["--config", "x"])]
+    [("ingest", f) for f in (["--seed", "9"], ["--out", "x"], ["--stopwords", "x"])]
+    + [("classify", f) for f in (["--seed", "9"], ["--out", "x"])]
+    + [("report", f) for f in (["--seed", "9"], ["--out", "x"], ["--stopwords", "x"],
+                               ["--config", "x"])]
     + [(f"eval static {model}", f)
        for model in ("icrm", "nb", "both") for f in (["--window", "100"], ["--shift", "20"])]
     + [(f"eval dynamic {model}", f)
        for model in ("icrm", "nb", "both")
        for f in (["--runs", "3"], ["--test-size", "50"], ["--spam-ratio", "0.3"],
-                 ["--jobs", "2"], ["--balance"], ["--no-balance"], ["--shuffle-test"],
+                 ["--balance"], ["--no-balance"], ["--shuffle-test"],
                  ["--no-shuffle-test"])]
     + [(f"eval {mode} nb", f) for mode in ("static", "dynamic") for f in _ICRM_ONLY]
     # the dynamic protocol's seed reaches the classifier alone, and NB draws nothing

@@ -165,6 +165,60 @@ class TestReportFiles:
         (out / "static_ttest.csv").write_bytes(b"metric,t,p\n\xff\xfe,1,2\n")
         assert main(["report", str(out)]) == EXIT_DATA
 
+    _HEADER = "metric,mean,sd,slope,r_squared\n"
+
+    @pytest.mark.parametrize(
+        "summary, named",
+        [
+            ("foo,bar\n", "missing column metric, mean, sd, slope, r_squared"),
+            ("", "empty report file"),
+            ("\n", "missing column metric"),
+            (_HEADER, "no rows below the header"),
+            (_HEADER + "f_score,abc,,,\n", "column mean is not a number: 'abc'"),
+            (_HEADER + "f_score,,0.01,,\n", "column mean is not a number: ''"),
+            (_HEADER + "f_score,0.9,,,\n", "column sd is not a number: ''"),
+            (_HEADER + "f_score,0.9,x,,\n", "column sd is not a number: 'x'"),
+            (_HEADER + "pct_fp,0.9,0.01,up,0.5\n", "column slope is not a number"),
+            (_HEADER + "pct_fp,0.9,0.01,0.1,high\n", "column r_squared is not a number"),
+        ],
+        ids=["foreign-header", "empty-file", "blank-header", "no-rows", "text-mean",
+             "empty-mean", "empty-sd", "text-sd", "text-slope", "text-r-squared"],
+    )
+    def test_broken_summary_is_data_error(self, tmp_path, capsys, summary, named):
+        out = self._report_dir(tmp_path, summary=summary)
+        assert main(["report", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("icrm: error: ") and err.count("\n") == 1, err
+        assert "static_icrm_summary.csv" in err
+        assert named in err
+
+    @pytest.mark.parametrize(
+        "ttest, named",
+        [("", "empty report file"), ("metric,t,p\n", "no rows below the header")],
+        ids=["empty-file", "no-rows"],
+    )
+    def test_ttest_without_rows_is_data_error(self, tmp_path, capsys, ttest, named):
+        out = self._report_dir(tmp_path, ttest=ttest)
+        assert main(["report", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("icrm: error: ") and err.count("\n") == 1, err
+        assert "static_ttest.csv" in err and named in err
+
+    def test_numbers_print_as_written(self, tmp_path, capsys):
+        # a dynamic summary: the drift rows carry a slope and R2, and every
+        # value prints as its raw string
+        out = self._report_dir(
+            tmp_path,
+            summary=self._HEADER + "f_score,0.900000,0.010000,,\n"
+            "pct_fp,1.5e-3,nan,-0.250000,0.810000\n",
+        )
+        assert main(["report", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "static_icrm_summary.csv\n"
+            "  f_score      0.900000 +/- 0.010000\n"
+            "  pct_fp       1.5e-3 +/- nan  slope -0.250000 R2 0.810000\n"
+        )
+
 
 @pytest.mark.parametrize("case", ["config", "stopwords", "state", "nb-model", "corpus"])
 def test_non_utf8_file_is_typed_error_naming_it(tmp_path, capsys, case):

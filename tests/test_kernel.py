@@ -7,10 +7,12 @@ matters, floats are compared by ``float.hex``.
 """
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import icrm.model
 import model_reference as ref
@@ -32,8 +34,10 @@ from icrm.model import (
     build_slot_array,
     interact,
     process_message,
+    score_feature,
 )
 from icrm.synth import synthetic_dataset
+from icrm.textprep import preprocess
 
 from conftest import make_message
 
@@ -218,6 +222,74 @@ def test_process_message_calls_bind_and_interact_once(monkeypatch):
     for count, msg in enumerate(messages, start=1):
         process_message(rep, msg, TEST, IcrmConfig(), rng)
         assert calls == {"build_slot_array": count, "interact": count}
+
+
+@pytest.mark.parametrize("n_a, death_rate", [(10, 0.0), (3, 0.02), (1, 0.5)])
+def test_samples_with_and_without_extinct_features_match_reference(n_a, death_rate):
+    """One message stream in which some samples hold an extinct feature
+    (binding's general path) and the others do not (its no-extinct path)."""
+    start = {f"live{i}": (float(i % 7 + 1), float(i % 5 + 1)) for i in range(30)}
+    start.update({f"gone{i}": (0.0, 0.0) for i in range(8)})
+    start.update({"negzero0": (-0.0, 0.0), "negzero1": (0.0, -0.0)})
+    words = list(start) + [f"novel{i}" for i in range(20)]
+    cfg = IcrmConfig(n_a=n_a, seed=5, death_rate=death_rate)
+    fast_rep, ref_rep = Repertoire(start), dict(start)
+    fast_rng, ref_rng = np.random.default_rng(cfg.seed), np.random.default_rng(cfg.seed)
+    draw = np.random.default_rng(11)
+    with_extinct = []
+    for k in range(150):
+        label = (HAM, SPAM)[k % 2]
+        body = " ".join(draw.choice(words, size=int(draw.integers(1, 25))).tolist())
+        msg = make_message(label, body=body)
+        mode = (TEST, _TRAIN_MODES[label])[k % 3 == 0]
+        sample = preprocess(msg, cfg.n, None)
+        with_extinct.append(any(ref_rep.get(f) == (0.0, 0.0) for f in sample))
+        fast = process_message(fast_rep, msg, mode, cfg, fast_rng)
+        slow = ref.process_message(ref_rep, msg, mode, cfg, ref_rng)
+        assert [(f, s.hex()) for f, s in fast.per_feature] == [
+            (f, s.hex()) for f, s in slow.per_feature
+        ]
+        assert (fast.score, fast.label) == (slow.score, slow.label)
+        assert _bits(fast_rep) == _bits(ref_rep)
+    assert True in with_extinct and False in with_extinct
+
+
+# One pair near the scale of real populations on which np.hypot, on glibc,
+# lands one ulp away from math.hypot: a score through np.hypot would differ.
+_HYPOT_SPLIT = (13.5, 21.25)
+
+_POPULATION = st.one_of(
+    st.sampled_from([
+        0.0, -0.0, 5e-324, 1e-310, _ZERO_CLAMP, np.nextafter(_ZERO_CLAMP, 0.0),
+        np.nextafter(_ZERO_CLAMP, 1.0), 2 * _ZERO_CLAMP, 1e300, *_HYPOT_SPLIT,
+    ]),
+    st.floats(min_value=0.0, max_value=50.0),
+)
+
+
+@given(
+    pops=st.lists(st.tuples(_POPULATION, _POPULATION), min_size=1, max_size=12),
+    proliferation=st.sampled_from([5e-324, 0.02, 1.5]),
+    death_rate=st.sampled_from([0.0, 0.5]),
+    seed=st.integers(0, 2**16),
+)
+@example(pops=[_HYPOT_SPLIT], proliferation=5e-324, death_rate=0.0, seed=0)
+@example(pops=[(0.0, -0.0), (-0.0, 0.0), _HYPOT_SPLIT], proliferation=0.02,
+         death_rate=0.0, seed=1)
+@settings(max_examples=300, deadline=None)
+def test_message_scores_equal_score_feature(pops, proliferation, death_rate, seed):
+    """Each per-feature score is score_feature of the feature's populations
+    after the message, to the bit (-0.0 and 0.0 told apart)."""
+    start = {f"feat{i}": (float(e), float(r)) for i, (e, r) in enumerate(pops)}
+    rep = Repertoire(start)
+    cfg = IcrmConfig(proliferation=proliferation, death_rate=death_rate)
+    msg = make_message(HAM, body=" ".join(start))
+    verdict = process_message(rep, msg, TEST, cfg, np.random.default_rng(seed))
+    assert [f for f, _ in verdict.per_feature] == list(start)
+    assert [(f, s.hex()) for f, s in verdict.per_feature] == [
+        (f, score_feature(*rep[f]).hex()) for f in start
+    ]
+    assert verdict.score == math.fsum(score_feature(*rep[f]) for f in start)
 
 
 # -- the array repertoire against the dict it replaced ----------------------
