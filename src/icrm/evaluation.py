@@ -147,8 +147,11 @@ def counts_from_records(records: Iterable[tuple[str, str]]) -> ConfusionCounts:
 # -- regression and paired comparison ----------------------------------
 
 
-def _ols(x: Sequence[float], y: Sequence[float]) -> DriftSummary:
-    xs = np.asarray(x, dtype=float)
+def linear_fit(y: Sequence[float]) -> DriftSummary:
+    """Ordinary least squares of y against x = 0, 1, 2, ..."""
+    if len(y) < 2:
+        raise ValueError(f"need at least 2 points to fit, got {len(y)}")
+    xs = np.arange(len(y), dtype=float)
     ys = np.asarray(y, dtype=float)
     mx = xs.mean()
     my = ys.mean()
@@ -163,18 +166,35 @@ def _ols(x: Sequence[float], y: Sequence[float]) -> DriftSummary:
     return DriftSummary(slope=slope, intercept=intercept, r_squared=1.0 - ss_res / ss_tot)
 
 
-def linear_fit(y: Sequence[float]) -> DriftSummary:
-    """Ordinary least squares of y against x = 0, 1, 2, ..."""
-    if len(y) < 2:
-        raise ValueError(f"need at least 2 points to fit, got {len(y)}")
-    return _ols(range(len(y)), y)
+def _t_two_tailed_p(t: float, df: int) -> float:
+    """P(|T| >= |t|) for Student's t with integer df >= 1; NaN passes through.
+
+    p = 1 - A(t|df), where A is the finite cosine series in
+    theta = atan(|t| / sqrt(df)) of Abramowitz & Stegun, Handbook of
+    Mathematical Functions, 26.7.3 (odd df) and 26.7.4 (even df).
+    """
+    theta = math.atan(abs(t) / math.sqrt(df))
+    cos = math.cos(theta)
+    odd = df % 2
+    term = cos if odd else 1.0
+    series = 0.0
+    for k in range(2 + odd, df + 1, 2):
+        series += term
+        term *= (k - 1) / k * cos * cos
+    if odd:
+        a = 2.0 / math.pi * (theta + math.sin(theta) * series)
+    else:
+        a = math.sin(theta) * series
+    p = 1.0 - a
+    # rounding can take A past 1 at large |t|; a NaN p fails the test and stays
+    return 0.0 if p < 0.0 else p
 
 
 def paired_t_test(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:
     """Two-tailed paired t-test; returns (t, p) with df = n - 1.
 
-    The p-value comes from the Student t distribution via the regularized
-    incomplete beta function. Identical series give (0, 1); a constant
+    The p-value is the Student t tail in closed form for the integer df
+    (``_t_two_tailed_p``). Identical series give (0, 1); a constant
     nonzero difference gives an infinite t and p = 0.
     """
     if len(a) != len(b):
@@ -189,14 +209,8 @@ def paired_t_test(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]
         if mean == 0.0:
             return (0.0, 1.0)
         return (math.copysign(math.inf, mean), 0.0)
-    # scipy.special costs more to import than the rest of the package, and
-    # only the t-test needs it
-    from scipy.special import betainc
-
     t = mean / (sd / math.sqrt(n))
-    df = n - 1
-    p = float(betainc(df / 2.0, 0.5, df / (df + t * t)))
-    return (t, p)
+    return (t, _t_two_tailed_p(t, n - 1))
 
 
 # -- classifier factories: one fresh classifier per run seed -----------

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats as scipy_stats
+from scipy.special import betainc
 
 from icrm import evaluation
 from icrm.corpus import HAM, SPAM
@@ -173,11 +175,47 @@ class TestPairedTTest:
             assert t == pytest.approx(ref.statistic, abs=1e-9)
             assert p == pytest.approx(ref.pvalue, abs=1e-9)
 
+    def test_nan_series_gives_nan_p(self):
+        # a clamp written as max(0.0, 1 - A) would report NaN as p = 0
+        t, p = paired_t_test([1.0, math.nan, 3.0, 2.5], [0.0] * 4)
+        assert math.isnan(t) and math.isnan(p)
+        for df in (1, 2, 3, 4):
+            assert math.isnan(evaluation._t_two_tailed_p(math.nan, df))
+            assert math.isnan(betainc(df / 2.0, 0.5, math.nan))
+
+    def test_report_digits_match_betainc(self):
+        # the p the report prints, against the incomplete beta form it replaced
+        grid = [*np.linspace(0.0, 12.0, 241), 15.0, 20.0, 50.0, 100.0, 1e3, 1e4, 1e6]
+        for df in range(1, 100):
+            for t in grid:
+                ref = float(betainc(df / 2.0, 0.5, df / (df + t * t)))
+                p = evaluation._t_two_tailed_p(t, df)
+                assert evaluation._fmt(p) == evaluation._fmt(ref), (t, df)
+
     def test_length_checks(self):
         with pytest.raises(ValueError):
             paired_t_test([1.0], [1.0])
         with pytest.raises(ValueError):
             paired_t_test([1.0, 2.0], [1.0])
+
+
+@settings(max_examples=2000, deadline=None)
+@given(
+    t=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+    df=st.integers(min_value=1, max_value=999),
+)
+def test_t_tail_matches_betainc(t, df):
+    p = evaluation._t_two_tailed_p(t, df)
+    # I_x(df/2, 1/2) at x = df/(df+t^2) is ill-conditioned as x -> 1, where
+    # rounding x alone moves it by ~1e-8 at df 999; there the symmetric form
+    # 1 - I_{1-x}(1/2, df/2) is the accurate reference
+    t2 = t * t
+    if t2 >= df:
+        ref = float(betainc(df / 2.0, 0.5, df / (df + t2)))
+    else:
+        ref = 1.0 - float(betainc(0.5, df / 2.0, t2 / (df + t2)))
+    assert 0.0 <= p <= 1.0
+    assert abs(p - ref) <= 1e-9
 
 
 @pytest.mark.parametrize("protocol, settings, named", [

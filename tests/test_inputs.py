@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from icrm.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from icrm.corpus import LABELS, CanonicalFormatError, Dataset, read_canonical
+from icrm.corpus import LABELS, CanonicalFormatError, Dataset, read_canonical, write_canonical
 from icrm.files import write_state
 from icrm.model import IcrmClassifier, IcrmConfig, SnapshotError
 from icrm.nbayes import ModelError, NaiveBayesClassifier
@@ -36,14 +36,35 @@ def _write_lines(path, records):
     return path
 
 
-def test_import_leaves_scipy_out():
+def _python(*argv):
+    """Run a fresh interpreter that imports the package from this tree."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, icrm; print('scipy' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True,
+    return subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True
     )
-    assert out.stdout.strip() == "False"
+
+
+def test_import_leaves_scipy_out():
+    out = _python("-c", "import sys, icrm; print('scipy' in sys.modules)")
+    assert out.stdout.strip() == "False", out.stderr
+
+
+def test_static_comparison_runs_without_scipy(tmp_path):
+    # a shared vocabulary keeps the classifiers apart, so p is a real tail
+    data = tmp_path / "smoke.jsonl"
+    write_canonical(synthetic_dataset(400, 400, shared_vocab=120, seed=3), data)
+    args = ["eval", "static", "both", "--data", str(data), "--runs", "2", "--out"]
+    assert main([*args, str(tmp_path / "with")]) == EXIT_OK
+    blocked = (
+        "import sys; sys.modules['scipy'] = None; from icrm.cli import main; "
+        "sys.exit(main(sys.argv[1:]))"
+    )
+    out = _python("-c", blocked, *args, str(tmp_path / "without"))
+    assert out.returncode == EXIT_OK, out.stderr
+    ttest = (tmp_path / "without" / "static_ttest.csv").read_bytes()
+    assert ttest == (tmp_path / "with" / "static_ttest.csv").read_bytes()
+    assert all(0.0 < float(row.split(b",")[2]) < 1.0 for row in ttest.splitlines()[1:])
 
 
 class TestCanonicalFieldTypes:
