@@ -340,46 +340,65 @@ def _add_settings(parser: argparse.ArgumentParser, keys) -> None:
         parser.add_argument("--" + key.replace("_", "-"), help=_HELP.get(key), **spec)
 
 
+def _wire_ingest(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("src_dir")
+    parser.add_argument("out_file")
+    _add_settings(parser, ["limit"])
+    parser.set_defaults(handler=cmd_ingest)
+
+
+def _wire_classify(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("state_file")
+    parser.add_argument("message_file")
+    _add_settings(parser, ["stopwords"])
+    parser.add_argument("--explain", action="store_true",
+                        help="also print one score line per sampled feature")
+    parser.set_defaults(handler=cmd_classify)
+
+
+def _wire_eval(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("mode", choices=list(_PROTOCOLS))
+    parser.add_argument("model", choices=["icrm", "nb", "both"])
+    parser.add_argument("--data", required=True, help="canonical dataset file")
+    read = _run_settings("static", "icrm") | _run_settings("dynamic", "icrm")
+    _add_settings(parser, [key for key in DEFAULTS if key in read])
+    parser.set_defaults(handler=cmd_eval)
+
+
+def _wire_report(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("path")
+    parser.set_defaults(handler=cmd_report)
+
+
+# command name -> (help line, wiring); each wiring names its handler when it
+# runs, so a handler rebound on this module is the one called
+_COMMANDS = {
+    "ingest": ("convert an Enron-spam tree to canonical form", _wire_ingest),
+    "classify": ("classify one message file with a saved state", _wire_classify),
+    "eval": ("run an evaluation protocol", _wire_eval),
+    "report": ("re-render tables from an output directory", _wire_report),
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="icrm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_ingest = sub.add_parser(
-        "ingest", help="convert an Enron-spam tree to canonical form"
-    )
-    p_ingest.add_argument("src_dir")
-    p_ingest.add_argument("out_file")
-    _add_settings(p_ingest, ["limit"])
-    p_ingest.set_defaults(handler=cmd_ingest)
-
-    p_classify = sub.add_parser(
-        "classify", help="classify one message file with a saved state"
-    )
-    p_classify.add_argument("state_file")
-    p_classify.add_argument("message_file")
-    _add_settings(p_classify, ["stopwords"])
-    p_classify.add_argument("--explain", action="store_true",
-                            help="also print one score line per sampled feature")
-    p_classify.set_defaults(handler=cmd_classify)
-
-    p_eval = sub.add_parser("eval", help="run an evaluation protocol")
-    p_eval.add_argument("mode", choices=list(_PROTOCOLS))
-    p_eval.add_argument("model", choices=["icrm", "nb", "both"])
-    p_eval.add_argument("--data", required=True, help="canonical dataset file")
-    read = _run_settings("static", "icrm") | _run_settings("dynamic", "icrm")
-    _add_settings(p_eval, [key for key in DEFAULTS if key in read])
-    p_eval.set_defaults(handler=cmd_eval)
-
-    p_report = sub.add_parser(
-        "report", help="re-render tables from an output directory"
-    )
-    p_report.add_argument("path")
-    p_report.set_defaults(handler=cmd_report)
+    for name, (help_line, wire) in _COMMANDS.items():
+        wire(sub.add_parser(name, help=help_line))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _COMMANDS:
+        # the full tree's subparser for this command, built alone: it has the
+        # same prog, so its help, errors and exit codes are the same
+        name, argv = argv[0], argv[1:]
+        parser = _Parser(prog=f"icrm {name}")
+        _COMMANDS[name][1](parser)
+        parser.set_defaults(command=name)
+    else:  # top-level help, or an error about the command
+        parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
