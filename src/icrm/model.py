@@ -44,6 +44,12 @@ are computed together: numpy takes the differences and the quotients,
 the same IEEE operations as Python's, and ``math.hypot`` the norms
 (``np.hypot`` can be an ulp off it), so each is the float
 :func:`score_feature` gives, +0.0 for a (0, 0) feature.
+
+Scoring reads the populations and changes nothing, so
+:meth:`IcrmClassifier.train` runs only :func:`present_message`, the part
+of the cycle before scoring; :meth:`IcrmClassifier.train_message` still
+runs the whole cycle and returns the training verdict. Both leave the
+same repertoire and the same random stream.
 """
 
 from __future__ import annotations
@@ -418,7 +424,7 @@ def decay(rep: Repertoire, cfg: IcrmConfig) -> Repertoire:
     return rep
 
 
-def process_message(
+def present_message(
     rep: Repertoire,
     msg: Message,
     mode: str,
@@ -426,13 +432,11 @@ def process_message(
     rng: np.random.Generator,
     stopwords: frozenset[str] | None = None,
     sampler: str = SAMPLERS[0],
-) -> Verdict:
-    """Run the full per-message cycle and return the verdict.
+) -> SlotArray:
+    """Run the per-message cycle up to scoring and return the bound slots.
 
-    The same cycle runs in every stage (only first-seen initial values
-    differ): preprocess, initialise new features, bind, interact, then
-    score the sampled features from post-interaction populations. An
-    empty sample scores 0 and is therefore spam.
+    Preprocess, initialise new features, bind, then interact (with decay).
+    The slots' keys are the message's sample, in order.
     """
     if mode == TRAIN_HAM and msg.label != HAM:
         raise ValueError(f"training mode {mode} on a {msg.label} message")
@@ -445,6 +449,27 @@ def process_message(
     init_features(rep, sample, mode, cfg)
     slots = build_slot_array(sample, rep, cfg, rng)
     interact(rep, slots, cfg)
+    return slots
+
+
+def process_message(
+    rep: Repertoire,
+    msg: Message,
+    mode: str,
+    cfg: IcrmConfig,
+    rng: np.random.Generator,
+    stopwords: frozenset[str] | None = None,
+    sampler: str = SAMPLERS[0],
+) -> Verdict:
+    """Run the full per-message cycle and return the verdict.
+
+    The same cycle runs in every stage (only first-seen initial values
+    differ): :func:`present_message` (preprocess, initialise new
+    features, bind, interact), then score the sampled features from
+    post-interaction populations. An empty sample scores 0 and is
+    therefore spam.
+    """
+    slots = present_message(rep, msg, mode, cfg, rng, stopwords, sampler)
     # the sample is distinct, so the slots' keys are the sample in order;
     # score_feature's floats, computed together (see the module docstring)
     pops = rep._pops.take(slots.rows, 0)
@@ -457,12 +482,22 @@ def process_message(
     score = math.fsum(scores)
     return Verdict(
         score=score,
-        per_feature=list(zip(sample, scores)),
+        per_feature=list(zip(slots.keys, scores)),
         label=SPAM if score <= 0.0 else HAM,
     )
 
 
 _TRAIN_MODE = {HAM: TRAIN_HAM, SPAM: TRAIN_SPAM}
+
+
+def _train_mode(msg: Message) -> str:
+    """The training mode for ``msg``'s label; any other label is a ValueError."""
+    mode = _TRAIN_MODE.get(msg.label)
+    if mode is None:
+        raise ValueError(
+            f"cannot train on a {msg.label!r} message: labels are {HAM}, {SPAM}"
+        )
+    return mode
 
 
 class IcrmClassifier:
@@ -490,13 +525,20 @@ class IcrmClassifier:
 
     def train_message(self, msg: Message) -> Verdict:
         return process_message(
-            self.repertoire, msg, _TRAIN_MODE[msg.label], self.config,
+            self.repertoire, msg, _train_mode(msg), self.config,
             self.rng, self.stopwords, self.sampler,
         )
 
     def train(self, messages: Iterable[Message]) -> None:
+        """Train on each message in turn, as :meth:`train_message` would.
+
+        The verdicts are not wanted, so no message is scored.
+        """
+        rep, cfg, rng = self.repertoire, self.config, self.rng
         for msg in messages:
-            self.train_message(msg)
+            present_message(
+                rep, msg, _train_mode(msg), cfg, rng, self.stopwords, self.sampler
+            )
 
     def verdict(self, msg: Message) -> Verdict:
         return process_message(

@@ -11,15 +11,18 @@ Every log term the posterior can add depends only on the trained counts,
 so a model builds its scoring tables once, when it is made (by
 :func:`nb_train`, by :meth:`NaiveBayesClassifier.load` or directly): per
 class the log prior, ``log((1 + c) / denom)`` for each feature the class
-has seen, and ``log(1 / denom)`` for any other feature. The counts are
-read-only, so the tables cannot go stale, and :func:`nb_posterior` is one
-table lookup per feature per class, adding the same floats in the same
-order as evaluating the smoothed estimates message by message.
+has seen, and ``log(1 / denom)`` for any other feature. The log of each
+distinct count is taken once and shared by every feature with that count:
+it is the same float a log per feature gives. The counts are read-only,
+so the tables cannot go stale, and :func:`nb_posterior` is one table
+lookup per feature per class, adding the same floats in the same order as
+evaluating the smoothed estimates message by message.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -79,7 +82,9 @@ class NbModel:
             if denom == 0:  # degenerate: no features ever seen in training
                 tables.append((log_prior, {}, None))
                 continue
-            seen = {f: math.log((1 + c) / denom) for f, c in counts.items()}
+            # counts take few distinct values: one log per value, the same float
+            logs = {c: math.log((1 + c) / denom) for c in set(counts.values())}
+            seen = dict(zip(counts, map(logs.__getitem__, counts.values())))
             tables.append((log_prior, seen, math.log(1 / denom)))
         return tuple(tables)
 
@@ -98,13 +103,17 @@ def nb_train(
 ) -> NbModel:
     """Accumulate Boolean per-document feature counts from labeled messages."""
     doc_count = {HAM: 0, SPAM: 0}
-    feature_doc_count = {HAM: {}, SPAM: {}}
+    feature_doc_count = {HAM: Counter(), SPAM: Counter()}
     for msg in messages:
-        sample = preprocess(msg, n, stopwords)
+        counts = feature_doc_count.get(msg.label)
+        if counts is None:
+            raise ValueError(
+                f"cannot train on a {msg.label!r} message: labels are {HAM}, {SPAM}"
+            )
         doc_count[msg.label] += 1
-        counts = feature_doc_count[msg.label]
-        for feature in sample:  # sample is already distinct per message
-            counts[feature] = counts.get(feature, 0) + 1
+        # the sample is already distinct per message; a new feature joins
+        # the counts in first-seen order, as a dict.get loop would add it
+        counts.update(preprocess(msg, n, stopwords))
     return NbModel(doc_count, feature_doc_count)
 
 

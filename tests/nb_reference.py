@@ -1,9 +1,14 @@
-"""The Naive Bayes posterior as a per-message loop over the counts.
+"""Naive Bayes training and posterior as plain per-feature loops.
 
-This is ``icrm.nbayes.nb_posterior`` as it was before the model built its
-scoring tables: every call re-sums each class's feature counts and takes
-one ``math.log`` per sampled feature. The table posterior must reproduce
-it bit for bit. Test-only; never imported by the package.
+``nb_posterior`` is ``icrm.nbayes.nb_posterior`` as it was before the
+model built its scoring tables: every call re-sums each class's feature
+counts and takes one ``math.log`` per sampled feature. The table
+posterior must reproduce it bit for bit. ``nb_train`` counts with one
+``dict.get`` per feature and ``score_tables`` takes one ``math.log`` per
+counted feature, as the package did before it counted with
+``collections.Counter`` and took one log per distinct count; the package's
+counts, in key order, and tables must equal theirs. Test-only; never
+imported by the package.
 """
 
 from __future__ import annotations
@@ -11,8 +16,45 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from icrm.corpus import HAM, SPAM, LABELS
+from icrm.corpus import HAM, SPAM, LABELS, Message
 from icrm.nbayes import ModelError, NbModel
+from icrm.textprep import SAMPLE_CAP, preprocess
+
+
+def nb_train(
+    messages: Iterable[Message],
+    n: int = SAMPLE_CAP,
+    stopwords: frozenset[str] | None = None,
+) -> tuple[dict[str, int], dict[str, dict[str, int]]]:
+    """Per-class document counts and Boolean feature counts, as plain dicts."""
+    doc_count = {HAM: 0, SPAM: 0}
+    feature_doc_count = {HAM: {}, SPAM: {}}
+    for msg in messages:
+        sample = preprocess(msg, n, stopwords)
+        doc_count[msg.label] += 1
+        counts = feature_doc_count[msg.label]
+        for feature in sample:  # sample is already distinct per message
+            counts[feature] = counts.get(feature, 0) + 1
+    return doc_count, feature_doc_count
+
+
+def score_tables(model: NbModel):
+    """Per class, in LABELS order: log prior, seen-feature logs, unseen log."""
+    if any(model.doc_count.get(label, 0) <= 0 for label in LABELS):
+        return None
+    total_docs = sum(model.doc_count.values())
+    vocab_size = len(model.vocabulary)
+    tables = []
+    for label in LABELS:
+        counts = model.feature_doc_count[label]
+        denom = vocab_size + sum(counts.values())
+        log_prior = math.log(model.doc_count[label] / total_docs)
+        if denom == 0:  # degenerate: no features ever seen in training
+            tables.append((log_prior, {}, None))
+            continue
+        seen = {f: math.log((1 + c) / denom) for f, c in counts.items()}
+        tables.append((log_prior, seen, math.log(1 / denom)))
+    return tuple(tables)
 
 
 def nb_posterior(model: NbModel, sample: Iterable[str]) -> float:

@@ -155,18 +155,24 @@ class TestEval:
         fp_row = [l for l in summary if l.startswith("pct_fp,")][0]
         assert len(fp_row.split(",")) == 5  # slope and r_squared filled
 
-    def test_byte_identical_reruns(self, tmp_path, canonical_file):
+    @pytest.mark.parametrize("args", [
+        ["static", "icrm", "--runs", "2"],
+        ["static", "icrm", "--runs", "2", "--death-rate", "0.02"],
+        ["dynamic", "icrm", "--window", "100", "--shift", "50"],
+        ["dynamic", "icrm", "--window", "100", "--shift", "50", "--death-rate", "0.02"],
+    ], ids=["static", "static-forgetting", "dynamic", "dynamic-forgetting"])
+    def test_byte_identical_reruns(self, tmp_path, canonical_file, args):
         outs = []
         for name in ("a", "b"):
             out = tmp_path / name
             assert main([
-                "eval", "static", "icrm", "--data", str(canonical_file),
-                "--runs", "2", "--out", str(out), "--seed", "5",
+                "eval", *args, "--data", str(canonical_file),
+                "--out", str(out), "--seed", "5",
             ]) == EXIT_OK
             outs.append({
                 p.name: p.read_bytes() for p in sorted(out.iterdir())
             })
-        assert outs[0] == outs[1]
+        assert outs[0] and outs[0] == outs[1]
 
     def test_missing_data_file_is_data_error(self, tmp_path, capsys):
         code = main([

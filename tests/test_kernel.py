@@ -199,6 +199,28 @@ def test_classifier_matches_reference(sampler, death_rate):
     assert clf.repertoire == ref_rep
 
 
+@pytest.mark.parametrize("sampler", ["first-last", "random"])
+@pytest.mark.parametrize("death_rate", [0.0, 0.05])
+def test_train_leaves_what_train_message_leaves(sampler, death_rate):
+    """``train`` skips scoring; its repertoire and random stream must not
+    tell. The random sampler also draws from the stream in preprocess."""
+    data = synthetic_dataset(
+        n_ham=60, n_spam=60, vocab_per_class=60, shared_vocab=40, seed=5,
+        words_per_message=(20, 120),
+    )
+    train = [m for pair in zip(data.ham[:40], data.spam[:40]) for m in pair]
+    test = data.ham[40:] + data.spam[40:]
+    bulk = IcrmClassifier(IcrmConfig(seed=7, death_rate=death_rate), sampler=sampler)
+    bulk.train(train)
+    single = IcrmClassifier(IcrmConfig(seed=7, death_rate=death_rate), sampler=sampler)
+    for m in train:
+        single.train_message(m)
+    assert list(bulk.repertoire.rows.items()) == list(single.repertoire.rows.items())
+    assert _bits(bulk.repertoire) == _bits(single.repertoire)
+    assert bulk.rng.bit_generator.state == single.rng.bit_generator.state
+    assert [bulk.verdict(m) for m in test] == [single.verdict(m) for m in test]
+
+
 def test_process_message_calls_bind_and_interact_once(monkeypatch):
     calls = {"build_slot_array": 0, "interact": 0}
 

@@ -293,6 +293,13 @@ class TestProcessMessage:
                 np.random.default_rng(0),
             )
 
+    def test_unknown_label_is_value_error(self):
+        msg = make_message("junk", body="alpha")
+        with pytest.raises(ValueError, match="'junk'"):
+            IcrmClassifier().train([msg])
+        with pytest.raises(ValueError, match="'junk'"):
+            IcrmClassifier().train_message(msg)
+
     def test_verdict_consistency_invariants(self, disjoint_corpus):
         clf = IcrmClassifier(IcrmConfig(seed=3))
         for msg in disjoint_corpus.ham[:20] + disjoint_corpus.spam[:20]:

@@ -98,6 +98,60 @@ class TestTraining:
         backward = nb_train(list(reversed(msgs)))
         assert forward == backward
 
+    def test_unknown_label_is_value_error(self):
+        msgs = [make_message(HAM, body="alpha"), make_message("junk", body="beta")]
+        with pytest.raises(ValueError, match="'junk'"):
+            nb_train(msgs)
+        with pytest.raises(ValueError, match="'junk'"):
+            NaiveBayesClassifier().train(msgs)
+
+
+def _hex_tables(tables):
+    """Every float of a model's tables spelled by ``float.hex``, keys in order."""
+    return [
+        (prior.hex(), [(f, x.hex()) for f, x in seen.items()],
+         None if unseen is None else unseen.hex())
+        for prior, seen, unseen in tables
+    ]
+
+
+# Training sets of (label, body): in the first every class's counts are
+# distinct (word i of a class is in i + 1 of its documents, first seen in
+# descending order), in the second every count is the same, and the third
+# holds no feature (denom == 0).
+_TRAINING_SETS = {
+    "distinct-counts": [
+        (label, " ".join(_WORDS[first + i] for i in reversed(range(j, 5))))
+        for label, first in ((HAM, 0), (SPAM, 4))
+        for j in range(5)
+    ],
+    "equal-counts": [(HAM, "nbw000 nbw001 nbw002")] * 3 + [(SPAM, "nbw002 nbw003")] * 3,
+    "featureless": [(HAM, ""), (SPAM, ""), (SPAM, "the")],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TRAINING_SETS))
+def test_training_matches_reference_bit_for_bit(name):
+    messages = [
+        make_message(label, body=body, mid=f"{label}-{i}")
+        for i, (label, body) in enumerate(_TRAINING_SETS[name])
+    ]
+    model = nb_train(messages)
+    doc_count, feature_doc_count = nb_reference.nb_train(messages)
+    assert dict(model.doc_count) == doc_count
+    for label in (HAM, SPAM):
+        assert list(model.feature_doc_count[label].items()) == list(
+            feature_doc_count[label].items()
+        )
+    counts = [list(c.values()) for c in feature_doc_count.values()]
+    if name == "distinct-counts":
+        assert all(len(set(c)) == len(c) == 5 for c in counts)
+    elif name == "equal-counts":
+        assert {x for c in counts for x in c} == {3}
+    else:
+        assert counts == [[], []]
+    assert _hex_tables(model.tables) == _hex_tables(nb_reference.score_tables(model))
+
 
 class TestPosterior:
     def test_symmetric_model_gives_half(self):
