@@ -332,11 +332,13 @@ def eval_dynamic(
 ) -> EvalReport:
     """Train once, then slide a metrics window over the remaining stream.
 
-    Every validation message is classified exactly once, in order; window
-    metrics are recomputed over each span [s, s + window). Drift slopes
-    for pct_fp and pct_fn are least-squares fits against the window index
-    0, 1, 2, ..., so a stream holding fewer than two windows is refused
-    before the classifier trains.
+    Every validation message is classified exactly once, in order. Running
+    totals of tp, tn, fp and fn are kept over the classified stream, and
+    each window [s, s + window) takes its counts as the difference of the
+    totals at its two ends, the integers ``counts_from_records`` would give
+    for the span. Drift slopes for pct_fp and pct_fn are least-squares
+    fits against the window index 0, 1, 2, ..., so a stream holding fewer
+    than two windows is refused before the classifier trains.
     """
     check_settings(
         {"train_per_class": train_per_class, "window": window, "shift": shift}
@@ -356,10 +358,18 @@ def eval_dynamic(
         )
     clf = factory(seed)
     clf.train(train)
-    records = [(msg.label, clf.classify(msg)) for msg in stream]
+    truth = np.array([msg.label == SPAM for msg in stream])
+    said = np.array([clf.classify(msg) == SPAM for msg in stream])
+    # row i: the (tp, tn, fp, fn) totals over the first i messages
+    totals = np.zeros((len(stream) + 1, 4), np.int64)
+    np.cumsum(
+        np.stack([truth & said, ~truth & ~said, ~truth & said, truth & ~said], 1),
+        0, out=totals[1:],
+    )
+    ends = np.array(starts)
     metrics = [
-        metrics_from_counts(counts_from_records(records[s : s + window]))
-        for s in starts
+        metrics_from_counts(ConfusionCounts(*counts))
+        for counts in (totals[ends + window] - totals[ends]).tolist()
     ]
     report = EvalReport(
         mode="dynamic",

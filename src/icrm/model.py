@@ -34,10 +34,20 @@ repertoire the slots are applied to looks their features up again.
 
 Populations only grow unless a per-message death rate is configured, in
 which case every known feature decays multiplicatively after each
-message: one in-place multiply of the columns, then features whose two
-populations both fell below ``_ZERO_CLAMP`` are cleared. Each element gets
-the same IEEE product the per-feature loop computed, so populations stay
-bit-identical to it. A message's verdict is the sum of per-feature scores
+message: one in-place multiply of the rows, then features whose two
+populations both fell below ``_ZERO_CLAMP`` are cleared to (+0.0, +0.0).
+Dead rows are found by one comparison over the contiguous (E, R) pairs,
+whose two flags per row read as one uint16, and cleared by one masked
+write through a complex view of the same memory. The repertoire keeps a
+lower bound on max(E, R) over its rows: loading sets it to the minimum
+over the loaded rows, appending lowers it to the new rows' larger initial
+population, interaction leaves it (gains only add) and decay multiplies
+it by the same factor. Rounding is monotone, so while the bound stays at
+or above the clamp no row can have died and the test is skipped. Each
+element gets the same IEEE product the per-feature loop computed, so
+populations stay bit-identical to it.
+
+A message's verdict is the sum of per-feature scores
 ``(R - E) / sqrt(R^2 + E^2)`` over its sample, read after the message's
 own interaction pass; a non-positive sum means spam. A message's scores
 are computed together: numpy takes the differences and the quotients,
@@ -156,8 +166,10 @@ class IcrmConfig:
 class Repertoire(Mapping):
     """The classifier's entire mutable state: feature -> (E, R).
 
-    ``rows`` maps each feature to its row of ``populations``, an array of
-    shape (features, 2) whose columns are E and R. Rows are handed out in
+    ``rows`` maps each feature to its row of ``populations``, a read-only
+    view of shape (features, 2) whose columns are E and R; only the model's
+    steps write the rows, which keeps the bound on max(E, R) that
+    :func:`decay` reads a true one. Rows are handed out in
     insertion order and never move, so iteration follows first sight.
     Reading a feature gives a tuple of Python floats; :meth:`add` appends
     rows for new features. A state file of version 2 keeps the rows in
@@ -183,11 +195,15 @@ class Repertoire(Mapping):
             raise ValueError("repeated feature")
         self._pops = np.empty((max(len(pops), _INITIAL_ROWS), 2))
         self._pops[: len(pops)] = pops
+        # a lower bound on max(E, R) over the rows; see decay
+        self._floor = float(np.maximum(pops[:, 0], pops[:, 1]).min(initial=math.inf))
 
     @property
     def populations(self) -> np.ndarray:
-        """A view of the used rows: column 0 is E, column 1 is R."""
-        return self._pops[: len(self.rows)]
+        """A read-only view of the used rows: column 0 is E, column 1 is R."""
+        view = self._pops[: len(self.rows)]
+        view.flags.writeable = False
+        return view
 
     def add(self, features: Iterable[str], pops: tuple[float, float]) -> None:
         """Append a row set to ``pops`` for each feature not yet present."""
@@ -204,6 +220,7 @@ class Repertoire(Mapping):
             grown[:start] = self._pops[:start]
             self._pops = grown
         self._pops[start:end] = pops
+        self._floor = min(self._floor, max(pops))
 
     def find(self, features: Sequence[str]) -> np.ndarray:
         """The rows of ``features``; a feature never seen is a KeyError."""
@@ -410,17 +427,23 @@ def interact(rep: Repertoire, slots: SlotArray, cfg: IcrmConfig) -> Repertoire:
 def decay(rep: Repertoire, cfg: IcrmConfig) -> Repertoire:
     """Shrink every population by (1 - death rate), if that rate is nonzero.
 
-    A feature whose E and R both end below ``_ZERO_CLAMP`` is cleared to
-    (0, 0). One in-place multiply covers every row.
+    One in-place multiply covers every row. A feature whose E and R both
+    end below ``_ZERO_CLAMP`` is then cleared to (+0.0, +0.0): one pair
+    test over the contiguous rows, one masked write. Both are skipped
+    while the repertoire's bound on max(E, R), multiplied by the same
+    factor, is at or above the clamp (see the module docstring).
     """
     rate = cfg.death_rate
     if rate > 0.0:
-        pops = rep.populations
-        pops *= 1.0 - rate
-        e, r = pops.T
-        dead = np.maximum(e, r) < _ZERO_CLAMP
-        e[dead] = 0.0
-        r[dead] = 0.0
+        keep = 1.0 - rate
+        pops = rep._pops[: len(rep.rows)]
+        pops *= keep
+        rep._floor *= keep
+        if not rep._floor >= _ZERO_CLAMP:  # a NaN bound tests too
+            flat = pops.reshape(-1)
+            # a row's two flags as one uint16: 0x0101 where both are set
+            dead = (flat < _ZERO_CLAMP).view(np.uint16) == 0x0101
+            np.putmask(flat.view(np.complex128), dead, 0)
     return rep
 
 

@@ -2,6 +2,7 @@
 
 import base64
 import csv
+import hashlib
 import inspect
 import json
 import re
@@ -688,3 +689,31 @@ def test_eval_near_its_edges(tmp_path, edge_corpus, capsys, mode, model, flags, 
 def test_seed_is_read_where_something_draws_from_it(mode, model):
     """Static runs shuffle and balance with the seed; ICRM draws from it."""
     assert "seed" in cli._run_settings(mode, model)
+
+
+_FORGETTING = Path(__file__).parent / "data" / "forgetting-digests.json"
+
+
+def test_forgetting_variant_outputs_keep_their_recorded_bytes(tmp_path, capsys):
+    """Death rate 0.02 on a corpus large enough that rows die: every CSV of
+    ``eval dynamic both`` and ``eval static icrm``, and a trained state
+    file, hash to what the decay that tested every row after every message
+    wrote (see the data file)."""
+    ds = synthetic_dataset(n_ham=1000, n_spam=1000, vocab_per_class=5000, seed=3)
+    data = tmp_path / "forget.jsonl"
+    write_canonical(ds, data)
+    for out, args in (("dynamic", ["dynamic", "both"]),
+                      ("static", ["static", "icrm", "--runs", "3"])):
+        code = main(["eval", *args, "--death-rate", "0.02", "--data", str(data),
+                     "--out", str(tmp_path / out)])
+        assert code == EXIT_OK, capsys.readouterr().err
+    clf = IcrmClassifier(IcrmConfig(death_rate=0.02))
+    clf.train(ds.ham + ds.spam)
+    # the ham rows died during the spam block, so the digest covers the clear
+    assert (0.0, 0.0) in clf.repertoire.values()
+    clf.save(tmp_path / "state.json")
+    written = {
+        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(tmp_path.glob("*/*.csv")) + [tmp_path / "state.json"]
+    }
+    assert written == json.loads(_FORGETTING.read_text(encoding="utf-8"))["sha256"]

@@ -34,6 +34,23 @@ from conftest import (
 )
 
 
+class _RandomVerdicts:
+    """Untrained verdicts drawn from ham, spam and a third label; keeps
+    each (truth, verdict) pair in stream order."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.records = []
+
+    def train(self, msgs):
+        pass
+
+    def classify(self, msg):
+        verdict = (HAM, SPAM, "junk")[int(self.rng.integers(3))]
+        self.records.append((msg.label, verdict))
+        return verdict
+
+
 class UncalledFactory:
     """A factory whose use fails the test: nothing may be trained."""
 
@@ -350,6 +367,28 @@ class TestEvalDynamic:
         ):
             eval_dynamic(tiny, UncalledFactory(), train_per_class=10,
                          window=window, shift=shift)
+
+    @pytest.mark.parametrize("window, shift", [
+        (10, 3), (7, 5), (1, 1), (50, 7), (99, 1),
+    ])
+    def test_window_counts_equal_counts_over_each_span(self, window, shift):
+        """Each window's metrics are those of its records counted alone, with
+        a verdict that is neither ham nor spam among them. (10, 3) and
+        (99, 1) end their last window on the stream's last message."""
+        tiny = synthetic_dataset(n_ham=60, n_spam=60, seed=4)
+        stub = _RandomVerdicts(seed=window * 1000 + shift)
+        stream = 100
+        report = eval_dynamic(tiny, lambda _: stub, train_per_class=10,
+                              window=window, shift=shift)
+        records = stub.records
+        assert len(records) == stream
+        assert {p for _, p in records} == {HAM, SPAM, "junk"}
+        starts = list(range(0, stream - window + 1, shift))
+        assert report.window_starts == starts
+        assert report.metrics == [
+            metrics_from_counts(counts_from_records(records[s : s + window]))
+            for s in starts
+        ]
 
     def test_insufficient_training(self):
         tiny = synthetic_dataset(n_ham=50, n_spam=50, seed=4)

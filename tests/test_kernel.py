@@ -8,6 +8,7 @@ matters, floats are compared by ``float.hex``.
 
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,8 @@ from icrm.model import (
     SlotArray,
     TEST,
     build_slot_array,
+    decay,
+    init_features,
     interact,
     process_message,
     score_feature,
@@ -394,6 +397,103 @@ def test_decay_edges_match_reference(features, bound, death_rate):
         interact(cols, SlotArray(features, bound), cfg)
         ref.interact(rep, ref.SlotArray(features, bound), cfg)
         assert _bits(cols) == _bits(rep)
+
+
+@st.composite
+def _forgetting_runs(draw):
+    """A death rate, a starting repertoire and steps of add, interact and
+    decay, with populations that straddle the clamp after one multiply."""
+    rate = draw(st.sampled_from([0.02, 0.5]))
+    edge = _ZERO_CLAMP / (1.0 - rate)
+    value = st.one_of(
+        st.sampled_from([
+            0.0, -0.0, 5e-324, 1e-310, np.nextafter(edge, 0.0), edge,
+            np.nextafter(edge, 1.0), 3e-12, 1e-11, 6.0,
+        ]),
+        st.floats(min_value=0.0, max_value=30.0),
+    )
+    start = draw(st.sampled_from(["empty", "rows", "doubling", "loaded"]))
+    rows = draw(st.lists(st.tuples(value, value), min_size=1, max_size=12))
+    step = st.one_of(
+        st.tuples(st.just("add"), st.integers(0, 4), st.lists(st.integers(0, 99), max_size=3),
+                  st.sampled_from([TRAIN_HAM, TRAIN_SPAM, TEST])),
+        st.tuples(st.just("interact"), st.lists(
+            st.tuples(st.integers(0, 99), st.sampled_from([BIND_E, BIND_R, BIND_EMPTY])),
+            max_size=12,
+        )),
+        st.tuples(st.just("decay"), st.sampled_from([1, 7, 60])),
+    )
+    # first-seen spam rows may start below the clamp: the bound must let the test run
+    e0_spam, r0_spam = draw(st.sampled_from([(6.0, 5.0), (1e-13, 0.0)]))
+    cfg = IcrmConfig(
+        proliferation=draw(st.sampled_from([5e-324, 0.02, 1.5])), death_rate=rate,
+        e0_spam=e0_spam, r0_spam=r0_spam,
+    )
+    return cfg, start, rows, draw(st.lists(step, max_size=12))
+
+
+def _start_repertoire(start: str, rows: list) -> dict:
+    if start == "empty":
+        return {}
+    if start == "doubling":  # the first add step of 3 or more rows doubles it
+        rows = (rows * _INITIAL_ROWS)[: _INITIAL_ROWS - 2]
+    rep = {f"w{i}": (float(e), float(r)) for i, (e, r) in enumerate(rows)}
+    if start == "loaded":
+        rep["neg-zero-pair"] = (-0.0, -0.0)
+    return rep
+
+
+def _assert_same_bytes(cols: Repertoire, rep: dict) -> None:
+    assert list(cols) == list(rep)
+    want = np.array(list(rep.values()), np.float64).reshape(-1, 2)
+    assert cols.populations.tobytes() == want.tobytes()
+
+
+@given(case=_forgetting_runs())
+@settings(max_examples=200, deadline=None)
+def test_decay_steps_match_the_per_feature_loop(case):
+    """After every add, interact and decay the populations are the loop's
+    bytes, -0.0 and subnormals included, whether or not the bound lets
+    decay skip its test for dead rows."""
+    cfg, start, rows, steps = case
+    rep = _start_repertoire(start, rows)
+    cols = Repertoire(rep)
+    if start == "loaded":
+        with tempfile.TemporaryDirectory() as tmp:
+            clf = IcrmClassifier(cfg)
+            clf.repertoire = cols
+            clf.save(Path(tmp) / "state.json")
+            cols = IcrmClassifier.load(Path(tmp) / "state.json").repertoire
+    _assert_same_bytes(cols, rep)
+    idle = ref.SlotArray([], [])
+    fresh = 0
+    for step in steps:
+        kind, *args = step
+        names = list(rep)
+        if kind == "add":
+            new, old, mode = args
+            sample = [names[i % len(names)] for i in old if names]
+            sample += [f"new{fresh + i}" for i in range(new)]
+            fresh += new
+            init_features(cols, sample, mode, cfg)
+            ref.init_features(rep, sample, mode, cfg)
+        elif kind == "interact":
+            slots = [(names[i % len(names)], b) for i, b in args[0] if names]
+            features, bound = [f for f, _ in slots], [b for _, b in slots]
+            interact(cols, SlotArray(features, bound), cfg)
+            ref.interact(rep, ref.SlotArray(features, bound), cfg)
+        else:
+            for _ in range(args[0]):
+                decay(cols, cfg)
+                ref.interact(rep, idle, cfg)  # no gains: the loop's decay alone
+                _assert_same_bytes(cols, rep)
+        _assert_same_bytes(cols, rep)
+    if start == "doubling" and len(cols) > _INITIAL_ROWS:
+        assert len(cols._pops) == 2 * _INITIAL_ROWS
+    with pytest.raises(ValueError, match="read-only"):
+        cols.populations[:] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        cols.populations *= 0.5
 
 
 def test_edge_populations_round_trip_through_a_state_file(tmp_path):
