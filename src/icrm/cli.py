@@ -67,7 +67,6 @@ DEFAULTS: dict[str, object] = {
     **_keyword_defaults(eval_dynamic),
     **{f.name: f.default for f in dataclass_fields(IcrmConfig)},
     "limit": _keyword_defaults(ingest_enron_dir)["limit_per_class"],
-    "feature_sampler": SAMPLERS[0],
     "out": "icrm-out",
     "stopwords": None,
 }
@@ -140,22 +139,12 @@ def _run_settings(mode: str, model: str) -> set[str]:
     """The settings an ``eval`` run of ``model`` under ``mode`` reads."""
     keys = {*_keyword_defaults(_PROTOCOLS[mode]), "out", "stopwords", "n"}
     if model != "nb":
-        keys |= {f.name for f in dataclass_fields(IcrmConfig)} | {"feature_sampler"}
+        keys |= {f.name for f in dataclass_fields(IcrmConfig)}
     elif mode == "dynamic":
         # the dynamic protocol hands its seed to the classifier alone, and
         # Naive Bayes draws nothing
         keys.discard("seed")
     return keys
-
-
-def _icrm_config(settings: dict) -> IcrmConfig:
-    kwargs = {f.name: settings[f.name] for f in dataclass_fields(IcrmConfig)}
-    cfg = IcrmConfig(**kwargs)
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return cfg
 
 
 def _load_stopwords(settings: dict):
@@ -214,11 +203,11 @@ def cmd_eval(args) -> int:
             flag = "--" + "no-" * (value is False) + key.replace("_", "-")
             raise ConfigError(f"eval {args.mode} {args.model} does not read {flag}")
     settings = _merge_settings(args)
-    if settings["feature_sampler"] not in SAMPLERS:
-        raise ConfigError(f"feature_sampler must be one of {SAMPLERS}, "
-                          f"got {settings['feature_sampler']!r}")
-    cfg = _icrm_config(settings)
+    # a setting the run does not read keeps its default, so it is never checked
+    settings.update((key, DEFAULTS[key]) for key in DEFAULTS.keys() - reads)
+    cfg = IcrmConfig(**{f.name: settings[f.name] for f in dataclass_fields(IcrmConfig)})
     try:
+        cfg.validate()
         check_settings(settings)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -243,7 +232,7 @@ def cmd_eval(args) -> int:
     protocol_settings = {key: settings[key] for key in _keyword_defaults(protocol)}
     reports = []
     for kind in kinds:
-        factory = make_factory(kind, cfg, stopwords, settings["feature_sampler"])
+        factory = make_factory(kind, cfg, stopwords)
         report = protocol(dataset, factory, **protocol_settings)
         _write_report(write_runs_csv, report, paths[kind])
         _write_report(write_summary_csv, report, paths[f"{kind}_summary"])

@@ -248,8 +248,11 @@ def merge_by_ratio(ham: list[Message], spam: list[Message]) -> list[Message]:
     ]
 
 
-def _round_half_up(x: float) -> int:
-    return int(x + 0.5)
+def block_counts(test_size: int, spam_ratio: float) -> tuple[int, int]:
+    """The (ham, spam) counts of a test block: spam_ratio * test_size spam,
+    rounded half up."""
+    n_spam = int(spam_ratio * test_size + 0.5)
+    return test_size - n_spam, n_spam
 
 
 def make_split(
@@ -268,10 +271,9 @@ def make_split(
     """
     if not 0.0 < spam_ratio < 1.0:
         raise SplitError(f"spam_ratio must be in (0, 1), got {spam_ratio}")
-    n_spam_test = _round_half_up(spam_ratio * test_size)
     cut = offset + train_per_class
     train, test = [], []
-    for label, n_test in ((HAM, test_size - n_spam_test), (SPAM, n_spam_test)):
+    for label, n_test in zip((HAM, SPAM), block_counts(test_size, spam_ratio)):
         messages = dataset.by_label(label)
         if len(messages) < cut + n_test:
             raise SplitError(

@@ -20,13 +20,16 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import HAM, SPAM, Dataset, SplitError, make_split, merge_by_ratio
+from .corpus import (
+    HAM, SPAM, Dataset, SplitError, block_counts, make_split, merge_by_ratio,
+)
 from .model import IcrmClassifier, IcrmConfig
 from .nbayes import NaiveBayesClassifier
-from .textprep import SAMPLE_CAP, SAMPLERS
+from .textprep import SAMPLE_CAP
 
 METRIC_FIELDS = ("f_score", "accuracy", "precision", "recall", "pct_fp", "pct_fn")
 _WINDOW_FIELDS = ("f_score", "accuracy", "pct_fp", "pct_fn")
+TRAIN_PER_CLASS = 100  # messages of each class a classifier trains on
 
 
 class EvalError(Exception):
@@ -37,14 +40,27 @@ def check_settings(settings: Mapping[str, object]) -> None:
     """Raise ValueError naming the first protocol setting out of range.
 
     Counts (runs, train_per_class, test_size, window, shift) must be at
-    least 1 and spam_ratio inside (0, 1), where NaN fails; keys missing
-    from ``settings`` are not checked.
+    least 1 and spam_ratio inside (0, 1), where NaN fails. With balanced
+    counting on, a test block must hold both classes. Keys missing from
+    ``settings`` are not checked.
     """
     for key in ("runs", "train_per_class", "test_size", "window", "shift"):
         if key in settings and not settings[key] >= 1:
             raise ValueError(f"{key} must be >= 1, got {settings[key]}")
     if "spam_ratio" in settings and not 0.0 < settings["spam_ratio"] < 1.0:
         raise ValueError(f"spam_ratio must be in (0, 1), got {settings['spam_ratio']}")
+    if {"test_size", "spam_ratio", "balance"} <= settings.keys():
+        size, ratio = settings["test_size"], settings["spam_ratio"]
+        ham, spam = block_counts(size, ratio)
+        if _balancing(settings["balance"], ratio) and not ham * spam:
+            raise ValueError(f"balanced counting needs both classes, but test_size "
+                             f"{size} at spam_ratio {ratio} gives {ham} ham and "
+                             f"{spam} spam")
+
+
+def _balancing(balance: bool | None, spam_ratio: float) -> bool:
+    """Whether counting is balanced: as set, or by default off a 0.5 ratio."""
+    return spam_ratio != 0.5 if balance is None else balance
 
 
 @dataclass
@@ -220,14 +236,11 @@ def paired_t_test(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]
 class IcrmFactory:
     config: IcrmConfig = field(default_factory=IcrmConfig)
     stopwords: frozenset[str] | None = None
-    sampler: str = SAMPLERS[0]
 
     name = "icrm"
 
     def __call__(self, run_seed: int) -> IcrmClassifier:
-        return IcrmClassifier(
-            replace(self.config, seed=run_seed), self.stopwords, self.sampler
-        )
+        return IcrmClassifier(replace(self.config, seed=run_seed), self.stopwords)
 
 
 @dataclass
@@ -241,9 +254,9 @@ class NbFactory:
         return NaiveBayesClassifier(self.n, self.stopwords)
 
 
-def make_factory(kind: str, config: IcrmConfig, stopwords=None, sampler=SAMPLERS[0]):
+def make_factory(kind: str, config: IcrmConfig, stopwords=None):
     if kind == "icrm":
-        return IcrmFactory(config, stopwords, sampler)
+        return IcrmFactory(config, stopwords)
     if kind == "nb":
         # the baseline always uses the deterministic first/last selection
         return NbFactory(config.n, stopwords)
@@ -271,11 +284,11 @@ def eval_static(
     dataset: Dataset,
     factory,
     runs: int = 10,
-    train_per_class: int = 100,
+    train_per_class: int = TRAIN_PER_CLASS,
     test_size: int = 200,
     spam_ratio: float = 0.5,
     shuffle_test: bool = False,
-    seed: int = 42,
+    seed: int = IcrmConfig.seed,
     balance: bool | None = None,
 ) -> EvalReport:
     """Repeated train/test blocks advancing by train_per_class per run.
@@ -284,13 +297,14 @@ def eval_static(
     [k*tpc, (k+1)*tpc) and tests it on the following block at the
     requested spam ratio. ``balance`` (default: on for ratios other than
     0.5) restores a balanced evaluation set by seeded down-sampling of the
-    majority class before counting. The runs execute in order, in this
+    majority class before counting; it refuses a test block that would
+    hold no message of one class. The runs execute in order, in this
     process.
     """
     check_settings({"runs": runs, "train_per_class": train_per_class,
-                    "test_size": test_size, "spam_ratio": spam_ratio})
-    if balance is None:
-        balance = spam_ratio != 0.5
+                    "test_size": test_size, "spam_ratio": spam_ratio,
+                    "balance": balance})
+    balance = _balancing(balance, spam_ratio)
     # Every split is made before any run executes, so a corpus that cannot
     # cover the schedule fails first.
     try:
@@ -325,10 +339,10 @@ def eval_static(
 def eval_dynamic(
     dataset: Dataset,
     factory,
-    train_per_class: int = 100,
+    train_per_class: int = TRAIN_PER_CLASS,
     window: int = 200,
     shift: int = 10,
-    seed: int = 42,
+    seed: int = IcrmConfig.seed,
 ) -> EvalReport:
     """Train once, then slide a metrics window over the remaining stream.
 

@@ -121,6 +121,7 @@ class IcrmConfig:
     proliferation: float = DEFAULT_PROLIFERATION
     death_rate: float = 0.0     # per-message decay; 0 disables forgetting
     seed: int = 42
+    feature_sampler: str = SAMPLERS[0]  # first-last, or random for ablation
 
     def validate(self) -> None:
         for f in fields(self):
@@ -152,6 +153,9 @@ class IcrmConfig:
             raise ValueError("proliferation must be positive")
         if not 0.0 <= self.death_rate < 1.0:
             raise ValueError("death_rate must be in [0, 1)")
+        if self.feature_sampler not in SAMPLERS:
+            raise ValueError(f"feature_sampler must be one of {SAMPLERS}, "
+                             f"got {self.feature_sampler!r}")
 
     def initial_populations(self, mode: str) -> tuple[float, float]:
         if mode == TRAIN_HAM:
@@ -454,21 +458,17 @@ def present_message(
     cfg: IcrmConfig,
     rng: np.random.Generator,
     stopwords: frozenset[str] | None = None,
-    sampler: str = SAMPLERS[0],
 ) -> SlotArray:
     """Run the per-message cycle up to scoring and return the bound slots.
 
-    Preprocess, initialise new features, bind, then interact (with decay).
-    The slots' keys are the message's sample, in order.
+    Preprocess (by ``cfg.feature_sampler``), initialise new features, bind,
+    then interact (with decay). The slots' keys are the message's sample.
     """
     if mode == TRAIN_HAM and msg.label != HAM:
         raise ValueError(f"training mode {mode} on a {msg.label} message")
     if mode == TRAIN_SPAM and msg.label != SPAM:
         raise ValueError(f"training mode {mode} on a {msg.label} message")
-    sample = preprocess(
-        msg, cfg.n, stopwords, sampler=sampler,
-        rng=rng if sampler == "random" else None,
-    )
+    sample = preprocess(msg, cfg.n, stopwords, cfg.feature_sampler, rng)
     init_features(rep, sample, mode, cfg)
     slots = build_slot_array(sample, rep, cfg, rng)
     interact(rep, slots, cfg)
@@ -482,17 +482,16 @@ def process_message(
     cfg: IcrmConfig,
     rng: np.random.Generator,
     stopwords: frozenset[str] | None = None,
-    sampler: str = SAMPLERS[0],
 ) -> Verdict:
     """Run the full per-message cycle and return the verdict.
 
     The same cycle runs in every stage (only first-seen initial values
-    differ): :func:`present_message` (preprocess, initialise new
-    features, bind, interact), then score the sampled features from
-    post-interaction populations. An empty sample scores 0 and is
-    therefore spam.
+    differ): :func:`present_message` (preprocess by ``cfg.feature_sampler``,
+    initialise new features, bind, interact), then score the sampled
+    features from post-interaction populations. An empty sample scores 0
+    and is therefore spam.
     """
-    slots = present_message(rep, msg, mode, cfg, rng, stopwords, sampler)
+    slots = present_message(rep, msg, mode, cfg, rng, stopwords)
     # the sample is distinct, so the slots' keys are the sample in order;
     # score_feature's floats, computed together (see the module docstring)
     pops = rep._pops.take(slots.rows, 0)
@@ -526,6 +525,7 @@ def _train_mode(msg: Message) -> str:
 class IcrmClassifier:
     """Stateful online classifier: a repertoire plus its random stream.
 
+    ``config`` holds every model setting, the feature sampler included.
     Instances are single-writer; snapshots are only meaningful between
     messages. Classification continues to update populations, which is
     how the model adapts to drifting content.
@@ -535,21 +535,17 @@ class IcrmClassifier:
         self,
         config: IcrmConfig | None = None,
         stopwords: frozenset[str] | None = None,
-        sampler: str = SAMPLERS[0],
     ):
         self.config = config or IcrmConfig()
         self.config.validate()
-        if sampler not in SAMPLERS:
-            raise ValueError(f"unknown sampler {sampler!r}")
         self.stopwords = stopwords
-        self.sampler = sampler
         self.repertoire = Repertoire()
         self.rng = np.random.default_rng(self.config.seed)
 
     def train_message(self, msg: Message) -> Verdict:
+        mode = _train_mode(msg)
         return process_message(
-            self.repertoire, msg, _train_mode(msg), self.config,
-            self.rng, self.stopwords, self.sampler,
+            self.repertoire, msg, mode, self.config, self.rng, self.stopwords
         )
 
     def train(self, messages: Iterable[Message]) -> None:
@@ -559,14 +555,11 @@ class IcrmClassifier:
         """
         rep, cfg, rng = self.repertoire, self.config, self.rng
         for msg in messages:
-            present_message(
-                rep, msg, _train_mode(msg), cfg, rng, self.stopwords, self.sampler
-            )
+            present_message(rep, msg, _train_mode(msg), cfg, rng, self.stopwords)
 
     def verdict(self, msg: Message) -> Verdict:
         return process_message(
-            self.repertoire, msg, TEST, self.config, self.rng,
-            self.stopwords, self.sampler,
+            self.repertoire, msg, TEST, self.config, self.rng, self.stopwords
         )
 
     def classify(self, msg: Message) -> str:
@@ -587,9 +580,11 @@ class IcrmClassifier:
         """
         rep = self.repertoire
         raw = np.ascontiguousarray(rep.populations, "<f8").tobytes()
+        config = asdict(self.config)
+        sampler = config.pop("feature_sampler")
         write_state(path, self._FORMAT, self._VERSION, {
-            "config": asdict(self.config),
-            "sampler": self.sampler,
+            "config": config,
+            "sampler": sampler,
             "rng_state": self.rng.bit_generator.state,
             "features": list(rep.rows),
             "populations": base64.b64encode(raw).decode("ascii"),
@@ -602,16 +597,15 @@ class IcrmClassifier:
         Version 1 holds a ``repertoire`` object, feature -> [E, R], whose
         keys were saved sorted, so its rows load in sorted order. Either
         way every population must be finite and non-negative and every
-        feature distinct; anything else is a :class:`SnapshotError`
-        naming the file.
+        feature distinct, and the sampler is the top-level ``sampler``, never
+        a ``config`` key; anything else is a :class:`SnapshotError` naming
+        the file.
         """
         version, state = read_state(path, cls._FORMAT, {1, 2}, SnapshotError)
         try:
-            clf = cls(
-                IcrmConfig(**state["config"]),
-                stopwords=stopwords,
-                sampler=state.get("sampler", SAMPLERS[0]),
-            )
+            sampler = state.get("sampler", SAMPLERS[0])
+            # a config that also holds feature_sampler is a TypeError
+            clf = cls(IcrmConfig(**state["config"], feature_sampler=sampler), stopwords)
             features, pops = (_v1_rows if version == 1 else _v2_rows)(state)
             ok = (pops >= 0.0) & (pops < math.inf)  # NaN fails too
             if not ok.all():

@@ -23,7 +23,7 @@ from icrm.model import (
     BIND_E, BIND_EMPTY, BIND_R, TRAIN_HAM, TRAIN_SPAM, _ZERO_CLAMP,
     IcrmConfig, Verdict, score_feature,
 )
-from icrm.textprep import SAMPLERS, preprocess
+from icrm.textprep import preprocess
 
 # The repertoire the loops were written against: feature -> (E, R).
 Repertoire = dict[str, tuple[float, float]]
@@ -125,13 +125,13 @@ def process_message(
     cfg: IcrmConfig,
     rng: np.random.Generator,
     stopwords: frozenset[str] | None = None,
-    sampler: str = SAMPLERS[0],
 ) -> Verdict:
     """Preprocess, initialise, bind, interact and score, all on the dict."""
     if mode == TRAIN_HAM and msg.label != HAM:
         raise ValueError(f"training mode {mode} on a {msg.label} message")
     if mode == TRAIN_SPAM and msg.label != SPAM:
         raise ValueError(f"training mode {mode} on a {msg.label} message")
+    sampler = cfg.feature_sampler
     sample = preprocess(
         msg, cfg.n, stopwords, sampler=sampler,
         rng=rng if sampler == "random" else None,
@@ -146,28 +146,30 @@ def process_message(
     )
 
 
-def state_body(
-    rep: Repertoire, cfg: IcrmConfig, rng: np.random.Generator,
-    sampler: str = SAMPLERS[0],
-) -> dict:
+def _settings(cfg: IcrmConfig) -> tuple[dict, str]:
+    """The state file's ``config`` (every setting but the sampler) and ``sampler``."""
+    config = asdict(cfg)
+    return config, config.pop("feature_sampler")
+
+
+def state_body(rep: Repertoire, cfg: IcrmConfig, rng: np.random.Generator) -> dict:
     """The version 1 body ``IcrmClassifier.save`` wrote for a dict repertoire."""
+    config, sampler = _settings(cfg)
     return {
-        "config": asdict(cfg),
+        "config": config,
         "sampler": sampler,
         "rng_state": rng.bit_generator.state,
         "repertoire": {f: [e, r] for f, (e, r) in rep.items()},
     }
 
 
-def state_body_v2(
-    rep: Repertoire, cfg: IcrmConfig, rng: np.random.Generator,
-    sampler: str = SAMPLERS[0],
-) -> dict:
+def state_body_v2(rep: Repertoire, cfg: IcrmConfig, rng: np.random.Generator) -> dict:
     """The version 2 body for a dict repertoire: features in insertion
     order, their (E, R) pairs packed one by one as little-endian doubles."""
     packed = b"".join(struct.pack("<dd", e, r) for e, r in rep.values())
+    config, sampler = _settings(cfg)
     return {
-        "config": asdict(cfg),
+        "config": config,
         "sampler": sampler,
         "rng_state": rng.bit_generator.state,
         "features": list(rep),

@@ -237,6 +237,8 @@ class TestEval:
         ("dynamic", ["--r0-test", "-1e-300"], None),
         ("static", [], "r0_test = -2"),
         ("static", [], "jobs = 2"),
+        ("static", [], "death_rate = 2"),
+        ("static", [], "feature_sampler = bogus"),
     ], ids=[
         "e0-ham-20", "runs-0", "runs-negative", "window-0", "shift-0", "shift-negative",
         "config-runs-0", "config-proliferation-nan", "config-proliferation-inf",
@@ -245,7 +247,8 @@ class TestEval:
         "spam-ratio-1", "spam-ratio-1.5", "spam-ratio-nan", "config-spam-ratio-nan",
         "config-test-size-0", "seed-negative", "dynamic-window-0", "dynamic-shift-0",
         "r0-spam-negative", "e0-ham-negative", "dynamic-r0-test-negative",
-        "config-r0-test-negative", "config-jobs-2",
+        "config-r0-test-negative", "config-jobs-2", "config-death-rate-2",
+        "config-feature-sampler-bogus",
     ])
     def test_invalid_model_config_reported_before_compute(
         self, tmp_path, canonical_file, mode, flags, config
@@ -416,6 +419,8 @@ class TestClassify:
         pytest.param(2, lambda s: s["config"].update(n=3), id="odd-n"),
         pytest.param(2, lambda s: s["config"].update(bogus=1), id="unknown-config-key"),
         pytest.param(2, lambda s: s.update(sampler="bogus"), id="unknown-sampler"),
+        pytest.param(2, lambda s: s["config"].update(feature_sampler="first-last"),
+                     id="sampler-in-config"),
         pytest.param(1, lambda s: s["repertoire"].update(alpha=["x", 1.0]),
                      id="population-x"),
         pytest.param(1, lambda s: s["repertoire"].update(alpha=[-1.0, 1.0]),
@@ -717,3 +722,142 @@ def test_forgetting_variant_outputs_keep_their_recorded_bytes(tmp_path, capsys):
         for path in sorted(tmp_path.glob("*/*.csv")) + [tmp_path / "state.json"]
     }
     assert written == json.loads(_FORGETTING.read_text(encoding="utf-8"))["sha256"]
+
+
+_RANDOM_SAMPLER = Path(__file__).parent / "data" / "random-sampler-digests.json"
+
+
+def test_random_sampler_outputs_keep_their_recorded_bytes(tmp_path, capsys):
+    """The random sampler is an ``IcrmConfig`` setting, yet its reports and
+    state file hash to what the sampler passed beside the config wrote (see
+    the data file); the state keeps it as the top-level ``sampler``."""
+    ds = synthetic_dataset(n_ham=300, n_spam=300, vocab_per_class=300, shared_vocab=300,
+                           words_per_message=(60, 120), seed=5)
+    data = tmp_path / "random.jsonl"
+    write_canonical(ds, data)
+    assert main(["eval", "static", "icrm", "--feature-sampler", "random", "--runs", "2",
+                 "--data", str(data), "--out", str(tmp_path / "static")]) == EXIT_OK
+    clf = IcrmClassifier(IcrmConfig(feature_sampler="random"))
+    clf.train(ds.ham + ds.spam)
+    first_last = IcrmClassifier()
+    first_last.train(ds.ham + ds.spam)
+    assert clf.repertoire != first_last.repertoire  # the messages were sampled
+    state = tmp_path / "state.json"
+    clf.save(state)
+    body = json.loads(state.read_text(encoding="utf-8"))
+    assert body["sampler"] == "random" and "feature_sampler" not in body["config"]
+    again = tmp_path / "again.json"
+    IcrmClassifier.load(state).save(again)
+    assert again.read_bytes() == state.read_bytes()
+    written = {
+        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(tmp_path.glob("*/*.csv")) + [state]
+    }
+    assert written == json.loads(_RANDOM_SAMPLER.read_text(encoding="utf-8"))["sha256"]
+
+
+_UNREAD = [
+    ("static icrm", "window = 0"),
+    ("static icrm", "shift = -5"),
+    ("static nb", "window = 0"),
+    ("static nb", "death_rate = 2"),
+    ("static nb", "feature_sampler = bogus"),
+    ("dynamic icrm", "runs = 0"),
+    ("dynamic icrm", "test_size = 3\nspam_ratio = 0.1"),
+    ("dynamic nb", "e0_ham = 20\nseed = -1"),
+]
+
+
+@pytest.mark.parametrize("command, config", _UNREAD, ids=[
+    f"{c.replace(' ', '-')}-{f.split()[0]}" for c, f in _UNREAD
+])
+def test_config_keys_a_run_does_not_read_are_never_checked(
+    tmp_path, edge_corpus, capsys, command, config
+):
+    """A config file may hold settings for other runs: the ones this run does
+    not read keep their defaults, so out-of-range values there refuse
+    nothing and change no report byte."""
+    (tmp_path / "other.conf").write_text(config + "\n", encoding="utf-8")
+    sizes = {"static": ["--runs", "2", "--test-size", "20"],
+             "dynamic": ["--window", "50"]}[command.split()[0]]
+    for out, extra in (("plain", []), ("with-file", ["--config", str(tmp_path / "other.conf")])):
+        code = main(["eval", *command.split(), "--data", str(edge_corpus),
+                     "--train-per-class", "10", *sizes, *extra,
+                     "--out", str(tmp_path / out)])
+        assert code == EXIT_OK, capsys.readouterr().err
+    plain = sorted(p.name for p in (tmp_path / "plain").iterdir())
+    assert plain == sorted(p.name for p in (tmp_path / "with-file").iterdir())
+    for name in plain:
+        assert (tmp_path / "with-file" / name).read_bytes() == (
+            tmp_path / "plain" / name).read_bytes()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--test-size", "3", "--spam-ratio", "0.1"],
+    ["--test-size", "1", "--balance"],
+], ids=["default-balance", "explicit-balance"])
+def test_balanced_one_class_block_is_refused_before_the_corpus_is_read(
+    tmp_path, capsys, monkeypatch, flags
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the corpus was read before the settings check")
+
+    monkeypatch.setattr(cli, "read_canonical", refuse)
+    out = tmp_path / "o"
+    code = main(["eval", "static", "nb", "--data", str(tmp_path / "unread.jsonl"),
+                 *flags, "--out", str(out)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("icrm: config error: ") and err.count("\n") == 1, err
+    assert "test_size" in err and "spam_ratio" in err
+    assert not out.exists()
+
+
+def test_unbalanced_one_class_block_runs(tmp_path, edge_corpus, capsys):
+    out = tmp_path / "o"
+    code = main(["eval", "static", "nb", "--data", str(edge_corpus), "--runs", "2",
+                 "--train-per-class", "10", "--test-size", "3", "--spam-ratio", "0.1",
+                 "--no-balance", "--out", str(out)])
+    assert code == EXIT_OK, capsys.readouterr().err
+    rows = (out / "static_nb.csv").read_text(encoding="utf-8").splitlines()
+    assert len(rows) == 3 and all(row.split(",")[2] == "1.000000" for row in rows[1:])
+
+
+# A setting read under another name in one signature.
+_ALIASES = {"limit_per_class": "limit", "sampler": "feature_sampler"}
+
+
+def _declared_defaults():
+    """(place, setting, default) for each parameter or ``IcrmConfig`` field
+    of the library that declares a ``cli.DEFAULTS`` setting with a default.
+    ``synthetic_dataset`` is left out: its ``seed`` draws a corpus, not a run."""
+    from icrm import corpus, evaluation, files, model, nbayes, porter, textprep
+
+    for module in (corpus, evaluation, files, model, nbayes, porter, textprep):
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = [obj]
+            if inspect.isclass(obj):
+                members += [getattr(m, "__func__", m) for m in vars(obj).values()
+                            if callable(getattr(m, "__func__", m))]
+            for member in members:
+                try:
+                    params = inspect.signature(member).parameters.values()
+                except (TypeError, ValueError):
+                    continue
+                for p in params:
+                    key = _ALIASES.get(p.name, p.name)
+                    if key in DEFAULTS and p.default is not p.empty:
+                        yield f"{module.__name__}.{member.__qualname__}", key, p.default
+
+
+def test_each_setting_has_one_default():
+    """Every signature or config field that declares a setting gives it the
+    default the command line gives it."""
+    declared = list(_declared_defaults())
+    for place, key, default in declared:
+        assert (type(default), default) == (type(DEFAULTS[key]), DEFAULTS[key]), (place, key)
+    # only the report directory is the command line's own
+    assert {key for _, key, _ in declared} == set(DEFAULTS) - {"out"}
+    assert ("icrm.model.IcrmConfig", "feature_sampler", "first-last") in declared

@@ -256,6 +256,32 @@ def test_protocols_reject_out_of_range_settings(protocol_corpus, protocol, setti
         protocol(protocol_corpus, AllHamFactory(), **settings)
 
 
+@pytest.mark.parametrize("settings", [
+    {"test_size": 3, "spam_ratio": 0.1},                   # 0 spam, balanced by default
+    {"test_size": 3, "spam_ratio": 0.9},                   # 0 ham
+    {"test_size": 1, "spam_ratio": 0.5, "balance": True},  # 1 spam, 0 ham
+    {"test_size": 3, "spam_ratio": 0.1, "balance": True},
+], ids=["ratio-0.1-default", "ratio-0.9-default", "size-1-balanced", "ratio-0.1-balanced"])
+def test_balanced_counting_of_a_one_class_block_is_refused(protocol_corpus, settings):
+    """Balancing down-samples to the minority class, so a test block that
+    holds no message of one class would count nothing: refused before any
+    classifier is built."""
+    with pytest.raises(ValueError, match="test_size .* spam_ratio"):
+        eval_static(protocol_corpus, UncalledFactory(), runs=2, **settings)
+    with pytest.raises(ValueError, match="test_size .* spam_ratio"):
+        evaluation.check_settings({"balance": None, **settings})
+
+
+def test_unbalanced_one_class_block_still_runs(protocol_corpus):
+    """Without balancing, a block of three ham is counted as it is."""
+    report = eval_static(
+        protocol_corpus, AllHamFactory(), runs=2, test_size=3, spam_ratio=0.1,
+        balance=False,
+    )
+    assert report.series("accuracy") == [1.0, 1.0]
+    assert report.series("f_score") == [0.0, 0.0]
+
+
 class TestEvalStatic:
     def test_perfect_stub(self, protocol_corpus):
         report = eval_static(protocol_corpus, PerfectFactory(), runs=10)

@@ -185,19 +185,16 @@ def test_classifier_matches_reference(sampler, death_rate):
     )
     train = [m for pair in zip(data.ham[:80], data.spam[:80]) for m in pair]
     test = data.ham[80:] + data.spam[80:]
-    cfg = IcrmConfig(seed=9, death_rate=death_rate)
+    cfg = IcrmConfig(seed=9, death_rate=death_rate, feature_sampler=sampler)
 
-    clf = IcrmClassifier(cfg, sampler=sampler)
+    clf = IcrmClassifier(cfg)
     clf.train(train)
     fast_scores = [clf.verdict(m).score for m in test]
 
     ref_rep, rng = {}, np.random.default_rng(cfg.seed)
     for m in train:
-        ref.process_message(ref_rep, m, _TRAIN_MODES[m.label], cfg, rng, sampler=sampler)
-    ref_scores = [
-        ref.process_message(ref_rep, m, TEST, cfg, rng, sampler=sampler).score
-        for m in test
-    ]
+        ref.process_message(ref_rep, m, _TRAIN_MODES[m.label], cfg, rng)
+    ref_scores = [ref.process_message(ref_rep, m, TEST, cfg, rng).score for m in test]
     assert fast_scores == ref_scores
     assert clf.repertoire == ref_rep
 
@@ -213,9 +210,10 @@ def test_train_leaves_what_train_message_leaves(sampler, death_rate):
     )
     train = [m for pair in zip(data.ham[:40], data.spam[:40]) for m in pair]
     test = data.ham[40:] + data.spam[40:]
-    bulk = IcrmClassifier(IcrmConfig(seed=7, death_rate=death_rate), sampler=sampler)
+    cfg = IcrmConfig(seed=7, death_rate=death_rate, feature_sampler=sampler)
+    bulk = IcrmClassifier(cfg)
     bulk.train(train)
-    single = IcrmClassifier(IcrmConfig(seed=7, death_rate=death_rate), sampler=sampler)
+    single = IcrmClassifier(cfg)
     for m in train:
         single.train_message(m)
     assert list(bulk.repertoire.rows.items()) == list(single.repertoire.rows.items())
