@@ -40,7 +40,8 @@ def check_settings(settings: Mapping[str, object]) -> None:
     """Raise ValueError naming the first protocol setting out of range.
 
     Counts (runs, train_per_class, test_size, window, shift) must be at
-    least 1 and spam_ratio inside (0, 1), where NaN fails. With balanced
+    least 1 and spam_ratio inside (0, 1), where NaN fails. A test block's
+    spam share must be a float, so test_size must be too. With balanced
     counting on, a test block must hold both classes. Keys missing from
     ``settings`` are not checked.
     """
@@ -51,7 +52,11 @@ def check_settings(settings: Mapping[str, object]) -> None:
         raise ValueError(f"spam_ratio must be in (0, 1), got {settings['spam_ratio']}")
     if {"test_size", "spam_ratio", "balance"} <= settings.keys():
         size, ratio = settings["test_size"], settings["spam_ratio"]
-        ham, spam = block_counts(size, ratio)
+        try:
+            ham, spam = block_counts(size, ratio)
+        except OverflowError:
+            raise ValueError(f"test_size must be below 2**1024, got a "
+                             f"{size.bit_length()}-bit integer") from None
         if _balancing(settings["balance"], ratio) and not ham * spam:
             raise ValueError(f"balanced counting needs both classes, but test_size "
                              f"{size} at spam_ratio {ratio} gives {ham} ham and "

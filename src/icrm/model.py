@@ -13,12 +13,18 @@ uniformly); adjacent slot pairs then interact:
 * regulators alone persist unchanged.
 
 Binding and interaction are one array pass per message: each slot holds
-an index into the message's distinct features, and the random permutation
-of the slots becomes that index in place. When no sampled feature is
-extinct, binding is one comparison of the draws with E / (E + R); a sample
-holding an extinct feature, whose slots stay empty, takes a masked path.
-Each slot's gain is looked up by the binding codes of its pair and summed
-per feature with ``np.bincount`` in slot order. The sums are of negated
+an index into the message's distinct features. The slots are laid out by
+shuffling a copy of a cached, read-only template that holds each sample
+position ``n_a`` times, ``np.repeat(np.arange(n), n_a)``; one template per
+``n_a``, whose prefixes serve shorter samples. The swaps of
+``Generator.permutation(total)``, which shuffles ``np.arange(total)``,
+depend only on the length, so the shuffled template is that permutation
+floor-divided by ``n_a`` and leaves the generator in the same state. When
+no sampled feature is extinct, binding is one comparison of the draws with
+E / (E + R); a sample holding an extinct feature, whose slots stay empty,
+takes a masked path. Each slot's gain is looked up by the binding codes of
+its pair, in a table of negated gains cached per proliferation amount, and
+summed per feature with ``np.bincount`` in slot order. The sums are of negated
 gains, and interaction subtracts them: x - (-d) is x + d exactly, and a
 side that gained nothing has a sum of +0.0, which leaves every x, -0.0
 included, as it was. The pass draws the same random numbers in the same
@@ -50,10 +56,10 @@ populations stay bit-identical to it.
 A message's verdict is the sum of per-feature scores
 ``(R - E) / sqrt(R^2 + E^2)`` over its sample, read after the message's
 own interaction pass; a non-positive sum means spam. A message's scores
-are computed together: numpy takes the differences and the quotients,
-the same IEEE operations as Python's, and ``math.hypot`` the norms
-(``np.hypot`` can be an ulp off it), so each is the float
-:func:`score_feature` gives, +0.0 for a (0, 0) feature.
+come from one gather of its rows into Python floats and one comprehension
+that divides by ``math.hypot`` (``np.hypot`` can be an ulp off it), so
+each is the float :func:`score_feature` gives; a (0, 0) feature, whose
+norm is zero, goes to :func:`score_feature` itself and scores +0.0.
 
 Scoring reads the populations and changes nothing, so
 :meth:`IcrmClassifier.train` runs only :func:`present_message`, the part
@@ -69,7 +75,7 @@ import math
 import sys
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, fields
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -355,16 +361,16 @@ def build_slot_array(
     slot for feature f binds an effector with probability E_f/(E_f+R_f),
     a regulator otherwise, and stays empty when both populations are zero.
     """
-    total = len(sample) * cfg.n_a
-    index = rng.permutation(total)
-    draws = rng.random(total)
+    # each slot's position in sample, in the order rng.permutation(total) // n_a
+    # would give (see the module docstring)
+    index = _slot_template(len(sample), cfg.n_a).copy()
+    rng.shuffle(index)
+    draws = rng.random(len(index))
     keys, sample_index = _intern(sample)
     rows = rep.find(keys)
     pops = rep._pops.take(rows, 0)
     e = pops[:, 0]
     mass = e + pops[:, 1]
-    # the permutation becomes each slot's index into keys in place
-    index //= cfg.n_a
     if sample_index is not None:
         index = sample_index[index]
     if np.count_nonzero(mass) == len(keys):
@@ -376,6 +382,26 @@ def build_slot_array(
         bound = np.where(draws < p_effector[index], BIND_E, BIND_R)
         bound[~live[index]] = BIND_EMPTY
     return SlotArray.from_index(keys, index, bound, rows, rep)
+
+
+# n_a -> the read-only slot template of the longest sample seen at that n_a
+_SLOT_TEMPLATES: dict[int, np.ndarray] = {}
+
+
+def _slot_template(n: int, n_a: int) -> np.ndarray:
+    """Sample positions 0 to n - 1, each ``n_a`` times in a row; read-only.
+
+    A shorter sample's template is a prefix of a longer one's, so one
+    template per ``n_a`` serves every sample length, and the cache holds
+    no more slots per ``n_a`` than the longest message has.
+    """
+    total = n * n_a
+    template = _SLOT_TEMPLATES.get(n_a)
+    if template is None or len(template) < total:
+        template = np.repeat(np.arange(n), n_a)
+        template.flags.writeable = False
+        _SLOT_TEMPLATES[n_a] = template
+    return template[:total]
 
 
 def _proliferates(code: int, partner: int) -> bool:
@@ -395,6 +421,14 @@ _PAIR_GAINS = np.array(
 )
 
 
+@lru_cache(maxsize=256)
+def _pair_loss(proliferation: float) -> np.ndarray:
+    """``_PAIR_GAINS`` times -proliferation: each slot's negated gain; read-only."""
+    loss = _PAIR_GAINS * -proliferation
+    loss.flags.writeable = False
+    return loss
+
+
 def interact(rep: Repertoire, slots: SlotArray, cfg: IcrmConfig) -> Repertoire:
     """Run one interaction pass and apply decay.
 
@@ -409,7 +443,7 @@ def interact(rep: Repertoire, slots: SlotArray, cfg: IcrmConfig) -> Repertoire:
         if total % 2:
             bound = np.append(bound, BIND_EMPTY)
         # each slot's gain, negated, looked up by its pair's two codes
-        slot_loss = (_PAIR_GAINS * -cfg.proliferation).take(
+        slot_loss = _pair_loss(cfg.proliferation).take(
             3 * bound[::2] + bound[1::2], 0
         ).ravel()[:total]
         # bincount sums each feature's losses in slot order, as a running sum
@@ -493,14 +527,12 @@ def process_message(
     """
     slots = present_message(rep, msg, mode, cfg, rng, stopwords)
     # the sample is distinct, so the slots' keys are the sample in order;
-    # score_feature's floats, computed together (see the module docstring)
-    pops = rep._pops.take(slots.rows, 0)
-    e, r = pops.T.tolist()
-    norm = np.fromiter(map(math.hypot, r, e), np.float64, len(r))
-    if np.count_nonzero(norm) == len(r):
-        scores = ((pops[:, 1] - pops[:, 0]) / norm).tolist()
-    else:  # an extinct feature, which score_feature scores +0.0
-        scores = list(map(score_feature, e, r))
+    # score_feature's floats, a zero norm being an extinct feature's
+    hypot = math.hypot
+    scores = [
+        (r - e) / norm if (norm := hypot(r, e)) else score_feature(e, r)
+        for e, r in rep._pops.take(slots.rows, 0).tolist()
+    ]
     score = math.fsum(scores)
     return Verdict(
         score=score,

@@ -5,9 +5,15 @@ runs; m is the "measure" that gates most rules.  Steps 1a, 2, 3 and 4 are
 (suffix, replacement) tables, each gated by a minimum measure of the
 remaining stem (none, > 0, > 0, > 1).  Within a step only the longest
 matching suffix is considered; if its condition fails, the step performs
-no change.  A table rejects most words with one ``str.endswith`` over all
-its suffixes and otherwise looks the word's ending up in per-length dicts,
-longest first.  Steps 1b, 1c, 5a and 5b carry their own conditions.
+no change.  Steps 1b, 1c, 5a and 5b carry their own conditions.
+
+A word the memo has not seen runs every step in one function.  Each step
+first asks ``str.endswith`` whether the word ends in any of its suffixes,
+which rejects most words at C speed; a table then looks the word's ending
+up in per-length dicts, longest first.  A step only acts on a word ending
+in one of its suffixes, and a word that no step acts on keeps its last
+letter, so a word whose last letter ends no suffix of any step
+(``_TOUCHED``, derived from the tables) is returned unchanged at once.
 """
 
 from __future__ import annotations
@@ -74,6 +80,7 @@ def _ends_cvc(word: str) -> bool:
 
 
 def _step1b(word: str) -> str:
+    """Strip -eed, -ed or -ing from a word ending in "ed" or "ing"."""
     if word.endswith("eed"):
         stem = word[:-3]
         if _measure(stem) > 0:
@@ -94,12 +101,6 @@ def _step1b(word: str) -> str:
     if _measure(stripped) == 1 and _ends_cvc(stripped):
         return stripped + "e"
     return stripped
-
-
-def _step1c(word: str) -> str:
-    if word.endswith("y") and _contains_vowel(word[:-1]):
-        return word[:-1] + "i"
-    return word
 
 
 class _Step(NamedTuple):
@@ -142,14 +143,28 @@ _STEP4 = _step([(suffix, "") for suffix in (
 )])
 
 
+# The endings steps 1b, 1c, 5a and 5b act on ("eed" ends in "ed").
+_STEP1B = ("ed", "ing")
+_STEP1C = "y"
+_STEP5A = "e"
+_STEP5B = "ll"
+
+# Every last letter that some step acts on; a word ending in any other
+# letter is its own stem.
+_TOUCHED = frozenset(
+    suffix[-1]
+    for suffix in (*_STEP1A.suffixes, *_STEP2.suffixes, *_STEP3.suffixes,
+                   *_STEP4.suffixes, *_STEP1B, _STEP1C, _STEP5A, _STEP5B)
+)
+
+
 def _replace_suffix(word: str, step: _Step, min_measure: int) -> str:
     """Replace the longest suffix in ``step`` if its stem's measure > min_measure.
 
-    Only the longest matching suffix is a candidate. ``min_measure`` -1
-    means no condition; -ion (step 4) also needs a stem ending in s or t.
+    The word ends in one of the step's suffixes; only the longest
+    matching one is a candidate. ``min_measure`` -1 means no condition;
+    -ion (step 4) also needs a stem ending in s or t.
     """
-    if not word.endswith(step.suffixes):
-        return word
     for length, replacements in step.by_length:
         suffix = word[-length:]
         replacement = replacements.get(suffix)
@@ -163,19 +178,31 @@ def _replace_suffix(word: str, step: _Step, min_measure: int) -> str:
     return word
 
 
-def _step5a(word: str) -> str:
-    if word.endswith("e"):
+def _apply_rules(word: str) -> str:
+    """Steps 1a to 5b on a word of length > 2, each skipped unless the word
+    ends in one of its suffixes."""
+    if word[-1] not in _TOUCHED:
+        return word
+    if word.endswith(_STEP1A.suffixes):
+        word = _replace_suffix(word, _STEP1A, -1)
+    if word.endswith(_STEP1B):
+        word = _step1b(word)
+    if word.endswith(_STEP1C) and _contains_vowel(word[:-1]):
+        word = word[:-1] + "i"
+    if word.endswith(_STEP2.suffixes):
+        word = _replace_suffix(word, _STEP2, 0)
+    if word.endswith(_STEP3.suffixes):
+        word = _replace_suffix(word, _STEP3, 0)
+    if word.endswith(_STEP4.suffixes):
+        word = _replace_suffix(word, _STEP4, 1)
+    if word.endswith(_STEP5A):
         stem = word[:-1]
         m = _measure(stem)
         if m > 1 or (m == 1 and not _ends_cvc(stem)):
-            return stem
-    return word
-
-
-def _step5b(word: str) -> str:
+            word = stem
     # a double consonant ending in l is "ll"
-    if word.endswith("ll") and _measure(word) > 1:
-        return word[:-1]
+    if word.endswith(_STEP5B) and _measure(word) > 1:
+        word = word[:-1]
     return word
 
 
@@ -187,12 +214,7 @@ def stem(word: str) -> str:
     cached = _cache.get(word)
     if cached is not None:
         return cached
-    result = word
-    if len(word) > 2:
-        result = _step1c(_step1b(_replace_suffix(word, _STEP1A, -1)))
-        result = _replace_suffix(result, _STEP2, 0)
-        result = _replace_suffix(result, _STEP3, 0)
-        result = _step5b(_step5a(_replace_suffix(result, _STEP4, 1)))
+    result = _apply_rules(word) if len(word) > 2 else word
     if len(_cache) < 1 << 20:
         _cache[word] = result
     return result

@@ -51,7 +51,7 @@ def check_sample_cap(n: int) -> None:
         raise ValueError(f"sample cap must be an even integer >= 2, got {n!r}")
 
 
-# What str.strip takes off a token's ends before the per-character loop.
+# What str.strip takes off a token's ends before any per-character loop.
 _ASCII_EDGES = "".join(ch for ch in map(chr, range(128)) if not ch.isalnum())
 
 
@@ -77,12 +77,17 @@ def tokenize(subject: str, body: str) -> list[str]:
     is not treated specially: ``<table>`` survives as ``table`` while
     ``<br>`` dies on the length filter. Order and duplicates are
     preserved.
+
+    ASCII punctuation is stripped first, at C speed. The per-character
+    loop runs only on a token that still has an end that is not
+    ``isalnum``, which only a non-ASCII character can be.
     """
     tokens = []
     for token in f"{subject} {body}".lower().split():
         if not token.isalnum():
-            # ASCII punctuation first, at C speed; the loop for the Unicode rest
-            token = _clean(token.strip(_ASCII_EDGES))
+            token = token.strip(_ASCII_EDGES)
+            if not (token[:1].isalnum() and token[-1:].isalnum()):
+                token = _clean(token)
         if len(token) >= _MIN_TOKEN_LEN:
             tokens.append(token)
     return tokens

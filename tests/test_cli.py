@@ -7,6 +7,7 @@ import inspect
 import json
 import re
 import struct
+from contextlib import redirect_stdout
 from dataclasses import fields
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from icrm.evaluation import check_settings, eval_dynamic, eval_static
 from icrm.files import write_state
 from icrm.model import IcrmClassifier, IcrmConfig, SnapshotError
 from icrm.synth import synthetic_dataset
+from icrm.textprep import preprocess
 
 from model_reference import state_body
 
@@ -756,6 +758,66 @@ def test_random_sampler_outputs_keep_their_recorded_bytes(tmp_path, capsys):
     assert written == json.loads(_RANDOM_SAMPLER.read_text(encoding="utf-8"))["sha256"]
 
 
+_DEFAULT_PATH = Path(__file__).parent / "data" / "default-digests.json"
+
+
+def _default_path_digests(root: Path) -> dict[str, str]:
+    """SHA-256 of what the default settings write under ``root``: the CSVs of
+    ``eval static both --runs 3`` and ``eval dynamic both`` on a corpus whose
+    every message fills the 50-feature cap, the same runs at ``--n-a 3`` on
+    a corpus of mixed lengths, a trained state file, and ``classify
+    --explain`` on two message files."""
+    full = synthetic_dataset(n_ham=400, n_spam=400, shared_vocab=120,
+                             words_per_message=(80, 200), seed=7)
+    mixed = synthetic_dataset(n_ham=400, n_spam=400, shared_vocab=120,
+                              words_per_message=(5, 120), seed=8)
+    for name, ds, flags in (("cap", full, []), ("n-a-3", mixed, ["--n-a", "3"])):
+        data = root / f"{name}.jsonl"
+        write_canonical(ds, data)
+        for mode, extra in (("static", ["--runs", "3"]), ("dynamic", [])):
+            code = main(["eval", mode, "both", *flags, *extra, "--data", str(data),
+                         "--out", str(root / f"{mode}-{name}")])
+            assert code == EXIT_OK
+    clf = IcrmClassifier()
+    clf.train(full.ham + full.spam)
+    state = root / "state.json"
+    clf.save(state)
+    spam = full.spam[-1]
+    messages = {
+        "corpus-msg.txt": f"Subject: {spam.subject}\n{spam.body}",
+        "text-msg.txt": "Subject: Cheap pills, offer!\nMeeting agenda for Monday: "
+                        "(hamw001) bothw017... spamw150?\n",
+    }
+    for name, text in messages.items():
+        (root / name).write_text(text, encoding="utf-8")
+        explained = root / f"classify-{name}"
+        with open(explained, "w", encoding="utf-8") as out, redirect_stdout(out):
+            assert main(["classify", str(state), str(root / name), "--explain"]) == EXIT_OK
+    paths = sorted(root.glob("*/*.csv")) + [state] + sorted(root.glob("classify-*"))
+    return {
+        path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in paths
+    }
+
+
+def test_default_path_outputs_keep_their_recorded_bytes(tmp_path, capsys):
+    """Reports, state and explanations of the default settings hash to what
+    the code before the cached slot template, pair-loss table and one-pass
+    stemmer wrote (see the data file). Every message of the first corpus
+    samples 50 features; the second holds odd samples, whose odd slot
+    counts at ``n_a`` 3 leave a trailing slot alone."""
+    written = _default_path_digests(tmp_path)
+    assert capsys.readouterr().err == ""
+    sizes = {}
+    for name in ("cap", "n-a-3"):
+        ds = read_canonical(tmp_path / f"{name}.jsonl")
+        sizes[name] = {len(preprocess(m)) for m in ds.ham + ds.spam}
+    assert sizes["cap"] == {50}
+    assert 50 in sizes["n-a-3"] and any(size % 2 for size in sizes["n-a-3"])
+    assert len(written) == 4 * 5 + 1 + 2
+    assert written == json.loads(_DEFAULT_PATH.read_text(encoding="utf-8"))["sha256"]
+
+
 _UNREAD = [
     ("static icrm", "window = 0"),
     ("static icrm", "shift = -5"),
@@ -810,6 +872,23 @@ def test_balanced_one_class_block_is_refused_before_the_corpus_is_read(
     err = capsys.readouterr().err
     assert err.startswith("icrm: config error: ") and err.count("\n") == 1, err
     assert "test_size" in err and "spam_ratio" in err
+    assert not out.exists()
+
+
+def test_test_size_beyond_float_range_is_refused(tmp_path, capsys, monkeypatch):
+    """A test block's spam share is a float, so a test_size no float holds
+    exits 1 with one line naming it, not an OverflowError traceback."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the corpus was read before the settings check")
+
+    monkeypatch.setattr(cli, "read_canonical", refuse)
+    out = tmp_path / "o"
+    code = main(["eval", "static", "nb", "--data", str(tmp_path / "unread.jsonl"),
+                 "--test-size", str(10**400), "--out", str(out)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("icrm: config error: test_size ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
     assert not out.exists()
 
 

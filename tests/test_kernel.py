@@ -35,6 +35,9 @@ from icrm.model import (
     build_slot_array,
     decay,
     init_features,
+    _SLOT_TEMPLATES,
+    _pair_loss,
+    _slot_template,
     interact,
     process_message,
     score_feature,
@@ -102,6 +105,100 @@ def test_repeated_sample_features_match_reference():
     expected = ref.build_slot_array(sample, rep, cfg, np.random.default_rng(5))
     assert fast.features == expected.features
     assert fast.bound.tolist() == expected.bound
+
+
+@given(n=st.integers(0, 600), n_a=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_shuffled_slot_template_is_the_permutation_floor_divided(n, n_a, seed):
+    """Shuffling the template makes the swaps of permutation(n * n_a) and
+    leaves the generator where permutation leaves it."""
+    shuffled, permuted = np.random.default_rng(seed), np.random.default_rng(seed)
+    index = _slot_template(n, n_a).copy()
+    shuffled.shuffle(index)
+    assert index.tolist() == (permuted.permutation(n * n_a) // n_a).tolist()
+    assert shuffled.bit_generator.state == permuted.bit_generator.state
+
+
+@given(
+    positions=st.lists(st.integers(0, 9), min_size=2, max_size=60),
+    n_a=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(positions=[0, 1, 0], n_a=3, seed=0)
+@settings(max_examples=200, deadline=None)
+def test_slots_of_repeated_features_follow_the_permutation(positions, n_a, seed):
+    """A sample with repeated features lays its slots out as
+    permutation(total) // n_a picks sample positions, then draws."""
+    sample = [f"w{i}" for i in positions]
+    rep = Repertoire({f"w{i}": (6.0, 5.0) for i in range(10)})
+    rng, expected = np.random.default_rng(seed), np.random.default_rng(seed)
+    slots = build_slot_array(sample, rep, IcrmConfig(n_a=n_a), rng)
+    order = expected.permutation(len(sample) * n_a) // n_a
+    expected.random(len(order))
+    assert slots.features == [sample[i] for i in order.tolist()]
+    assert rng.bit_generator.state == expected.bit_generator.state
+
+
+def test_cached_tables_are_read_only():
+    _SLOT_TEMPLATES.clear()
+    template = _slot_template(4, 3)
+    assert template.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]
+    with pytest.raises(ValueError):
+        template[0] = 1
+    # a shorter sample reads a prefix of the same cached template
+    assert _slot_template(2, 3).tolist() == [0, 0, 0, 1, 1, 1]
+    assert np.shares_memory(_slot_template(2, 3), template)
+    with pytest.raises(ValueError):
+        _slot_template(2, 3)[0] = 1
+    loss = _pair_loss(0.02)
+    assert _pair_loss(0.02) is loss
+    with pytest.raises(ValueError):
+        loss[0, 0] = 1.0
+    assert template.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]
+
+
+def test_slot_template_cache_holds_one_template_per_n_a():
+    """The cache keeps no more slots per n_a than the longest sample has."""
+    _SLOT_TEMPLATES.clear()
+    for n in (5, 50, 7, 0, 20):
+        for n_a in (1, 3, 10):
+            assert _slot_template(n, n_a).tolist() == np.repeat(np.arange(n), n_a).tolist()
+    assert {n_a: len(t) for n_a, t in _SLOT_TEMPLATES.items()} == {1: 50, 3: 150, 10: 500}
+
+
+def test_interleaved_classifiers_end_as_each_does_alone():
+    """The slot templates and pair-loss tables are shared by every classifier:
+    two classifiers of different n_a and proliferation, fed in turn, end
+    with the repertoires each ends with when it runs alone."""
+    data = synthetic_dataset(n_ham=80, n_spam=80, shared_vocab=40,
+                             words_per_message=(10, 90), seed=21)
+    train = [m for pair in zip(data.ham[:40], data.spam[:40]) for m in pair]
+    stream = [m for pair in zip(data.ham[40:], data.spam[40:]) for m in pair]
+
+    def configs():
+        return [IcrmConfig(n_a=3, proliferation=0.05, seed=1),
+                IcrmConfig(n_a=10, proliferation=0.02, seed=2)]
+
+    _SLOT_TEMPLATES.clear()
+    _pair_loss.cache_clear()
+    alone = []
+    for cfg in configs():
+        clf = IcrmClassifier(cfg)
+        clf.train(train)
+        verdicts = [clf.verdict(m) for m in stream]
+        alone.append((_bits(clf.repertoire), verdicts))
+    _SLOT_TEMPLATES.clear()
+    _pair_loss.cache_clear()
+    together = [IcrmClassifier(cfg) for cfg in configs()]
+    verdicts = [[], []]
+    for msg in train:
+        for clf in together:
+            clf.train_message(msg)
+    for msg in stream:
+        for clf, out in zip(together, verdicts):
+            out.append(clf.verdict(msg))
+    assert [(_bits(clf.repertoire), out) for clf, out in zip(together, verdicts)] == alone
+    assert alone[0][0] != alone[1][0]
 
 
 @pytest.mark.parametrize("death_rate", [0.0, 0.3])

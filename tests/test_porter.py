@@ -5,7 +5,7 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from icrm.porter import _STEP1A, _STEP2, _STEP3, _STEP4, stem
+from icrm.porter import _STEP1A, _STEP2, _STEP3, _STEP4, _TOUCHED, stem
 
 from porter_reference import reference_stem
 
@@ -156,6 +156,32 @@ def test_package_tables_hold_the_written_out_suffixes():
 def test_each_table_suffix_agrees_with_reference(suffix, base):
     word = base + suffix
     assert stem(word) == reference_stem(word)
+
+
+# The endings steps 1b, 1c, 5a and 5b act on, beside the four tables.
+OTHER_STEP_ENDINGS = ["eed", "ed", "ing", "y", "e", "ll"]
+
+
+def test_touched_last_letters_are_the_rules_last_letters():
+    """A word whose last letter ends no suffix of any step is returned at
+    once; the set of letters that do is derived from the rules."""
+    derived = {suffix[-1] for suffix in PACKAGE_SUFFIXES + OTHER_STEP_ENDINGS}
+    assert _TOUCHED == derived
+    assert "".join(sorted(_TOUCHED)) == "cdegilmnrstuy"
+
+
+UNTOUCHED_LAST = sorted(set(RULE_ALPHABET + "abfhjkopqvwxz09\xe9\xdf") - _TOUCHED)
+
+
+@given(
+    base=st.text(alphabet=RULE_ALPHABET, max_size=12),
+    last=st.sampled_from(UNTOUCHED_LAST),
+)
+@settings(max_examples=1000, deadline=None)
+def test_word_ending_in_an_untouched_letter_is_its_own_stem(base, last):
+    word = base + last
+    assert reference_stem(word) == word
+    assert stem(word) == word
 
 
 def test_deterministic():
