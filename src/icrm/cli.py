@@ -15,6 +15,7 @@ import sys
 from dataclasses import fields as dataclass_fields
 from datetime import date
 from pathlib import Path
+from typing import get_args
 
 from .corpus import (
     CorpusError,
@@ -26,6 +27,7 @@ from .corpus import (
     write_canonical,
 )
 from .evaluation import (
+    RANGES as PROTOCOL_RANGES,
     EvalError,
     check_settings,
     compare_reports,
@@ -39,9 +41,9 @@ from .evaluation import (
     write_ttest_csv,
 )
 from .files import read_text
-from .model import IcrmClassifier, IcrmConfig, SnapshotError
+from .model import RANGES as MODEL_RANGES, IcrmClassifier, IcrmConfig, SnapshotError
 from .nbayes import ModelError
-from .textprep import SAMPLERS, parse_stopwords
+from .textprep import parse_stopwords
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -84,6 +86,10 @@ _HELP = {
 
 _BOOL_STRINGS = {"true": True, "yes": True, "1": True,
                  "false": False, "no": False, "0": False}
+_RANGES = {**MODEL_RANGES, **PROTOCOL_RANGES}
+# the type each setting is read as: its row's (None is only balance's
+# default), int for the ingest limit, str for a file path
+_TYPES = {"limit": int, **{k: (get_args(t) or (t,))[0] for k, (t, _) in _RANGES.items()}}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,17 +98,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _coerce(key: str, raw: str):
-    default = DEFAULTS[key]
+    kind = _TYPES.get(key, str)
     try:
-        if key == "balance" or isinstance(default, bool):
-            return _BOOL_STRINGS[raw.lower()]
-        if isinstance(default, int):
-            return int(raw)
-        if isinstance(default, float):
-            return float(raw)
+        return _BOOL_STRINGS[raw.lower()] if kind is bool else kind(raw)
     except (KeyError, ValueError):
         raise ValueError(f"bad value {raw!r} for {key!r}") from None
-    return raw
 
 
 def _parse_config_file(path) -> dict:
@@ -319,13 +319,10 @@ def _add_settings(parser: argparse.ArgumentParser, keys) -> None:
     """``--config`` and one flag per setting in ``keys``, each defaulting to None."""
     parser.add_argument("--config", help="flat key = value settings file")
     for key in keys:
-        default = DEFAULTS[key]
-        if key == "balance" or isinstance(default, bool):
-            spec = {"action": argparse.BooleanOptionalAction}
-        elif key == "feature_sampler":
-            spec = {"choices": SAMPLERS}
-        else:  # a file path defaults to None
-            spec = {} if default is None else {"type": type(default)}
+        kind = _TYPES.get(key, str)
+        limits = dict(_RANGES[key][1]) if key in _RANGES else {}
+        spec = ({"action": argparse.BooleanOptionalAction} if kind is bool
+                else {"type": kind, "choices": limits.get("one of")})
         parser.add_argument("--" + key.replace("_", "-"), help=_HELP.get(key), **spec)
 
 

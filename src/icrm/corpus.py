@@ -81,7 +81,6 @@ class IngestResult:
 class Split:
     train: list[Message]
     test: list[Message]
-    spam_ratio: float
 
 
 def _sort_key(msg: Message):
@@ -282,8 +281,4 @@ def make_split(
             )
         train.append(messages[offset:cut])
         test.append(messages[cut : cut + n_test])
-    return Split(
-        train=merge_by_ratio(*train),
-        test=merge_by_ratio(*test),
-        spam_ratio=spam_ratio,
-    )
+    return Split(train=merge_by_ratio(*train), test=merge_by_ratio(*test))

@@ -23,7 +23,7 @@ import numpy as np
 from .corpus import (
     HAM, SPAM, Dataset, SplitError, block_counts, make_split, merge_by_ratio,
 )
-from .model import IcrmClassifier, IcrmConfig
+from .model import RANGES as MODEL_RANGES, IcrmClassifier, IcrmConfig, check_range
 from .nbayes import NaiveBayesClassifier
 from .textprep import SAMPLE_CAP
 
@@ -36,27 +36,25 @@ class EvalError(Exception):
     pass
 
 
-def check_settings(settings: Mapping[str, object]) -> None:
-    """Raise ValueError naming the first protocol setting out of range.
+RANGES = {  # each protocol setting's type and limits; see model.check_range
+    **dict.fromkeys(("runs", "train_per_class", "window", "shift"), (int, [(">=", 1)])),
+    "test_size": (int, [(">=", 1), ("<=", 10**9)]),  # its spam count is a float product
+    "spam_ratio": (float, [(">", 0), ("<", 1)]),
+    "shuffle_test": (bool, []),
+    "balance": (bool | None, []),  # None: balanced unless the ratio is 0.5
+    "seed": MODEL_RANGES["seed"],
+}
 
-    Counts (runs, train_per_class, test_size, window, shift) must be at
-    least 1 and spam_ratio inside (0, 1), where NaN fails. A test block's
-    spam share must be a float, so test_size must be too. With balanced
-    counting on, a test block must hold both classes. Keys missing from
-    ``settings`` are not checked.
-    """
-    for key in ("runs", "train_per_class", "test_size", "window", "shift"):
-        if key in settings and not settings[key] >= 1:
-            raise ValueError(f"{key} must be >= 1, got {settings[key]}")
-    if "spam_ratio" in settings and not 0.0 < settings["spam_ratio"] < 1.0:
-        raise ValueError(f"spam_ratio must be in (0, 1), got {settings['spam_ratio']}")
+
+def check_settings(settings: Mapping[str, object]) -> None:
+    """Raise ValueError naming the first setting its :data:`RANGES` row refuses
+    (other keys are not checked), or a balanced test block of one class."""
+    for key, value in settings.items():
+        if key in RANGES:
+            check_range(RANGES, key, value)
     if {"test_size", "spam_ratio", "balance"} <= settings.keys():
         size, ratio = settings["test_size"], settings["spam_ratio"]
-        try:
-            ham, spam = block_counts(size, ratio)
-        except OverflowError:
-            raise ValueError(f"test_size must be below 2**1024, got a "
-                             f"{size.bit_length()}-bit integer") from None
+        ham, spam = block_counts(size, ratio)
         if _balancing(settings["balance"], ratio) and not ham * spam:
             raise ValueError(f"balanced counting needs both classes, but test_size "
                              f"{size} at spam_ratio {ratio} gives {ham} ham and "
@@ -306,9 +304,7 @@ def eval_static(
     hold no message of one class. The runs execute in order, in this
     process.
     """
-    check_settings({"runs": runs, "train_per_class": train_per_class,
-                    "test_size": test_size, "spam_ratio": spam_ratio,
-                    "balance": balance})
+    check_settings(locals())  # each parameter that RANGES names
     balance = _balancing(balance, spam_ratio)
     # Every split is made before any run executes, so a corpus that cannot
     # cover the schedule fails first.
@@ -359,9 +355,7 @@ def eval_dynamic(
     fits against the window index 0, 1, 2, ..., so a stream holding fewer
     than two windows is refused before the classifier trains.
     """
-    check_settings(
-        {"train_per_class": train_per_class, "window": window, "shift": shift}
-    )
+    check_settings(locals())  # each parameter that RANGES names
     try:
         train = make_split(dataset, train_per_class, 0).train
     except SplitError as exc:

@@ -66,18 +66,24 @@ Scoring reads the populations and changes nothing, so
 of the cycle before scoring; :meth:`IcrmClassifier.train_message` still
 runs the whole cycle and returns the training verdict. Both leave the
 same repertoire and the same random stream.
+
+Each setting's type and limits are one row of :data:`RANGES`, which
+:func:`check_range` reads. A population starts at most at 10**6 and gains
+at most n_a * proliferation <= 10**9 per message, so it stays finite for
+any stream under 10**299 messages; a message binds n * n_a <= 10**6 slots.
 """
 
 from __future__ import annotations
 
 import base64
 import math
+import operator
 import sys
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property, lru_cache
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, get_args
 
 import numpy as np
 
@@ -112,6 +118,36 @@ class SnapshotError(Exception):
     """Raised for unreadable, foreign, or wrong-version state files."""
 
 
+RANGES = {  # each setting's type and (op, bound) limits; see the module docstring
+    "n": (int, [("<=", 1000)]),  # and an even int >= 2: check_sample_cap
+    "n_a": (int, [(">=", 1), ("<=", 1000)]),
+    **dict.fromkeys(("e0_ham", "r0_ham", "e0_spam", "r0_spam", "e0_test", "r0_test"),
+                    (float, [(">=", 0), ("<=", 10**6)])),  # cell counts; -0.0 passes
+    "proliferation": (float, [(">", 0), ("<=", 10**6)]),
+    "death_rate": (float, [(">=", 0), ("<", 1)]),
+    "seed": (int, [(">=", 0)]),
+    "feature_sampler": (str, [("one of", SAMPLERS)]),
+}
+_LIMITS = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt,
+           "one of": lambda value, choices: value in choices}
+_KINDS = {int: "an integer", float: "a finite number", bool: "true or false",
+          str: "a string", bool | None: "true, false or None"}
+
+
+def check_range(ranges: Mapping[str, tuple], name: str, value):
+    """``value`` (as a float for a float setting, which takes any int or float
+    a float holds: NaN and infinities fail) if it has the exact type and meets
+    the limits of ``name``'s row in ``ranges``, else a ValueError naming it."""
+    kind, limits = ranges[name]
+    kinds = (int, float) if kind is float else get_args(kind) or (kind,)
+    if type(value) not in kinds or kind is float and not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name} must be {_KINDS[kind]}, got {value!r}")
+    for op, bound in limits:
+        if not _LIMITS[op](value, bound):
+            raise ValueError(f"{name} must be {op} {bound!r}, got {value!r}")
+    return float(value) if kind is float else value
+
+
 @dataclass
 class IcrmConfig:
     """Model parameters; defaults follow the reference configuration."""
@@ -130,38 +166,15 @@ class IcrmConfig:
     feature_sampler: str = SAMPLERS[0]  # first-last, or random for ablation
 
     def validate(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "int" and type(value) is not int:
-                raise ValueError(f"{f.name} must be an integer, got {value!r}")
-            if f.type == "float":
-                if not (  # NaN fails too
-                    isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-                ):
-                    raise ValueError(f"{f.name} must be a finite number, got {value!r}")
-                # an initial population is a cell count; -0.0 passes, as on load
-                if f.name.startswith(("e0_", "r0_")) and value < 0:
-                    raise ValueError(f"{f.name} must be >= 0, got {value!r}")
-                # an int given in Python saves as the float the CLI would give
-                setattr(self, f.name, float(value))
+        for f in fields(self):  # by RANGES; an int for a float becomes a float
+            setattr(self, f.name, check_range(RANGES, f.name, getattr(self, f.name)))
         check_sample_cap(self.n)
-        if self.n_a < 1:
-            raise ValueError(f"n_a must be >= 1, got {self.n_a}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.e0_ham < self.r0_ham:
             raise ValueError("ham initialisation requires E0 < R0")
         if not self.e0_spam > self.r0_spam:
             raise ValueError("spam initialisation requires E0 > R0")
         if not self.e0_test > self.r0_test:
             raise ValueError("test initialisation requires E0 > R0")
-        if self.proliferation <= 0:
-            raise ValueError("proliferation must be positive")
-        if not 0.0 <= self.death_rate < 1.0:
-            raise ValueError("death_rate must be in [0, 1)")
-        if self.feature_sampler not in SAMPLERS:
-            raise ValueError(f"feature_sampler must be one of {SAMPLERS}, "
-                             f"got {self.feature_sampler!r}")
 
     def initial_populations(self, mode: str) -> tuple[float, float]:
         if mode == TRAIN_HAM:

@@ -4,17 +4,19 @@ import base64
 import csv
 import hashlib
 import inspect
+import io
 import json
 import re
 import struct
-from contextlib import redirect_stdout
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, event, example, given, settings, strategies as st
 
-from icrm import cli
+from icrm import cli, evaluation, model
 from icrm.cli import DEFAULTS, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from icrm.corpus import HAM, SPAM, read_canonical, write_canonical
 from icrm.evaluation import check_settings, eval_dynamic, eval_static
@@ -241,6 +243,11 @@ class TestEval:
         ("static", [], "jobs = 2"),
         ("static", [], "death_rate = 2"),
         ("static", [], "feature_sampler = bogus"),
+        ("dynamic", ["--proliferation", "1e308"], None),
+        ("dynamic", [], "e0_ham = 1e308\nr0_ham = 1.7e308"),
+        ("static", ["--n-a", "1001"], None),
+        ("static", ["--n", "1002"], None),
+        ("static", ["--e0-test", "1000001"], None),
     ], ids=[
         "e0-ham-20", "runs-0", "runs-negative", "window-0", "shift-0", "shift-negative",
         "config-runs-0", "config-proliferation-nan", "config-proliferation-inf",
@@ -250,7 +257,9 @@ class TestEval:
         "config-test-size-0", "seed-negative", "dynamic-window-0", "dynamic-shift-0",
         "r0-spam-negative", "e0-ham-negative", "dynamic-r0-test-negative",
         "config-r0-test-negative", "config-jobs-2", "config-death-rate-2",
-        "config-feature-sampler-bogus",
+        "config-feature-sampler-bogus", "dynamic-proliferation-1e308",
+        "dynamic-config-ham-populations-near-float-max", "n-a-1001", "n-1002",
+        "e0-test-above-10**6",
     ])
     def test_invalid_model_config_reported_before_compute(
         self, tmp_path, canonical_file, mode, flags, config
@@ -433,6 +442,11 @@ class TestClassify:
         pytest.param(2, lambda s: s["config"].update(n=50.0), id="float-n"),
         pytest.param(2, lambda s: s["config"].update(n_a=10.0), id="float-n_a"),
         pytest.param(2, lambda s: s["config"].update(e0_test=10**400), id="huge-int-e0"),
+        pytest.param(2, lambda s: s["config"].update(proliferation=1e308),
+                     id="proliferation-1e308"),
+        pytest.param(2, lambda s: s["config"].update(e0_ham=1e308, r0_ham=1.7e308),
+                     id="ham-populations-near-float-max"),
+        pytest.param(2, lambda s: s["config"].update(n_a=10**6), id="n_a-10**6"),
         pytest.param(2, lambda s: s.update(populations=s["populations"][:-1]),
                      id="v2-truncated-base64"),
         pytest.param(2, lambda s: s.update(populations=s["populations"] + "="),
@@ -940,3 +954,145 @@ def test_each_setting_has_one_default():
     # only the report directory is the command line's own
     assert {key for _, key, _ in declared} == set(DEFAULTS) - {"out"}
     assert ("icrm.model.IcrmConfig", "feature_sampler", "first-last") in declared
+
+
+def test_each_setting_has_one_range_row_that_holds_its_default():
+    """The model's and the protocols' tables declare every setting but the
+    command line's own (the ingest limit and two paths) once; they share
+    only the seed's row, and every default passes its row."""
+    ranges = {**model.RANGES, **evaluation.RANGES}
+    assert model.RANGES.keys() & evaluation.RANGES.keys() == {"seed"}
+    assert evaluation.RANGES["seed"] is model.RANGES["seed"]
+    assert set(ranges) == set(DEFAULTS) - {"limit", "out", "stopwords"}
+    for key, row in ranges.items():
+        assert model.check_range(ranges, key, DEFAULTS[key]) == DEFAULTS[key], key
+
+
+# -- the command line under generated input ---------------------------------
+
+# Settings a fuzzed run may set; stopwords and out name files, so they stay
+# out and no example reads or writes outside its own directory.
+_FUZZ_KEYS = [key for key in DEFAULTS if key not in ("stopwords", "out")]
+_UNKNOWN_KEYS = ["jobs", "frobnicate", "n-a", "Runs", "feature sampler"]
+_EDGE_VALUES = [
+    "nan", "-nan", "inf", "-inf", "-0.0", "0", "-1", "2.5", "5e-324", "2.2e-308",
+    "1e308", "1.7e308", "1e309", str(10**400), str(-(10**400)), "0x10", "1_0", "",
+    "yes", "none", "random", "first-last",
+]
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+                max_size=6)
+_WILD = st.one_of(
+    st.sampled_from(_EDGE_VALUES), st.integers().map(str), st.floats().map(repr), _TEXT,
+)
+# In-range values often enough that runs get past the checks; a tiny corpus
+# needs small counts, and its messages keep n small whatever n is.
+_SANE = {
+    **dict.fromkeys(["runs", "shift"], st.integers(1, 4)),
+    "train_per_class": st.integers(1, 40), "test_size": st.integers(1, 40),
+    "window": st.integers(1, 60), "seed": st.integers(0, 2**70), "n": st.integers(0, 60),
+    "spam_ratio": st.floats(0, 1), "death_rate": st.floats(0, 1),
+    **dict.fromkeys(
+        ["e0_ham", "r0_ham", "e0_spam", "r0_spam", "e0_test", "r0_test", "proliferation"],
+        st.floats(0, 2e6),
+    ),
+    "feature_sampler": st.sampled_from(["first-last", "random"]),
+    **dict.fromkeys(["shuffle_test", "balance"], st.sampled_from(["yes", "no"])),
+    "limit": st.integers(-2, 12),
+}
+# n_a sizes every message's slot array, so it is never drawn unbounded: at
+# most 1,500 slots per feature, and a message here has at most 12 features
+_N_A = st.one_of(*[st.integers(-5, 1500).map(str)] * 4, st.floats().map(repr),
+                 st.sampled_from(["nan", "inf", "", "2.5", "x"]))
+
+
+def _fuzz_value(key: str):
+    if key == "n_a":
+        return _N_A
+    if key in _SANE:
+        return st.one_of(*[_SANE[key].map(str)] * 6, _WILD)
+    return _WILD
+
+
+def _settings(keys):
+    """(key, value) pairs: mostly known keys with their values, some unknown."""
+    known = st.sampled_from(keys).flatmap(lambda k: st.tuples(st.just(k), _fuzz_value(k)))
+    unknown = st.tuples(st.sampled_from(_UNKNOWN_KEYS), _WILD)
+    return st.lists(st.one_of(*[known] * 6, unknown), max_size=3)
+
+
+def _flag_args(pairs) -> list[str]:
+    """``--key=value``; a bare ``--key`` for the value "" or "yes", and
+    ``--no-key`` for "no", as the switches take them."""
+    bare = {"": "--", "yes": "--", "no": "--no-"}
+    return [bare[value] + key.replace("_", "-") if value in bare
+            else f"--{key.replace('_', '-')}={value}" for key, value in pairs]
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A corpus of 30 short messages per class and a 9-message Enron-spam tree."""
+    root = tmp_path_factory.mktemp("fuzz")
+    write_canonical(synthetic_dataset(n_ham=30, n_spam=30, vocab_per_class=40,
+                                      words_per_message=(3, 12), seed=4),
+                    root / "tiny.jsonl")
+    _write_enron_tree(root / "tree")
+    return root
+
+
+def _run_fuzzed(root: Path, make_argv, lines: list[str]) -> None:
+    """Run ``make_argv(directory)`` in a fresh directory, with ``lines`` as its
+    config file: exit 0, 1 or 2, and a nonzero exit prints exactly one stderr
+    line, never a traceback."""
+    with tempfile.TemporaryDirectory(dir=root) as tmp:
+        config = Path(tmp) / "fuzz.conf"
+        config.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = make_argv(Path(tmp)) + ["--config", str(config)]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    err = err.getvalue()
+    event(f"exit {code}")
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA), (argv, lines, code)
+    if code == EXIT_OK:
+        assert err == "", (argv, lines, err)
+    else:
+        assert err.count("\n") == 1 and err.endswith("\n"), (argv, lines, err)
+        assert "Traceback" not in err
+
+
+# a config file's defaults that let a run on the tiny corpus finish
+_SMALL_RUN = ["train_per_class = 5", "runs = 2", "test_size = 10", "window = 20"]
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=150, deadline=None)
+@given(
+    mode=st.sampled_from(["static", "dynamic"]),
+    model_kind=st.sampled_from(["icrm", "nb", "both"]),
+    flags=_settings(_FUZZ_KEYS),
+    lines=st.lists(st.one_of(*[_settings(_FUZZ_KEYS).map(
+        lambda pairs: "\n".join(f"{k} = {v}" for k, v in pairs))] * 4, _TEXT), max_size=2),
+)
+@example(mode="dynamic", model_kind="icrm", flags=[("proliferation", "1e308")], lines=[])
+@example(mode="dynamic", model_kind="icrm", flags=[],
+         lines=["e0_ham = 1e308", "r0_ham = 1.7e308"])
+@example(mode="static", model_kind="nb", flags=[("test_size", str(10**400))], lines=[])
+@example(mode="static", model_kind="both", flags=[("train_per_class", "40")], lines=[])
+def test_eval_exits_cleanly_on_any_settings(fuzz_inputs, mode, model_kind, flags, lines):
+    """Huge integers, NaN, infinities, -0.0, subnormals, non-numbers and
+    unknown keys, as flags or config lines: each run exits 0, 1 or 2, with one
+    stderr line when it refuses, and raises no warning."""
+    data = str(fuzz_inputs / "tiny.jsonl")
+    _run_fuzzed(fuzz_inputs, lambda tmp: ["eval", mode, model_kind, "--data", data,
+                                          *_flag_args(flags), "--out", str(tmp / "out")],
+                _SMALL_RUN + lines)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=60, deadline=None)
+@given(flags=_settings(["limit"]), lines=st.lists(_settings(_FUZZ_KEYS).map(
+    lambda pairs: "\n".join(f"{k} = {v}" for k, v in pairs)), max_size=2))
+def test_ingest_exits_cleanly_on_any_settings(fuzz_inputs, flags, lines):
+    tree = str(fuzz_inputs / "tree")
+    _run_fuzzed(fuzz_inputs, lambda tmp: ["ingest", tree, str(tmp / "out.jsonl"),
+                                          *_flag_args(flags)], lines)

@@ -245,11 +245,21 @@ def test_t_tail_matches_betainc(t, df):
     (eval_dynamic, {"window": -5}, "window"),
     (eval_dynamic, {"window": 0}, "window"),
     (eval_dynamic, {"train_per_class": -3}, "train_per_class"),
+    (eval_static, {"runs": 2.5}, "runs"),
+    (eval_static, {"test_size": 20.0}, "test_size"),
+    (eval_dynamic, {"window": "200"}, "window"),
+    (eval_static, {"test_size": 10**400}, "test_size"),
+    (eval_static, {"shuffle_test": 1}, "shuffle_test"),
+    (eval_static, {"balance": "yes"}, "balance"),
+    (eval_static, {"seed": -1}, "seed"),
+    (eval_dynamic, {"seed": True}, "seed"),
 ], ids=[
     "static-runs-0", "static-train-per-class-0", "static-test-size-0",
     "static-spam-ratio-1.5", "static-spam-ratio-nan",
     "dynamic-shift-0", "dynamic-window-negative", "dynamic-window-0",
-    "dynamic-train-per-class-negative",
+    "dynamic-train-per-class-negative", "static-runs-float", "static-test-size-float",
+    "dynamic-window-str", "static-test-size-huge", "static-shuffle-test-int",
+    "static-balance-str", "static-seed-negative", "dynamic-seed-bool",
 ])
 def test_protocols_reject_out_of_range_settings(protocol_corpus, protocol, settings, named):
     with pytest.raises(ValueError, match=f"^{named} must be"):

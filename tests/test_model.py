@@ -1,12 +1,14 @@
 """Cross-regulation dynamics: binding, interaction laws, scoring, persistence."""
 
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from icrm import model
 from icrm.corpus import HAM, SPAM
 from icrm.model import (
     BIND_E,
@@ -21,6 +23,7 @@ from icrm.model import (
     TRAIN_HAM,
     TRAIN_SPAM,
     build_slot_array,
+    check_range,
     init_features,
     interact,
     process_message,
@@ -89,6 +92,51 @@ class TestConfig:
     def test_non_finite_floats_rejected(self, name, value):
         with pytest.raises(ValueError, match="finite"):
             IcrmConfig(**{name: value}).validate()
+
+    @pytest.mark.parametrize("name, value", [
+        ("n", 1002), ("n_a", 1001), ("e0_spam", 1e6 + 1), ("r0_ham", 1.7e308),
+        ("proliferation", 1e308), ("proliferation", 10**400 // 10**100),
+    ])
+    def test_upper_bounds(self, name, value):
+        """Bounds that keep populations finite and a message's slots few."""
+        with pytest.raises(ValueError, match=f"^{name} must be <= "):
+            IcrmConfig(**{name: value}).validate()
+
+    def test_the_bounds_themselves_pass(self):
+        cfg = IcrmConfig(n=1000, n_a=1000, e0_ham=0, r0_ham=10**6, e0_test=1e6,
+                         r0_test=0.0, proliferation=10**6, death_rate=0.999)
+        cfg.validate()
+        assert (cfg.r0_ham, cfg.proliferation) == (1e6, 1e6)
+        assert type(cfg.r0_ham) is float
+
+
+@pytest.mark.parametrize("value, message", [
+    (math.nan, "must be a finite number, got nan"),
+    (True, "must be a finite number, got True"),
+    (10**400, "must be a finite number"),
+    ("1", "must be a finite number, got '1'"),
+    (-1, "must be >= 0, got -1"),
+    (2, "must be < 1, got 2"),
+])
+def test_check_range_refuses_with_the_setting_named(value, message):
+    rows = {"rate": (float, [(">=", 0), ("<", 1)])}
+    with pytest.raises(ValueError, match="^rate " + re.escape(message)):
+        check_range(rows, "rate", value)
+
+
+def test_check_range_types_are_exact_and_floats_come_back_as_floats():
+    rows = {"count": (int, [(">=", 1)]), "flag": (bool | None, []),
+            "pick": (str, [("one of", ("a", "b"))]), "rate": (float, [(">=", 0)])}
+    assert check_range(rows, "rate", 0) == 0.0 and type(check_range(rows, "rate", 0)) is float
+    assert math.copysign(1.0, check_range(rows, "rate", -0.0)) == -1.0  # -0.0 >= 0
+    assert check_range(rows, "count", 3) == 3
+    assert check_range(rows, "flag", None) is None
+    for name, value in (("count", True), ("count", 3.0), ("flag", 0), ("pick", "c")):
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            check_range(rows, name, value)
+    # NaN fails every limit, not only the float type check
+    assert not any(meets(math.nan, bound) for meets, bound in zip(
+        model._LIMITS.values(), (0.0, 0.0, 1.0, 1.0, (0.0,))))
 
 
 class TestInitFeatures:
