@@ -174,17 +174,31 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    """Classify each message file, in the order given, with one loaded state.
+
+    The config and stopword files are read first, then every message file,
+    and only then the state, so a file that cannot be read prints nothing.
+    The messages run as one stream through the loaded classifier, as
+    :meth:`IcrmClassifier.verdict` calls would: each verdict sees the
+    adaptation of the ones before it, and nothing is written back to the
+    state file. Each message prints its block: ``label score`` and, with
+    ``--explain``, one line per sampled feature.
+    """
     settings = _merge_settings(args)
-    clf = IcrmClassifier.load(args.state_file, stopwords=_load_stopwords(settings))
-    subject, body = read_message_file(args.message_file)
-    # the label is a placeholder: the test stage never reads it
-    msg = Message(id=Path(args.message_file).name, timestamp=date(1970, 1, 1),
-                  label=HAM, subject=subject, body=body)
-    verdict = clf.verdict(msg)
-    print(f"{verdict.label} {verdict.score:.6f}")
-    if args.explain:
-        for feature, score in verdict.per_feature:
-            print(f"  {feature} {score:+.6f}")
+    stopwords = _load_stopwords(settings)
+    messages = []
+    for path in args.message_files:
+        subject, body = read_message_file(path)
+        # the label is a placeholder: the test stage never reads it
+        messages.append(Message(id=Path(path).name, timestamp=date(1970, 1, 1),
+                                label=HAM, subject=subject, body=body))
+    clf = IcrmClassifier.load(args.state_file, stopwords=stopwords)
+    for msg in messages:
+        verdict = clf.verdict(msg)
+        print(f"{verdict.label} {verdict.score:.6f}")
+        if args.explain:
+            for feature, score in verdict.per_feature:
+                print(f"  {feature} {score:+.6f}")
     return EXIT_OK
 
 
@@ -335,7 +349,8 @@ def _wire_ingest(parser: argparse.ArgumentParser) -> None:
 
 def _wire_classify(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("state_file")
-    parser.add_argument("message_file")
+    parser.add_argument("message_files", nargs="+", metavar="message_file",
+                        help="classified in the order given, as one stream")
     _add_settings(parser, ["stopwords"])
     parser.add_argument("--explain", action="store_true",
                         help="also print one score line per sampled feature")
@@ -360,7 +375,7 @@ def _wire_report(parser: argparse.ArgumentParser) -> None:
 # runs, so a handler rebound on this module is the one called
 _COMMANDS = {
     "ingest": ("convert an Enron-spam tree to canonical form", _wire_ingest),
-    "classify": ("classify one message file with a saved state", _wire_classify),
+    "classify": ("classify message files with one saved state", _wire_classify),
     "eval": ("run an evaluation protocol", _wire_eval),
     "report": ("re-render tables from an output directory", _wire_report),
 }

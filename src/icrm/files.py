@@ -5,7 +5,8 @@ an integer ``version`` next to the classifier's own body. A loader names
 the versions it reads; :func:`read_state` hands back the version it found
 with the body, so each classifier decodes its own versions. Strict text
 inputs are read whole by :func:`read_text`, which turns a file that cannot
-be read or is not UTF-8 into the caller's typed error naming the file.
+be read or is not UTF-8 into the caller's typed error naming the file;
+:func:`read_state` does the same for the file it decodes.
 """
 
 import json
@@ -29,12 +30,18 @@ def read_state(
 ) -> tuple[int, dict]:
     """The version and body of a ``fmt`` file at one of ``versions``.
 
-    The version must be an ``int`` (not a bool, not a float that equals
-    one); the body's keys are not checked.
+    The file is read as bytes and decoded once, as strict UTF-8, so a
+    byte-order mark and CR or CRLF line breaks reach the JSON decoder as
+    they are. A file that cannot be read, is not UTF-8 or is not one JSON
+    value, or that holds an integer too long for Python to convert, is
+    ``error`` naming the file. The version must be an ``int`` (not a bool,
+    not a float that equals one); the body's keys are not checked.
     """
     try:
-        state = json.loads(read_text(path, error, f"{fmt} file"))
-    except (json.JSONDecodeError, RecursionError) as exc:
+        with open(path, "rb") as fh:
+            state = json.loads(fh.read().decode("utf-8"))
+    # UnicodeDecodeError, JSONDecodeError and the integer limit are ValueErrors
+    except (OSError, ValueError, RecursionError) as exc:
         raise error(f"cannot read {fmt} file {path}: {exc}") from None
     if not isinstance(state, dict) or state.get("format") != fmt:
         raise error(f"{path} is not an {fmt} file")

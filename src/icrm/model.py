@@ -76,12 +76,13 @@ any stream under 10**299 messages; a message binds n * n_a <= 10**6 slots.
 from __future__ import annotations
 
 import base64
+import binascii
 import math
 import operator
 import sys
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, fields
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import chain
 from typing import Iterable, Sequence, get_args
 
@@ -141,11 +142,23 @@ def check_range(ranges: Mapping[str, tuple], name: str, value):
     kind, limits = ranges[name]
     kinds = (int, float) if kind is float else get_args(kind) or (kind,)
     if type(value) not in kinds or kind is float and not abs(value) <= sys.float_info.max:
-        raise ValueError(f"{name} must be {_KINDS[kind]}, got {value!r}")
+        raise ValueError(f"{name} must be {_KINDS[kind]}, got {_shown(value)}")
     for op, bound in limits:
         if not _LIMITS[op](value, bound):
-            raise ValueError(f"{name} must be {op} {bound!r}, got {value!r}")
+            raise ValueError(f"{name} must be {op} {bound!r}, got {_shown(value)}")
     return float(value) if kind is float else value
+
+
+def _shown(value) -> str:
+    """``repr(value)``, or the digit count of an integer too long to convert
+    (``sys.get_int_max_str_digits``)."""
+    try:
+        return repr(value)
+    except ValueError:
+        size = abs(value)
+        digits = int(math.log10(size)) + 1  # one off at worst: the log is a float
+        digits += (size >= 10**digits) - (size < 10 ** (digits - 1))
+        return f"{'a negative' if value < 0 else 'an'} integer of {digits:,} digits"
 
 
 @dataclass
@@ -645,21 +658,30 @@ class IcrmClassifier:
         feature distinct, and the sampler is the top-level ``sampler``, never
         a ``config`` key; anything else is a :class:`SnapshotError` naming
         the file.
+
+        Every check runs before the classifier is built, and it is built
+        once: around the checked config, the loaded repertoire and a
+        generator set to the saved state, with no empty repertoire first.
         """
         version, state = read_state(path, cls._FORMAT, {1, 2}, SnapshotError)
         try:
             sampler = state.get("sampler", SAMPLERS[0])
             # a config that also holds feature_sampler is a TypeError
-            clf = cls(IcrmConfig(**state["config"], feature_sampler=sampler), stopwords)
+            config = IcrmConfig(**state["config"], feature_sampler=sampler)
+            config.validate()
             features, pops = (_v1_rows if version == 1 else _v2_rows)(state)
             ok = (pops >= 0.0) & (pops < math.inf)  # NaN fails too
             if not ok.all():
                 e, r = pops[np.flatnonzero(~ok)[0] // 2].tolist()
                 raise ValueError(f"populations must be finite and >= 0: {e}, {r}")
-            clf.repertoire = Repertoire.from_rows(features, pops)
-            clf.rng.bit_generator.state = state["rng_state"]
+            repertoire = Repertoire.from_rows(features, pops)
+            rng = np.random.default_rng(config.seed)  # __init__'s kind of generator
+            rng.bit_generator.state = state["rng_state"]
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise SnapshotError(f"malformed state file {path}: {exc!r}") from None
+        clf = cls.__new__(cls)
+        clf.config, clf.stopwords = config, stopwords
+        clf.repertoire, clf.rng = repertoire, rng
         return clf
 
 
@@ -673,13 +695,27 @@ def _v1_rows(state: dict) -> tuple[list[str], np.ndarray]:
     return list(entries), pops.reshape(-1, 2)
 
 
+# base64.b64decode(text, validate=True) copies an ASCII str to bytes before
+# decoding; from 3.11 the same strict decoder reads the str itself, which
+# spares a large state's populations a copy whose pages are often faulted
+# in afresh.
+if sys.version_info >= (3, 11):
+    _strict_b64decode = partial(binascii.a2b_base64, strict_mode=True)
+else:  # no strict_mode before 3.11
+    _strict_b64decode = partial(base64.b64decode, validate=True)
+
+
 def _v2_rows(state: dict) -> tuple[list[str], np.ndarray]:
     """Features and (E, R) rows of version 2's ``features`` and ``populations``."""
     features = state["features"]
-    if not isinstance(features, list) or set(map(type, features)) - {str}:
-        raise ValueError("features must be a list of strings")
+    try:
+        if not isinstance(features, list):
+            raise TypeError
+        "".join(features)  # one C pass, a TypeError at the first item not a str
+    except TypeError:
+        raise ValueError("features must be a list of strings") from None
     text = state["populations"]
-    raw = base64.b64decode(text, validate=True)  # binascii.Error is a ValueError
+    raw = _strict_b64decode(text)  # binascii.Error is a ValueError
     if len(text) != 4 * -(-len(raw) // 3):
         raise ValueError("populations carry padding beyond their last byte")
     if len(raw) != 16 * len(features):

@@ -18,13 +18,14 @@ from hypothesis import HealthCheck, event, example, given, settings, strategies 
 
 from icrm import cli, evaluation, model
 from icrm.cli import DEFAULTS, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from icrm.corpus import HAM, SPAM, read_canonical, write_canonical
+from icrm.corpus import HAM, SPAM, read_canonical, read_message_file, write_canonical
 from icrm.evaluation import check_settings, eval_dynamic, eval_static
 from icrm.files import write_state
 from icrm.model import IcrmClassifier, IcrmConfig, SnapshotError
 from icrm.synth import synthetic_dataset
 from icrm.textprep import preprocess
 
+from conftest import make_message
 from model_reference import state_body
 
 
@@ -513,6 +514,42 @@ class TestClassify:
         err = capsys.readouterr().err
         assert err.startswith(f"icrm: error: cannot read message file {msg}: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("explain", [[], ["--explain"]], ids=["plain", "explain"])
+    def test_several_messages_are_one_stream_through_one_load(
+        self, tmp_path, snapshot, capsys, disjoint_corpus, explain
+    ):
+        """``classify STATE a b a`` prints what one load followed by
+        ``verdict(a)``, ``verdict(b)`` and ``verdict(a)`` gives, block after
+        block: the second ``a`` sees the adaptation of the first two."""
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        a.write_text(f"Subject: x\n{disjoint_corpus.spam[70].body}", encoding="utf-8")
+        b.write_text(f"Subject: y\n{disjoint_corpus.ham[70].body}", encoding="utf-8")
+        assert main(["classify", str(snapshot), str(a), str(b), str(a), *explain]) == EXIT_OK
+        clf = IcrmClassifier.load(snapshot)
+        blocks = []
+        for path in (a, b, a):
+            subject, body = read_message_file(path)
+            verdict = clf.verdict(make_message(subject=subject, body=body))
+            lines = [f"{verdict.label} {verdict.score:.6f}\n"]
+            if explain:
+                lines += [f"  {f} {score:+.6f}\n" for f, score in verdict.per_feature]
+            blocks.append("".join(lines))
+        assert capsys.readouterr().out == "".join(blocks)
+        assert blocks[0] != blocks[2]
+
+    def test_an_unreadable_later_message_prints_nothing(
+        self, tmp_path, snapshot, capsys, monkeypatch
+    ):
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        for msg in (a, b):
+            msg.write_text("Subject: x\nhello", encoding="utf-8")
+        _refuse_reading(monkeypatch, b)
+        assert main(["classify", str(snapshot), str(a), str(b)]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"icrm: error: cannot read message file {b}: ")
+        assert captured.err.count("\n") == 1
 
     def test_missing_snapshot_is_data_error(self, tmp_path, capsys):
         msg = tmp_path / "m.txt"

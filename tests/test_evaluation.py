@@ -266,6 +266,15 @@ def test_protocols_reject_out_of_range_settings(protocol_corpus, protocol, setti
         protocol(protocol_corpus, AllHamFactory(), **settings)
 
 
+def test_an_integer_too_long_to_print_is_refused_by_its_digit_count():
+    """Python will not convert an integer of more than 4,300 digits to text,
+    so the refusal counts its digits and still names the setting."""
+    with pytest.raises(ValueError, match=(
+        "^test_size must be <= 1000000000, got an integer of 5,001 digits$"
+    )):
+        evaluation.check_settings({"test_size": 10**5000})
+
+
 @pytest.mark.parametrize("settings", [
     {"test_size": 3, "spam_ratio": 0.1},                   # 0 spam, balanced by default
     {"test_size": 3, "spam_ratio": 0.9},                   # 0 ham

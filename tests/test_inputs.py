@@ -3,6 +3,7 @@
 import functools
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -266,6 +267,31 @@ def test_non_utf8_file_is_typed_error_naming_it(tmp_path, capsys, case):
     assert not out.exists()
     if case == "corpus":
         assert "line 2: not UTF-8" in err
+
+
+@pytest.mark.parametrize("kind, load, error", [
+    ("icrm", IcrmClassifier.load, SnapshotError),
+    ("nb", NaiveBayesClassifier.load, ModelError),
+])
+def test_an_integer_literal_too_long_to_convert_is_typed_error(
+    tmp_path, capsys, kind, load, error
+):
+    """JSON decoding refuses an integer of more than 4,300 digits with a plain
+    ValueError; a state or model file holding one is the loader's typed
+    error naming the file, and ``classify`` exits 2 with one line."""
+    path = tmp_path / "state.json"
+    path.write_text(_saved(kind).replace("{", '{"seed": ' + "9" * 5000 + ", ", 1),
+                    encoding="utf-8")
+    with pytest.raises(error, match=f"^cannot read .* file {re.escape(str(path))}: "):
+        load(path)
+    if kind == "icrm":
+        msg = tmp_path / "m.txt"
+        msg.write_text("Subject: x\nhello", encoding="utf-8")
+        assert main(["classify", str(path), str(msg)]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"icrm: error: cannot read icrm-state file {path}: ")
+        assert captured.err.count("\n") == 1
 
 
 # -- any value under any key of a real saved state ---------------------------

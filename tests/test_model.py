@@ -124,6 +124,24 @@ def test_check_range_refuses_with_the_setting_named(value, message):
         check_range(rows, "rate", value)
 
 
+def test_an_integer_too_long_to_print_is_named_by_its_digit_count():
+    """Beyond ``sys.get_int_max_str_digits`` (4,300) an integer has no repr;
+    the refusal gives its digit count and names the setting."""
+    with pytest.raises(ValueError, match="^n must be <= 1000, got an integer of 5,001 digits$"):
+        IcrmConfig(n=10**5000).validate()
+    rows = {"pick": (str, [("one of", ("a", "b"))]), "rate": (float, [(">=", 0)])}
+    with pytest.raises(ValueError, match="^pick must be a string, got a negative integer "
+                                         "of 4,400 digits$"):
+        check_range(rows, "pick", -(10**4399))
+    with pytest.raises(ValueError, match="^rate must be a finite number, got an integer "):
+        check_range(rows, "rate", 10**6000)
+    # exact on both sides of each power of ten, where the float log can round
+    for k in range(4301, 4400):
+        assert model._shown(10**k - 1) == f"an integer of {k:,} digits"
+        assert model._shown(10**k) == f"an integer of {k + 1:,} digits"
+    assert model._shown(10**4299) == repr(10**4299)  # 4,300 digits still print
+
+
 def test_check_range_types_are_exact_and_floats_come_back_as_floats():
     rows = {"count": (int, [(">=", 1)]), "flag": (bool | None, []),
             "pick": (str, [("one of", ("a", "b"))]), "rate": (float, [(">=", 0)])}
