@@ -289,7 +289,11 @@ class SlotArray:
     for that repertoire only.
     ``SlotArray(features, bound)`` builds one from parallel per-slot
     sequences, bound to no repertoire; ``features`` spells the slots out
-    again on first read.
+    again on first read. ``keys`` may be the caller's list: when the
+    features (or the sample ``build_slot_array`` binds) are a list of
+    distinct features, ``keys`` is that list, not a copy, so the caller
+    must not change it afterwards. :func:`present_message` always passes
+    the fresh list ``preprocess`` returns.
     """
 
     def __init__(self, features: Sequence[str], bound: Sequence[int]):
@@ -340,10 +344,10 @@ def _intern(features: Sequence[str]) -> tuple[list[str], np.ndarray | None]:
     """Distinct features in first-seen order, and each position's index.
 
     The index is None when the features are already distinct: position i
-    is then key i.
+    is then key i, and a list is returned as the keys without a copy.
     """
     if len(set(features)) == len(features):
-        return list(features), None
+        return (features if type(features) is list else list(features)), None
     keys = list(dict.fromkeys(features))
     ids = {f: i for i, f in enumerate(keys)}
     return keys, np.array([ids[f] for f in features], dtype=np.int64)

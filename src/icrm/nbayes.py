@@ -8,15 +8,18 @@ log space with two-class normalization. A message is spam when
 P(spam | features) > 0.5, strictly.
 
 Every log term the posterior can add depends only on the trained counts,
-so a model builds its scoring tables once, when it is made (by
-:func:`nb_train`, by :meth:`NaiveBayesClassifier.load` or directly): per
-class the log prior, ``log((1 + c) / denom)`` for each feature the class
-has seen, and ``log(1 / denom)`` for any other feature. The log of each
-distinct count is taken once and shared by every feature with that count:
-it is the same float a log per feature gives. The counts are read-only,
-so the tables cannot go stale, and :func:`nb_posterior` is one table
-lookup per feature per class, adding the same floats in the same order as
-evaluating the smoothed estimates message by message.
+so a model builds its scoring table once, when it is made (by
+:func:`nb_train`, by :meth:`NaiveBayesClassifier.load` or directly). The
+table maps each vocabulary feature to ``complex(log P(f|ham), log P(f|spam))``,
+where each class's ``log((1 + c) / denom)`` is taken once per distinct
+count ``c`` and shared by every feature with that count (the same float a
+log per feature gives); beside it are one complex log prior and one
+complex term for a feature outside the vocabulary, the ``c = 0`` term.
+Complex addition is two independent float additions, so
+:func:`nb_posterior`, one table lookup and one complex addition per
+feature, adds the same floats in the same order as evaluating the
+smoothed estimates class by class. The counts are read-only, so the
+table cannot go stale.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -36,10 +40,10 @@ class ModelError(Exception):
     """Raised when classifying with an untrained or unreadable model."""
 
 
-# Per class: log prior, log smoothed likelihood of each feature the class
-# has seen, and that of any other feature (None when no training document
-# held a feature, so there is nothing to smooth over).
-_ClassTable = tuple[float, dict[str, float], float | None]
+# The log prior, each vocabulary feature's log smoothed likelihood and that
+# of any other feature, each as complex(ham, spam); the last is None when no
+# training document held a feature, so there is nothing to smooth over.
+_Tables = tuple[complex, dict[str, complex], complex | None]
 
 
 @dataclass(frozen=True)
@@ -47,46 +51,26 @@ class NbModel:
     """Per-class document counts and Boolean feature counts, read-only.
 
     ``vocabulary`` is the union of the features either class has seen.
-    ``tables`` holds one :data:`_ClassTable` per label, in ``LABELS``
-    order, or None unless both classes have training documents.
+    ``tables`` holds the model's :data:`_Tables`, or None unless both
+    classes have training documents. Both are derived once, from the counts.
     """
 
     doc_count: Mapping[str, int]
     feature_doc_count: Mapping[str, Mapping[str, int]]
-    tables: tuple[_ClassTable, ...] | None = field(init=False, repr=False, compare=False)
+    vocabulary: frozenset[str] = field(init=False, repr=False, compare=False)
+    tables: _Tables | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        doc_count = MappingProxyType(dict(self.doc_count))
-        feature_doc_count = MappingProxyType({
-            label: MappingProxyType(dict(counts))
-            for label, counts in self.feature_doc_count.items()
-        })
-        object.__setattr__(self, "doc_count", doc_count)
-        object.__setattr__(self, "feature_doc_count", feature_doc_count)
-        object.__setattr__(self, "tables", self._score_tables())
-
-    @property
-    def vocabulary(self) -> frozenset[str]:
-        return frozenset().union(*self.feature_doc_count.values())
-
-    def _score_tables(self) -> tuple[_ClassTable, ...] | None:
-        if any(self.doc_count.get(label, 0) <= 0 for label in LABELS):
-            return None
-        total_docs = sum(self.doc_count.values())
-        vocab_size = len(self.vocabulary)
-        tables = []
-        for label in LABELS:
-            counts = self.feature_doc_count[label]
-            denom = vocab_size + sum(counts.values())
-            log_prior = math.log(self.doc_count[label] / total_docs)
-            if denom == 0:  # degenerate: no features ever seen in training
-                tables.append((log_prior, {}, None))
-                continue
-            # counts take few distinct values: one log per value, the same float
-            logs = {c: math.log((1 + c) / denom) for c in set(counts.values())}
-            seen = dict(zip(counts, map(logs.__getitem__, counts.values())))
-            tables.append((log_prior, seen, math.log(1 / denom)))
-        return tuple(tables)
+        # the tables read plain dicts: a read-only view's .get is a method call
+        doc_count = dict(self.doc_count)
+        counts = {label: dict(c) for label, c in self.feature_doc_count.items()}
+        vocabulary = frozenset().union(*counts.values())
+        object.__setattr__(self, "doc_count", MappingProxyType(doc_count))
+        object.__setattr__(self, "feature_doc_count", MappingProxyType({
+            label: MappingProxyType(c) for label, c in counts.items()
+        }))
+        object.__setattr__(self, "vocabulary", vocabulary)
+        object.__setattr__(self, "tables", _score_tables(doc_count, counts, vocabulary))
 
     def __reduce__(self):
         # read-only views do not pickle: rebuild from plain copies
@@ -96,25 +80,53 @@ class NbModel:
         )
 
 
+def _score_tables(
+    doc_count: dict[str, int],
+    feature_doc_count: dict[str, dict[str, int]],
+    vocab: frozenset[str],
+) -> _Tables | None:
+    if any(doc_count.get(label, 0) <= 0 for label in LABELS):
+        return None
+    total_docs = sum(doc_count.values())
+    prior = complex(*(math.log(doc_count[label] / total_docs) for label in LABELS))
+    if not vocab:  # degenerate: no features ever seen in training
+        return prior, {}, None
+    logs, unseen = [], []
+    for label in LABELS:
+        counts = feature_doc_count[label]
+        denom = len(vocab) + sum(counts.values())
+        # counts take few distinct values: one log per value, the same float
+        log_of = {c: math.log((1 + c) / denom) for c in {0, *counts.values()}}
+        logs.append(map(log_of.__getitem__, map(counts.get, vocab, repeat(0))))
+        unseen.append(log_of[0])
+    return prior, dict(zip(vocab, map(complex, *logs))), complex(*unseen)
+
+
 def nb_train(
     messages: Iterable[Message],
     n: int = SAMPLE_CAP,
     stopwords: frozenset[str] | None = None,
 ) -> NbModel:
     """Accumulate Boolean per-document feature counts from labeled messages."""
-    doc_count = {HAM: 0, SPAM: 0}
-    feature_doc_count = {HAM: Counter(), SPAM: Counter()}
+    by_label = {HAM: [], SPAM: []}
     for msg in messages:
-        counts = feature_doc_count.get(msg.label)
-        if counts is None:
+        group = by_label.get(msg.label)
+        if group is None:
             raise ValueError(
                 f"cannot train on a {msg.label!r} message: labels are {HAM}, {SPAM}"
             )
-        doc_count[msg.label] += 1
-        # the sample is already distinct per message; a new feature joins
-        # the counts in first-seen order, as a dict.get loop would add it
-        counts.update(preprocess(msg, n, stopwords))
-    return NbModel(doc_count, feature_doc_count)
+        group.append(msg)
+    # each sample is already distinct; a feature joins its class's counts in
+    # first-seen order, as a dict.get loop would add it
+    return NbModel(
+        {label: len(group) for label, group in by_label.items()},
+        {
+            label: Counter(chain.from_iterable(
+                preprocess(msg, n, stopwords) for msg in group
+            ))
+            for label, group in by_label.items()
+        },
+    )
 
 
 def nb_posterior(model: NbModel, sample: Iterable[str]) -> float:
@@ -126,14 +138,14 @@ def nb_posterior(model: NbModel, sample: Iterable[str]) -> float:
     """
     if model.tables is None:
         raise ModelError("model must contain training documents for both classes")
-    (lh, seen_h, unseen_h), (ls, seen_s, unseen_s) = model.tables  # LABELS order
-    # the vocabulary size is shared, so either both classes smooth or neither
-    if unseen_h is not None:
+    # real parts are ham's log terms, imaginary parts spam's (LABELS order)
+    acc, table, unseen = model.tables
+    if unseen is not None:  # None: no vocabulary, so features add nothing
+        get = table.get
         for feature in sample:
-            lh += seen_h.get(feature, unseen_h)
-            ls += seen_s.get(feature, unseen_s)
-    # P(spam|x) = exp(ls) / (exp(ls) + exp(lh)), computed stably.
-    diff = lh - ls
+            acc += get(feature, unseen)
+    # P(spam|x) = exp(ls) / (exp(ls) + exp(lh)) for lh + ls*j = acc, computed stably.
+    diff = acc.real - acc.imag
     if diff > 700.0:
         return 0.0
     return 1.0 / (1.0 + math.exp(diff))

@@ -11,7 +11,11 @@ That first-last sample depends only on the message, ``n`` and the
 stopwords, so a message remembers the last one computed for it, keyed by
 ``(n, stopwords)``: the evaluation protocols show each message to both
 classifiers and to several runs, and only the first call tokenizes and
-stems it. The memo is an attribute outside the dataclass fields, so a
+stems it. A call that passes the memo's own ``n`` (an ``int``) and its
+stopwords object (or None, when the memo holds the default list) is
+answered before any setting is checked: those settings passed every
+check when the memo was stored. Any other call checks its settings
+first. The memo is an attribute outside the dataclass fields, so a
 message's equality, hash, repr and canonical record do not see it. The
 ``random`` sampler draws from the caller's generator and recomputes on
 every call.
@@ -30,7 +34,9 @@ SAMPLE_CAP = 50                      # reference cap on distinct stems per messa
 SAMPLERS = ("first-last", "random")  # feature selection rules, default first
 
 _MIN_TOKEN_LEN = 3
-_MEMO = "_first_last_sample"  # message attribute: (n, stopwords, sample tuple)
+# message attribute: (n, stopwords, sample tuple, whether the stopwords are
+# the default list)
+_MEMO = "_first_last_sample"
 
 
 def parse_stopwords(text: str) -> frozenset[str]:
@@ -113,11 +119,19 @@ def preprocess(
     A first-last sample is remembered on ``msg``; a later call with the
     same ``n`` and stopwords returns a new list copied from it.
     """
+    memo = getattr(msg, _MEMO, None)
+    # a hit re-checks nothing: the memo's settings were checked when stored
+    if (
+        memo is not None and sampler == "first-last" and type(n) is int
+        and n == memo[0] and (memo[1] is stopwords or stopwords is None and memo[3])
+    ):
+        return list(memo[2])
     check_sample_cap(n)
     if sampler not in SAMPLERS:
         raise ValueError(f"unknown sampler {sampler!r}")
+    default = default_stopwords()
     if stopwords is None:
-        stopwords = default_stopwords()
+        stopwords = default
     if sampler == "random":
         unique = _distinct_stems(msg, stopwords)
         if len(unique) <= n:
@@ -126,11 +140,8 @@ def preprocess(
             raise ValueError("random sampling requires a generator")
         picked = rng.choice(len(unique), size=n, replace=False)
         return [unique[i] for i in sorted(int(i) for i in picked)]
-    memo = getattr(msg, _MEMO, None)
-    # identity first: frozenset equality walks the set even for the same object
-    if memo is not None and memo[0] == n and (
-        memo[1] is stopwords or memo[1] == stopwords
-    ):
+    # an equal set that is another object
+    if memo is not None and memo[0] == n and memo[1] == stopwords:
         return list(memo[2])
     unique = _distinct_stems(msg, stopwords)
     if len(unique) > n:
@@ -138,7 +149,7 @@ def preprocess(
         unique = list(dict.fromkeys(unique[:half] + unique[-half:]))
     # a frozen copy, so a caller's set changed later cannot match this key
     key = stopwords if type(stopwords) is frozenset else frozenset(stopwords)
-    object.__setattr__(msg, _MEMO, (n, key, tuple(unique)))
+    object.__setattr__(msg, _MEMO, (n, key, tuple(unique), key is default))
     return unique
 
 

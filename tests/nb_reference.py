@@ -2,13 +2,17 @@
 
 ``nb_posterior`` is ``icrm.nbayes.nb_posterior`` as it was before the
 model built its scoring tables: every call re-sums each class's feature
-counts and takes one ``math.log`` per sampled feature. The table
-posterior must reproduce it bit for bit. ``nb_train`` counts with one
-``dict.get`` per feature and ``score_tables`` takes one ``math.log`` per
-counted feature, as the package did before it counted with
-``collections.Counter`` and took one log per distinct count; the package's
-counts, in key order, and tables must equal theirs. Test-only; never
-imported by the package.
+counts and takes one ``math.log`` per sampled feature, one class after
+the other. The complex-table posterior must reproduce it bit for bit.
+``nb_train`` counts with one ``dict.get`` per feature, message by
+message, as the package did before it counted each class with one
+``collections.Counter``; the package's counts, in key order, must equal
+its counts. ``score_tables`` keeps the per-class layout the package
+used before its complex table: per class the log prior, one
+``math.log`` per counted feature and the term of any other feature. The
+real (ham) and imaginary (spam) part of every complex term the package
+builds must equal the matching float of it. Test-only; never imported by
+the package.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ import re
 import tempfile
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -106,12 +107,30 @@ class TestTraining:
             NaiveBayesClassifier().train(msgs)
 
 
-def _hex_tables(tables):
-    """Every float of a model's tables spelled by ``float.hex``, keys in order."""
+def _hex_columns(model):
+    """The model's tables as one column per class, each float by ``float.hex``.
+
+    A column is the class's log prior, the term of every feature in the
+    table (sorted) and the unseen term: the real parts for ham, the
+    imaginary parts for spam.
+    """
+    prior, table, unseen = model.tables
     return [
-        (prior.hex(), [(f, x.hex()) for f, x in seen.items()],
+        (part(prior).hex(), [(f, part(x).hex()) for f, x in sorted(table.items())],
+         None if unseen is None else part(unseen).hex())
+        for part in (attrgetter("real"), attrgetter("imag"))
+    ]
+
+
+def _hex_reference_columns(model):
+    """``nb_reference.score_tables`` in the same columns, over the vocabulary.
+
+    A vocabulary feature a class has not seen takes that class's unseen term.
+    """
+    return [
+        (prior.hex(), [(f, seen.get(f, unseen).hex()) for f in sorted(model.vocabulary)],
          None if unseen is None else unseen.hex())
-        for prior, seen, unseen in tables
+        for prior, seen, unseen in nb_reference.score_tables(model)
     ]
 
 
@@ -150,7 +169,8 @@ def test_training_matches_reference_bit_for_bit(name):
         assert {x for c in counts for x in c} == {3}
     else:
         assert counts == [[], []]
-    assert _hex_tables(model.tables) == _hex_tables(nb_reference.score_tables(model))
+        assert model.tables[1:] == ({}, None)  # nothing to smooth: no unseen term
+    assert _hex_columns(model) == _hex_reference_columns(model)
 
 
 class TestPosterior:
@@ -245,6 +265,30 @@ class TestScoringTables:
         again = _round_trip(model)
         assert again == model
         assert nb_posterior(again, features) == want
+
+    @given(
+        ham_docs=_HAM_DOCS,
+        spam_docs=_SPAM_DOCS,
+        ham_only=st.lists(st.sampled_from(_WORDS[:3]), min_size=1, max_size=3),
+        spam_only=st.lists(st.sampled_from(_WORDS[5:8]), min_size=1, max_size=3),
+        unseen=st.lists(st.sampled_from([_WORDS[8], "nbw999", ""]), min_size=1, max_size=3),
+        repeats=st.integers(1, 3),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_every_kind_of_feature_matches_reference_bit_for_bit(
+        self, ham_docs, spam_docs, ham_only, spam_only, unseen, repeats, data
+    ):
+        # the one-class features are trained on, so each is seen by its class only
+        model = _model(ham_docs + [ham_only], spam_docs + [spam_only])
+        assert not set(ham_only) & set(model.feature_doc_count[SPAM])
+        assert not set(spam_only) & set(model.feature_doc_count[HAM])
+        assert not set(unseen) & model.vocabulary
+        sample = data.draw(st.permutations((ham_only + spam_only + unseen) * repeats))
+        want = nb_reference.nb_posterior(model, sample)
+        assert nb_posterior(model, sample) == want
+        assert nb_posterior(model, iter(sample)) == want
+        assert nb_posterior(model, (feature for feature in sample)) == want
 
     def test_iterator_sample_is_read_once_for_both_classes(self):
         model = _model([["a"], ["a"]], [["b"], ["b"]])
