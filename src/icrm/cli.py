@@ -27,7 +27,6 @@ from .corpus import (
     write_canonical,
 )
 from .evaluation import (
-    RANGES as PROTOCOL_RANGES,
     EvalError,
     check_settings,
     compare_reports,
@@ -41,8 +40,9 @@ from .evaluation import (
     write_ttest_csv,
 )
 from .files import read_text
-from .model import RANGES as MODEL_RANGES, IcrmClassifier, IcrmConfig, SnapshotError
+from .model import IcrmClassifier, IcrmConfig, SnapshotError
 from .nbayes import ModelError
+from .ranges import RANGES
 from .textprep import parse_stopwords
 
 EXIT_OK = 0
@@ -86,10 +86,8 @@ _HELP = {
 
 _BOOL_STRINGS = {"true": True, "yes": True, "1": True,
                  "false": False, "no": False, "0": False}
-_RANGES = {**MODEL_RANGES, **PROTOCOL_RANGES}
-# the type each setting is read as: its row's (None is only balance's
-# default), int for the ingest limit, str for a file path
-_TYPES = {"limit": int, **{k: (get_args(t) or (t,))[0] for k, (t, _) in _RANGES.items()}}
+# the type each setting is read as: its row's (bool for balance), str for a path
+_TYPES = {k: (get_args(t) or (t,))[0] for k, (t, _) in RANGES.items()}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -219,9 +217,9 @@ def cmd_eval(args) -> int:
     settings = _merge_settings(args)
     # a setting the run does not read keeps its default, so it is never checked
     settings.update((key, DEFAULTS[key]) for key in DEFAULTS.keys() - reads)
-    cfg = IcrmConfig(**{f.name: settings[f.name] for f in dataclass_fields(IcrmConfig)})
+    model_settings = {f.name: settings[f.name] for f in dataclass_fields(IcrmConfig)}
     try:
-        cfg.validate()
+        cfg = IcrmConfig(**model_settings)
         check_settings(settings)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -334,7 +332,7 @@ def _add_settings(parser: argparse.ArgumentParser, keys) -> None:
     parser.add_argument("--config", help="flat key = value settings file")
     for key in keys:
         kind = _TYPES.get(key, str)
-        limits = dict(_RANGES[key][1]) if key in _RANGES else {}
+        limits = dict(RANGES[key][1]) if key in RANGES else {}
         spec = ({"action": argparse.BooleanOptionalAction} if kind is bool
                 else {"type": kind, "choices": limits.get("one of")})
         parser.add_argument("--" + key.replace("_", "-"), help=_HELP.get(key), **spec)

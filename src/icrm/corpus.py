@@ -16,6 +16,8 @@ from datetime import date
 from operator import itemgetter
 from pathlib import Path
 
+from .ranges import RANGES, check_range
+
 HAM = "ham"
 SPAM = "spam"
 LABELS = (HAM, SPAM)
@@ -91,13 +93,12 @@ def ingest_enron_dir(path, limit_per_class: int = 1500) -> IngestResult:
     """Load an Enron-spam style directory tree.
 
     Each class list is sorted by timestamp (ties broken by id) and
-    truncated to the first ``limit_per_class`` messages, which must be at
-    least 1 (``ValueError`` otherwise, before the tree is read). Files whose
-    name carries no parseable date are counted as rejected, not fatal; a
-    directory or file that cannot be read raises a :class:`CorpusError`.
+    truncated to the first ``limit_per_class`` messages, an int >= 1 (its
+    ``limit`` row in :mod:`icrm.ranges`; a ValueError before the tree is read).
+    Files whose name carries no parseable date are counted as rejected, not
+    fatal; a directory or file that cannot be read raises a :class:`CorpusError`.
     """
-    if not limit_per_class >= 1:
-        raise ValueError(f"limit must be >= 1, got {limit_per_class}")
+    check_range(RANGES, "limit", limit_per_class)
     root = Path(path)
     per_class: dict[str, list[Message]] = {}
     rejected = 0
@@ -266,10 +267,13 @@ def make_split(
     Training takes ``train_per_class`` messages from each class starting
     at per-class index ``offset``; the test block takes the next messages
     so that round(spam_ratio * test_size) of them are spam. Both streams
-    are merged with :func:`merge_by_ratio`.
+    are merged with :func:`merge_by_ratio`. A ``spam_ratio`` its row in
+    :mod:`icrm.ranges` refuses, or too short a corpus, is a :class:`SplitError`.
     """
-    if not 0.0 < spam_ratio < 1.0:
-        raise SplitError(f"spam_ratio must be in (0, 1), got {spam_ratio}")
+    try:
+        check_range(RANGES, "spam_ratio", spam_ratio)
+    except ValueError as exc:
+        raise SplitError(str(exc)) from None
     cut = offset + train_per_class
     train, test = [], []
     for label, n_test in zip((HAM, SPAM), block_counts(test_size, spam_ratio)):

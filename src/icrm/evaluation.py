@@ -9,7 +9,8 @@ frozen), and computes metrics over a sliding window together with
 least-squares drift slopes for the false-positive and false-negative
 proportions.
 
-Spam counts as the positive class throughout.
+Spam counts as the positive class throughout; both protocols count with
+the same running (tp, tn, fp, fn) totals.
 """
 
 from __future__ import annotations
@@ -20,11 +21,10 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import (
-    HAM, SPAM, Dataset, SplitError, block_counts, make_split, merge_by_ratio,
-)
-from .model import RANGES as MODEL_RANGES, IcrmClassifier, IcrmConfig, check_range
+from .corpus import SPAM, Dataset, SplitError, block_counts, make_split, merge_by_ratio
+from .model import IcrmClassifier, IcrmConfig
 from .nbayes import NaiveBayesClassifier
+from .ranges import RANGES, check_range
 from .textprep import SAMPLE_CAP
 
 METRIC_FIELDS = ("f_score", "accuracy", "precision", "recall", "pct_fp", "pct_fn")
@@ -34,16 +34,6 @@ TRAIN_PER_CLASS = 100  # messages of each class a classifier trains on
 
 class EvalError(Exception):
     pass
-
-
-RANGES = {  # each protocol setting's type and limits; see model.check_range
-    **dict.fromkeys(("runs", "train_per_class", "window", "shift"), (int, [(">=", 1)])),
-    "test_size": (int, [(">=", 1), ("<=", 10**9)]),  # its spam count is a float product
-    "spam_ratio": (float, [(">", 0), ("<", 1)]),
-    "shuffle_test": (bool, []),
-    "balance": (bool | None, []),  # None: balanced unless the ratio is 0.5
-    "seed": MODEL_RANGES["seed"],
-}
 
 
 def check_settings(settings: Mapping[str, object]) -> None:
@@ -146,21 +136,25 @@ def metrics_from_counts(c: ConfusionCounts) -> RunMetrics:
     )
 
 
+def _totals(truth: np.ndarray, said: np.ndarray) -> np.ndarray:
+    """Row i: the (tp, tn, fp, fn) totals over the first i (spam, called spam) pairs."""
+    totals = np.zeros((len(truth) + 1, 4), np.int64)
+    outcomes = [truth & said, ~truth & ~said, ~truth & said, truth & ~said]  # one-hot
+    np.cumsum(np.stack(outcomes, 1), 0, out=totals[1:])
+    return totals
+
+
 def counts_from_records(records: Iterable[tuple[str, str]]) -> ConfusionCounts:
     """Tally (true_label, predicted_label) pairs; spam is positive."""
-    c = ConfusionCounts()
-    for truth, predicted in records:
-        if truth == SPAM:
-            if predicted == SPAM:
-                c.tp += 1
-            else:
-                c.fn += 1
-        else:
-            if predicted == SPAM:
-                c.fp += 1
-            else:
-                c.tn += 1
-    return c
+    spam = np.array([(t == SPAM, p == SPAM) for t, p in records], bool).reshape(-1, 2)
+    return ConfusionCounts(*_totals(spam[:, 0], spam[:, 1])[-1].tolist())
+
+
+def _classified(clf, stream: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each message is spam, and whether ``clf`` calls it spam, in order."""
+    truth = np.array([msg.label == SPAM for msg in stream], bool)
+    said = np.array([clf.classify(msg) == SPAM for msg in stream], bool)
+    return truth, said
 
 
 # -- regression and paired comparison ----------------------------------
@@ -269,18 +263,11 @@ def make_factory(kind: str, config: IcrmConfig, stopwords=None):
 # -- static protocol -----------------------------------------------------
 
 
-def _balanced_records(
-    records: list[tuple[str, str]], rng: np.random.Generator
-) -> list[tuple[str, str]]:
-    """Down-sample the majority true class to the minority count."""
-    ham_idx = [i for i, (truth, _) in enumerate(records) if truth == HAM]
-    spam_idx = [i for i, (truth, _) in enumerate(records) if truth == SPAM]
-    if len(ham_idx) == len(spam_idx):
-        return records
-    minority, majority = sorted((ham_idx, spam_idx), key=len)
+def _balanced(truth: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Positions left when the majority true class is down-sampled to the minority's."""
+    minority, majority = sorted((np.flatnonzero(~truth), np.flatnonzero(truth)), key=len)
     chosen = rng.choice(len(majority), size=len(minority), replace=False)
-    keep = sorted(minority + [majority[int(i)] for i in chosen])
-    return [records[i] for i in keep]
+    return np.concatenate([minority, majority[chosen]])
 
 
 def eval_static(
@@ -325,10 +312,12 @@ def eval_static(
         if shuffle_test:
             perm = np.random.default_rng([run_seed, 1]).permutation(len(stream))
             stream = [stream[int(i)] for i in perm]
-        records = [(msg.label, clf.classify(msg)) for msg in stream]
+        truth, said = _classified(clf, stream)
         if balance:
-            records = _balanced_records(records, np.random.default_rng([run_seed, 2]))
-        metrics.append(metrics_from_counts(counts_from_records(records)))
+            keep = _balanced(truth, np.random.default_rng([run_seed, 2]))
+            truth, said = truth[keep], said[keep]
+        counts = ConfusionCounts(*_totals(truth, said)[-1].tolist())
+        metrics.append(metrics_from_counts(counts))
     return EvalReport(
         mode="static", classifier=getattr(factory, "name", "?"), metrics=metrics
     )
@@ -371,14 +360,7 @@ def eval_dynamic(
         )
     clf = factory(seed)
     clf.train(train)
-    truth = np.array([msg.label == SPAM for msg in stream])
-    said = np.array([clf.classify(msg) == SPAM for msg in stream])
-    # row i: the (tp, tn, fp, fn) totals over the first i messages
-    totals = np.zeros((len(stream) + 1, 4), np.int64)
-    np.cumsum(
-        np.stack([truth & said, ~truth & ~said, ~truth & said, truth & ~said], 1),
-        0, out=totals[1:],
-    )
+    totals = _totals(*_classified(clf, stream))
     ends = np.array(starts)
     metrics = [
         metrics_from_counts(ConfusionCounts(*counts))

@@ -66,11 +66,6 @@ Scoring reads the populations and changes nothing, so
 of the cycle before scoring; :meth:`IcrmClassifier.train_message` still
 runs the whole cycle and returns the training verdict. Both leave the
 same repertoire and the same random stream.
-
-Each setting's type and limits are one row of :data:`RANGES`, which
-:func:`check_range` reads. A population starts at most at 10**6 and gains
-at most n_a * proliferation <= 10**9 per message, so it stays finite for
-any stream under 10**299 messages; a message binds n * n_a <= 10**6 slots.
 """
 
 from __future__ import annotations
@@ -78,19 +73,19 @@ from __future__ import annotations
 import base64
 import binascii
 import math
-import operator
 import sys
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property, lru_cache, partial
 from itertools import chain
-from typing import Iterable, Sequence, get_args
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .corpus import HAM, SPAM, Message
 from .files import read_state, write_state
-from .textprep import SAMPLE_CAP, SAMPLERS, check_sample_cap, preprocess
+from .ranges import RANGES, SAMPLERS, check_range
+from .textprep import SAMPLE_CAP, preprocess
 
 # Slot binding codes.
 BIND_E = 0
@@ -119,51 +114,9 @@ class SnapshotError(Exception):
     """Raised for unreadable, foreign, or wrong-version state files."""
 
 
-RANGES = {  # each setting's type and (op, bound) limits; see the module docstring
-    "n": (int, [("<=", 1000)]),  # and an even int >= 2: check_sample_cap
-    "n_a": (int, [(">=", 1), ("<=", 1000)]),
-    **dict.fromkeys(("e0_ham", "r0_ham", "e0_spam", "r0_spam", "e0_test", "r0_test"),
-                    (float, [(">=", 0), ("<=", 10**6)])),  # cell counts; -0.0 passes
-    "proliferation": (float, [(">", 0), ("<=", 10**6)]),
-    "death_rate": (float, [(">=", 0), ("<", 1)]),
-    "seed": (int, [(">=", 0)]),
-    "feature_sampler": (str, [("one of", SAMPLERS)]),
-}
-_LIMITS = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt,
-           "one of": lambda value, choices: value in choices}
-_KINDS = {int: "an integer", float: "a finite number", bool: "true or false",
-          str: "a string", bool | None: "true, false or None"}
-
-
-def check_range(ranges: Mapping[str, tuple], name: str, value):
-    """``value`` (as a float for a float setting, which takes any int or float
-    a float holds: NaN and infinities fail) if it has the exact type and meets
-    the limits of ``name``'s row in ``ranges``, else a ValueError naming it."""
-    kind, limits = ranges[name]
-    kinds = (int, float) if kind is float else get_args(kind) or (kind,)
-    if type(value) not in kinds or kind is float and not abs(value) <= sys.float_info.max:
-        raise ValueError(f"{name} must be {_KINDS[kind]}, got {_shown(value)}")
-    for op, bound in limits:
-        if not _LIMITS[op](value, bound):
-            raise ValueError(f"{name} must be {op} {bound!r}, got {_shown(value)}")
-    return float(value) if kind is float else value
-
-
-def _shown(value) -> str:
-    """``repr(value)``, or the digit count of an integer too long to convert
-    (``sys.get_int_max_str_digits``)."""
-    try:
-        return repr(value)
-    except ValueError:
-        size = abs(value)
-        digits = int(math.log10(size)) + 1  # one off at worst: the log is a float
-        digits += (size >= 10**digits) - (size < 10 ** (digits - 1))
-        return f"{'a negative' if value < 0 else 'an'} integer of {digits:,} digits"
-
-
-@dataclass
+@dataclass(frozen=True)
 class IcrmConfig:
-    """Model parameters; defaults follow the reference configuration."""
+    """Model parameters, checked when made (see :mod:`icrm.ranges`) and frozen."""
 
     n: int = SAMPLE_CAP         # max distinct features sampled per message
     n_a: int = 10               # binding slots per sampled feature
@@ -178,10 +131,10 @@ class IcrmConfig:
     seed: int = 42
     feature_sampler: str = SAMPLERS[0]  # first-last, or random for ablation
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for f in fields(self):  # by RANGES; an int for a float becomes a float
-            setattr(self, f.name, check_range(RANGES, f.name, getattr(self, f.name)))
-        check_sample_cap(self.n)
+            value = check_range(RANGES, f.name, getattr(self, f.name))
+            object.__setattr__(self, f.name, value)
         if not self.e0_ham < self.r0_ham:
             raise ValueError("ham initialisation requires E0 < R0")
         if not self.e0_spam > self.r0_spam:
@@ -599,7 +552,6 @@ class IcrmClassifier:
         stopwords: frozenset[str] | None = None,
     ):
         self.config = config or IcrmConfig()
-        self.config.validate()
         self.stopwords = stopwords
         self.repertoire = Repertoire()
         self.rng = np.random.default_rng(self.config.seed)
@@ -672,7 +624,6 @@ class IcrmClassifier:
             sampler = state.get("sampler", SAMPLERS[0])
             # a config that also holds feature_sampler is a TypeError
             config = IcrmConfig(**state["config"], feature_sampler=sampler)
-            config.validate()
             features, pops = (_v1_rows if version == 1 else _v2_rows)(state)
             ok = (pops >= 0.0) & (pops < math.inf)  # NaN fails too
             if not ok.all():

@@ -33,7 +33,8 @@ from typing import Iterable, Mapping
 
 from .corpus import HAM, SPAM, LABELS, Message
 from .files import read_state, write_state
-from .textprep import SAMPLE_CAP, check_sample_cap, preprocess
+from .ranges import RANGES, check_range
+from .textprep import SAMPLE_CAP, preprocess
 
 
 class ModelError(Exception):
@@ -166,7 +167,7 @@ class NaiveBayesClassifier:
     """Train-once wrapper; classification never mutates the model."""
 
     def __init__(self, n: int = SAMPLE_CAP, stopwords: frozenset[str] | None = None):
-        check_sample_cap(n)
+        check_range(RANGES, "n", n)
         self.n = n
         self.stopwords = stopwords
         self.model: NbModel | None = None

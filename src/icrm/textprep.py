@@ -27,11 +27,11 @@ from functools import cache
 from importlib import resources
 
 from .porter import stem
+from .ranges import RANGES, SAMPLERS, check_range
 
 __all__ = ["tokenize", "preprocess", "stem", "parse_stopwords", "default_stopwords"]
 
-SAMPLE_CAP = 50                      # reference cap on distinct stems per message
-SAMPLERS = ("first-last", "random")  # feature selection rules, default first
+SAMPLE_CAP = 50  # reference cap on distinct stems per message
 
 _MIN_TOKEN_LEN = 3
 # message attribute: (n, stopwords, sample tuple, whether the stopwords are
@@ -49,12 +49,6 @@ def default_stopwords() -> frozenset[str]:
     """The stopword list shipped with the package (SMART English list)."""
     text = resources.files("icrm.data").joinpath("stopwords.txt").read_text("utf-8")
     return parse_stopwords(text)
-
-
-def check_sample_cap(n: int) -> None:
-    """The first/last sampler halves the cap, so it must be an even int >= 2."""
-    if type(n) is not int or n < 2 or n % 2:
-        raise ValueError(f"sample cap must be an even integer >= 2, got {n!r}")
 
 
 # What str.strip takes off a token's ends before any per-character loop.
@@ -126,9 +120,8 @@ def preprocess(
         and n == memo[0] and (memo[1] is stopwords or stopwords is None and memo[3])
     ):
         return list(memo[2])
-    check_sample_cap(n)
-    if sampler not in SAMPLERS:
-        raise ValueError(f"unknown sampler {sampler!r}")
+    check_range(RANGES, "n", n)
+    check_range(RANGES, "feature_sampler", sampler)
     default = default_stopwords()
     if stopwords is None:
         stopwords = default

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, event, example, given, settings, strategies as st
 
-from icrm import cli, evaluation, model
+from icrm import cli, ranges
 from icrm.cli import DEFAULTS, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from icrm.corpus import HAM, SPAM, read_canonical, read_message_file, write_canonical
 from icrm.evaluation import check_settings, eval_dynamic, eval_static
@@ -336,7 +336,6 @@ class _ProtocolReached(Exception):
 
 
 def _checking_protocol(dataset, factory, **protocol_settings):
-    factory.config.validate()
     check_settings(protocol_settings)
     raise _ProtocolReached
 
@@ -809,6 +808,32 @@ def test_random_sampler_outputs_keep_their_recorded_bytes(tmp_path, capsys):
     assert written == json.loads(_RANDOM_SAMPLER.read_text(encoding="utf-8"))["sha256"]
 
 
+_BALANCED = Path(__file__).parent / "data" / "balanced-digests.json"
+
+
+def test_balanced_counting_outputs_keep_their_recorded_bytes(tmp_path, capsys):
+    """Skewed test blocks, balanced by default: every CSV of ``eval static``
+    with ham the majority, with spam the majority and with a shuffled test
+    stream hashes to what down-sampling (label, verdict) records wrote (see
+    the data file). Both models err on both classes here, so which
+    messages the balancing keeps shows in the metrics."""
+    ds = synthetic_dataset(n_ham=500, n_spam=500, vocab_per_class=300, shared_vocab=300,
+                           words_per_message=(4, 16), seed=9)
+    data = tmp_path / "skewed.jsonl"
+    write_canonical(ds, data)
+    for out, args in (("ratio-0.3", ["both", "--spam-ratio", "0.3"]),
+                      ("ratio-0.7", ["both", "--spam-ratio", "0.7"]),
+                      ("shuffled-0.3", ["icrm", "--spam-ratio", "0.3", "--shuffle-test"])):
+        code = main(["eval", "static", *args, "--runs", "3", "--data", str(data),
+                     "--out", str(tmp_path / out)])
+        assert code == EXIT_OK, capsys.readouterr().err
+    written = {
+        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(tmp_path.glob("*/*.csv"))
+    }
+    assert written == json.loads(_BALANCED.read_text(encoding="utf-8"))["sha256"]
+
+
 _DEFAULT_PATH = Path(__file__).parent / "data" / "default-digests.json"
 
 
@@ -994,15 +1019,11 @@ def test_each_setting_has_one_default():
 
 
 def test_each_setting_has_one_range_row_that_holds_its_default():
-    """The model's and the protocols' tables declare every setting but the
-    command line's own (the ingest limit and two paths) once; they share
-    only the seed's row, and every default passes its row."""
-    ranges = {**model.RANGES, **evaluation.RANGES}
-    assert model.RANGES.keys() & evaluation.RANGES.keys() == {"seed"}
-    assert evaluation.RANGES["seed"] is model.RANGES["seed"]
-    assert set(ranges) == set(DEFAULTS) - {"limit", "out", "stopwords"}
-    for key, row in ranges.items():
-        assert model.check_range(ranges, key, DEFAULTS[key]) == DEFAULTS[key], key
+    """One table declares every setting but the command line's two paths,
+    and every default passes its row."""
+    assert set(ranges.RANGES) == set(DEFAULTS) - {"out", "stopwords"}
+    for key in ranges.RANGES:
+        assert ranges.check_range(ranges.RANGES, key, DEFAULTS[key]) == DEFAULTS[key], key
 
 
 # -- the command line under generated input ---------------------------------

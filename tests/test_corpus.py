@@ -5,6 +5,7 @@ from datetime import date
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from icrm import corpus
 from icrm.corpus import (
     CanonicalFormatError,
     Dataset,
@@ -57,6 +58,20 @@ class TestIngest:
         # tmp_path holds no class directories: the limit is checked first
         with pytest.raises(ValueError, match="limit must be >= 1"):
             ingest_enron_dir(tmp_path, limit_per_class=limit)
+
+    @pytest.mark.parametrize("limit", [2.5, "3", True])
+    def test_limit_of_another_type_rejected_before_any_file_is_read(
+        self, tmp_path, monkeypatch, limit
+    ):
+        _write_enron_tree(tmp_path, [("0001.1999-12-10.x.ham.txt", "hi")],
+                          [("0001.2000-01-01.x.spam.txt", "Subject: s\nb")])
+
+        def unread(path):
+            raise AssertionError(f"{path} was read")
+
+        monkeypatch.setattr(corpus, "read_message_file", unread)
+        with pytest.raises(ValueError, match="^limit must be an integer, got "):
+            ingest_enron_dir(tmp_path, limit)
 
     def test_missing_class_dir_names_it(self, tmp_path):
         (tmp_path / HAM).mkdir()
@@ -243,3 +258,8 @@ class TestMakeSplit:
     def test_bad_ratio(self, protocol_corpus):
         with pytest.raises(SplitError):
             make_split(protocol_corpus, 100, 200, 0.0)
+
+    @pytest.mark.parametrize("ratio", ["0.5", None, True, float("nan")])
+    def test_ratio_that_is_not_a_number_is_a_split_error(self, protocol_corpus, ratio):
+        with pytest.raises(SplitError, match="^spam_ratio must be a finite number"):
+            make_split(protocol_corpus, 100, 200, ratio)

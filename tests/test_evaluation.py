@@ -115,6 +115,20 @@ class TestMetrics:
         assert (c.tp, c.fn, c.fp, c.tn) == (1, 1, 1, 2)
         assert c.total == len(records)
 
+    @given(st.lists(st.tuples(*[st.sampled_from((HAM, SPAM, "other"))] * 2), max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_counts_from_records_match_a_tally_per_record(self, records):
+        """The array tally gives the Python ints one branch per record gives;
+        only spam is positive, and an empty list counts nothing."""
+        want = {"tp": 0, "tn": 0, "fp": 0, "fn": 0}
+        for truth, predicted in records:
+            said = predicted == SPAM
+            want[("t" if (truth == SPAM) == said else "f") + ("p" if said else "n")] += 1
+        got = counts_from_records(records)
+        assert [(type(v), v) for v in (got.tp, got.tn, got.fp, got.fn)] == [
+            (int, want[k]) for k in ("tp", "tn", "fp", "fn")
+        ]
+
 
 def _normal_equations(y):
     """Independent least-squares route via the normal equations."""

@@ -2,13 +2,13 @@
 
 import math
 import re
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from icrm import model
+from icrm import ranges
 from icrm.corpus import HAM, SPAM
 from icrm.model import (
     BIND_E,
@@ -23,12 +23,12 @@ from icrm.model import (
     TRAIN_HAM,
     TRAIN_SPAM,
     build_slot_array,
-    check_range,
     init_features,
     interact,
     process_message,
     score_feature,
 )
+from icrm.ranges import check_range
 
 from conftest import make_message
 
@@ -60,30 +60,30 @@ class TestScoreFeature:
 
 class TestConfig:
     def test_defaults_validate(self):
-        IcrmConfig().validate()
+        IcrmConfig()  # checked when made
 
     def test_ordering_constraints(self):
         with pytest.raises(ValueError):
-            IcrmConfig(e0_ham=12.0, r0_ham=6.0).validate()
+            IcrmConfig(e0_ham=12.0, r0_ham=6.0)
         with pytest.raises(ValueError):
-            IcrmConfig(e0_spam=4.0, r0_spam=5.0).validate()
+            IcrmConfig(e0_spam=4.0, r0_spam=5.0)
         with pytest.raises(ValueError):
-            IcrmConfig(e0_test=4.0, r0_test=5.0).validate()
+            IcrmConfig(e0_test=4.0, r0_test=5.0)
 
     def test_shape_constraints(self):
         with pytest.raises(ValueError):
-            IcrmConfig(n=7).validate()
+            IcrmConfig(n=7)
         with pytest.raises(ValueError):
-            IcrmConfig(n_a=0).validate()
+            IcrmConfig(n_a=0)
         with pytest.raises(ValueError):
-            IcrmConfig(death_rate=1.0).validate()
+            IcrmConfig(death_rate=1.0)
 
     def test_initial_populations_not_negative(self):
         # the bound a loaded state holds its populations to: 0 and -0.0 pass
         for name in ("e0_ham", "r0_spam", "r0_test"):
             with pytest.raises(ValueError, match=f"{name} must be >= 0"):
-                IcrmConfig(**{name: -1.0}).validate()
-        IcrmConfig(e0_ham=0, r0_spam=-0.0, r0_test=0.0).validate()
+                IcrmConfig(**{name: -1.0})
+        IcrmConfig(e0_ham=0, r0_spam=-0.0, r0_test=0.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
@@ -91,7 +91,7 @@ class TestConfig:
     )
     def test_non_finite_floats_rejected(self, name, value):
         with pytest.raises(ValueError, match="finite"):
-            IcrmConfig(**{name: value}).validate()
+            IcrmConfig(**{name: value})
 
     @pytest.mark.parametrize("name, value", [
         ("n", 1002), ("n_a", 1001), ("e0_spam", 1e6 + 1), ("r0_ham", 1.7e308),
@@ -100,12 +100,22 @@ class TestConfig:
     def test_upper_bounds(self, name, value):
         """Bounds that keep populations finite and a message's slots few."""
         with pytest.raises(ValueError, match=f"^{name} must be <= "):
-            IcrmConfig(**{name: value}).validate()
+            IcrmConfig(**{name: value})
+
+    def test_a_classifier_config_cannot_change_after_its_check(self):
+        """A value set after the check would never be checked: a negative
+        proliferation drove populations below zero and saved a state that
+        loading refuses."""
+        clf = IcrmClassifier(IcrmConfig(seed=3))
+        with pytest.raises(FrozenInstanceError):
+            clf.config.proliferation = -50.0
+        with pytest.raises(FrozenInstanceError):
+            clf.config.n = 7
+        assert clf.config == IcrmConfig(seed=3)
 
     def test_the_bounds_themselves_pass(self):
         cfg = IcrmConfig(n=1000, n_a=1000, e0_ham=0, r0_ham=10**6, e0_test=1e6,
                          r0_test=0.0, proliferation=10**6, death_rate=0.999)
-        cfg.validate()
         assert (cfg.r0_ham, cfg.proliferation) == (1e6, 1e6)
         assert type(cfg.r0_ham) is float
 
@@ -128,7 +138,7 @@ def test_an_integer_too_long_to_print_is_named_by_its_digit_count():
     """Beyond ``sys.get_int_max_str_digits`` (4,300) an integer has no repr;
     the refusal gives its digit count and names the setting."""
     with pytest.raises(ValueError, match="^n must be <= 1000, got an integer of 5,001 digits$"):
-        IcrmConfig(n=10**5000).validate()
+        IcrmConfig(n=10**5000)
     rows = {"pick": (str, [("one of", ("a", "b"))]), "rate": (float, [(">=", 0)])}
     with pytest.raises(ValueError, match="^pick must be a string, got a negative integer "
                                          "of 4,400 digits$"):
@@ -137,9 +147,9 @@ def test_an_integer_too_long_to_print_is_named_by_its_digit_count():
         check_range(rows, "rate", 10**6000)
     # exact on both sides of each power of ten, where the float log can round
     for k in range(4301, 4400):
-        assert model._shown(10**k - 1) == f"an integer of {k:,} digits"
-        assert model._shown(10**k) == f"an integer of {k + 1:,} digits"
-    assert model._shown(10**4299) == repr(10**4299)  # 4,300 digits still print
+        assert ranges._shown(10**k - 1) == f"an integer of {k:,} digits"
+        assert ranges._shown(10**k) == f"an integer of {k + 1:,} digits"
+    assert ranges._shown(10**4299) == repr(10**4299)  # 4,300 digits still print
 
 
 def test_check_range_types_are_exact_and_floats_come_back_as_floats():
@@ -154,7 +164,7 @@ def test_check_range_types_are_exact_and_floats_come_back_as_floats():
             check_range(rows, name, value)
     # NaN fails every limit, not only the float type check
     assert not any(meets(math.nan, bound) for meets, bound in zip(
-        model._LIMITS.values(), (0.0, 0.0, 1.0, 1.0, (0.0,))))
+        ranges._LIMITS.values(), (0.0, 0.0, 1.0, 1.0, (0.0,), 2)))
 
 
 class TestInitFeatures:

@@ -387,6 +387,20 @@ class TestPersistence:
         with pytest.raises(ModelError, match=re.escape(str(path))):
             NaiveBayesClassifier.load(path)
 
+    def test_a_cap_above_1000_is_refused(self, tmp_path):
+        """The classifier and its model file read the cap's one range row."""
+        with pytest.raises(ValueError, match="^n must be <= 1000, got 1002$"):
+            NaiveBayesClassifier(n=1002)
+        clf = NaiveBayesClassifier()
+        clf.model = _model([["alpha"]], [["beta"]])
+        path = tmp_path / "nb.json"
+        clf.save(path)
+        state = json.loads(path.read_text(encoding="utf-8"))
+        state["n"] = 1002
+        path.write_text(json.dumps(state), encoding="utf-8")
+        with pytest.raises(ModelError, match="n must be <= 1000"):
+            NaiveBayesClassifier.load(path)
+
     @pytest.mark.parametrize("version", [True, 1.0, 2, "1", None])
     def test_version_must_be_the_int_1(self, tmp_path, version):
         clf = NaiveBayesClassifier()

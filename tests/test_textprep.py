@@ -231,6 +231,19 @@ def test_invalid_settings_raise_with_a_memo():
         preprocess(msg, n=10, sampler="random")  # no generator
 
 
+def test_a_cap_above_1000_is_refused_with_or_without_a_memo():
+    """The cap's row in ``icrm.ranges.RANGES`` bounds it at 1000 for every
+    caller, the memo's own check included; the refusal names the setting."""
+    msg = make_message(body=" ".join(_VOCAB))
+    with pytest.raises(ValueError, match="^n must be <= 1000, got 1002$"):
+        preprocess(msg, n=1002)
+    preprocess(msg, n=10)  # now the message holds a memo
+    with pytest.raises(ValueError, match="^n must be <= 1000, got 1002$"):
+        preprocess(msg, n=1002)
+    with pytest.raises(ValueError, match="^feature_sampler must be one of "):
+        preprocess(msg, n=10, sampler="bogus")
+
+
 def test_memo_leaves_value_semantics_alone(tmp_path):
     msg = make_message(subject="cheap offer", body=" ".join(_VOCAB))
     twin = dataclasses.replace(msg)
