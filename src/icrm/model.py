@@ -55,11 +55,18 @@ populations stay bit-identical to it.
 
 A message's verdict is the sum of per-feature scores
 ``(R - E) / sqrt(R^2 + E^2)`` over its sample, read after the message's
-own interaction pass; a non-positive sum means spam. A message's scores
+own interaction pass; a non-positive sum means spam. A verdict's scores
 come from one gather of its rows into Python floats and one comprehension
 that divides by ``math.hypot`` (``np.hypot`` can be an ulp off it), so
 each is the float :func:`score_feature` gives; a (0, 0) feature, whose
-norm is zero, goes to :func:`score_feature` itself and scores +0.0.
+norm is zero, goes to :func:`score_feature` itself and scores +0.0. Their
+sum is ``math.fsum``'s, correctly rounded. :meth:`IcrmClassifier.classify`
+wants only the label, so it sums the same rows in numpy, with
+``np.hypot``, and reads that sum's sign wherever a proven error bound
+covers it (see :func:`_label`); a sum within the bound of zero, an empty
+sample or a repertoire that may hold a subnormal norm takes the exact
+sum. Labels, populations and the random stream are the same as
+:meth:`IcrmClassifier.verdict` gives.
 
 Scoring reads the populations and changes nothing, so
 :meth:`IcrmClassifier.train` runs only :func:`present_message`, the part
@@ -509,19 +516,80 @@ def process_message(
     and is therefore spam.
     """
     slots = present_message(rep, msg, mode, cfg, rng, stopwords)
-    # the sample is distinct, so the slots' keys are the sample in order;
-    # score_feature's floats, a zero norm being an extinct feature's
-    hypot = math.hypot
-    scores = [
-        (r - e) / norm if (norm := hypot(r, e)) else score_feature(e, r)
-        for e, r in rep._pops.take(slots.rows, 0).tolist()
-    ]
-    score = math.fsum(scores)
+    # the sample is distinct, so the slots' keys are the sample in order
+    scores, score = _exact_scores(rep._pops.take(slots.rows, 0))
     return Verdict(
         score=score,
         per_feature=list(zip(slots.keys, scores)),
         label=SPAM if score <= 0.0 else HAM,
     )
+
+
+def _exact_scores(pops: np.ndarray) -> tuple[list[float], float]:
+    """Each (E, R) row's score, the float :func:`score_feature` gives, and
+    the correctly rounded sum of those scores (``math.fsum``)."""
+    hypot = math.hypot
+    scores = [  # a zero norm is an extinct feature's
+        (r - e) / norm if (norm := hypot(r, e)) else score_feature(e, r)
+        for e, r in pops.tolist()
+    ]
+    return scores, math.fsum(scores)
+
+
+def _label(pops: np.ndarray, floor: float) -> str:
+    """The label of the exact score sum of the (E, R) rows ``pops``, read
+    from a numpy sum where an error bound proves its sign.
+
+    ``floor`` is a lower bound on max(E, R) over every row that is not
+    (+0.0, +0.0): :class:`Repertoire` keeps one as ``_floor``, because
+    ``_fill`` sets it to the minimum over the rows, ``add`` lowers it to a
+    new row's larger population, ``interact`` only adds to rows and
+    ``decay`` multiplies rows and bound by one factor (rounding is
+    monotone) and clears rows to (+0.0, +0.0). With ``floor`` normal
+    (``>= sys.float_info.min``) every norm is 0 or normal. A subnormal
+    norm would void the relative bound below: a hypot a few subnormal ulp
+    off can be many percent off.
+
+    The exact scores t_i are (R - E) / math.hypot(R, E), and
+    :func:`_exact_scores` sums them with ``math.fsum``, which is correctly
+    rounded; the exact sum T is a multiple of 2**-1074, so the rounded sum
+    has T's sign, and is 0 only when T is. The numpy sum A adds
+    a_i = (R - E) / max(np.hypot(R, E), 5e-324), where the max turns a
+    (+0.0, +0.0) row's 0 / 0 into 0 / 5e-324 = +0.0, that row's t_i. With
+    u = 2**-53, the difference |A - T| has three sources:
+
+    * the norms: both paths round the same R - E, with |R - E| <=
+      max(E, R) <= hypot(E, R); ``np.hypot`` and ``math.hypot`` are each
+      within a few ulp (say 2, a relative 4u) of the true norm, and
+      differ by at most one ulp in practice, so a_i and t_i differ by at
+      most 8u before division;
+    * the division rounds in both paths, by at most u each, or by at most
+      2**-1075 each where the quotient is subnormal; so
+      |a_i - t_i| <= 11u + 1e-323, and |a_i| <= 1 + 9u;
+    * numpy's summation of n terms, in any order of its n - 1 additions,
+      errs by at most (n - 1)u / (1 - (n - 1)u) * sum |a_i|, below
+      1.0001 (n - 1) u n for n <= 1000.
+
+    So |A - T| <= u (1.0001 n**2 + 11 n) + n * 1e-323, which
+    B(n) = 4e-16 (n**2 + 4n) + n * 1e-320 exceeds (4e-16 > 3.6u). When
+    |A| > B(n) >= |A - T|, T is not 0 and has A's sign, and the label is
+    spam exactly when A < 0. Every other case, an empty sample included,
+    takes the exact sum, where a score <= 0 is spam.
+
+    No step here overflows, so ``np.hypot`` raises no warning: a loaded
+    state's rows have a finite E + R (``IcrmClassifier.load``), a row
+    added at the first-seen populations has too, a message adds at most
+    n_a * proliferation <= 10**9 to a population, which cannot carry a
+    finite E + R past the largest float (see :mod:`icrm.ranges`), and
+    hypot(E, R) <= E + R.
+    """
+    n = len(pops)
+    if n and floor >= sys.float_info.min:
+        e, r = pops[:, 0], pops[:, 1]
+        approx = float(((r - e) / np.maximum(np.hypot(r, e), 5e-324)).sum())
+        if abs(approx) > 4e-16 * n * (n + 4) + n * 1e-320:
+            return SPAM if approx < 0.0 else HAM
+    return SPAM if _exact_scores(pops)[1] <= 0.0 else HAM
 
 
 _TRAIN_MODE = {HAM: TRAIN_HAM, SPAM: TRAIN_SPAM}
@@ -577,7 +645,11 @@ class IcrmClassifier:
         )
 
     def classify(self, msg: Message) -> str:
-        return self.verdict(msg).label
+        """``verdict(msg).label``, leaving the same repertoire and random
+        stream, without the per-feature scores (see :func:`_label`)."""
+        rep = self.repertoire
+        slots = present_message(rep, msg, TEST, self.config, self.rng, self.stopwords)
+        return _label(rep._pops.take(slots.rows, 0), rep._floor)
 
     # -- persistence ---------------------------------------------------
 
@@ -610,9 +682,10 @@ class IcrmClassifier:
 
         Version 1 holds a ``repertoire`` object, feature -> [E, R], whose
         keys were saved sorted, so its rows load in sorted order. Either
-        way every population must be finite and non-negative and every
-        feature distinct, and the sampler is the top-level ``sampler``, never
-        a ``config`` key; anything else is a :class:`SnapshotError` naming
+        way every population must be finite and non-negative, every row's
+        E + R finite too (binding divides by it) and every feature
+        distinct, and the sampler is the top-level ``sampler``, never a
+        ``config`` key; anything else is a :class:`SnapshotError` naming
         the file.
 
         Every check runs before the classifier is built, and it is built
@@ -629,6 +702,12 @@ class IcrmClassifier:
             if not ok.all():
                 e, r = pops[np.flatnonzero(~ok)[0] // 2].tolist()
                 raise ValueError(f"populations must be finite and >= 0: {e}, {r}")
+            # binding divides by E + R, which overflows only if E or R >= 2**1023
+            if pops.max(initial=0.0) >= 2.0**1023:
+                for feature, (e, r) in zip(features, pops.tolist()):
+                    if e + r == math.inf:
+                        raise ValueError(f"populations of {feature!r} sum past "
+                                         f"the largest float: {e} + {r}")
             repertoire = Repertoire.from_rows(features, pops)
             rng = np.random.default_rng(config.seed)  # __init__'s kind of generator
             rng.bit_generator.state = state["rng_state"]

@@ -17,7 +17,6 @@ import math
 import operator
 import sys
 from collections.abc import Mapping
-from typing import get_args
 
 SAMPLERS = ("first-last", "random")  # feature selection rules, default first
 
@@ -40,8 +39,13 @@ RANGES = {  # each setting's type and (op, bound) limits; see the module docstri
 _LIMITS = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt,
            "one of": lambda value, choices: value in choices,
            "a multiple of": lambda value, step: value % step == 0}
-_KINDS = {int: "an integer", float: "a finite number", bool: "true or false",
-          str: "a string", bool | None: "true, false or None"}
+_KINDS = {  # each kind: the exact types a value may have, and how an error names it
+    int: ((int,), "an integer"),
+    float: ((int, float), "a finite number"),
+    bool: ((bool,), "true or false"),
+    str: ((str,), "a string"),
+    bool | None: ((bool, type(None)), "true, false or None"),
+}
 
 
 def check_range(ranges: Mapping[str, tuple], name: str, value):
@@ -49,9 +53,9 @@ def check_range(ranges: Mapping[str, tuple], name: str, value):
     a float holds: NaN and infinities fail) if it has the exact type and meets
     the limits of ``name``'s row in ``ranges``, else a ValueError naming it."""
     kind, limits = ranges[name]
-    kinds = (int, float) if kind is float else get_args(kind) or (kind,)
-    if type(value) not in kinds or kind is float and not abs(value) <= sys.float_info.max:
-        raise ValueError(f"{name} must be {_KINDS[kind]}, got {_shown(value)}")
+    types, what = _KINDS[kind]
+    if type(value) not in types or kind is float and not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name} must be {what}, got {_shown(value)}")
     for op, bound in limits:
         if not _LIMITS[op](value, bound):
             raise ValueError(f"{name} must be {op} {bound!r}, got {_shown(value)}")

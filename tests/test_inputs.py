@@ -7,9 +7,11 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from datetime import date
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,7 +23,7 @@ from icrm.nbayes import ModelError, NaiveBayesClassifier
 from icrm.synth import synthetic_dataset
 
 from conftest import make_message
-from model_reference import state_body
+from model_reference import state_body, state_body_v2
 
 _GOOD = {
     "id": "m1", "timestamp": "2001-02-03", "label": "ham",
@@ -292,6 +294,42 @@ def test_an_integer_literal_too_long_to_convert_is_typed_error(
         assert captured.out == ""
         assert captured.err.startswith(f"icrm: error: cannot read icrm-state file {path}: ")
         assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_a_state_whose_populations_sum_past_the_largest_float_is_refused(
+    tmp_path, capsys, version
+):
+    """Each population is finite, but binding divides by E + R: a row whose
+    sum overflows is the loader's typed error naming the file and the row,
+    and ``classify`` exits 2 with one line and no numpy warning."""
+    half = sys.float_info.max / 2
+    rows = {"cheap": (3.0, 1.0), "pills": (1e308, 1e308), "agenda": (half, half)}
+    body = state_body if version == 1 else state_body_v2
+    path = tmp_path / "huge-state.json"
+    write_state(path, "icrm-state", version,
+                body(rows, IcrmConfig(), np.random.default_rng(0)))
+    with pytest.raises(SnapshotError, match=re.escape(
+        f"malformed state file {path}: ValueError(\"populations of 'pills' sum "
+        "past the largest float: 1e+308 + 1e+308\")"
+    )):
+        IcrmClassifier.load(path)
+    msg = tmp_path / "m.txt"
+    msg.write_text("Subject: cheap pills\nagenda", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["classify", str(path), str(msg)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "'pills'" in captured.err
+    # the largest sums that stay finite load and classify without a warning
+    del rows["pills"]
+    write_state(path, "icrm-state", version,
+                body(rows, IcrmConfig(), np.random.default_rng(0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["classify", str(path), str(msg)]) == EXIT_OK
+    assert capsys.readouterr().out.split()[0] in LABELS
 
 
 # -- any value under any key of a real saved state ---------------------------

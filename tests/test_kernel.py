@@ -6,9 +6,12 @@ there is no rounding difference to tolerate. Where the sign of a zero
 matters, floats are compared by ``float.hex``.
 """
 
+import copy
 import json
 import math
+import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -646,3 +649,153 @@ def test_int_populations_save_as_floats(tmp_path):
     floats.save(tmp_path / "floats.json")
     assert (tmp_path / "ints.json").read_bytes() == (tmp_path / "floats.json").read_bytes()
     assert type(ints.config.e0_ham) is float
+
+
+# -- classify's numpy-summed label against the verdict's exact one ------------
+
+# 40 features, each a synthetic word that stems to itself
+_WORDS = [f"feat{i}" for i in range(40)]
+
+
+def _from_one_state(tmp_path, death_rate):
+    """Two classifiers loaded from one saved state. Its populations are a few
+    times the decay clamp, so at death rate 0.02 rows that go unseen for
+    some 60 messages are cleared to (+0.0, +0.0) while ``_floor`` stays a
+    normal float, and the numpy sum reads extinct rows."""
+    cfg = IcrmConfig(
+        e0_ham=1e-12, r0_ham=3e-12, e0_spam=3e-12, r0_spam=1e-12,
+        e0_test=3e-12, r0_test=1e-12, proliferation=1e-13,
+        death_rate=death_rate, seed=3,
+    )
+    clf = IcrmClassifier(cfg)
+    clf.train(make_message(label, body=" ".join(_WORDS[i::4]))
+              for i, label in enumerate([HAM, SPAM, HAM, SPAM]))
+    path = tmp_path / f"state-{death_rate}.json"
+    clf.save(path)
+    return IcrmClassifier.load(path), IcrmClassifier.load(path)
+
+
+def _label_stream(a, b, bodies):
+    """Stream each body through ``a.classify`` and ``b.verdict``, with
+    warnings as errors; the pairs of labels."""
+    labels = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for i, body in enumerate(bodies):
+            msg = make_message(HAM, body=body, day=i + 1)
+            labels.append((a.classify(msg), b.verdict(msg).label))
+    return labels
+
+
+def _same_state(a, b) -> bool:
+    return (np.array_equal(a.repertoire.populations.view(np.uint64),
+                           b.repertoire.populations.view(np.uint64))
+            and list(a.repertoire.rows) == list(b.repertoire.rows)
+            and a.rng.bit_generator.state == b.rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("death_rate", [0.0, 0.02])
+@given(messages=st.lists(st.lists(st.integers(0, len(_WORDS) - 1), max_size=12),
+                         min_size=1, max_size=120))
+@settings(max_examples=40, deadline=None)
+def test_classify_gives_the_verdicts_label_and_leaves_its_state(death_rate, messages):
+    """From one saved state, a.classify(m) and b.verdict(m).label agree on
+    every message, and leave bit-identical populations and generators."""
+    with tempfile.TemporaryDirectory() as tmp:
+        a, b = _from_one_state(Path(tmp), death_rate)
+    bodies = [" ".join(_WORDS[i] for i in words) for words in messages]
+    labels = _label_stream(a, b, bodies)
+    assert [fast for fast, _ in labels] == [exact for _, exact in labels]
+    assert _same_state(a, b)
+
+
+def test_the_equivalence_stream_meets_extinct_rows_and_both_sums(tmp_path, monkeypatch):
+    """A stream like those the property above draws reaches extinct rows at
+    death rate 0.02 with ``_floor`` still normal, and classify takes labels
+    from both the numpy sum and the exact sum."""
+    exact_calls = []
+    exact_scores = icrm.model._exact_scores
+    monkeypatch.setattr(icrm.model, "_exact_scores",
+                        lambda pops: exact_calls.append(1) or exact_scores(pops))
+    a, b = _from_one_state(tmp_path, 0.02)
+    # every word, then only the first ten until the others die out; then the
+    # dead words alone (their scores are all +0.0) and an empty message
+    bodies = [" ".join(_WORDS[j] for j in range(i % 3, 40, 3)) for i in range(30)]
+    bodies += [" ".join(_WORDS[:10])] * 150 + [" ".join(_WORDS[10:]), ""]
+    labels = _label_stream(a, b, bodies)
+    assert [fast for fast, _ in labels] == [exact for _, exact in labels]
+    assert _same_state(a, b)
+    pops = a.repertoire.populations
+    assert ((pops[:, 0] == 0.0) & (pops[:, 1] == 0.0)).any()
+    assert a.repertoire._floor >= sys.float_info.min
+    # b.verdict ran the exact scorer once per message; a.classify not always
+    assert len(bodies) < len(exact_calls) < 2 * len(bodies)
+
+
+# beside the next float up, 2**-32 away, this scores 2**-32 / hypot = 7.85e-17
+_X = 2.0**21 - 2.0**-31
+
+
+@pytest.mark.parametrize("rows, label", [
+    # scores +1, 7.85e-17 and -1: numpy sums them to 0.0, math.fsum to +7.85e-17
+    pytest.param([(0.0, 1.0), (_X, np.nextafter(_X, math.inf)), (1.0, 0.0)], HAM,
+                 id="residue-beyond-numpy"),
+    # mirror pairs sum to exactly 0, which numpy reads as +1.1e-16
+    pytest.param([(1.0, 2.0), (1.0, 3.0), (2.0, 1.0), (3.0, 1.0)], SPAM,
+                 id="mirror-pairs"),
+])
+def test_a_sum_within_the_bound_takes_the_exact_label(rows, label):
+    pops = np.array(rows)
+    e, r = pops[:, 0], pops[:, 1]
+    approx = ((r - e) / np.hypot(r, e)).sum()
+    exact = icrm.model._exact_scores(pops)[1]
+    # by the rule that a sum <= 0 is spam, the numpy sum alone reads the other label
+    assert (SPAM if approx <= 0.0 else HAM) != label == (SPAM if exact <= 0.0 else HAM)
+    assert icrm.model._label(pops, floor=1.0) == label
+
+
+def _agree_without_warnings(clf, bodies):
+    """classify on ``clf`` gives verdict's labels on a copy of it, warnings
+    as errors, and leaves the copy's state; the labels."""
+    twin = copy.deepcopy(clf)
+    labels = _label_stream(clf, twin, bodies)
+    assert [fast for fast, _ in labels] == [exact for _, exact in labels]
+    assert _same_state(clf, twin)
+    return [fast for fast, _ in labels]
+
+
+def test_an_empty_sample_is_spam_through_classify():
+    clf = IcrmClassifier()
+    clf.train([make_message(HAM, body="meeting agenda"), make_message(SPAM, body="pills")])
+    assert _agree_without_warnings(clf, ["", "the and of", "meeting", ""]) == [
+        SPAM, SPAM, HAM, SPAM]
+
+
+def test_subnormal_norms_take_the_exact_sum(monkeypatch):
+    """First-seen test features at (5e-324, +0.0) have a subnormal norm. There a
+    hypot one ulp high, within what the bound allows of a normal norm, moves a
+    score from -1 to -0.5: a sum trusted without the ``_floor`` test reads
+    ham for a message whose exact sum is 0.632 - 1."""
+    hypot = np.hypot
+    monkeypatch.setattr(np, "hypot", lambda x, y: np.nextafter(hypot(x, y), math.inf))
+    clf = IcrmClassifier(IcrmConfig(e0_test=5e-324, r0_test=0.0, n_a=1,
+                                    proliferation=5e-324, seed=1))
+    clf.repertoire = Repertoire({"feat0": (1.0, 3.0)})  # scores 0.632
+    labels = _agree_without_warnings(clf, [f"feat0 fresh{i}" for i in range(8)])
+    assert clf.repertoire._floor < sys.float_info.min
+    assert SPAM in labels
+
+
+def test_populations_near_the_largest_float_classify_without_overflow(tmp_path):
+    """E = R = 8.9e307 loads (E + R is finite), and neither binding nor the
+    numpy sum overflows. The mirror pairs beside it sum to exactly 0 (gains
+    of 5e-324 leave them as they are), which numpy reads as +1.1e-16."""
+    rows = {"feat0": (8.9e307, 8.9e307), "feat1": (1.0, 2.0), "feat2": (1.0, 3.0),
+            "feat3": (2.0, 1.0), "feat4": (3.0, 1.0)}
+    cfg = IcrmConfig(proliferation=5e-324)
+    path = tmp_path / "huge.json"
+    write_state(path, "icrm-state", 1, ref.state_body(rows, cfg, np.random.default_rng(0)))
+    clf = IcrmClassifier.load(path)
+    assert _agree_without_warnings(clf, ["feat0", "feat0 feat1 feat2 feat3 feat4"]) == [
+        SPAM, SPAM]
+    assert _bits(clf.repertoire) == _bits(rows)
