@@ -91,8 +91,13 @@ _TYPES = {k: (get_args(t) or (t,))[0] for k, (t, _) in RANGES.items()}
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse defaults to exit code 2
-        self.exit(EXIT_USAGE, f"icrm: config error: {message}\n")
+    def error(self, message):  # argparse would print it and exit 2
+        raise ConfigError(message)
+
+
+# every character str.splitlines breaks a line at, escaped as repr escapes it
+_ONE_LINE = str.maketrans(
+    {c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
 
 
 def _coerce(key: str, raw: str):
@@ -398,17 +403,17 @@ def main(argv=None) -> int:
         parser.set_defaults(command=name)
     else:  # top-level help, or an error about the command
         parser = build_parser()
+    # the one printer of refusals: one stderr line, whatever the values it quotes
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
         return args.handler(args)
+    except SystemExit as exc:  # argparse printed help
+        return int(exc.code or 0)
     except ConfigError as exc:
-        print(f"icrm: config error: {exc}", file=sys.stderr)
+        print(f"icrm: config error: {str(exc).translate(_ONE_LINE)}", file=sys.stderr)
         return EXIT_USAGE
     except (CorpusError, SnapshotError, ModelError, EvalError) as exc:
-        print(f"icrm: error: {exc}", file=sys.stderr)
+        print(f"icrm: error: {str(exc).translate(_ONE_LINE)}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -171,21 +171,35 @@ class Repertoire(Mapping):
     rows for new features. A state file of version 2 keeps the rows in
     this order; one of version 1 listed features sorted, so a repertoire
     loaded from it iterates in sorted order.
+
+    Every row is valid however the repertoire was made: each population
+    finite and >= 0, and each E + R finite, because binding divides by it.
+    Making a repertoire, by ``Repertoire(mapping)`` or :meth:`from_rows`,
+    refuses any other row, and a repeated feature, with a ValueError;
+    :meth:`add` refuses such a pair before it changes anything. The
+    model's steps keep rows valid: a message's gains are bounded (see
+    :mod:`icrm.ranges`) and decay only shrinks them.
     """
 
     def __init__(self, populations: Mapping[str, tuple[float, float]] | None = None):
         populations = populations or {}
-        self._fill(populations, list(populations.values()))
+        self._fill(list(populations), list(populations.values()))
 
     @classmethod
-    def from_rows(cls, features: Iterable[str], pops) -> "Repertoire":
-        """Feature i of ``features`` (all distinct) at row i of ``pops``, (E, R) pairs."""
+    def from_rows(cls, features: Sequence[str], pops) -> "Repertoire":
+        """Feature i of ``features`` (all distinct) at row i of ``pops``,
+        (E, R) pairs, each row valid (see the class docstring)."""
         rep = cls.__new__(cls)
         rep._fill(features, pops)
         return rep
 
-    def _fill(self, features: Iterable[str], pops) -> None:
+    def _fill(self, features: Sequence[str], pops) -> None:
         pops = np.asarray(pops, dtype=np.float64).reshape(-1, 2)
+        # a row may be refused only if it holds a NaN, a negative, or an E or
+        # R >= 2**1023 (E + R overflows no other way)
+        if not ((pops >= 0.0) & (pops < 2.0**1023)).all():
+            for feature, (e, r) in zip(features, pops.tolist()):
+                _check_pair(e, r, f"populations of {feature!r}")
         self.rows: dict[str, int] = dict(zip(features, range(len(pops)), strict=True))
         if len(self.rows) != len(pops):
             raise ValueError("repeated feature")
@@ -202,7 +216,13 @@ class Repertoire(Mapping):
         return view
 
     def add(self, features: Iterable[str], pops: tuple[float, float]) -> None:
-        """Append a row set to ``pops`` for each feature not yet present."""
+        """Append a row set to ``pops`` for each feature not yet present.
+
+        A pair that is not finite and >= 0, or whose sum overflows, is a
+        ValueError, raised before the repertoire changes.
+        """
+        e, r = pops
+        _check_pair(e, r, "populations")
         rows = self.rows
         start = end = len(rows)
         for feature in features:
@@ -215,8 +235,8 @@ class Repertoire(Mapping):
             grown = np.empty((max(end, 2 * len(self._pops)), 2))
             grown[:start] = self._pops[:start]
             self._pops = grown
-        self._pops[start:end] = pops
-        self._floor = min(self._floor, max(pops))
+        self._pops[start:end] = e, r
+        self._floor = min(self._floor, max(e, r))
 
     def find(self, features: Sequence[str]) -> np.ndarray:
         """The rows of ``features``; a feature never seen is a KeyError."""
@@ -237,6 +257,14 @@ class Repertoire(Mapping):
 
     def __repr__(self) -> str:
         return f"Repertoire({dict(self.items())!r})"
+
+
+def _check_pair(e: float, r: float, what: str) -> None:
+    """Refuse an (E, R) pair that no row may hold; ``what`` names it."""
+    if not (0.0 <= e < math.inf and 0.0 <= r < math.inf):  # NaN fails too
+        raise ValueError(f"populations must be finite and >= 0: {e}, {r}")
+    if e + r == math.inf:  # binding divides by E + R
+        raise ValueError(f"{what} sum past the largest float: {e} + {r}")
 
 
 class SlotArray:
@@ -576,11 +604,11 @@ def _label(pops: np.ndarray, floor: float) -> str:
     spam exactly when A < 0. Every other case, an empty sample included,
     takes the exact sum, where a score <= 0 is spam.
 
-    No step here overflows, so ``np.hypot`` raises no warning: a loaded
-    state's rows have a finite E + R (``IcrmClassifier.load``), a row
-    added at the first-seen populations has too, a message adds at most
-    n_a * proliferation <= 10**9 to a population, which cannot carry a
-    finite E + R past the largest float (see :mod:`icrm.ranges`), and
+    No step here overflows, so ``np.hypot`` raises no warning: every
+    :class:`Repertoire` row has a finite E + R, because the repertoire
+    refuses any other row when it is made or added to, a message adds at
+    most n_a * proliferation <= 10**9 to a population, which cannot carry
+    a finite E + R past the largest float (see :mod:`icrm.ranges`), and
     hypot(E, R) <= E + R.
     """
     n = len(pops)
@@ -681,12 +709,12 @@ class IcrmClassifier:
         """Resume from a version 1 or version 2 snapshot.
 
         Version 1 holds a ``repertoire`` object, feature -> [E, R], whose
-        keys were saved sorted, so its rows load in sorted order. Either
-        way every population must be finite and non-negative, every row's
-        E + R finite too (binding divides by it) and every feature
-        distinct, and the sampler is the top-level ``sampler``, never a
-        ``config`` key; anything else is a :class:`SnapshotError` naming
-        the file.
+        keys were saved sorted, so its rows load in sorted order. The
+        sampler is the top-level ``sampler``, never a ``config`` key. The
+        loader only decodes: :class:`IcrmConfig` checks the settings and
+        :class:`Repertoire` the rows, so a file holds exactly what
+        :meth:`save` can write. Anything else is a :class:`SnapshotError`
+        naming the file.
 
         Every check runs before the classifier is built, and it is built
         once: around the checked config, the loaded repertoire and a
@@ -697,18 +725,8 @@ class IcrmClassifier:
             sampler = state.get("sampler", SAMPLERS[0])
             # a config that also holds feature_sampler is a TypeError
             config = IcrmConfig(**state["config"], feature_sampler=sampler)
-            features, pops = (_v1_rows if version == 1 else _v2_rows)(state)
-            ok = (pops >= 0.0) & (pops < math.inf)  # NaN fails too
-            if not ok.all():
-                e, r = pops[np.flatnonzero(~ok)[0] // 2].tolist()
-                raise ValueError(f"populations must be finite and >= 0: {e}, {r}")
-            # binding divides by E + R, which overflows only if E or R >= 2**1023
-            if pops.max(initial=0.0) >= 2.0**1023:
-                for feature, (e, r) in zip(features, pops.tolist()):
-                    if e + r == math.inf:
-                        raise ValueError(f"populations of {feature!r} sum past "
-                                         f"the largest float: {e} + {r}")
-            repertoire = Repertoire.from_rows(features, pops)
+            decode = _v1_rows if version == 1 else _v2_rows
+            repertoire = Repertoire.from_rows(*decode(state))  # which checks the rows
             rng = np.random.default_rng(config.seed)  # __init__'s kind of generator
             rng.bit_generator.state = state["rng_state"]
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:

@@ -51,6 +51,11 @@ _Tables = tuple[complex, dict[str, complex], complex | None]
 class NbModel:
     """Per-class document counts and Boolean feature counts, read-only.
 
+    Both mappings are keyed by exactly the two labels. A document count is
+    an int in [0, 2**63), a bound that keeps every smoothed likelihood
+    ratio far above float underflow, and a feature count an int in
+    [1, its class's document count]; any other count is a ValueError when
+    the model is made, so every model is one that training could give.
     ``vocabulary`` is the union of the features either class has seen.
     ``tables`` holds the model's :data:`_Tables`, or None unless both
     classes have training documents. Both are derived once, from the counts.
@@ -63,15 +68,16 @@ class NbModel:
 
     def __post_init__(self):
         # the tables read plain dicts: a read-only view's .get is a method call
-        doc_count = dict(self.doc_count)
-        counts = {label: dict(c) for label, c in self.feature_doc_count.items()}
-        vocabulary = frozenset().union(*counts.values())
-        object.__setattr__(self, "doc_count", MappingProxyType(doc_count))
+        docs = {label: _count(n) for label, n in _per_label(self.doc_count)}
+        counts = {label: dict(c) for label, c in _per_label(self.feature_doc_count)}
+        distinct = {k: _distinct_counts(k, c, docs[k]) for k, c in counts.items()}
+        vocab = frozenset().union(*counts.values())
+        object.__setattr__(self, "doc_count", MappingProxyType(docs))
         object.__setattr__(self, "feature_doc_count", MappingProxyType({
             label: MappingProxyType(c) for label, c in counts.items()
         }))
-        object.__setattr__(self, "vocabulary", vocabulary)
-        object.__setattr__(self, "tables", _score_tables(doc_count, counts, vocabulary))
+        object.__setattr__(self, "vocabulary", vocab)
+        object.__setattr__(self, "tables", _score_tables(docs, counts, distinct, vocab))
 
     def __reduce__(self):
         # read-only views do not pickle: rebuild from plain copies
@@ -84,9 +90,10 @@ class NbModel:
 def _score_tables(
     doc_count: dict[str, int],
     feature_doc_count: dict[str, dict[str, int]],
+    distinct: dict[str, set[int]],
     vocab: frozenset[str],
 ) -> _Tables | None:
-    if any(doc_count.get(label, 0) <= 0 for label in LABELS):
+    if 0 in doc_count.values():
         return None
     total_docs = sum(doc_count.values())
     prior = complex(*(math.log(doc_count[label] / total_docs) for label in LABELS))
@@ -97,7 +104,7 @@ def _score_tables(
         counts = feature_doc_count[label]
         denom = len(vocab) + sum(counts.values())
         # counts take few distinct values: one log per value, the same float
-        log_of = {c: math.log((1 + c) / denom) for c in {0, *counts.values()}}
+        log_of = {c: math.log((1 + c) / denom) for c in {0, *distinct[label]}}
         logs.append(map(log_of.__getitem__, map(counts.get, vocab, repeat(0))))
         unseen.append(log_of[0])
     return prior, dict(zip(vocab, map(complex, *logs))), complex(*unseen)
@@ -203,18 +210,7 @@ class NaiveBayesClassifier:
         _, state = read_state(path, cls._FORMAT, {cls._VERSION}, ModelError)
         try:
             clf = cls(n=state["n"], stopwords=stopwords)
-            doc_count = _per_label(state["doc_count"], _count)
-            feature_doc_count = _per_label(
-                state["feature_doc_count"],
-                lambda counts: {f: _count(c) for f, c in counts.items()},
-            )
-            for label, counts in feature_doc_count.items():
-                if not all(1 <= c <= doc_count[label] for c in counts.values()):
-                    raise ValueError(
-                        f"{label} feature counts must be in [1, doc_count "
-                        f"{doc_count[label]}]"
-                    )
-            clf.model = NbModel(doc_count, feature_doc_count)
+            clf.model = NbModel(state["doc_count"], state["feature_doc_count"])
             # the vocabulary is saved for readers of the file; the model derives it
             if state["vocabulary"] != sorted(clf.model.vocabulary):
                 raise ValueError(
@@ -225,15 +221,26 @@ class NaiveBayesClassifier:
         return clf
 
 
-def _per_label(value: dict, convert) -> dict:
-    """``convert`` applied to each entry of a mapping keyed by exactly the labels."""
+def _per_label(value: Mapping) -> list[tuple[str, object]]:
+    """The entries of a mapping keyed by exactly the labels, in label order."""
     if set(value) != set(LABELS):
         raise ValueError(f"expected one entry per label {LABELS}, got {sorted(value)}")
-    return {label: convert(value[label]) for label in LABELS}
+    return [(label, value[label]) for label in LABELS]
+
+
+def _distinct_counts(label: str, counts: dict[str, int], doc_count: int) -> set[int]:
+    """The distinct values of ``label``'s feature counts, each an int in
+    [1, doc_count]; any other count is a ValueError."""
+    if set(map(type, counts.values())) - {int}:  # a float or a bool, say
+        _count(next(c for c in counts.values() if type(c) is not int))
+    distinct = {*counts.values()}
+    # a count outside [0, 2**63) is the least or the greatest
+    if distinct and not 1 <= _count(min(distinct)) <= _count(max(distinct)) <= doc_count:
+        raise ValueError(f"{label} feature counts must be in [1, doc_count {doc_count}]")
+    return distinct
 
 
 def _count(value) -> int:
-    # the bound keeps every smoothed likelihood ratio far above float underflow
     if type(value) is not int or not 0 <= value < 2**63:
         raise ValueError(f"counts must be integers in [0, 2**63), got {value!r}")
     return value

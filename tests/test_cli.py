@@ -1118,6 +1118,25 @@ def _run_fuzzed(root: Path, make_argv, lines: list[str]) -> None:
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("brk", ["\n", "\r", "\u2028"], ids=["lf", "cr", "u2028"])
+@pytest.mark.parametrize("command", ["report", "eval", "classify"])
+def test_a_refusal_quoting_a_line_break_is_one_line(tmp_path, capsys, command, brk):
+    """A path holding a character ``str.splitlines`` breaks at is refused
+    on one stderr line, the character escaped as ``repr`` escapes it."""
+    path = str(tmp_path / f"no{brk}such")
+    message = tmp_path / "msg.txt"
+    message.write_text("Subject: cheap pills\nagenda", encoding="utf-8")
+    argv = {"report": ["report", path],
+            "eval": ["eval", "static", "icrm", "--data", path, "--out", str(tmp_path)],
+            "classify": ["classify", path, str(message)]}[command]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (EXIT_USAGE, EXIT_DATA)
+    assert len(err.splitlines()) == 1 and err.endswith("\n"), err
+    assert "Traceback" not in err
+    assert repr(brk)[1:-1] in err
+
+
 # a config file's defaults that let a run on the tiny corpus finish
 _SMALL_RUN = ["train_per_class = 5", "runs = 2", "test_size = 10", "window = 20"]
 
@@ -1136,6 +1155,7 @@ _SMALL_RUN = ["train_per_class = 5", "runs = 2", "test_size = 10", "window = 20"
          lines=["e0_ham = 1e308", "r0_ham = 1.7e308"])
 @example(mode="static", model_kind="nb", flags=[("test_size", str(10**400))], lines=[])
 @example(mode="static", model_kind="both", flags=[("train_per_class", "40")], lines=[])
+@example(mode="static", model_kind="icrm", flags=[("limit", "\n")], lines=[])
 def test_eval_exits_cleanly_on_any_settings(fuzz_inputs, mode, model_kind, flags, lines):
     """Huge integers, NaN, infinities, -0.0, subnormals, non-numbers and
     unknown keys, as flags or config lines: each run exits 0, 1 or 2, with one

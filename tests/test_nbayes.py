@@ -11,7 +11,7 @@ from operator import attrgetter
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from icrm.corpus import HAM, SPAM
 from icrm.nbayes import (
@@ -418,3 +418,91 @@ class TestPersistence:
         path.write_text('{"format": "icrm-state", "version": 1}', encoding="utf-8")
         with pytest.raises(ModelError):
             NaiveBayesClassifier.load(path)
+
+
+class TestCountsCheckThemselves:
+    """``NbModel`` refuses, when it is made, every count its loader refused,
+    so any model saves a file that loads back equal."""
+
+    # counts of each kind a caller or a model file could hold, about half
+    # of them plain small ones
+    _COUNTS = st.one_of(
+        st.integers(1, 3),
+        st.integers(-1, 4),
+        st.sampled_from([2**63 - 1, 2**63, 1.0, 2.5, True, False, None, "1"]),
+    )
+    _FEATURE_COUNTS = st.dictionaries(st.text(max_size=3), _COUNTS, max_size=4)
+
+    @staticmethod
+    def _valid(doc_count, feature_doc_count) -> bool:
+        def count(c):
+            return type(c) is int and 0 <= c < 2**63
+        return all(map(count, doc_count.values())) and all(
+            count(c) and 1 <= c <= doc_count[label]
+            for label, counts in feature_doc_count.items() for c in counts.values()
+        )
+
+    @given(doc_count=st.fixed_dictionaries({HAM: _COUNTS, SPAM: _COUNTS}),
+           feature_doc_count=st.fixed_dictionaries(
+               {HAM: _FEATURE_COUNTS, SPAM: _FEATURE_COUNTS}))
+    @settings(max_examples=500, deadline=None)
+    @example(doc_count={HAM: 2**63 - 1, SPAM: 2**63 - 1},
+             feature_doc_count={HAM: {"a": 2**63 - 1}, SPAM: {"": 1}})
+    def test_any_counts_it_accepts_save_and_load_back_equal(
+        self, doc_count, feature_doc_count
+    ):
+        try:
+            model = NbModel(doc_count, feature_doc_count)
+        except ValueError:
+            event("refused")
+            assert not self._valid(doc_count, feature_doc_count)
+            return
+        event("accepted")
+        assert self._valid(doc_count, feature_doc_count)
+        again = _round_trip(model)
+        assert again == model
+        assert again.tables == model.tables
+
+    @pytest.mark.parametrize("mutate, text", [
+        pytest.param(lambda s: s["feature_doc_count"][SPAM].update(beta=0),
+                     "spam feature counts must be in [1, doc_count 1]", id="zero-count"),
+        pytest.param(lambda s: s["feature_doc_count"][HAM].update(alpha=2),
+                     "ham feature counts must be in [1, doc_count 1]",
+                     id="count-above-doc-count"),
+        pytest.param(lambda s: s["feature_doc_count"][HAM].update(alpha=1.0),
+                     "counts must be integers in [0, 2**63), got 1.0", id="float-count"),
+        pytest.param(lambda s: s["feature_doc_count"][SPAM].update(beta=True),
+                     "counts must be integers in [0, 2**63), got True", id="bool-count"),
+        pytest.param(lambda s: s["feature_doc_count"][SPAM].update(beta=-1),
+                     "counts must be integers in [0, 2**63), got -1", id="negative-count"),
+        pytest.param(lambda s: s["doc_count"].update(ham=-1),
+                     "counts must be integers in [0, 2**63), got -1",
+                     id="negative-doc-count"),
+        pytest.param(lambda s: s["doc_count"].update(ham=2**63),
+                     f"counts must be integers in [0, 2**63), got {2**63}",
+                     id="doc-count-too-large"),
+        pytest.param(lambda s: s["doc_count"].update(other=1),
+                     "expected one entry per label ('ham', 'spam'), got "
+                     "['ham', 'other', 'spam']", id="third-label"),
+        pytest.param(lambda s: s["feature_doc_count"].update(other={}),
+                     "expected one entry per label ('ham', 'spam'), got "
+                     "['ham', 'other', 'spam']", id="third-label-of-features"),
+    ])
+    def test_a_count_is_refused_when_made_with_the_text_load_gives(
+        self, tmp_path, mutate, text
+    ):
+        counts = {"doc_count": {HAM: 1, SPAM: 1},
+                  "feature_doc_count": {HAM: {"alpha": 1, "gamma": 1}, SPAM: {"beta": 1}}}
+        clf = NaiveBayesClassifier()
+        clf.model = NbModel(**counts)
+        path = tmp_path / "nb.json"
+        clf.save(path)
+        mutate(counts)
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$") as made:
+            NbModel(**counts)
+        state = json.loads(path.read_text(encoding="utf-8"))
+        mutate(state)
+        path.write_text(json.dumps(state), encoding="utf-8")
+        with pytest.raises(ModelError) as loaded:
+            NaiveBayesClassifier.load(path)
+        assert str(loaded.value) == f"malformed model file {path}: {made.value!r}"

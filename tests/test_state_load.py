@@ -1,4 +1,5 @@
-"""``IcrmClassifier.load`` against the loader it replaced, file for file.
+"""``IcrmClassifier.load`` against the loader it replaced, file for file,
+and the repertoire as the one check of the rows a state holds.
 
 ``tests/state_reference.py`` keeps the text-mode reader, the per-item type
 scan and the build-then-replace load. Both loaders are given the same
@@ -8,24 +9,30 @@ that are not an ASCII string or whose base64 is padded or cut wrong, and a
 config setting out of range. They must accept and refuse the same files, every
 refusal a ``SnapshotError`` naming the file, and every accepted file must
 load to the same populations, row order, config and generator state.
+
+The loader only decodes rows; :class:`Repertoire` refuses the bad ones,
+however it is made. So any repertoire saves a file that loads back bit for
+bit, and a row it refuses is refused from a file with the same text.
 """
 
 import functools
 import json
+import math
 import re
 import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 import state_reference
 from icrm.files import write_state
-from icrm.model import IcrmClassifier, IcrmConfig, SnapshotError
+from icrm.model import IcrmClassifier, IcrmConfig, Repertoire, SnapshotError
 from icrm.synth import synthetic_dataset
 
-from model_reference import state_body
+from model_reference import state_body, state_body_v2
 
 
 @functools.cache
@@ -174,3 +181,101 @@ def test_features_that_are_not_a_list_of_strings_are_refused(tmp_path, features)
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(SnapshotError, match="features must be a list of strings"):
         IcrmClassifier.load(path)
+
+
+# populations at the edges of what a row may hold, and past them
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, 1e-12, 1.0, 6.0, 8.9e307, 1e308,
+                1.7976931348623157e308, -5e-324, -1.0, math.inf, -math.inf, math.nan]
+_POPULATIONS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(0.0, 8e307), st.floats())
+
+
+def _valid(e: float, r: float) -> bool:
+    return 0.0 <= e < math.inf and 0.0 <= r < math.inf and e + r < math.inf
+
+
+@given(rows=st.lists(st.tuples(st.text(max_size=4), _POPULATIONS, _POPULATIONS),
+                     max_size=8, unique_by=lambda row: row[0]),
+       version=st.sampled_from([1, 2]))
+@settings(max_examples=300, deadline=None)
+@example(rows=[("a", -0.0, -0.0), ("b", 8.9e307, 8.9e307)], version=2)
+def test_any_repertoire_saves_a_file_that_loads_back_bit_for_bit(rows, version):
+    """A repertoire is made exactly when its rows are valid, and then it
+    saves (or a version 1 file of it is written) and loads back with the
+    same populations, bit for bit, in the same row order."""
+    features = [f for f, _, _ in rows]
+    pops = [(e, r) for _, e, r in rows]
+    mapping = dict(zip(features, pops))
+    try:
+        rep = Repertoire.from_rows(features, pops)
+    except ValueError as exc:
+        event("refused")
+        assert not all(_valid(e, r) for e, r in pops)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            Repertoire(mapping)
+        return
+    event("accepted")
+    assert all(_valid(e, r) for e, r in pops)
+    assert _bits(Repertoire(mapping)) == _bits(rep)
+    clf = IcrmClassifier()
+    clf.repertoire = rep
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "state.json"
+        if version == 1:  # version 1 keeps the rows in sorted order
+            write_state(path, "icrm-state", 1, state_body(rep, clf.config, clf.rng))
+            features = sorted(features)
+        else:
+            clf.save(path)
+        loaded = IcrmClassifier.load(path).repertoire
+    assert list(loaded.rows) == features
+    assert _bits(loaded) == [_bits(rep)[rep.rows[f]] for f in features]
+
+
+def _bits(rep: Repertoire) -> list[list[int]]:
+    return rep.populations.view(np.uint64).tolist()
+
+
+_REFUSED = [
+    pytest.param((math.nan, 1.0), "populations must be finite and >= 0: nan, 1.0",
+                 id="nan"),
+    pytest.param((1.0, math.inf), "populations must be finite and >= 0: 1.0, inf",
+                 id="inf"),
+    pytest.param((-math.inf, 1.0), "populations must be finite and >= 0: -inf, 1.0",
+                 id="minus-inf"),
+    pytest.param((-1.0, 3.0), "populations must be finite and >= 0: -1.0, 3.0",
+                 id="negative"),
+    pytest.param((1e308, 1e308),
+                 "populations of 'pills' sum past the largest float: 1e+308 + 1e+308",
+                 id="sum-overflows"),
+]
+
+
+@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("row, text", _REFUSED)
+def test_a_row_is_refused_when_made_with_the_text_load_gives(tmp_path, version, row, text):
+    rows = {"cheap": (3.0, 1.0), "pills": row}
+    for make in (lambda: Repertoire(rows),
+                 lambda: Repertoire.from_rows(list(rows), list(rows.values()))):
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$") as made:
+            make()
+    path = tmp_path / "state.json"
+    body = state_body if version == 1 else state_body_v2
+    write_state(path, "icrm-state", version,
+                body(rows, IcrmConfig(), np.random.default_rng(0)))
+    with pytest.raises(SnapshotError) as loaded:
+        IcrmClassifier.load(path)
+    assert str(loaded.value) == f"malformed state file {path}: {made.value!r}"
+
+
+@pytest.mark.parametrize("row, text", _REFUSED)
+@pytest.mark.parametrize("filled", [3, 256])  # room left, and a full block
+def test_a_refused_add_leaves_the_repertoire_as_it_was(row, text, filled):
+    """``add`` refuses what making a repertoire refuses, with the same text
+    but for the feature an overflowing sum names, and changes nothing."""
+    rep = Repertoire({f"w{i}": (6.0, 5.0 + i) for i in range(filled)})
+    rows, bits, floor = dict(rep.rows), _bits(rep), rep._floor
+    text = text.replace("populations of 'pills'", "populations")
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        rep.add(["w0", "pills", "other"], row)
+    assert (rep.rows, _bits(rep), rep._floor) == (rows, bits, floor)
+    rep.add(["new"], (6.0, 5.0))  # and it still grows
+    assert list(rep.rows)[-1] == "new" and rep["new"] == (6.0, 5.0)
