@@ -27,6 +27,8 @@ from .corpus import (
     write_canonical,
 )
 from .evaluation import (
+    SUMMARY_COLUMNS,
+    TTEST_COLUMNS,
     EvalError,
     check_settings,
     compare_reports,
@@ -271,7 +273,7 @@ def cmd_report(args) -> int:
     if not summaries and not ttests:
         raise CorpusError(f"no report files under {out_dir}")
     for path in summaries:
-        rows = _read_csv(path, ("metric", "mean", "sd", "slope", "r_squared"))
+        rows = _read_csv(path, SUMMARY_COLUMNS)
         for row in rows:
             _number(path, row, "mean")
             _number(path, row, "sd")
@@ -284,7 +286,7 @@ def cmd_report(args) -> int:
             extra = f"  slope {slope} R2 {r2}" if slope else ""
             print(f"  {row['metric']:<12} {row['mean']} +/- {row['sd']}{extra}")
     for path in ttests:
-        rows = _read_csv(path, ("metric", "t", "p"))
+        rows = _read_csv(path, TTEST_COLUMNS)
         numbers = [(_number(path, row, "t"), _number(path, row, "p")) for row in rows]
         print(path.name)
         for row, (t, p) in zip(rows, numbers):

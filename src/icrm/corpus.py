@@ -52,6 +52,16 @@ class Message:
     body: str
 
 
+def training_label(msg: Message) -> str:
+    """``msg``'s label, which training needs to be ham or spam; any other
+    label is a ValueError."""
+    if msg.label not in LABELS:
+        raise ValueError(
+            f"cannot train on a {msg.label!r} message: labels are {HAM}, {SPAM}"
+        )
+    return msg.label
+
+
 # The canonical record layout: one JSON field per Message field.
 _FIELDS = tuple(f.name for f in fields(Message))
 _field_values = itemgetter(*_FIELDS)

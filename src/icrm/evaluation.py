@@ -380,6 +380,11 @@ def eval_dynamic(
 # -- report emission -----------------------------------------------------
 
 
+# The header rows of a summary and a t-test CSV, which ``icrm report`` reads.
+SUMMARY_COLUMNS = ("metric", "mean", "sd", "slope", "r_squared")
+TTEST_COLUMNS = ("metric", "t", "p")
+
+
 def _fmt(value: float) -> str:
     return f"{value:.6f}"
 
@@ -411,11 +416,11 @@ def write_summary_csv(report: EvalReport, path) -> None:
         summary = drift.get(name) if report.mode == "dynamic" else None
         fit = (_fmt(summary.slope), _fmt(summary.r_squared)) if summary else ("", "")
         rows.append((name, _fmt(report.mean(name)), _fmt(report.sd(name)), *fit))
-    _write_csv(path, ("metric", "mean", "sd", "slope", "r_squared"), rows)
+    _write_csv(path, SUMMARY_COLUMNS, rows)
 
 
 def write_ttest_csv(rows: list[tuple[str, float, float]], path) -> None:
-    _write_csv(path, ("metric", "t", "p"), ((n, _fmt(t), _fmt(p)) for n, t, p in rows))
+    _write_csv(path, TTEST_COLUMNS, ((n, _fmt(t), _fmt(p)) for n, t, p in rows))
 
 
 def compare_reports(a: EvalReport, b: EvalReport) -> list[tuple[str, float, float]]:

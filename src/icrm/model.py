@@ -56,11 +56,10 @@ populations stay bit-identical to it.
 A message's verdict is the sum of per-feature scores
 ``(R - E) / sqrt(R^2 + E^2)`` over its sample, read after the message's
 own interaction pass; a non-positive sum means spam. A verdict's scores
-come from one gather of its rows into Python floats and one comprehension
-that divides by ``math.hypot`` (``np.hypot`` can be an ulp off it), so
-each is the float :func:`score_feature` gives; a (0, 0) feature, whose
-norm is zero, goes to :func:`score_feature` itself and scores +0.0. Their
-sum is ``math.fsum``'s, correctly rounded. :meth:`IcrmClassifier.classify`
+come from one gather of its rows into Python floats, each scored by
+:func:`score_feature`, which divides by ``math.hypot`` (``np.hypot`` can
+be an ulp off it); a (0, 0) feature scores +0.0. Their sum is
+``math.fsum``'s, correctly rounded. :meth:`IcrmClassifier.classify`
 wants only the label, so it sums the same rows in numpy, with
 ``np.hypot``, and reads that sum's sign wherever a proven error bound
 covers it (see :func:`_label`); a sum within the bound of zero, an empty
@@ -84,15 +83,15 @@ import sys
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property, lru_cache, partial
-from itertools import chain
+from itertools import chain, starmap
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import HAM, SPAM, Message
+from .corpus import HAM, SPAM, Message, training_label
 from .files import read_state, write_state
 from .ranges import RANGES, SAMPLERS, check_range
-from .textprep import SAMPLE_CAP, preprocess
+from .textprep import SAMPLE_CAP, check_features, preprocess
 
 # Slot binding codes.
 BIND_E = 0
@@ -172,13 +171,14 @@ class Repertoire(Mapping):
     this order; one of version 1 listed features sorted, so a repertoire
     loaded from it iterates in sorted order.
 
-    Every row is valid however the repertoire was made: each population
-    finite and >= 0, and each E + R finite, because binding divides by it.
-    Making a repertoire, by ``Repertoire(mapping)`` or :meth:`from_rows`,
-    refuses any other row, and a repeated feature, with a ValueError;
-    :meth:`add` refuses such a pair before it changes anything. The
-    model's steps keep rows valid: a message's gains are bounded (see
-    :mod:`icrm.ranges`) and decay only shrinks them.
+    Every row is valid however the repertoire was made: its feature a
+    ``str``, each population finite and >= 0, and each E + R finite,
+    because binding divides by it. Making a repertoire, by
+    ``Repertoire(mapping)`` or :meth:`from_rows`, refuses any other row,
+    and a repeated feature, with a ValueError; :meth:`add` refuses such a
+    pair, or a new feature that is not a ``str``, before it changes
+    anything. The model's steps keep rows valid: a message's gains are
+    bounded (see :mod:`icrm.ranges`) and decay only shrinks them.
     """
 
     def __init__(self, populations: Mapping[str, tuple[float, float]] | None = None):
@@ -194,6 +194,7 @@ class Repertoire(Mapping):
         return rep
 
     def _fill(self, features: Sequence[str], pops) -> None:
+        check_features(features)
         pops = np.asarray(pops, dtype=np.float64).reshape(-1, 2)
         # a row may be refused only if it holds a NaN, a negative, or an E or
         # R >= 2**1023 (E + R overflows no other way)
@@ -218,19 +219,22 @@ class Repertoire(Mapping):
     def add(self, features: Iterable[str], pops: tuple[float, float]) -> None:
         """Append a row set to ``pops`` for each feature not yet present.
 
-        A pair that is not finite and >= 0, or whose sum overflows, is a
-        ValueError, raised before the repertoire changes.
+        A pair that is not finite and >= 0, or whose sum overflows, or a
+        new feature that is not a ``str``, is a ValueError, raised before
+        the repertoire changes.
         """
         e, r = pops
         _check_pair(e, r, "populations")
         rows = self.rows
+        new = [feature for feature in features if feature not in rows]
+        if not new:
+            return
+        check_features(new)
         start = end = len(rows)
-        for feature in features:
-            if feature not in rows:
+        for feature in new:
+            if feature not in rows:  # a feature given twice gets one row
                 rows[feature] = end
                 end += 1
-        if end == start:
-            return
         if end > len(self._pops):
             grown = np.empty((max(end, 2 * len(self._pops)), 2))
             grown[:start] = self._pops[:start]
@@ -556,11 +560,7 @@ def process_message(
 def _exact_scores(pops: np.ndarray) -> tuple[list[float], float]:
     """Each (E, R) row's score, the float :func:`score_feature` gives, and
     the correctly rounded sum of those scores (``math.fsum``)."""
-    hypot = math.hypot
-    scores = [  # a zero norm is an extinct feature's
-        (r - e) / norm if (norm := hypot(r, e)) else score_feature(e, r)
-        for e, r in pops.tolist()
-    ]
+    scores = list(starmap(score_feature, pops.tolist()))
     return scores, math.fsum(scores)
 
 
@@ -620,17 +620,7 @@ def _label(pops: np.ndarray, floor: float) -> str:
     return SPAM if _exact_scores(pops)[1] <= 0.0 else HAM
 
 
-_TRAIN_MODE = {HAM: TRAIN_HAM, SPAM: TRAIN_SPAM}
-
-
-def _train_mode(msg: Message) -> str:
-    """The training mode for ``msg``'s label; any other label is a ValueError."""
-    mode = _TRAIN_MODE.get(msg.label)
-    if mode is None:
-        raise ValueError(
-            f"cannot train on a {msg.label!r} message: labels are {HAM}, {SPAM}"
-        )
-    return mode
+_TRAIN_MODE = {HAM: TRAIN_HAM, SPAM: TRAIN_SPAM}  # by training label
 
 
 class IcrmClassifier:
@@ -653,7 +643,7 @@ class IcrmClassifier:
         self.rng = np.random.default_rng(self.config.seed)
 
     def train_message(self, msg: Message) -> Verdict:
-        mode = _train_mode(msg)
+        mode = _TRAIN_MODE[training_label(msg)]
         return process_message(
             self.repertoire, msg, mode, self.config, self.rng, self.stopwords
         )
@@ -665,7 +655,8 @@ class IcrmClassifier:
         """
         rep, cfg, rng = self.repertoire, self.config, self.rng
         for msg in messages:
-            present_message(rep, msg, _train_mode(msg), cfg, rng, self.stopwords)
+            mode = _TRAIN_MODE[training_label(msg)]
+            present_message(rep, msg, mode, cfg, rng, self.stopwords)
 
     def verdict(self, msg: Message) -> Verdict:
         return process_message(
@@ -760,12 +751,8 @@ else:  # no strict_mode before 3.11
 def _v2_rows(state: dict) -> tuple[list[str], np.ndarray]:
     """Features and (E, R) rows of version 2's ``features`` and ``populations``."""
     features = state["features"]
-    try:
-        if not isinstance(features, list):
-            raise TypeError
-        "".join(features)  # one C pass, a TypeError at the first item not a str
-    except TypeError:
-        raise ValueError("features must be a list of strings") from None
+    # a str or an object would join; None, standing in for them, does not
+    check_features(features if isinstance(features, list) else None)
     text = state["populations"]
     raw = _strict_b64decode(text)  # binascii.Error is a ValueError
     if len(text) != 4 * -(-len(raw) // 3):

@@ -31,10 +31,10 @@ from itertools import chain, repeat
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .corpus import HAM, SPAM, LABELS, Message
+from .corpus import HAM, SPAM, LABELS, Message, training_label
 from .files import read_state, write_state
 from .ranges import RANGES, check_range
-from .textprep import SAMPLE_CAP, preprocess
+from .textprep import SAMPLE_CAP, check_features, preprocess
 
 
 class ModelError(Exception):
@@ -54,8 +54,9 @@ class NbModel:
     Both mappings are keyed by exactly the two labels. A document count is
     an int in [0, 2**63), a bound that keeps every smoothed likelihood
     ratio far above float underflow, and a feature count an int in
-    [1, its class's document count]; any other count is a ValueError when
-    the model is made, so every model is one that training could give.
+    [1, its class's document count], and each feature a ``str``; any other
+    count or feature is a ValueError when the model is made, so every model
+    is one that training could give.
     ``vocabulary`` is the union of the features either class has seen.
     ``tables`` holds the model's :data:`_Tables`, or None unless both
     classes have training documents. Both are derived once, from the counts.
@@ -72,6 +73,7 @@ class NbModel:
         counts = {label: dict(c) for label, c in _per_label(self.feature_doc_count)}
         distinct = {k: _distinct_counts(k, c, docs[k]) for k, c in counts.items()}
         vocab = frozenset().union(*counts.values())
+        check_features(vocab)
         object.__setattr__(self, "doc_count", MappingProxyType(docs))
         object.__setattr__(self, "feature_doc_count", MappingProxyType({
             label: MappingProxyType(c) for label, c in counts.items()
@@ -118,12 +120,7 @@ def nb_train(
     """Accumulate Boolean per-document feature counts from labeled messages."""
     by_label = {HAM: [], SPAM: []}
     for msg in messages:
-        group = by_label.get(msg.label)
-        if group is None:
-            raise ValueError(
-                f"cannot train on a {msg.label!r} message: labels are {HAM}, {SPAM}"
-            )
-        group.append(msg)
+        by_label[training_label(msg)].append(msg)
     # each sample is already distinct; a feature joins its class's counts in
     # first-seen order, as a dict.get loop would add it
     return NbModel(

@@ -11,20 +11,26 @@ That first-last sample depends only on the message, ``n`` and the
 stopwords, so a message remembers the last one computed for it, keyed by
 ``(n, stopwords)``: the evaluation protocols show each message to both
 classifiers and to several runs, and only the first call tokenizes and
-stems it. A call that passes the memo's own ``n`` (an ``int``) and its
-stopwords object (or None, when the memo holds the default list) is
-answered before any setting is checked: those settings passed every
-check when the memo was stored. Any other call checks its settings
-first. The memo is an attribute outside the dataclass fields, so a
-message's equality, hash, repr and canonical record do not see it. The
-``random`` sampler draws from the caller's generator and recomputes on
-every call.
+stems it. One test, run before any setting is checked, answers a call
+from the memo: the first-last sampler, the memo's own ``n`` (an
+``int``), and stopwords that are the memo's own set object, or None
+while the memo's set equals the shipped list, or a set equal to the
+memo's. The two identity tests come first, so the protocols' calls never
+compare sets. A hit re-checks nothing: the memo's settings passed every
+check when it was stored. Any other call checks its settings first. The
+memo is an attribute outside the dataclass fields, so a message's
+equality, hash, repr and canonical record do not see it. The ``random``
+sampler draws from the caller's generator and recomputes on every call.
+
+A feature is a ``str`` wherever state holds one: :func:`check_features`
+is the one test the repertoire and the Naive Bayes counts apply.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from importlib import resources
+from typing import Iterable
 
 from .porter import stem
 from .ranges import RANGES, SAMPLERS, check_range
@@ -34,7 +40,7 @@ __all__ = ["tokenize", "preprocess", "stem", "parse_stopwords", "default_stopwor
 SAMPLE_CAP = 50  # reference cap on distinct stems per message
 
 _MIN_TOKEN_LEN = 3
-# message attribute: (n, stopwords, sample tuple, whether the stopwords are
+# message attribute: (n, stopwords, sample tuple, whether the stopwords equal
 # the default list)
 _MEMO = "_first_last_sample"
 
@@ -116,8 +122,10 @@ def preprocess(
     memo = getattr(msg, _MEMO, None)
     # a hit re-checks nothing: the memo's settings were checked when stored
     if (
-        memo is not None and sampler == "first-last" and type(n) is int
-        and n == memo[0] and (memo[1] is stopwords or stopwords is None and memo[3])
+        memo is not None and sampler == "first-last" and type(n) is int and n == memo[0]
+        # the memo's own set, None for the shipped list, or an equal set
+        and (memo[1] is stopwords or stopwords is None and memo[3]
+             or memo[1] == stopwords)
     ):
         return list(memo[2])
     check_range(RANGES, "n", n)
@@ -125,25 +133,30 @@ def preprocess(
     default = default_stopwords()
     if stopwords is None:
         stopwords = default
+    unique = _distinct_stems(msg, stopwords)
     if sampler == "random":
-        unique = _distinct_stems(msg, stopwords)
         if len(unique) <= n:
             return unique
         if rng is None:
             raise ValueError("random sampling requires a generator")
         picked = rng.choice(len(unique), size=n, replace=False)
         return [unique[i] for i in sorted(int(i) for i in picked)]
-    # an equal set that is another object
-    if memo is not None and memo[0] == n and memo[1] == stopwords:
-        return list(memo[2])
-    unique = _distinct_stems(msg, stopwords)
     if len(unique) > n:
         half = n // 2
         unique = list(dict.fromkeys(unique[:half] + unique[-half:]))
     # a frozen copy, so a caller's set changed later cannot match this key
     key = stopwords if type(stopwords) is frozenset else frozenset(stopwords)
-    object.__setattr__(msg, _MEMO, (n, key, tuple(unique), key is default))
+    shipped = key is default or key == default
+    object.__setattr__(msg, _MEMO, (n, key, tuple(unique), shipped))
     return unique
+
+
+def check_features(features: Iterable) -> None:
+    """Refuse, with a ValueError, features of which one is not a ``str``."""
+    try:
+        "".join(features)  # one C pass, a TypeError at the first item not a str
+    except TypeError:
+        raise ValueError("features must be a list of strings") from None
 
 
 def _distinct_stems(msg, stopwords) -> list[str]:

@@ -1,5 +1,6 @@
 """Cross-regulation dynamics: binding, interaction laws, scoring, persistence."""
 
+import itertools
 import math
 import re
 from dataclasses import FrozenInstanceError, fields
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from icrm import ranges
-from icrm.corpus import HAM, SPAM
+from icrm.corpus import HAM, SPAM, training_label
 from icrm.model import (
     BIND_E,
     BIND_EMPTY,
@@ -26,8 +27,10 @@ from icrm.model import (
     init_features,
     interact,
     process_message,
+    _exact_scores,
     score_feature,
 )
+from icrm.nbayes import nb_train
 from icrm.ranges import check_range
 
 from conftest import make_message
@@ -450,3 +453,33 @@ class TestSnapshot:
         assert [straight.verdict(m).score for m in probe] == [
             resumed.verdict(m).score for m in probe
         ]
+
+
+# populations at the edges a row may hold: signed zeros, subnormals, the
+# least normal float and numbers near the largest
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1.0, 7e307, 1e308]
+
+
+def test_exact_scores_are_score_feature_bit_for_bit():
+    rows = [(e, r) for e, r in itertools.product(_EDGES, repeat=2)
+            if math.isfinite(e + r)]
+    scores, total = _exact_scores(np.array(rows))
+    want = [score_feature(e, r) for e, r in rows]
+    assert [s.hex() for s in scores] == [w.hex() for w in want]
+    assert total.hex() == math.fsum(want).hex()
+    zeros = [s.hex() for s, (e, r) in zip(scores, rows) if e == r == 0.0]
+    assert zeros == ["0x0.0p+0"] * 4  # (±0.0, ±0.0) scores +0.0
+
+
+def test_training_refuses_a_label_other_than_ham_or_spam_with_one_message():
+    """ICRM's two training calls and Naive Bayes training refuse an unknown
+    label with the text of the one check they share, and train on nothing."""
+    msg = make_message("eggs", body="alpha beta gamma")
+    text = "cannot train on a 'eggs' message: labels are ham, spam"
+    clf = IcrmClassifier()
+    for train in (lambda: training_label(msg), lambda: nb_train([msg]),
+                  lambda: clf.train([msg]), lambda: clf.train_message(msg)):
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            train()
+    assert len(clf.repertoire) == 0
+    assert clf.rng.bit_generator.state == IcrmClassifier().rng.bit_generator.state

@@ -506,3 +506,26 @@ class TestCountsCheckThemselves:
         with pytest.raises(ModelError) as loaded:
             NaiveBayesClassifier.load(path)
         assert str(loaded.value) == f"malformed model file {path}: {made.value!r}"
+
+    @pytest.mark.parametrize("feature", [7, 1.5, True, None])
+    def test_a_feature_that_is_not_a_string_is_refused_when_made(self, feature):
+        with pytest.raises(ValueError, match="^features must be a list of strings$"):
+            NbModel({HAM: 1, SPAM: 1}, {HAM: {feature: 1}, SPAM: {"b": 1}})
+
+    @given(features=st.lists(st.text(max_size=3) | st.integers(), max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_any_features_it_accepts_save_and_load_back_equal(self, features):
+        """A model is made exactly when every feature is a string, and then
+        it saves and loads back equal."""
+        feature_doc_count = {HAM: dict.fromkeys(features[::2], 1),
+                             SPAM: dict.fromkeys(features[1::2], 1)}
+        try:
+            model = NbModel({HAM: 1, SPAM: 1}, feature_doc_count)
+        except ValueError:
+            event("refused")
+            assert not all(type(f) is str for f in features)
+            return
+        event("accepted")
+        assert all(type(f) is str for f in features)
+        again = _round_trip(model)
+        assert again == model and again.tables == model.tables

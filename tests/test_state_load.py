@@ -279,3 +279,59 @@ def test_a_refused_add_leaves_the_repertoire_as_it_was(row, text, filled):
     assert (rep.rows, _bits(rep), rep._floor) == (rows, bits, floor)
     rep.add(["new"], (6.0, 5.0))  # and it still grows
     assert list(rep.rows)[-1] == "new" and rep["new"] == (6.0, 5.0)
+
+
+_NOT_STRINGS = [pytest.param(7, id="int"), pytest.param(1.5, id="float"),
+                pytest.param(True, id="bool"), pytest.param(None, id="none")]
+_NOT_A_STRING = "^features must be a list of strings$"
+
+
+@pytest.mark.parametrize("feature", _NOT_STRINGS)
+def test_a_feature_that_is_not_a_string_is_refused_when_made(feature):
+    rows = {"cheap": (3.0, 1.0), feature: (1.0, 2.0)}
+    for make in (lambda: Repertoire(rows),
+                 lambda: Repertoire.from_rows(list(rows), list(rows.values()))):
+        with pytest.raises(ValueError, match=_NOT_A_STRING):
+            make()
+
+
+@pytest.mark.parametrize("feature", _NOT_STRINGS)
+@pytest.mark.parametrize("filled", [3, 256])  # room left, and a full block
+def test_an_add_of_a_feature_that_is_not_a_string_changes_nothing(feature, filled):
+    rep = Repertoire({f"w{i}": (6.0, 5.0 + i) for i in range(filled)})
+    rows, bits, floor = dict(rep.rows), _bits(rep), rep._floor
+    with pytest.raises(ValueError, match=_NOT_A_STRING):
+        rep.add(["w0", "pills", feature], (1.0, 2.0))
+    assert (rep.rows, _bits(rep), rep._floor) == (rows, bits, floor)
+    rep.add(["w0", "pills", "pills"], (1.0, 2.0))  # and it still grows, a row a feature
+    assert list(rep.rows.items())[filled:] == [("pills", filled)]
+    assert len(rep.populations) == filled + 1
+    assert rep["pills"] == (1.0, 2.0) and rep._floor == 2.0
+
+
+@given(features=st.lists(st.text(max_size=3) | st.integers(), max_size=6, unique=True))
+@settings(max_examples=200, deadline=None)
+def test_any_features_a_repertoire_accepts_save_and_load_back_equal(features):
+    """Each way of making or growing a repertoire accepts exactly the
+    features that are all strings, and what it accepts loads back equal."""
+    pops = [(6.0, 5.0 + i) for i in range(len(features))]
+    made = [lambda: Repertoire(dict(zip(features, pops))),
+            lambda: Repertoire.from_rows(features, pops)]
+    if all(type(f) is str for f in features):
+        event("accepted")
+        grown = Repertoire()
+        for feature, pair in zip(features, pops):
+            grown.add([feature], pair)
+        for rep in [make() for make in made] + [grown]:
+            clf = IcrmClassifier()
+            clf.repertoire = rep
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "state.json"
+                clf.save(path)
+                loaded = IcrmClassifier.load(path).repertoire
+            assert list(loaded.rows) == features and _bits(loaded) == _bits(rep)
+        return
+    event("refused")
+    for make in made + [lambda: Repertoire().add(features, (6.0, 5.0))]:
+        with pytest.raises(ValueError, match=_NOT_A_STRING):
+            make()
