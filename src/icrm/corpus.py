@@ -4,7 +4,9 @@ Two sources are supported: the preprocessed Enron-spam directory layout
 (``<root>/ham/*.txt`` and ``<root>/spam/*.txt`` with dates embedded in the
 filenames as ``NNNN.YYYY-MM-DD.<tag>.txt``) and a canonical JSON-lines
 format produced by :func:`write_canonical`, one record per line with
-fields id/timestamp/label/subject/body.
+fields id/timestamp/label/subject/body, every field a string. The
+timestamp is a day written exactly ``YYYY-MM-DD``; any other spelling
+``date.fromisoformat`` might accept, such as ``20000102``, is refused.
 """
 
 from __future__ import annotations
@@ -204,10 +206,14 @@ def _parse_record(raw: bytes, seen: set[str]) -> Message | None:
         raise ValueError(f"field(s) {', '.join(not_text)} must be strings")
     if record["label"] not in LABELS:
         raise ValueError(f"unknown label {record['label']!r}")
+    text = record["timestamp"]
     try:
-        record["timestamp"] = date.fromisoformat(record["timestamp"])
+        stamp = date.fromisoformat(text)
     except ValueError:
-        raise ValueError(f"bad timestamp {record['timestamp']!r}") from None
+        stamp = None
+    if stamp is None or stamp.isoformat() != text:  # 3.11 also reads 20000102
+        raise ValueError(f"bad timestamp {text!r}")
+    record["timestamp"] = stamp
     if record["id"] in seen:
         raise ValueError(f"duplicate id {record['id']!r}")
     seen.add(record["id"])
@@ -265,6 +271,13 @@ def block_counts(test_size: int, spam_ratio: float) -> tuple[int, int]:
     return test_size - n_spam, n_spam
 
 
+# make_split's counts. Each may be 0 (eval_dynamic asks for no test block);
+# none past 10**9, which no corpus class holds and below which the test
+# block's spam count, a float product, is exact.
+_SPLIT_COUNTS = dict.fromkeys(("train_per_class", "test_size", "offset"),
+                              (int, [(">=", 0), ("<=", 10**9)]))
+
+
 def make_split(
     dataset: Dataset,
     train_per_class: int,
@@ -278,10 +291,13 @@ def make_split(
     at per-class index ``offset``; the test block takes the next messages
     so that round(spam_ratio * test_size) of them are spam. Both streams
     are merged with :func:`merge_by_ratio`. A ``spam_ratio`` its row in
-    :mod:`icrm.ranges` refuses, or too short a corpus, is a :class:`SplitError`.
+    :mod:`icrm.ranges` refuses, a count that is not an int from 0 to
+    10**9, or too short a corpus, is a :class:`SplitError`.
     """
     try:
         check_range(RANGES, "spam_ratio", spam_ratio)
+        for name, count in zip(_SPLIT_COUNTS, (train_per_class, test_size, offset)):
+            check_range(_SPLIT_COUNTS, name, count)
     except ValueError as exc:
         raise SplitError(str(exc)) from None
     cut = offset + train_per_class

@@ -67,6 +67,13 @@ sample or a repertoire that may hold a subnormal norm takes the exact
 sum. Labels, populations and the random stream are the same as
 :meth:`IcrmClassifier.verdict` gives.
 
+A feature first seen in a message starts at the initial populations of
+the message's stage: ``HAM`` or ``SPAM`` for a training message, whose
+label is its stage (``corpus.training_label`` refuses any other), and
+``TEST`` for every other message. The cycle derives the stage itself from
+whether the message trains, so no caller can name one that contradicts
+the label.
+
 Scoring reads the populations and changes nothing, so
 :meth:`IcrmClassifier.train` runs only :func:`present_message`, the part
 of the cycle before scoring; :meth:`IcrmClassifier.train_message` still
@@ -78,12 +85,14 @@ from __future__ import annotations
 
 import base64
 import binascii
+import json
 import math
 import sys
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property, lru_cache, partial
 from itertools import chain, starmap
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -98,10 +107,12 @@ BIND_E = 0
 BIND_R = 1
 BIND_EMPTY = 2
 
-# Processing modes.
-TRAIN_HAM = "train_ham"
-TRAIN_SPAM = "train_spam"
+# The stage of a message that does not train; a training message's stage is
+# its label. Each stage -> the order its first-seen E0 and R0 must keep, and
+# the getter of that (E0, R0) pair from the e0_<stage>, r0_<stage> settings.
 TEST = "test"
+_STAGES = {stage: (order, attrgetter(f"e0_{stage}", f"r0_{stage}"))
+           for stage, order in ((HAM, "<"), (SPAM, ">"), (TEST, ">"))}
 
 # Populations this close to zero (after decay) are clamped out entirely.
 _ZERO_CLAMP = 1e-12
@@ -126,9 +137,9 @@ class IcrmConfig:
 
     n: int = SAMPLE_CAP         # max distinct features sampled per message
     n_a: int = 10               # binding slots per sampled feature
-    e0_ham: float = 6.0         # initial populations for first-seen features,
-    r0_ham: float = 12.0        # by stage: ham training biases regulators,
-    e0_spam: float = 6.0        # spam training and testing bias effectors
+    e0_ham: float = 6.0         # initial populations e0_<stage>, r0_<stage> of
+    r0_ham: float = 12.0        # first-seen features: ham training biases
+    e0_spam: float = 6.0        # regulators, spam training and testing effectors
     r0_spam: float = 5.0
     e0_test: float = 6.0
     r0_test: float = 5.0
@@ -141,21 +152,15 @@ class IcrmConfig:
         for f in fields(self):  # by RANGES; an int for a float becomes a float
             value = check_range(RANGES, f.name, getattr(self, f.name))
             object.__setattr__(self, f.name, value)
-        if not self.e0_ham < self.r0_ham:
-            raise ValueError("ham initialisation requires E0 < R0")
-        if not self.e0_spam > self.r0_spam:
-            raise ValueError("spam initialisation requires E0 > R0")
-        if not self.e0_test > self.r0_test:
-            raise ValueError("test initialisation requires E0 > R0")
+        for stage, (order, initial) in _STAGES.items():
+            e0, r0 = initial(self)
+            if not (e0 < r0 if order == "<" else e0 > r0):
+                raise ValueError(f"{stage} initialisation requires E0 {order} R0")
 
-    def initial_populations(self, mode: str) -> tuple[float, float]:
-        if mode == TRAIN_HAM:
-            return (self.e0_ham, self.r0_ham)
-        if mode == TRAIN_SPAM:
-            return (self.e0_spam, self.r0_spam)
-        if mode == TEST:
-            return (self.e0_test, self.r0_test)
-        raise ValueError(f"unknown mode {mode!r}")
+    def initial_populations(self, stage: str) -> tuple[float, float]:
+        """The (E0, R0) of a feature first seen in ``stage``, HAM, SPAM or
+        TEST; any other stage is a KeyError."""
+        return _STAGES[stage][1](self)
 
 
 class Repertoire(Mapping):
@@ -361,7 +366,7 @@ def score_feature(e: float, r: float) -> float:
 
 
 def init_features(
-    rep: Repertoire, sample: Iterable[str], mode: str, cfg: IcrmConfig
+    rep: Repertoire, sample: Iterable[str], stage: str, cfg: IcrmConfig
 ) -> Repertoire:
     """Insert first-seen features at the stage's initial populations.
 
@@ -369,7 +374,7 @@ def init_features(
     persists across messages and stages. New features get their rows in
     one append.
     """
-    rep.add(sample, cfg.initial_populations(mode))
+    rep.add(sample, cfg.initial_populations(stage))
     return rep
 
 
@@ -510,22 +515,22 @@ def decay(rep: Repertoire, cfg: IcrmConfig) -> Repertoire:
 def present_message(
     rep: Repertoire,
     msg: Message,
-    mode: str,
+    train: bool,
     cfg: IcrmConfig,
     rng: np.random.Generator,
     stopwords: frozenset[str] | None = None,
 ) -> SlotArray:
     """Run the per-message cycle up to scoring and return the bound slots.
 
-    Preprocess (by ``cfg.feature_sampler``), initialise new features, bind,
-    then interact (with decay). The slots' keys are the message's sample.
+    Preprocess (by ``cfg.feature_sampler``), initialise new features at the
+    stage's populations (the message's training label if ``train``, TEST
+    otherwise), bind, then interact (with decay). The slots' keys are the
+    message's sample. A training message labelled neither ham nor spam is
+    a ValueError, raised before anything changes.
     """
-    if mode == TRAIN_HAM and msg.label != HAM:
-        raise ValueError(f"training mode {mode} on a {msg.label} message")
-    if mode == TRAIN_SPAM and msg.label != SPAM:
-        raise ValueError(f"training mode {mode} on a {msg.label} message")
+    stage = training_label(msg) if train else TEST
     sample = preprocess(msg, cfg.n, stopwords, cfg.feature_sampler, rng)
-    init_features(rep, sample, mode, cfg)
+    init_features(rep, sample, stage, cfg)
     slots = build_slot_array(sample, rep, cfg, rng)
     interact(rep, slots, cfg)
     return slots
@@ -534,7 +539,7 @@ def present_message(
 def process_message(
     rep: Repertoire,
     msg: Message,
-    mode: str,
+    train: bool,
     cfg: IcrmConfig,
     rng: np.random.Generator,
     stopwords: frozenset[str] | None = None,
@@ -547,7 +552,7 @@ def process_message(
     features from post-interaction populations. An empty sample scores 0
     and is therefore spam.
     """
-    slots = present_message(rep, msg, mode, cfg, rng, stopwords)
+    slots = present_message(rep, msg, train, cfg, rng, stopwords)
     # the sample is distinct, so the slots' keys are the sample in order
     scores, score = _exact_scores(rep._pops.take(slots.rows, 0))
     return Verdict(
@@ -620,9 +625,6 @@ def _label(pops: np.ndarray, floor: float) -> str:
     return SPAM if _exact_scores(pops)[1] <= 0.0 else HAM
 
 
-_TRAIN_MODE = {HAM: TRAIN_HAM, SPAM: TRAIN_SPAM}  # by training label
-
-
 class IcrmClassifier:
     """Stateful online classifier: a repertoire plus its random stream.
 
@@ -643,9 +645,8 @@ class IcrmClassifier:
         self.rng = np.random.default_rng(self.config.seed)
 
     def train_message(self, msg: Message) -> Verdict:
-        mode = _TRAIN_MODE[training_label(msg)]
         return process_message(
-            self.repertoire, msg, mode, self.config, self.rng, self.stopwords
+            self.repertoire, msg, True, self.config, self.rng, self.stopwords
         )
 
     def train(self, messages: Iterable[Message]) -> None:
@@ -655,19 +656,18 @@ class IcrmClassifier:
         """
         rep, cfg, rng = self.repertoire, self.config, self.rng
         for msg in messages:
-            mode = _TRAIN_MODE[training_label(msg)]
-            present_message(rep, msg, mode, cfg, rng, self.stopwords)
+            present_message(rep, msg, True, cfg, rng, self.stopwords)
 
     def verdict(self, msg: Message) -> Verdict:
         return process_message(
-            self.repertoire, msg, TEST, self.config, self.rng, self.stopwords
+            self.repertoire, msg, False, self.config, self.rng, self.stopwords
         )
 
     def classify(self, msg: Message) -> str:
         """``verdict(msg).label``, leaving the same repertoire and random
         stream, without the per-feature scores (see :func:`_label`)."""
         rep = self.repertoire
-        slots = present_message(rep, msg, TEST, self.config, self.rng, self.stopwords)
+        slots = present_message(rep, msg, False, self.config, self.rng, self.stopwords)
         return _label(rep._pops.take(slots.rows, 0), rep._floor)
 
     # -- persistence ---------------------------------------------------
@@ -702,10 +702,10 @@ class IcrmClassifier:
         Version 1 holds a ``repertoire`` object, feature -> [E, R], whose
         keys were saved sorted, so its rows load in sorted order. The
         sampler is the top-level ``sampler``, never a ``config`` key. The
-        loader only decodes: :class:`IcrmConfig` checks the settings and
-        :class:`Repertoire` the rows, so a file holds exactly what
-        :meth:`save` can write. Anything else is a :class:`SnapshotError`
-        naming the file.
+        loader only decodes: :class:`IcrmConfig` checks the settings,
+        :class:`Repertoire` the rows and the generator its state, which must
+        read back unchanged, so a file holds exactly what :meth:`save` can
+        write. Anything else is a :class:`SnapshotError` naming the file.
 
         Every check runs before the classifier is built, and it is built
         once: around the checked config, the loaded repertoire and a
@@ -720,12 +720,19 @@ class IcrmClassifier:
             repertoire = Repertoire.from_rows(*decode(state))  # which checks the rows
             rng = np.random.default_rng(config.seed)  # __init__'s kind of generator
             rng.bit_generator.state = state["rng_state"]
+            # numpy would read 1.5 or true as 1 and drop an unknown key; JSON
+            # texts tell 1 from 1.0 and true, so only a state save writes is kept
+            if _json(rng.bit_generator.state) != _json(state["rng_state"]):
+                raise ValueError("rng_state does not read back unchanged")
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise SnapshotError(f"malformed state file {path}: {exc!r}") from None
         clf = cls.__new__(cls)
         clf.config, clf.stopwords = config, stopwords
         clf.repertoire, clf.rng = repertoire, rng
         return clf
+
+
+_json = partial(json.dumps, sort_keys=True)  # a value's JSON text in any key order
 
 
 def _v1_rows(state: dict) -> tuple[list[str], np.ndarray]:

@@ -18,10 +18,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from icrm.corpus import HAM, SPAM, Message
+from icrm.corpus import HAM, SPAM, Message, training_label
 from icrm.model import (
-    BIND_E, BIND_EMPTY, BIND_R, TRAIN_HAM, TRAIN_SPAM, _ZERO_CLAMP,
-    IcrmConfig, Verdict, score_feature,
+    BIND_E, BIND_EMPTY, BIND_R, TEST, _ZERO_CLAMP, IcrmConfig, Verdict, score_feature,
 )
 from icrm.textprep import preprocess
 
@@ -109,9 +108,9 @@ def interact(rep: Repertoire, slots: SlotArray, cfg: IcrmConfig) -> Repertoire:
     return rep
 
 
-def init_features(rep: Repertoire, sample, mode: str, cfg: IcrmConfig) -> Repertoire:
+def init_features(rep: Repertoire, sample, stage: str, cfg: IcrmConfig) -> Repertoire:
     """Insert first-seen features at the stage's initial populations."""
-    initial = cfg.initial_populations(mode)
+    initial = cfg.initial_populations(stage)
     for feature in sample:
         if feature not in rep:
             rep[feature] = initial
@@ -121,22 +120,20 @@ def init_features(rep: Repertoire, sample, mode: str, cfg: IcrmConfig) -> Repert
 def process_message(
     rep: Repertoire,
     msg: Message,
-    mode: str,
+    train: bool,
     cfg: IcrmConfig,
     rng: np.random.Generator,
     stopwords: frozenset[str] | None = None,
 ) -> Verdict:
-    """Preprocess, initialise, bind, interact and score, all on the dict."""
-    if mode == TRAIN_HAM and msg.label != HAM:
-        raise ValueError(f"training mode {mode} on a {msg.label} message")
-    if mode == TRAIN_SPAM and msg.label != SPAM:
-        raise ValueError(f"training mode {mode} on a {msg.label} message")
+    """Preprocess, initialise at the stage (the training label if ``train``,
+    TEST otherwise), bind, interact and score, all on the dict."""
+    stage = training_label(msg) if train else TEST
     sampler = cfg.feature_sampler
     sample = preprocess(
         msg, cfg.n, stopwords, sampler=sampler,
         rng=rng if sampler == "random" else None,
     )
-    init_features(rep, sample, mode, cfg)
+    init_features(rep, sample, stage, cfg)
     slots = build_slot_array(sample, rep, cfg, rng)
     interact(rep, slots, cfg)
     per_feature = [(f, score_feature(*rep[f])) for f in sample]

@@ -439,6 +439,8 @@ class TestClassify:
         pytest.param(1, lambda s: s["repertoire"].update(alpha=[1.0, float("nan")]),
                      id="population-nan"),
         pytest.param(2, lambda s: s.update(rng_state={"a": 1}), id="rng-state"),
+        pytest.param(2, lambda s: s["rng_state"]["state"].update(state=1.5),
+                     id="rng-state-1.5"),
         pytest.param(2, lambda s: s["config"].update(n=50.0), id="float-n"),
         pytest.param(2, lambda s: s["config"].update(n_a=10.0), id="float-n_a"),
         pytest.param(2, lambda s: s["config"].update(e0_test=10**400), id="huge-int-e0"),

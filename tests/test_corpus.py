@@ -1,5 +1,7 @@
 """Ingestion, canonical round-trips, and split arithmetic."""
 
+import json
+import re
 from datetime import date
 
 import pytest
@@ -169,6 +171,29 @@ class TestCanonical:
         with pytest.raises(CanonicalFormatError, match="timestamp"):
             read_canonical(path)
 
+    # 3.11's date.fromisoformat reads the first two, and 3.10's refuses them
+    @pytest.mark.parametrize("stamp", [
+        "20000102", "2000-W01-1", "2000-002", "2000-01-02T00:00", "2000-1-2",
+        " 2000-01-02", "2000-01-02 ", "2000-01-02\n", "\uff12000-01-02", "",
+    ])
+    def test_a_timestamp_not_written_yyyy_mm_dd_is_refused(self, tmp_path, stamp):
+        path = tmp_path / "stamp.jsonl"
+        record = {"id": "a", "timestamp": stamp, "label": "ham", "subject": "", "body": ""}
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(CanonicalFormatError,
+                           match=f"line 1: bad timestamp {re.escape(repr(stamp))}$"):
+            read_canonical(path)
+
+    @pytest.mark.parametrize("stamp", ["2000-01-02", "0999-12-31", "0001-01-01"])
+    def test_a_yyyy_mm_dd_timestamp_reads_and_writes_back(self, tmp_path, stamp):
+        path = tmp_path / "stamp.jsonl"
+        record = {"body": "", "id": "a", "label": "ham", "subject": "", "timestamp": stamp}
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        ds = read_canonical(path)
+        assert ds.ham[0].timestamp == date.fromisoformat(stamp)
+        write_canonical(ds, tmp_path / "again.jsonl")
+        assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
+
     def test_deeply_nested_line_is_format_error(self, tmp_path):
         path = tmp_path / "deep.jsonl"
         path.write_text("[" * 100_000 + "\n", encoding="utf-8")
@@ -258,6 +283,35 @@ class TestMakeSplit:
     def test_bad_ratio(self, protocol_corpus):
         with pytest.raises(SplitError):
             make_split(protocol_corpus, 100, 200, 0.0)
+
+    @pytest.mark.parametrize("name, value, text", [
+        ("train_per_class", -5, "must be >= 0"),
+        ("train_per_class", 10.5, "must be an integer"),
+        ("train_per_class", True, "must be an integer"),
+        ("train_per_class", "10", "must be an integer"),
+        ("test_size", -4, "must be >= 0"),
+        ("test_size", 20.0, "must be an integer"),
+        ("test_size", None, "must be an integer"),
+        ("offset", -20, "must be >= 0"),
+        ("offset", 1.0, "must be an integer"),
+        ("offset", False, "must be an integer"),
+        ("test_size", 10**400, "must be <= 1000000000"),
+        ("train_per_class", 10**9 + 1, "must be <= 1000000000"),
+        pytest.param("offset", 10**5000, "must be <= 1000000000", id="offset-5001-digits"),
+    ])
+    def test_a_count_that_is_not_an_int_of_at_least_0_is_a_split_error(
+        self, name, value, text
+    ):
+        data = synthetic_dataset(n_ham=50, n_spam=50, seed=1)
+        counts = {"train_per_class": 10, "test_size": 20, "offset": 0, name: value}
+        with pytest.raises(SplitError, match=f"^{name} {text}, got "):
+            make_split(data, **counts)
+
+    def test_counts_of_0_are_valid(self):
+        data = synthetic_dataset(n_ham=50, n_spam=50, seed=1)
+        assert make_split(data, 0, 0) == corpus.Split(train=[], test=[])
+        split = make_split(data, 10, 0, offset=0)
+        assert (len(split.train), split.test) == (20, [])
 
     @pytest.mark.parametrize("ratio", ["0.5", None, True, float("nan")])
     def test_ratio_that_is_not_a_number_is_a_split_error(self, protocol_corpus, ratio):

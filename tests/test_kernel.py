@@ -26,8 +26,6 @@ from icrm.model import (
     BIND_E,
     BIND_EMPTY,
     BIND_R,
-    TRAIN_HAM,
-    TRAIN_SPAM,
     _INITIAL_ROWS,
     _ZERO_CLAMP,
     IcrmClassifier,
@@ -271,9 +269,6 @@ def test_hand_built_slot_array_round_trips():
     assert empty.bound.dtype == np.int64
 
 
-_TRAIN_MODES = {HAM: TRAIN_HAM, SPAM: TRAIN_SPAM}
-
-
 @pytest.mark.parametrize(
     "sampler, death_rate",
     [("first-last", 0.0), ("first-last", 0.01), ("random", 0.0), ("random", 0.02)],
@@ -293,8 +288,8 @@ def test_classifier_matches_reference(sampler, death_rate):
 
     ref_rep, rng = {}, np.random.default_rng(cfg.seed)
     for m in train:
-        ref.process_message(ref_rep, m, _TRAIN_MODES[m.label], cfg, rng)
-    ref_scores = [ref.process_message(ref_rep, m, TEST, cfg, rng).score for m in test]
+        ref.process_message(ref_rep, m, True, cfg, rng)
+    ref_scores = [ref.process_message(ref_rep, m, False, cfg, rng).score for m in test]
     assert fast_scores == ref_scores
     assert clf.repertoire == ref_rep
 
@@ -343,7 +338,7 @@ def test_process_message_calls_bind_and_interact_once(monkeypatch):
         make_message(SPAM, body="cheap pills offer now"),
     ]
     for count, msg in enumerate(messages, start=1):
-        process_message(rep, msg, TEST, IcrmConfig(), rng)
+        process_message(rep, msg, False, IcrmConfig(), rng)
         assert calls == {"build_slot_array": count, "interact": count}
 
 
@@ -364,11 +359,11 @@ def test_samples_with_and_without_extinct_features_match_reference(n_a, death_ra
         label = (HAM, SPAM)[k % 2]
         body = " ".join(draw.choice(words, size=int(draw.integers(1, 25))).tolist())
         msg = make_message(label, body=body)
-        mode = (TEST, _TRAIN_MODES[label])[k % 3 == 0]
+        train = k % 3 == 0
         sample = preprocess(msg, cfg.n, None)
         with_extinct.append(any(ref_rep.get(f) == (0.0, 0.0) for f in sample))
-        fast = process_message(fast_rep, msg, mode, cfg, fast_rng)
-        slow = ref.process_message(ref_rep, msg, mode, cfg, ref_rng)
+        fast = process_message(fast_rep, msg, train, cfg, fast_rng)
+        slow = ref.process_message(ref_rep, msg, train, cfg, ref_rng)
         assert [(f, s.hex()) for f, s in fast.per_feature] == [
             (f, s.hex()) for f, s in slow.per_feature
         ]
@@ -407,7 +402,7 @@ def test_message_scores_equal_score_feature(pops, proliferation, death_rate, see
     rep = Repertoire(start)
     cfg = IcrmConfig(proliferation=proliferation, death_rate=death_rate)
     msg = make_message(HAM, body=" ".join(start))
-    verdict = process_message(rep, msg, TEST, cfg, np.random.default_rng(seed))
+    verdict = process_message(rep, msg, False, cfg, np.random.default_rng(seed))
     assert [f for f, _ in verdict.per_feature] == list(start)
     assert [(f, s.hex()) for f, s in verdict.per_feature] == [
         (f, score_feature(*rep[f]).hex()) for f in start
@@ -434,9 +429,8 @@ def test_array_repertoire_matches_dict_reference(tmp_path, death_rate):
 
     fast = [clf.train_message(m).per_feature for m in train]
     fast += [clf.verdict(m).per_feature for m in stream[:200]]
-    slow = [ref.process_message(rep, m, _TRAIN_MODES[m.label], cfg, rng).per_feature
-            for m in train]
-    slow += [ref.process_message(rep, m, TEST, cfg, rng).per_feature
+    slow = [ref.process_message(rep, m, True, cfg, rng).per_feature for m in train]
+    slow += [ref.process_message(rep, m, False, cfg, rng).per_feature
              for m in stream[:200]]
     assert fast == slow
     assert _bits(clf.repertoire) == _bits(rep)
@@ -455,7 +449,7 @@ def test_array_repertoire_matches_dict_reference(tmp_path, death_rate):
     write_state(tmp_path / "dict.json", "icrm-state", 1, ref.state_body(rep, cfg, rng))
     resumed = IcrmClassifier.load(tmp_path / "dict.json")
     assert [resumed.verdict(m).score for m in stream[200:]] == [
-        ref.process_message(rep, m, TEST, cfg, rng).score for m in stream[200:]
+        ref.process_message(rep, m, False, cfg, rng).score for m in stream[200:]
     ]
     # version 1 lists features sorted, so a repertoire loaded from it is in that order
     assert _bits(resumed.repertoire) == sorted(_bits(rep))
@@ -514,7 +508,7 @@ def _forgetting_runs(draw):
     rows = draw(st.lists(st.tuples(value, value), min_size=1, max_size=12))
     step = st.one_of(
         st.tuples(st.just("add"), st.integers(0, 4), st.lists(st.integers(0, 99), max_size=3),
-                  st.sampled_from([TRAIN_HAM, TRAIN_SPAM, TEST])),
+                  st.sampled_from([HAM, SPAM, TEST])),
         st.tuples(st.just("interact"), st.lists(
             st.tuples(st.integers(0, 99), st.sampled_from([BIND_E, BIND_R, BIND_EMPTY])),
             max_size=12,
@@ -569,12 +563,12 @@ def test_decay_steps_match_the_per_feature_loop(case):
         kind, *args = step
         names = list(rep)
         if kind == "add":
-            new, old, mode = args
+            new, old, stage = args
             sample = [names[i % len(names)] for i in old if names]
             sample += [f"new{fresh + i}" for i in range(new)]
             fresh += new
-            init_features(cols, sample, mode, cfg)
-            ref.init_features(rep, sample, mode, cfg)
+            init_features(cols, sample, stage, cfg)
+            ref.init_features(rep, sample, stage, cfg)
         elif kind == "interact":
             slots = [(names[i % len(names)], b) for i, b in args[0] if names]
             features, bound = [f for f, _ in slots], [b for _, b in slots]
@@ -632,8 +626,8 @@ def test_first_seen_features_across_a_capacity_doubling():
     msg = make_message(
         HAM, body="old1 old2 " + " ".join(f"novel{i}" for i in range(12))
     )
-    fast = process_message(cols, msg, TRAIN_HAM, cfg, np.random.default_rng(4))
-    slow = ref.process_message(rep, msg, TRAIN_HAM, cfg, np.random.default_rng(4))
+    fast = process_message(cols, msg, True, cfg, np.random.default_rng(4))
+    slow = ref.process_message(rep, msg, True, cfg, np.random.default_rng(4))
     assert len(cols._pops) == 2 * _INITIAL_ROWS
     assert len(cols) == _INITIAL_ROWS + 9
     assert fast == slow

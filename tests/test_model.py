@@ -21,11 +21,10 @@ from icrm.model import (
     SlotArray,
     SnapshotError,
     TEST,
-    TRAIN_HAM,
-    TRAIN_SPAM,
     build_slot_array,
     init_features,
     interact,
+    present_message,
     process_message,
     _exact_scores,
     score_feature,
@@ -87,6 +86,28 @@ class TestConfig:
             with pytest.raises(ValueError, match=f"{name} must be >= 0"):
                 IcrmConfig(**{name: -1.0})
         IcrmConfig(e0_ham=0, r0_spam=-0.0, r0_test=0.0)
+
+    def test_initial_populations_by_stage(self):
+        cfg = IcrmConfig()
+        assert cfg.initial_populations(HAM) == (6.0, 12.0)
+        assert cfg.initial_populations(SPAM) == (6.0, 5.0)
+        assert cfg.initial_populations(TEST) == (6.0, 5.0)
+        cfg = IcrmConfig(e0_ham=1, r0_ham=2, e0_spam=4, r0_spam=3, e0_test=6, r0_test=5)
+        assert [cfg.initial_populations(s) for s in (HAM, SPAM, TEST)] == [
+            (1.0, 2.0), (4.0, 3.0), (6.0, 5.0)]
+        for stage in ("train_ham", "train_spam", "eggs", "HAM", None):
+            with pytest.raises(KeyError, match=f"^{re.escape(repr(stage))}$"):
+                cfg.initial_populations(stage)
+
+    @pytest.mark.parametrize("stage, e0, r0, order", [
+        ("ham", 12.0, 6.0, "<"), ("ham", 6.0, 6.0, "<"),
+        ("spam", 5.0, 6.0, ">"), ("spam", 6.0, 6.0, ">"),
+        ("test", 5.0, 6.0, ">"), ("test", 6.0, 6.0, ">"),
+    ])
+    def test_initial_populations_keep_their_stage_order(self, stage, e0, r0, order):
+        text = f"{stage} initialisation requires E0 {order} R0"
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            IcrmConfig(**{f"e0_{stage}": e0, f"r0_{stage}": r0})
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
@@ -174,16 +195,16 @@ class TestInitFeatures:
     def test_mode_table(self):
         cfg = IcrmConfig()
         rep = Repertoire()
-        init_features(rep, ["f1"], TRAIN_HAM, cfg)
-        init_features(rep, ["f2"], TRAIN_SPAM, cfg)
+        init_features(rep, ["f1"], HAM, cfg)
+        init_features(rep, ["f2"], SPAM, cfg)
         init_features(rep, ["f3"], TEST, cfg)
         assert rep == {"f1": (6.0, 12.0), "f2": (6.0, 5.0), "f3": (6.0, 5.0)}
 
     def test_existing_untouched(self):
         cfg = IcrmConfig()
         rep = Repertoire({"f": (40.0, 3.0)})
-        for mode in (TRAIN_HAM, TRAIN_SPAM, TEST):
-            init_features(rep, ["f"], mode, cfg)
+        for stage in (HAM, SPAM, TEST):
+            init_features(rep, ["f"], stage, cfg)
             assert rep["f"] == (40.0, 3.0)
 
 
@@ -330,7 +351,7 @@ class TestProcessMessage:
     def test_empty_message_is_spam_with_zero_score(self):
         cfg = IcrmConfig()
         verdict = process_message(
-            Repertoire(), make_message(SPAM, subject="", body=""), TEST, cfg,
+            Repertoire(), make_message(SPAM, subject="", body=""), False, cfg,
             np.random.default_rng(0),
         )
         assert verdict.score == 0.0
@@ -341,7 +362,7 @@ class TestProcessMessage:
         cfg = IcrmConfig(death_rate=0.02)
         rep = Repertoire({"f": (10.0, 10.0)})
         process_message(
-            rep, make_message(SPAM, body=""), TEST, cfg, np.random.default_rng(0)
+            rep, make_message(SPAM, body=""), False, cfg, np.random.default_rng(0)
         )
         assert rep["f"] == pytest.approx((9.8, 9.8))
 
@@ -349,7 +370,7 @@ class TestProcessMessage:
         cfg = IcrmConfig()
         verdict = process_message(
             Repertoire(), make_message(SPAM, body="zanzibar quixotic jumble vortex"),
-            TEST, cfg, np.random.default_rng(1),
+            False, cfg, np.random.default_rng(1),
         )
         assert verdict.label == SPAM
         assert verdict.score < 0.0
@@ -363,14 +384,6 @@ class TestProcessMessage:
         assert verdict.label == HAM
         e, r = clf.repertoire["meet"]
         assert r > e
-
-    def test_training_mode_must_match_label(self):
-        cfg = IcrmConfig()
-        with pytest.raises(ValueError):
-            process_message(
-                Repertoire(), make_message(HAM, body="alpha"), TRAIN_SPAM, cfg,
-                np.random.default_rng(0),
-            )
 
     def test_unknown_label_is_value_error(self):
         msg = make_message("junk", body="alpha")
@@ -472,14 +485,22 @@ def test_exact_scores_are_score_feature_bit_for_bit():
 
 
 def test_training_refuses_a_label_other_than_ham_or_spam_with_one_message():
-    """ICRM's two training calls and Naive Bayes training refuse an unknown
-    label with the text of the one check they share, and train on nothing."""
+    """ICRM's training calls, the message cycle itself and Naive Bayes
+    training refuse an unknown label with the text of the one check they
+    share, and train on nothing."""
     msg = make_message("eggs", body="alpha beta gamma")
     text = "cannot train on a 'eggs' message: labels are ham, spam"
-    clf = IcrmClassifier()
+    # the random sampler draws when a message has more than n features, so a
+    # refusal after sampling would show in the generator's state
+    clf = IcrmClassifier(IcrmConfig(n=2, feature_sampler="random"))
+    cycle = (clf.repertoire, msg, True, clf.config, clf.rng)
     for train in (lambda: training_label(msg), lambda: nb_train([msg]),
-                  lambda: clf.train([msg]), lambda: clf.train_message(msg)):
+                  lambda: clf.train([msg]), lambda: clf.train_message(msg),
+                  lambda: process_message(*cycle), lambda: present_message(*cycle)):
         with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
             train()
     assert len(clf.repertoire) == 0
-    assert clf.rng.bit_generator.state == IcrmClassifier().rng.bit_generator.state
+    fresh = IcrmClassifier(clf.config)
+    assert clf.rng.bit_generator.state == fresh.rng.bit_generator.state
+    # a message that does not train may carry any label
+    assert clf.verdict(msg).per_feature == fresh.verdict(msg).per_feature

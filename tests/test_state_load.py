@@ -168,6 +168,37 @@ def test_each_damage_alone_is_refused_alike(tmp_path, raw):
             load(path)
 
 
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda g: g["state"].update(state=1.5), id="state-1.5"),
+    pytest.param(lambda g: g["state"].update(state=True), id="state-true"),
+    pytest.param(lambda g: g["state"].update(inc=2.0), id="inc-2.0"),
+    pytest.param(lambda g: g.update(has_uint32=True), id="has_uint32-true"),
+    pytest.param(lambda g: g.update(uinteger=7.0), id="uinteger-7.0"),
+    pytest.param(lambda g: g.update(extra=1), id="extra-key"),
+    pytest.param(lambda g: g["state"].update(extra=1), id="extra-state-key"),
+])
+def test_a_generator_state_that_does_not_read_back_unchanged_is_refused(tmp_path, edit):
+    """numpy would read a float or a bool as an int and drop a key it does
+    not know, so load then save would write a different state."""
+    doc = json.loads(_saved(2))
+    edit(doc["rng_state"])
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(SnapshotError, match=re.escape(str(path))):
+        IcrmClassifier.load(path)
+
+
+def test_a_generator_state_holding_a_spare_half_word_loads_back_unchanged(tmp_path):
+    clf = IcrmClassifier()
+    clf.rng.integers(2**32, dtype=np.uint32)  # leaves has_uint32 set
+    clf.save(tmp_path / "state.json")
+    loaded = IcrmClassifier.load(tmp_path / "state.json")
+    assert loaded.rng.bit_generator.state == clf.rng.bit_generator.state
+    assert loaded.rng.bit_generator.state["has_uint32"] == 1
+    loaded.save(tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == (tmp_path / "state.json").read_bytes()
+
+
 @pytest.mark.parametrize("features", [
     pytest.param(["a", 1], id="int"), pytest.param(["a", 1.0], id="float"),
     pytest.param([True], id="bool"), pytest.param([None], id="none"),
