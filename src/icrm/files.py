@@ -1,7 +1,8 @@
 """The package's file boundary: versioned JSON state files and UTF-8 text.
 
 A state file is one JSON object, keys sorted, holding a ``format`` tag and
-an integer ``version`` next to the classifier's own body. A loader names
+an integer ``version`` next to the classifier's own body, and
+:func:`write_state` writes it whole or not at all. A loader names
 the versions it reads; :func:`read_state` hands back the version it found
 with the body, so each classifier decodes its own versions. Strict text
 inputs are read whole by :func:`read_text`, which turns a file that cannot
@@ -10,6 +11,7 @@ be read or is not UTF-8 into the caller's typed error naming the file;
 """
 
 import json
+import os
 
 
 def read_text(path, error: type[Exception], what: str) -> str:
@@ -21,8 +23,20 @@ def read_text(path, error: type[Exception], what: str) -> str:
 
 
 def write_state(path, fmt: str, version: int, body: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"format": fmt, "version": version, **body}, fh, sort_keys=True)
+    """Write a ``fmt`` file to ``path`` whole or not at all.
+
+    The file is written beside ``path`` and renamed over it, so a write
+    stopped part-way leaves any previous file as it was. ``open`` creates
+    the temporary file, so its permissions follow the umask.
+    """
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump({"format": fmt, "version": version, **body}, fh, sort_keys=True)
+        os.replace(tmp, path)
+    finally:  # after a successful rename there is no temporary file left
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def read_state(

@@ -11,16 +11,18 @@ That first-last sample depends only on the message, ``n`` and the
 stopwords, so a message remembers the last one computed for it, keyed by
 ``(n, stopwords)``: the evaluation protocols show each message to both
 classifiers and to several runs, and only the first call tokenizes and
-stems it. One test, run before any setting is checked, answers a call
-from the memo: the first-last sampler, the memo's own ``n`` (an
-``int``), and stopwords that are the memo's own set object, or None
-while the memo's set equals the shipped list, or a set equal to the
-memo's. The two identity tests come first, so the protocols' calls never
-compare sets. A hit re-checks nothing: the memo's settings passed every
-check when it was stored. Any other call checks its settings first. The
-memo is an attribute outside the dataclass fields, so a message's
-equality, hash, repr and canonical record do not see it. The ``random``
-sampler draws from the caller's generator and recomputes on every call.
+stems it. The key's ``stopwords`` is the argument exactly as the caller
+gave it, None included. One test, run before any setting is checked,
+answers a call from the memo: the first-last sampler, the memo's own
+``n`` (an ``int``), and stopwords that are the memo's own object. A hit
+re-checks nothing: the memo's settings passed every check when it was
+stored. Any other call checks its settings first, and stores a memo only
+when its stopwords are None or a ``frozenset``, which cannot change after
+the call; an equal set that is another object computes the same sample
+again. The memo is an attribute outside the dataclass fields, so a
+message's equality, hash, repr and canonical record do not see it. The
+``random`` sampler draws from the caller's generator and recomputes on
+every call.
 
 A feature is a ``str`` wherever state holds one: :func:`check_features`
 is the one test the repertoire and the Naive Bayes counts apply.
@@ -40,8 +42,7 @@ __all__ = ["tokenize", "preprocess", "stem", "parse_stopwords", "default_stopwor
 SAMPLE_CAP = 50  # reference cap on distinct stems per message
 
 _MIN_TOKEN_LEN = 3
-# message attribute: (n, stopwords, sample tuple, whether the stopwords equal
-# the default list)
+# message attribute: (n, stopwords as the caller gave them, sample tuple)
 _MEMO = "_first_last_sample"
 
 
@@ -117,23 +118,17 @@ def preprocess(
     for ablation runs and requires a generator.
 
     A first-last sample is remembered on ``msg``; a later call with the
-    same ``n`` and stopwords returns a new list copied from it.
+    same ``n`` and the same stopwords object returns a new list copied
+    from it.
     """
     memo = getattr(msg, _MEMO, None)
     # a hit re-checks nothing: the memo's settings were checked when stored
-    if (
-        memo is not None and sampler == "first-last" and type(n) is int and n == memo[0]
-        # the memo's own set, None for the shipped list, or an equal set
-        and (memo[1] is stopwords or stopwords is None and memo[3]
-             or memo[1] == stopwords)
-    ):
+    if (memo is not None and sampler == "first-last" and type(n) is int
+            and n == memo[0] and memo[1] is stopwords):
         return list(memo[2])
     check_range(RANGES, "n", n)
     check_range(RANGES, "feature_sampler", sampler)
-    default = default_stopwords()
-    if stopwords is None:
-        stopwords = default
-    unique = _distinct_stems(msg, stopwords)
+    unique = _distinct_stems(msg, default_stopwords() if stopwords is None else stopwords)
     if sampler == "random":
         if len(unique) <= n:
             return unique
@@ -144,10 +139,9 @@ def preprocess(
     if len(unique) > n:
         half = n // 2
         unique = list(dict.fromkeys(unique[:half] + unique[-half:]))
-    # a frozen copy, so a caller's set changed later cannot match this key
-    key = stopwords if type(stopwords) is frozenset else frozenset(stopwords)
-    shipped = key is default or key == default
-    object.__setattr__(msg, _MEMO, (n, key, tuple(unique), shipped))
+    # a mutable set could change after this call, so it keys no memo
+    if stopwords is None or type(stopwords) is frozenset:
+        object.__setattr__(msg, _MEMO, (n, stopwords, tuple(unique)))
     return unique
 
 

@@ -1028,6 +1028,30 @@ def test_each_setting_has_one_range_row_that_holds_its_default():
         assert ranges.check_range(ranges.RANGES, key, DEFAULTS[key]) == DEFAULTS[key], key
 
 
+def _readme_settings_rows():
+    """(names, defaults) cells of each row of README's Settings table."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Settings\n", 1)[1].split("\n## ", 1)[0]
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            cells = line.strip("|").split("|")
+            yield re.findall(r"`(\w+)`", cells[0]), cells[3].strip().split(", ")
+
+
+def test_readme_settings_table_matches_the_defaults():
+    """README's Settings table names every setting once, and each numeric
+    default it gives is the command line's."""
+    rows = list(_readme_settings_rows())
+    names = [name for row_names, _ in rows for name in row_names]
+    assert sorted(names) == sorted(DEFAULTS)
+    for row_names, defaults in rows:
+        assert len(defaults) == len(row_names), row_names
+        for name, text in zip(row_names, defaults):
+            if re.fullmatch(r"[0-9.]+", text):
+                assert float(text) == DEFAULTS[name], name
+                assert type(DEFAULTS[name]) in (int, float), name
+
+
 # -- the command line under generated input ---------------------------------
 
 # Settings a fuzzed run may set; stopwords and out name files, so they stay

@@ -27,9 +27,11 @@ import numpy as np
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
+import icrm.files
 import state_reference
 from icrm.files import write_state
 from icrm.model import IcrmClassifier, IcrmConfig, Repertoire, SnapshotError
+from icrm.nbayes import NaiveBayesClassifier
 from icrm.synth import synthetic_dataset
 
 from model_reference import state_body, state_body_v2
@@ -366,3 +368,34 @@ def test_any_features_a_repertoire_accepts_save_and_load_back_equal(features):
     for make in made + [lambda: Repertoire().add(features, (6.0, 5.0))]:
         with pytest.raises(ValueError, match=_NOT_A_STRING):
             make()
+
+
+class _Stopped(Exception):
+    """A save stopped part-way, as by a full disk or a signal."""
+
+
+@pytest.mark.parametrize("kind", [IcrmClassifier, NaiveBayesClassifier])
+def test_an_interrupted_save_keeps_the_previous_file(tmp_path, monkeypatch, kind):
+    ds = synthetic_dataset(n_ham=15, n_spam=15, vocab_per_class=40, seed=6)
+    clf = kind()
+    clf.train(ds.ham + ds.spam)
+    path = tmp_path / "state.json"
+    clf.save(path)
+    before = path.read_bytes()
+    clf.train(ds.ham[:5] + ds.spam[:5])  # the state to save now differs from the file
+
+    def half_dump(obj, fh, **kwargs):
+        text = json.dumps(obj, **kwargs)
+        fh.write(text[: len(text) // 2])
+        raise _Stopped
+
+    monkeypatch.setattr(icrm.files.json, "dump", half_dump)
+    with pytest.raises(_Stopped):
+        clf.save(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
+    monkeypatch.undo()
+    clf.save(path)
+    assert path.read_bytes() != before
+    assert kind.load(path).classify(ds.ham[0]) == clf.classify(ds.ham[0])
+    assert [p.name for p in tmp_path.iterdir()] == ["state.json"]

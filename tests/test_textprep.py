@@ -199,7 +199,6 @@ def test_memo_tokenizes_once_per_setting(monkeypatch):
     msg = make_message(body=" ".join(_VOCAB))
     first = preprocess(msg, n=10)
     assert preprocess(msg, n=10) == first
-    assert preprocess(msg, n=10, stopwords=set(default_stopwords())) == first
     assert len(calls) == 1
     preprocess(msg, n=50)  # a new setting replaces the memo ...
     preprocess(msg, n=10)  # ... so the old one is computed again
@@ -208,34 +207,36 @@ def test_memo_tokenizes_once_per_setting(monkeypatch):
     assert len(calls) == 4  # the random sampler never reads the memo
 
 
-_SHIPPED_ALIKE = {  # each way of naming the shipped stopword list
-    "none": lambda: None,
-    "shipped": default_stopwords,
-    "equal-frozenset": lambda: frozenset(default_stopwords()),
-    "equal-set": lambda: set(default_stopwords()),
-}
-
-
-@pytest.mark.parametrize("stored_by", list(_SHIPPED_ALIKE))
-def test_every_name_for_the_shipped_list_hits_one_memo(monkeypatch, stored_by):
-    """None, the shipped frozenset, an equal frozenset and an equal set all
-    hit the memo any one of them stored; a different set, or a set changed
-    after its call, misses."""
+def test_the_memo_is_keyed_by_the_stopwords_object(monkeypatch):
+    """None hits None and the shipped frozenset hits itself; an equal
+    frozenset computes once, then hits itself; a mutable set computes on
+    every call and stores no memo, so a change after its call is seen."""
     calls = _count_tokenize(monkeypatch)
     msg = make_message(body=" ".join(_VOCAB))
-    first = preprocess(msg, n=10, stopwords=_SHIPPED_ALIKE[stored_by]())
-    for name in _SHIPPED_ALIKE:
-        assert preprocess(msg, n=10, stopwords=_SHIPPED_ALIKE[name]()) == first
+    first = preprocess(msg, n=10)
+    assert preprocess(msg, n=10, stopwords=None) == first
     assert len(calls) == 1
-    plain = set(default_stopwords())
-    assert preprocess(msg, n=10, stopwords=plain) == first
-    assert len(calls) == 1
-    plain.add("wordx000")  # changed after its call: the memo holds a copy
-    assert preprocess(msg, n=10, stopwords=plain) == _oracle(msg, 10, plain, "first-last", None)
+    shipped = default_stopwords()
+    assert preprocess(msg, n=10, stopwords=shipped) == first
+    assert preprocess(msg, n=10, stopwords=shipped) == first
     assert len(calls) == 2
+    equal = frozenset(sorted(shipped))  # frozenset(shipped) is shipped itself
+    assert equal == shipped and equal is not shipped
+    assert preprocess(msg, n=10, stopwords=equal) == first
+    assert preprocess(msg, n=10, stopwords=equal) == first
+    assert len(calls) == 3
+    plain = set(shipped)
+    assert preprocess(msg, n=10, stopwords=plain) == first
+    assert preprocess(msg, n=10, stopwords=plain) == first
+    assert len(calls) == 5
+    assert preprocess(msg, n=10, stopwords=equal) == first  # plain stored nothing
+    assert len(calls) == 5
+    plain.add("wordx000")
+    assert preprocess(msg, n=10, stopwords=plain) == _oracle(msg, 10, plain, "first-last", None)
+    assert len(calls) == 6
     other = frozenset({"wordx001"})
     assert preprocess(msg, n=10, stopwords=other) == _oracle(msg, 10, other, "first-last", None)
-    assert len(calls) == 3
+    assert len(calls) == 7
 
 
 def test_equal_messages_do_not_share_a_memo(monkeypatch):
