@@ -13,10 +13,11 @@ uniformly); adjacent slot pairs then interact:
 * regulators alone persist unchanged.
 
 Binding and interaction are one array pass per message: each slot holds
-an index into the message's distinct features. The slots are laid out by
-shuffling a copy of a cached, read-only template that holds each sample
-position ``n_a`` times, ``np.repeat(np.arange(n), n_a)``; one template per
-``n_a``, whose prefixes serve shorter samples. The swaps of
+an index into the message's sample, whose features are distinct (a
+repeated one is refused before anything is drawn). The slots are laid
+out by shuffling a copy of a cached, read-only template that holds each
+sample position ``n_a`` times, ``np.repeat(np.arange(n), n_a)``; one
+template per ``n_a``, whose prefixes serve shorter samples. The swaps of
 ``Generator.permutation(total)``, which shuffles ``np.arange(total)``,
 depend only on the length, so the shuffled template is that permutation
 floor-divided by ``n_a`` and leaves the generator in the same state. When
@@ -76,9 +77,8 @@ the label.
 
 Scoring reads the populations and changes nothing, so
 :meth:`IcrmClassifier.train` runs only :func:`present_message`, the part
-of the cycle before scoring; :meth:`IcrmClassifier.train_message` still
-runs the whole cycle and returns the training verdict. Both leave the
-same repertoire and the same random stream.
+of the cycle before scoring, and leaves the repertoire and random stream
+that a training :func:`process_message` per message leaves.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ import math
 import sys
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, fields
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from itertools import chain, starmap
 from operator import attrgetter
 from typing import Iterable, Sequence
@@ -277,77 +277,28 @@ def _check_pair(e: float, r: float, what: str) -> None:
 
 
 class SlotArray:
-    """Per-message antigen presentation, in slot order.
+    """Per-message antigen presentation, in slot order, as
+    :func:`build_slot_array` lays it out.
 
     ``keys`` are the message's distinct features, ``index`` gives each
     slot's position in ``keys`` and ``bound`` each slot's binding code.
     ``rows`` are the keys' rows in ``repertoire``, the :class:`Repertoire`
-    that ``build_slot_array`` bound the slots to; ``interact`` uses them
-    for that repertoire only.
-    ``SlotArray(features, bound)`` builds one from parallel per-slot
-    sequences, bound to no repertoire; ``features`` spells the slots out
-    again on first read. ``keys`` may be the caller's list: when the
-    features (or the sample ``build_slot_array`` binds) are a list of
-    distinct features, ``keys`` is that list, not a copy, so the caller
-    must not change it afterwards. :func:`present_message` always passes
-    the fresh list ``preprocess`` returns.
+    that bound the slots; ``interact`` uses them for that repertoire only
+    and looks the keys up in any other. ``keys`` is the sample
+    ``build_slot_array`` was given, not a copy, so the caller must not
+    change it afterwards: :func:`present_message` always passes the fresh
+    list ``preprocess`` returns.
     """
 
-    def __init__(self, features: Sequence[str], bound: Sequence[int]):
-        keys, index = _intern(features)
-        if index is None:
-            index = np.arange(len(keys))
-        bound = np.asarray(bound)
-        if bound.shape != index.shape:
-            raise ValueError(f"{len(index)} slot features but {bound.size} bindings")
-        # integer codes only, though an empty list arrives as a float array
-        integral = bound.dtype.kind in "iu" or not bound.size
-        if not (integral and np.isin(bound, (BIND_E, BIND_R, BIND_EMPTY)).all()):
-            raise ValueError(f"unknown binding code in {bound.tolist()}")
-        self.keys, self.index, self.bound = keys, index, bound.astype(np.int64)
-        self.rows = self.repertoire = None
-
-    @classmethod
-    def from_index(
-        cls, keys: list[str], index: np.ndarray, bound: np.ndarray,
-        rows: np.ndarray, repertoire: Repertoire,
-    ) -> "SlotArray":
-        """Wrap arrays the kernel built, without interning or checks again."""
-        slots = cls.__new__(cls)
-        slots.keys, slots.index, slots.bound = keys, index, bound
-        slots.rows, slots.repertoire = rows, repertoire
-        return slots
-
-    @cached_property
-    def features(self) -> list[str]:
-        keys = self.keys
-        return [keys[i] for i in self.index.tolist()]
+    def __init__(
+        self, keys: list[str], index: np.ndarray, bound: np.ndarray,
+        rows: np.ndarray | None, repertoire: Repertoire | None,
+    ):
+        self.keys, self.index, self.bound = keys, index, bound
+        self.rows, self.repertoire = rows, repertoire
 
     def __len__(self) -> int:
         return len(self.index)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SlotArray):
-            return NotImplemented
-        return self.features == other.features and np.array_equal(
-            self.bound, other.bound
-        )
-
-    def __repr__(self) -> str:
-        return f"SlotArray({self.features!r}, {self.bound.tolist()!r})"
-
-
-def _intern(features: Sequence[str]) -> tuple[list[str], np.ndarray | None]:
-    """Distinct features in first-seen order, and each position's index.
-
-    The index is None when the features are already distinct: position i
-    is then key i, and a list is returned as the keys without a copy.
-    """
-    if len(set(features)) == len(features):
-        return (features if type(features) is list else list(features)), None
-    keys = list(dict.fromkeys(features))
-    ids = {f: i for i, f in enumerate(keys)}
-    return keys, np.array([ids[f] for f in features], dtype=np.int64)
 
 
 @dataclass
@@ -387,28 +338,31 @@ def build_slot_array(
     Slot positions are a uniform permutation of the feature multiset; each
     slot for feature f binds an effector with probability E_f/(E_f+R_f),
     a regulator otherwise, and stays empty when both populations are zero.
+    The sample's features must be distinct, as ``preprocess`` returns them:
+    a repeated one is a ValueError, raised before the generator draws.
     """
+    # interact writes each feature's summed gains to its row once, so a
+    # repeated feature would lose all but one of its gains
+    if len(set(sample)) != len(sample):
+        raise ValueError("a sample's features must be distinct")
     # each slot's position in sample, in the order rng.permutation(total) // n_a
     # would give (see the module docstring)
     index = _slot_template(len(sample), cfg.n_a).copy()
     rng.shuffle(index)
     draws = rng.random(len(index))
-    keys, sample_index = _intern(sample)
-    rows = rep.find(keys)
+    rows = rep.find(sample)
     pops = rep._pops.take(rows, 0)
     e = pops[:, 0]
     mass = e + pops[:, 1]
-    if sample_index is not None:
-        index = sample_index[index]
-    if np.count_nonzero(mass) == len(keys):
+    if np.count_nonzero(mass) == len(sample):
         # no extinct feature: a draw below E / (E + R) binds an effector
         bound = (draws >= (e / mass)[index]).astype(np.int64)
     else:
         live = mass > 0.0
-        p_effector = np.divide(e, mass, out=np.zeros(len(keys)), where=live)
+        p_effector = np.divide(e, mass, out=np.zeros(len(sample)), where=live)
         bound = np.where(draws < p_effector[index], BIND_E, BIND_R)
         bound[~live[index]] = BIND_EMPTY
-    return SlotArray.from_index(keys, index, bound, rows, rep)
+    return SlotArray(sample, index, bound, rows, rep)
 
 
 # n_a -> the read-only slot template of the longest sample seen at that n_a
@@ -644,15 +598,10 @@ class IcrmClassifier:
         self.repertoire = Repertoire()
         self.rng = np.random.default_rng(self.config.seed)
 
-    def train_message(self, msg: Message) -> Verdict:
-        return process_message(
-            self.repertoire, msg, True, self.config, self.rng, self.stopwords
-        )
-
     def train(self, messages: Iterable[Message]) -> None:
-        """Train on each message in turn, as :meth:`train_message` would.
-
-        The verdicts are not wanted, so no message is scored.
+        """Train on each message in turn, as a training
+        :func:`process_message` would, without scoring it: the verdicts
+        are not wanted.
         """
         rep, cfg, rng = self.repertoire, self.config, self.rng
         for msg in messages:

@@ -1,0 +1,27 @@
+"""Slot arrays written out slot by slot, for tests of ``interact``.
+
+``icrm.model.build_slot_array`` lays slots out over a sample of distinct
+features and binds them to a repertoire. The interaction-law tests want
+slots spelled feature by feature instead, repeats included: ``hand_slots``
+interns them into the kernel's ``keys`` and ``index`` and binds them to no
+repertoire, so ``interact`` looks their keys up in the repertoire it is
+given. ``slot_features`` spells any slot array's features back out.
+"""
+
+import numpy as np
+
+from icrm.model import SlotArray
+
+
+def hand_slots(features, bound) -> SlotArray:
+    """Unbound slots from parallel per-slot features and binding codes."""
+    keys = list(dict.fromkeys(features))
+    position = {feature: i for i, feature in enumerate(keys)}
+    index = np.array([position[feature] for feature in features], dtype=np.int64)
+    return SlotArray(keys, index, np.array(bound, dtype=np.int64), None, None)
+
+
+def slot_features(slots: SlotArray) -> list[str]:
+    """Each slot's feature, in slot order."""
+    keys = slots.keys
+    return [keys[i] for i in slots.index.tolist()]

@@ -32,7 +32,6 @@ from icrm.model import (
     IcrmClassifier,
     IcrmConfig,
     Repertoire,
-    SlotArray,
     interact,
     score_feature,
 )
@@ -40,6 +39,7 @@ from icrm.nbayes import nb_posterior
 from icrm.synth import synthetic_dataset
 
 from conftest import ACCEPTANCE_LINES, AllHamFactory, QuotaDegradingFactory
+from slots import hand_slots
 from test_nbayes import _model, _posterior_oracle
 
 
@@ -174,7 +174,7 @@ def test_criterion_3_dynamics_invariants():
         })
         before = dict(rep)
         n_slots = int(rng.integers(0, 11))
-        slots = SlotArray(
+        slots = hand_slots(
             [features[int(rng.integers(0, n_features))] for _ in range(n_slots)],
             [int(rng.integers(0, 3)) for _ in range(n_slots)],
         )
@@ -195,7 +195,7 @@ def test_criterion_3_dynamics_invariants():
     rep = Repertoire({"untouched": (6.0, 12.0), "other": (1.0, 0.0)})
     k = 137
     for _ in range(k):
-        interact(rep, SlotArray(["other"], [BIND_E]), cfg)
+        interact(rep, hand_slots(["other"], [BIND_E]), cfg)
     e, r = rep["untouched"]
     assert e == pytest.approx(6.0 * 0.98**k, abs=1e-9)
     assert r == pytest.approx(12.0 * 0.98**k, abs=1e-9)

@@ -1,0 +1,111 @@
+"""The console entry point's refusals, run as the ``icrm`` script runs them.
+
+Each case starts a fresh interpreter on ``python -m icrm.cli`` and checks
+the documented exit code (1 for usage, 2 for data), exactly one line on
+stderr and no traceback. The inputs are a short synthetic corpus and
+damaged copies of what the library writes, built once per module.
+"""
+
+import base64
+import json
+import os
+import re
+import struct
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from icrm.cli import EXIT_DATA, EXIT_USAGE
+from icrm.corpus import write_canonical
+from icrm.model import IcrmClassifier
+from icrm.synth import synthetic_dataset
+
+_SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _damaged_state(path: Path, edit) -> None:
+    """A default classifier's saved state, with ``edit`` applied to its JSON."""
+    IcrmClassifier().save(path)
+    state = json.loads(path.read_text(encoding="utf-8"))
+    edit(state)
+    path.write_text(json.dumps(state), encoding="utf-8")
+
+
+def _populations(e: float, r: float) -> str:
+    return base64.b64encode(struct.pack("<2d", e, r)).decode("ascii")
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory) -> Path:
+    root = tmp_path_factory.mktemp("console")
+    corpus = root / "short.jsonl"
+    write_canonical(synthetic_dataset(200, 200, seed=3), corpus)
+    # the first timestamp as 20000102, which 3.11's date.fromisoformat reads
+    first, rest = corpus.read_text(encoding="utf-8").split("\n", 1)
+    first = re.sub(r'"timestamp": "[0-9-]*"', '"timestamp": "20000102"', first, count=1)
+    assert '"timestamp": "20000102"' in first
+    (root / "compact-date.jsonl").write_text(f"{first}\n{rest}", encoding="utf-8")
+    # initial ham populations whose sum E + R overflows a float
+    (root / "huge-populations.conf").write_text("e0_ham = 1e308\nr0_ham = 1.7e308\n")
+    # an integer literal longer than Python converts (4,300 digits)
+    (root / "long-int.json").write_text(
+        '{"format": "icrm-state", "version": 2, "seed": %s}\n' % ("9" * 5000)
+    )
+    # finite populations whose sum E + R is not, and a feature that is the
+    # number 7: Repertoire refuses both rows, so they are written as JSON
+    _damaged_state(root / "huge-state.json", lambda s: s.update(
+        features=["cheap"], populations=_populations(1e308, 1e308)))
+    _damaged_state(root / "int-features.json", lambda s: s.update(
+        features=[7], populations=_populations(6.0, 5.0)))
+    # a generator state holding 1.5, which numpy would read as 1
+    _damaged_state(root / "rng-float.json", lambda s: s["rng_state"]["state"].update(
+        state=1.5))
+    (root / "msg.txt").write_text("Subject: cheap pills offer\nmeeting agenda for monday\n")
+    return root
+
+
+_EVAL = ["eval", "static", "both", "--data", "short.jsonl"]
+
+_REFUSALS = [
+    (EXIT_USAGE, []),
+    (EXIT_USAGE, ["bogus"]),
+    (EXIT_USAGE, ["classify"]),
+    (EXIT_USAGE, ["ingest", "missing-dir", "refused.jsonl", "--limit", "0"]),
+    (EXIT_USAGE, [*_EVAL, "--window", "50", "--out", "refused"]),
+    (EXIT_USAGE, [*_EVAL, "--runs", "1", "--out", "refused"]),
+    (EXIT_USAGE, ["eval", "static", "nb", "--data", "short.jsonl",
+                  "--test-size", str(10**400), "--out", "refused"]),
+    (EXIT_USAGE, ["eval", "dynamic", "icrm", "--data", "short.jsonl",
+                  "--proliferation", "1e308", "--out", "refused"]),
+    (EXIT_USAGE, ["eval", "dynamic", "icrm", "--data", "short.jsonl",
+                  "--config", "huge-populations.conf", "--out", "refused"]),
+    (EXIT_DATA, ["eval", "dynamic", "both", "--data", "short.jsonl", "--out", "refused"]),
+    (EXIT_DATA, ["eval", "static", "nb", "--data", "compact-date.jsonl", "--out", "refused"]),
+    (EXIT_DATA, ["classify", "long-int.json", "msg.txt"]),
+    (EXIT_DATA, ["classify", "huge-state.json", "msg.txt"]),
+    (EXIT_DATA, ["classify", "int-features.json", "msg.txt"]),
+    (EXIT_DATA, ["classify", "rng-float.json", "msg.txt"]),
+    # a refusal that quotes a line break still prints one line
+    (EXIT_DATA, ["report", "a\nb"]),
+]
+
+
+def _case_id(argv: list[str]) -> str:
+    return " ".join(argv).replace(str(10**400), "10**400").replace("\n", "\\n") or "no-args"
+
+
+@pytest.mark.parametrize(
+    "code, argv", _REFUSALS, ids=[_case_id(argv) for _, argv in _REFUSALS]
+)
+def test_a_refusal_exits_with_its_code_and_one_stderr_line(inputs, code, argv):
+    env = dict(os.environ, PYTHONPATH=str(_SRC), PYTHONWARNINGS="error::RuntimeWarning")
+    out = subprocess.run(
+        [sys.executable, "-m", "icrm.cli", *argv],
+        cwd=inputs, env=env, capture_output=True, text=True,
+    )
+    err = out.stderr
+    assert out.returncode == code, err
+    assert err.endswith("\n") and len(err.splitlines()) == 1, err
+    assert err.startswith("icrm: ") and "Traceback" not in err, err

@@ -18,7 +18,6 @@ from icrm.model import (
     IcrmClassifier,
     IcrmConfig,
     Repertoire,
-    SlotArray,
     SnapshotError,
     TEST,
     build_slot_array,
@@ -33,6 +32,7 @@ from icrm.nbayes import nb_train
 from icrm.ranges import check_range
 
 from conftest import make_message
+from slots import hand_slots, slot_features
 
 
 class TestScoreFeature:
@@ -214,7 +214,7 @@ class TestBuildSlotArray:
         rng = np.random.default_rng(0)
         slots = build_slot_array(["f"], Repertoire({"f": (6.0, 5.0)}), cfg, rng)
         assert len(slots) == 10
-        assert set(slots.features) == {"f"}
+        assert set(slot_features(slots)) == {"f"}
 
     def test_each_feature_gets_na_slots(self):
         cfg = IcrmConfig(n_a=4)
@@ -223,8 +223,8 @@ class TestBuildSlotArray:
             ["a", "b", "c"], Repertoire({k: (1.0, 1.0) for k in "abc"}), cfg, rng
         )
         assert len(slots) == 12
-        assert slots.features.count("a") == 4
-        assert slots.features.count("b") == 4
+        assert slot_features(slots).count("a") == 4
+        assert slot_features(slots).count("b") == 4
 
     def test_pure_effector_population_binds_all_effector(self):
         cfg = IcrmConfig()
@@ -253,7 +253,8 @@ class TestBuildSlotArray:
         rep = Repertoire({"a": (3.0, 3.0), "b": (3.0, 3.0)})
         s1 = build_slot_array(["a", "b"], rep, cfg, np.random.default_rng(7))
         s2 = build_slot_array(["a", "b"], rep, cfg, np.random.default_rng(7))
-        assert s1 == s2
+        assert slot_features(s1) == slot_features(s2)
+        assert np.array_equal(s1.bound, s2.bound)
 
 
 def _cfg(p=1.0, r=0.0):
@@ -263,61 +264,61 @@ def _cfg(p=1.0, r=0.0):
 class TestInteract:
     def test_effector_pair_both_proliferate(self):
         rep = Repertoire({"f": (1.0, 0.0), "g": (1.0, 0.0)})
-        interact(rep, SlotArray(["f", "g"], [BIND_E, BIND_E]), _cfg(p=1.0))
+        interact(rep, hand_slots(["f", "g"], [BIND_E, BIND_E]), _cfg(p=1.0))
         assert rep == {"f": (2.0, 0.0), "g": (2.0, 0.0)}
 
     def test_mixed_pair_only_regulator_proliferates(self):
         rep = Repertoire({"f": (1.0, 0.0), "g": (0.0, 1.0)})
-        interact(rep, SlotArray(["f", "g"], [BIND_E, BIND_R]), _cfg(p=1.0))
+        interact(rep, hand_slots(["f", "g"], [BIND_E, BIND_R]), _cfg(p=1.0))
         assert rep == {"f": (1.0, 0.0), "g": (0.0, 2.0)}
 
     def test_regulator_pair_no_change(self):
         rep = Repertoire({"f": (0.0, 1.0), "g": (0.0, 1.0)})
-        interact(rep, SlotArray(["f", "g"], [BIND_R, BIND_R]), _cfg(p=1.0))
+        interact(rep, hand_slots(["f", "g"], [BIND_R, BIND_R]), _cfg(p=1.0))
         assert rep == {"f": (0.0, 1.0), "g": (0.0, 1.0)}
 
     def test_lone_effector_proliferates(self):
         rep = Repertoire({"f": (1.0, 0.0)})
-        interact(rep, SlotArray(["f"], [BIND_E]), _cfg(p=1.0))
+        interact(rep, hand_slots(["f"], [BIND_E]), _cfg(p=1.0))
         assert rep["f"] == (2.0, 0.0)
 
     def test_effector_with_empty_partner_proliferates(self):
         rep = Repertoire({"f": (1.0, 0.0), "g": (0.0, 0.0)})
-        interact(rep, SlotArray(["f", "g"], [BIND_E, BIND_EMPTY]), _cfg(p=1.0))
+        interact(rep, hand_slots(["f", "g"], [BIND_E, BIND_EMPTY]), _cfg(p=1.0))
         assert rep["f"] == (2.0, 0.0)
 
     def test_lone_regulator_persists(self):
         rep = Repertoire({"f": (0.0, 1.0)})
-        interact(rep, SlotArray(["f"], [BIND_R]), _cfg(p=1.0))
+        interact(rep, hand_slots(["f"], [BIND_R]), _cfg(p=1.0))
         assert rep["f"] == (0.0, 1.0)
 
     def test_same_feature_effector_pair_gains_twice(self):
         rep = Repertoire({"f": (1.0, 0.0)})
-        interact(rep, SlotArray(["f", "f"], [BIND_E, BIND_E]), _cfg(p=1.0))
+        interact(rep, hand_slots(["f", "f"], [BIND_E, BIND_E]), _cfg(p=1.0))
         assert rep["f"] == (3.0, 0.0)
 
     def test_deltas_applied_synchronously(self):
         # regulator proliferation reads pre-interaction populations only;
         # the effector gained in pair one must not affect pair two
         rep = Repertoire({"f": (1.0, 1.0), "g": (1.0, 1.0)})
-        slots = SlotArray(["f", "f", "f", "g"], [BIND_E, BIND_E, BIND_E, BIND_R])
+        slots = hand_slots(["f", "f", "f", "g"], [BIND_E, BIND_E, BIND_E, BIND_R])
         interact(rep, slots, _cfg(p=1.0))
         assert rep == {"f": (3.0, 1.0), "g": (1.0, 2.0)}
 
     def test_decay_on_empty_slot_array(self):
         rep = Repertoire({"f": (10.0, 10.0)})
-        interact(rep, SlotArray([], []), _cfg(p=1.0, r=0.02))
+        interact(rep, hand_slots([], []), _cfg(p=1.0, r=0.02))
         assert rep["f"] == pytest.approx((9.8, 9.8), abs=1e-15)
 
     def test_decay_hits_every_feature(self):
         rep = Repertoire({"f": (10.0, 0.0), "g": (4.0, 2.0)})
-        interact(rep, SlotArray(["f"], [BIND_E]), _cfg(p=1.0, r=0.5))
+        interact(rep, hand_slots(["f"], [BIND_E]), _cfg(p=1.0, r=0.5))
         assert rep["f"] == pytest.approx((5.5, 0.0))  # (10 + 1) * 0.5
         assert rep["g"] == pytest.approx((2.0, 1.0))
 
     def test_tiny_populations_clamp_to_zero(self):
         rep = Repertoire({"f": (1e-12, 1e-12)})
-        interact(rep, SlotArray([], []), _cfg(p=1.0, r=0.5))
+        interact(rep, hand_slots([], []), _cfg(p=1.0, r=0.5))
         assert rep["f"] == (0.0, 0.0)
 
     def test_randomized_invariants(self):
@@ -331,7 +332,7 @@ class TestInteract:
             })
             before = dict(rep)
             n_slots = int(rng.integers(0, 13))
-            slots = SlotArray(
+            slots = hand_slots(
                 [features[int(rng.integers(0, n_features))] for _ in range(n_slots)],
                 [int(rng.integers(0, 3)) for _ in range(n_slots)],
             )
@@ -378,8 +379,9 @@ class TestProcessMessage:
     def test_ham_trained_feature_classifies_ham(self):
         # 50 ham exposures: the regulator population must dominate
         clf = IcrmClassifier(IcrmConfig(seed=5))
-        for day in range(1, 51):
-            clf.train_message(make_message(HAM, body="meeting agenda", day=day))
+        clf.train(
+            make_message(HAM, body="meeting agenda", day=day) for day in range(1, 51)
+        )
         verdict = clf.verdict(make_message(HAM, body="meeting agenda"))
         assert verdict.label == HAM
         e, r = clf.repertoire["meet"]
@@ -389,13 +391,11 @@ class TestProcessMessage:
         msg = make_message("junk", body="alpha")
         with pytest.raises(ValueError, match="'junk'"):
             IcrmClassifier().train([msg])
-        with pytest.raises(ValueError, match="'junk'"):
-            IcrmClassifier().train_message(msg)
 
     def test_verdict_consistency_invariants(self, disjoint_corpus):
         clf = IcrmClassifier(IcrmConfig(seed=3))
         for msg in disjoint_corpus.ham[:20] + disjoint_corpus.spam[:20]:
-            verdict = clf.train_message(msg)
+            verdict = process_message(clf.repertoire, msg, True, clf.config, clf.rng)
             assert verdict.score == pytest.approx(
                 math.fsum(s for _, s in verdict.per_feature)
             )
@@ -495,8 +495,8 @@ def test_training_refuses_a_label_other_than_ham_or_spam_with_one_message():
     clf = IcrmClassifier(IcrmConfig(n=2, feature_sampler="random"))
     cycle = (clf.repertoire, msg, True, clf.config, clf.rng)
     for train in (lambda: training_label(msg), lambda: nb_train([msg]),
-                  lambda: clf.train([msg]), lambda: clf.train_message(msg),
-                  lambda: process_message(*cycle), lambda: present_message(*cycle)):
+                  lambda: clf.train([msg]), lambda: process_message(*cycle),
+                  lambda: present_message(*cycle)):
         with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
             train()
     assert len(clf.repertoire) == 0
