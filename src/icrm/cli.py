@@ -12,8 +12,10 @@ import csv
 import inspect
 import io
 import sys
+from contextlib import contextmanager
 from dataclasses import fields as dataclass_fields
 from datetime import date
+from itertools import takewhile
 from pathlib import Path
 from typing import get_args
 
@@ -235,33 +237,49 @@ def cmd_eval(args) -> int:
                           f"paired t-test and needs runs >= 2, got {settings['runs']}")
     stopwords = _load_stopwords(settings)
     dataset = read_canonical(args.data)
-    out_dir = Path(settings["out"])
+    with _output_dir(Path(settings["out"])) as out_dir:
+        kinds = ["icrm", "nb"] if args.model == "both" else [args.model]
+        names = [f"{kind}{part}" for kind in kinds for part in ("", "_summary")]
+        names += ["ttest"] if len(kinds) == 2 else []
+        paths = {name: out_dir / f"{args.mode}_{name}.csv" for name in names}
+        for path in paths.values():
+            if path.is_dir():
+                raise ConfigError(f"report path {path} is a directory")
+        protocol = _PROTOCOLS[args.mode]
+        protocol_settings = {key: settings[key] for key in _keyword_defaults(protocol)}
+        reports = []
+        for kind in kinds:
+            factory = make_factory(kind, cfg, stopwords)
+            report = protocol(dataset, factory, **protocol_settings)
+            _write_report(write_runs_csv, report, paths[kind])
+            _write_report(write_summary_csv, report, paths[f"{kind}_summary"])
+            reports.append(report)
+        print(format_summary_table(reports, dataset.name))
+        if len(reports) == 2:
+            rows = compare_reports(reports[0], reports[1])
+            _write_report(write_ttest_csv, rows, paths["ttest"])
+            print(format_ttest_block(rows, reports[0].classifier, reports[1].classifier))
+        return EXIT_OK
+
+
+@contextmanager
+def _output_dir(path: Path):
+    """Make ``path`` and its missing parents; if the body raises, remove
+    the directories made here, deepest first, while they are still empty."""
+    made = list(takewhile(lambda directory: not directory.exists(), (path, *path.parents)))
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from None
-    kinds = ["icrm", "nb"] if args.model == "both" else [args.model]
-    names = [f"{kind}{part}" for kind in kinds for part in ("", "_summary")]
-    names += ["ttest"] if len(kinds) == 2 else []
-    paths = {name: out_dir / f"{args.mode}_{name}.csv" for name in names}
-    for path in paths.values():
-        if path.is_dir():
-            raise ConfigError(f"report path {path} is a directory")
-    protocol = _PROTOCOLS[args.mode]
-    protocol_settings = {key: settings[key] for key in _keyword_defaults(protocol)}
-    reports = []
-    for kind in kinds:
-        factory = make_factory(kind, cfg, stopwords)
-        report = protocol(dataset, factory, **protocol_settings)
-        _write_report(write_runs_csv, report, paths[kind])
-        _write_report(write_summary_csv, report, paths[f"{kind}_summary"])
-        reports.append(report)
-    print(format_summary_table(reports, dataset.name))
-    if len(reports) == 2:
-        rows = compare_reports(reports[0], reports[1])
-        _write_report(write_ttest_csv, rows, paths["ttest"])
-        print(format_ttest_block(rows, reports[0].classifier, reports[1].classifier))
-    return EXIT_OK
+        raise ConfigError(f"cannot create output directory {path}: {exc}") from None
+    try:
+        yield path
+    except Exception:
+        for directory in made:
+            try:
+                directory.rmdir()
+            except OSError:  # it holds a report the run wrote before it failed
+                break
+        raise
 
 
 def cmd_report(args) -> int:

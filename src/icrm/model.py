@@ -22,12 +22,17 @@ template per ``n_a``, whose prefixes serve shorter samples. The swaps of
 depend only on the length, so the shuffled template is that permutation
 floor-divided by ``n_a`` and leaves the generator in the same state. When
 no sampled feature is extinct, binding is one comparison of the draws with
-E / (E + R); a sample holding an extinct feature, whose slots stay empty,
-takes a masked path. Each slot's gain is looked up by the binding codes of
-its pair, in a table of negated gains cached per proliferation amount, and
-summed per feature with ``np.bincount`` in slot order. The sums are of negated
-gains, and interaction subtracts them: x - (-d) is x + d exactly, and a
-side that gained nothing has a sum of +0.0, which leaves every x, -0.0
+E / (E + R), whose bytes are the slots' ``uint8`` binding codes; a sample
+holding an extinct feature, whose slots stay empty, takes a masked path.
+Interaction reads each slot pair's two codes as one ``uint16`` key (an
+odd total gets an empty slot appended) and looks both slots' gains up in
+one row of a table of negated gains, cached per proliferation amount; the
+table's keys are the nine code pairs viewed the same way, so byte order
+never enters. The gains are summed per feature with ``np.bincount`` in
+slot order. The sums are of negated gains, and interaction subtracts
+them, writing each row's (E, R) back as one complex through the same
+view decay clears rows through: x - (-d) is x + d exactly, and a side
+that gained nothing has a sum of +0.0, which leaves every x, -0.0
 included, as it was. The pass draws the same random numbers in the same
 order as the per-slot loops in ``tests/model_reference.py`` and is
 bit-identical to them.
@@ -355,12 +360,13 @@ def build_slot_array(
     e = pops[:, 0]
     mass = e + pops[:, 1]
     if np.count_nonzero(mass) == len(sample):
-        # no extinct feature: a draw below E / (E + R) binds an effector
-        bound = (draws >= (e / mass)[index]).astype(np.int64)
+        # no extinct feature: a draw below E / (E + R) binds an effector (0),
+        # any other a regulator (1), read straight off the comparison's bytes
+        bound = (draws >= (e / mass)[index]).view(np.uint8)
     else:
         live = mass > 0.0
         p_effector = np.divide(e, mass, out=np.zeros(len(sample)), where=live)
-        bound = np.where(draws < p_effector[index], BIND_E, BIND_R)
+        bound = np.where(draws < p_effector[index], BIND_E, BIND_R).astype(np.uint8)
         bound[~live[index]] = BIND_EMPTY
     return SlotArray(sample, index, bound, rows, rep)
 
@@ -394,12 +400,14 @@ def _proliferates(code: int, partner: int) -> bool:
     return False
 
 
-# Row 3 * a + b, over the three binding codes: 1.0 for each slot of an
-# (a, b) pair that proliferates.
-_PAIR_GAINS = np.array(
-    [[_proliferates(a, b), _proliferates(b, a)] for a in range(3) for b in range(3)],
-    dtype=np.float64,
-)
+# The nine (a, b) pairs of binding codes, and each pair's key: the uint16
+# its two uint8 codes read as in memory, so byte order never enters.
+_PAIRS = [(a, b) for a in range(3) for b in range(3)]
+_PAIR_KEYS = np.array(_PAIRS, dtype=np.uint8).view(np.uint16).ravel()
+# Row key: 1.0 for each slot of the keyed pair that proliferates; 0.0 in
+# every row no pair reads.
+_PAIR_GAINS = np.zeros((_PAIR_KEYS.max() + 1, 2))
+_PAIR_GAINS[_PAIR_KEYS] = [(_proliferates(a, b), _proliferates(b, a)) for a, b in _PAIRS]
 
 
 @lru_cache(maxsize=256)
@@ -420,12 +428,13 @@ def interact(rep: Repertoire, slots: SlotArray, cfg: IcrmConfig) -> Repertoire:
     """
     total = len(slots)
     if total:
-        bound = slots.bound
+        codes = slots.bound.astype(np.uint8, copy=False)
         if total % 2:
-            bound = np.append(bound, BIND_EMPTY)
-        # each slot's gain, negated, looked up by its pair's two codes
+            codes = np.append(codes, np.uint8(BIND_EMPTY))
+        # each slot's gain, negated, looked up by its pair's two codes read
+        # as one uint16 key
         slot_loss = _pair_loss(cfg.proliferation).take(
-            3 * bound[::2] + bound[1::2], 0
+            codes.view(np.uint16), 0
         ).ravel()[:total]
         # bincount sums each feature's losses in slot order, as a running sum
         # would: row i of loss is minus feature i's (E, R) gain. An empty slot
@@ -434,12 +443,14 @@ def interact(rep: Repertoire, slots: SlotArray, cfg: IcrmConfig) -> Repertoire:
         width = 2 * len(slots.keys)
         loss = np.bincount(
             2 * slots.index + slots.bound, weights=slot_loss, minlength=width
-        )[:width].reshape(-1, 2)
+        )[:width]
         rows = slots.rows if slots.repertoire is rep else rep.find(slots.keys)
-        # x - (-d) is x + d, rounding being symmetric in sign, and a side that
-        # gained nothing keeps its bits: x - (+0.0) is x, also for x = -0.0
-        pops = rep._pops
-        pops[rows] = pops.take(rows, 0) - loss
+        # each row's (E, R) as one complex, as decay clears them: complex
+        # subtraction subtracts each part alone. x - (-d) is x + d, rounding
+        # being symmetric in sign, and a side that gained nothing keeps its
+        # bits: x - (+0.0) is x, also for x = -0.0
+        cells = rep._pops.reshape(-1).view(np.complex128)
+        cells[rows] = cells.take(rows) - loss.view(np.complex128)
     return decay(rep, cfg)
 
 

@@ -2,6 +2,7 @@
 
 import base64
 import csv
+import functools
 import hashlib
 import inspect
 import io
@@ -19,7 +20,7 @@ from hypothesis import HealthCheck, event, example, given, settings, strategies 
 from icrm import cli, ranges
 from icrm.cli import DEFAULTS, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from icrm.corpus import HAM, SPAM, read_canonical, read_message_file, write_canonical
-from icrm.evaluation import check_settings, eval_dynamic, eval_static
+from icrm.evaluation import EvalError, check_settings, eval_dynamic, eval_static
 from icrm.files import write_state
 from icrm.model import IcrmClassifier, IcrmConfig, SnapshotError
 from icrm.synth import synthetic_dataset
@@ -739,6 +740,77 @@ def test_eval_near_its_edges(tmp_path, edge_corpus, capsys, mode, model, flags, 
         assert err.startswith("icrm: ") and err.count("\n") == 1, err
     else:
         assert err == ""
+
+
+@pytest.fixture(scope="module")
+def short_corpus(tmp_path_factory):
+    """200 messages per class; the shared vocabulary keeps ICRM and NB apart."""
+    path = tmp_path_factory.mktemp("short") / "short.jsonl"
+    write_canonical(synthetic_dataset(n_ham=200, n_spam=200, shared_vocab=120, seed=3), path)
+    return path
+
+
+@pytest.mark.parametrize("mode, flags, alone", [
+    ("static", ["--runs", "2", "--train-per-class", "50"], ("icrm", "nb")),
+    ("dynamic", ["--window", "100"], ("icrm", "nb")),
+    ("dynamic", ["--window", "100", "--death-rate", "0.02"], ("icrm",)),
+], ids=["static", "dynamic", "forgetting-dynamic"])
+def test_each_model_alone_writes_the_csvs_it_writes_beside_the_other(
+    tmp_path, short_corpus, capsys, mode, flags, alone
+):
+    """Neither model's results depend on the message memo the two share."""
+    for model in ("both", *alone):
+        code = main(["eval", mode, model, *flags, "--data", str(short_corpus),
+                     "--out", str(tmp_path / model)])
+        assert code == EXIT_OK, capsys.readouterr().err
+    both = {path.name: path.read_bytes() for path in (tmp_path / "both").glob("*.csv")}
+    for model in alone:
+        written = {path.name: path.read_bytes() for path in (tmp_path / model).glob("*.csv")}
+        assert sorted(written) == [f"{mode}_{model}.csv", f"{mode}_{model}_summary.csv"]
+        assert written == {name: both[name] for name in written}
+    assert both[f"{mode}_icrm.csv"] != both[f"{mode}_nb.csv"]
+
+
+@pytest.mark.parametrize("flags", [
+    ["dynamic", "both", "--window", "5000"], ["static", "both", "--runs", "50"],
+], ids=["dynamic-window-5000", "static-runs-50"])
+def test_a_refused_eval_removes_the_out_directories_it_made(
+    tmp_path, short_corpus, capsys, flags
+):
+    (tmp_path / "kept").mkdir()
+    for out in (tmp_path / "made" / "out", tmp_path / "kept", tmp_path / "kept" / "out"):
+        code = main(["eval", *flags, "--data", str(short_corpus), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA, err
+        assert err.startswith("icrm: error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "made").exists()
+    assert list(tmp_path.iterdir()) == [tmp_path / "kept"]
+    assert not any((tmp_path / "kept").iterdir())
+
+
+def test_a_refused_eval_keeps_the_reports_it_wrote(
+    tmp_path, short_corpus, capsys, monkeypatch
+):
+    """The second model's refusal leaves the first model's reports, and the
+    directories that hold them, in place."""
+    calls = []
+
+    @functools.wraps(eval_static)  # the parser reads the protocol's keywords
+    def refuse_second(dataset, factory, **settings):
+        calls.append(factory)
+        if len(calls) == 2:
+            raise EvalError("the second model is refused")
+        return eval_static(dataset, factory, **settings)
+
+    monkeypatch.setitem(cli._PROTOCOLS, "static", refuse_second)
+    out = tmp_path / "made" / "out"
+    code = main(["eval", "static", "both", "--runs", "2", "--train-per-class", "50",
+                 "--data", str(short_corpus), "--out", str(out)])
+    assert code == EXIT_DATA, capsys.readouterr().err
+    assert len(calls) == 2
+    assert sorted(path.name for path in out.iterdir()) == [
+        "static_icrm.csv", "static_icrm_summary.csv",
+    ]
 
 
 @pytest.mark.parametrize("mode, model", [

@@ -62,33 +62,44 @@ def inputs(tmp_path_factory) -> Path:
     # a generator state holding 1.5, which numpy would read as 1
     _damaged_state(root / "rng-float.json", lambda s: s["rng_state"]["state"].update(
         state=1.5))
+    # a record holding an id and none of the other fields
+    (root / "fieldless.jsonl").write_text('{"id": "a"}\n', encoding="utf-8")
     (root / "msg.txt").write_text("Subject: cheap pills offer\nmeeting agenda for monday\n")
     return root
 
 
 _EVAL = ["eval", "static", "both", "--data", "short.jsonl"]
 
+# (exit code, argv, a text the stderr line must hold)
 _REFUSALS = [
-    (EXIT_USAGE, []),
-    (EXIT_USAGE, ["bogus"]),
-    (EXIT_USAGE, ["classify"]),
-    (EXIT_USAGE, ["ingest", "missing-dir", "refused.jsonl", "--limit", "0"]),
-    (EXIT_USAGE, [*_EVAL, "--window", "50", "--out", "refused"]),
-    (EXIT_USAGE, [*_EVAL, "--runs", "1", "--out", "refused"]),
+    (EXIT_USAGE, [], "required: command"),
+    (EXIT_USAGE, ["bogus"], "invalid choice: 'bogus'"),
+    (EXIT_USAGE, ["classify"], "required: state_file, message_file"),
+    (EXIT_USAGE, ["ingest", "missing-dir", "refused.jsonl", "--limit", "0"],
+     "limit must be >= 1, got 0"),
+    (EXIT_USAGE, [*_EVAL, "--window", "50", "--out", "refused"], "does not read --window"),
+    (EXIT_USAGE, [*_EVAL, "--runs", "1", "--out", "refused"], "needs runs >= 2, got 1"),
     (EXIT_USAGE, ["eval", "static", "nb", "--data", "short.jsonl",
-                  "--test-size", str(10**400), "--out", "refused"]),
+                  "--test-size", str(10**400), "--out", "refused"], "test_size must be <="),
     (EXIT_USAGE, ["eval", "dynamic", "icrm", "--data", "short.jsonl",
-                  "--proliferation", "1e308", "--out", "refused"]),
+                  "--proliferation", "1e308", "--out", "refused"], "proliferation must be <="),
     (EXIT_USAGE, ["eval", "dynamic", "icrm", "--data", "short.jsonl",
-                  "--config", "huge-populations.conf", "--out", "refused"]),
-    (EXIT_DATA, ["eval", "dynamic", "both", "--data", "short.jsonl", "--out", "refused"]),
-    (EXIT_DATA, ["eval", "static", "nb", "--data", "compact-date.jsonl", "--out", "refused"]),
-    (EXIT_DATA, ["classify", "long-int.json", "msg.txt"]),
-    (EXIT_DATA, ["classify", "huge-state.json", "msg.txt"]),
-    (EXIT_DATA, ["classify", "int-features.json", "msg.txt"]),
-    (EXIT_DATA, ["classify", "rng-float.json", "msg.txt"]),
+                  "--config", "huge-populations.conf", "--out", "refused"], "e0_ham must be <="),
+    (EXIT_DATA, ["eval", "dynamic", "both", "--data", "short.jsonl", "--out", "refused"],
+     "holds 1 window(s)"),
+    (EXIT_DATA, ["eval", "static", "nb", "--data", "compact-date.jsonl", "--out", "refused"],
+     "compact-date.jsonl: line 1: bad timestamp"),
+    (EXIT_DATA, ["eval", "static", "icrm", "--data", "fieldless.jsonl", "--out", "refused"],
+     "fieldless.jsonl: line 1: missing field"),
+    (EXIT_DATA, ["classify", "long-int.json", "msg.txt"],
+     "cannot read icrm-state file long-int.json"),
+    (EXIT_DATA, ["classify", "huge-state.json", "msg.txt"], "sum past the largest float"),
+    (EXIT_DATA, ["classify", "int-features.json", "msg.txt"],
+     "features must be a list of strings"),
+    (EXIT_DATA, ["classify", "rng-float.json", "msg.txt"],
+     "rng_state does not read back unchanged"),
     # a refusal that quotes a line break still prints one line
-    (EXIT_DATA, ["report", "a\nb"]),
+    (EXIT_DATA, ["report", "a\nb"], "not a report directory"),
 ]
 
 
@@ -97,9 +108,9 @@ def _case_id(argv: list[str]) -> str:
 
 
 @pytest.mark.parametrize(
-    "code, argv", _REFUSALS, ids=[_case_id(argv) for _, argv in _REFUSALS]
+    "code, argv, named", _REFUSALS, ids=[_case_id(argv) for _, argv, _ in _REFUSALS]
 )
-def test_a_refusal_exits_with_its_code_and_one_stderr_line(inputs, code, argv):
+def test_a_refusal_exits_with_its_code_and_one_stderr_line(inputs, code, argv, named):
     env = dict(os.environ, PYTHONPATH=str(_SRC), PYTHONWARNINGS="error::RuntimeWarning")
     out = subprocess.run(
         [sys.executable, "-m", "icrm.cli", *argv],
@@ -109,3 +120,4 @@ def test_a_refusal_exits_with_its_code_and_one_stderr_line(inputs, code, argv):
     assert out.returncode == code, err
     assert err.endswith("\n") and len(err.splitlines()) == 1, err
     assert err.startswith("icrm: ") and "Traceback" not in err, err
+    assert named in err, err

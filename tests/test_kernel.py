@@ -37,6 +37,7 @@ from icrm.model import (
     init_features,
     _SLOT_TEMPLATES,
     _pair_loss,
+    _proliferates,
     _slot_template,
     interact,
     process_message,
@@ -160,6 +161,50 @@ def test_cached_tables_are_read_only():
     with pytest.raises(ValueError):
         loss[0, 0] = 1.0
     assert template.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]
+
+
+@pytest.mark.parametrize("proliferation", [5e-324, 0.02, 1.5])
+def test_pair_loss_row_at_each_pair_key_is_its_negated_gains(proliferation):
+    """Interaction reads a slot pair's two uint8 codes as one uint16 key."""
+    loss = _pair_loss(proliferation)
+    for a in (BIND_E, BIND_R, BIND_EMPTY):
+        for b in (BIND_E, BIND_R, BIND_EMPTY):
+            key = np.array([a, b], dtype=np.uint8).view(np.uint16)[0]
+            gains = np.array([_proliferates(a, b), _proliferates(b, a)], dtype=np.float64)
+            want = -proliferation * gains
+            assert [x.hex() for x in loss[key].tolist()] == [x.hex() for x in want.tolist()]
+
+
+@pytest.mark.parametrize("n_slots", [1, 2, 7, 8, 13, 14])
+@pytest.mark.parametrize("death_rate", [0.0, 0.3])
+def test_interact_reads_uint8_and_int64_codes_alike(n_slots, death_rate):
+    """The codes build_slot_array lays out (uint8) and those hand_slots
+    builds (int64) leave the same populations, for even and odd slot
+    totals and every binding code."""
+    rng = np.random.default_rng(n_slots)
+    cfg = IcrmConfig(proliferation=0.37, death_rate=death_rate)
+    for _ in range(200):
+        rep = _random_repertoire(rng, 4)
+        names = list(rep)
+        features = [names[int(rng.integers(len(names)))] for _ in range(n_slots)]
+        bound = [int(rng.integers(0, 3)) for _ in range(n_slots)]
+        wide = hand_slots(features, bound)
+        narrow = hand_slots(features, bound)
+        narrow.bound = narrow.bound.astype(np.uint8)
+        assert (wide.bound.dtype, narrow.bound.dtype) == (np.int64, np.uint8)
+        wide_rep, narrow_rep = Repertoire(rep), Repertoire(rep)
+        interact(wide_rep, wide, cfg)
+        interact(narrow_rep, narrow, cfg)
+        assert _bits(narrow_rep) == _bits(wide_rep)
+        assert narrow.bound.tolist() == wide.bound.tolist() == bound
+
+
+@pytest.mark.parametrize("extinct", [False, True], ids=["live", "masked"])
+def test_binding_codes_are_uint8_on_both_paths(extinct):
+    rep = Repertoire({"a": (2.0, 1.0), "b": (0.0, 0.0) if extinct else (1.0, 4.0)})
+    slots = build_slot_array(["a", "b"], rep, IcrmConfig(n_a=5), np.random.default_rng(3))
+    assert slots.bound.dtype == np.uint8 and len(slots) == 10
+    assert (BIND_EMPTY in slots.bound.tolist()) == extinct
 
 
 def test_slot_template_cache_holds_one_template_per_n_a():
