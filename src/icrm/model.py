@@ -30,19 +30,25 @@ one row of a table of negated gains, cached per proliferation amount; the
 table's keys are the nine code pairs viewed the same way, so byte order
 never enters. The gains are summed per feature with ``np.bincount`` in
 slot order. The sums are of negated gains, and interaction subtracts
-them, writing each row's (E, R) back as one complex through the same
-view decay clears rows through: x - (-d) is x + d exactly, and a side
-that gained nothing has a sum of +0.0, which leaves every x, -0.0
-included, as it was. The pass draws the same random numbers in the same
-order as the per-slot loops in ``tests/model_reference.py`` and is
+them from the (E, R) pairs binding gathered, each row one complex, and
+writes them back: x - (-d) is x + d exactly, and a side that gained
+nothing has a sum of +0.0, which leaves every x, -0.0 included, as it
+was. The pass draws the same random numbers in the same order as the
+per-slot loops in ``tests/model_reference.py`` and is
 bit-identical to them.
 
-The repertoire stores a feature -> row dict and one float64 array whose
-two columns are E and R, doubling its capacity when full. A message's rows
-are looked up once, when it is bound, and carried to interaction and
-scoring; each step gathers or scatters the populations of those rows.
-Those rows belong to the repertoire that bound the slots: any other
-repertoire the slots are applied to looks their features up again.
+The repertoire stores a feature -> row dict and one complex array that
+holds each row as E + iR, E and R side by side as float64s, doubling its
+capacity when full. A message's rows come from :meth:`Repertoire.add`,
+which returns the sample's rows after appending the first-seen ones, and
+binding hands them on instead of looking the sample up again. Binding
+gathers the rows' (E, R) pairs once; interaction subtracts its losses
+from those pairs and scatters the results back, and scoring reads the
+pairs interaction wrote. With a nonzero death rate, decay scales every
+row after interaction, so scoring gathers the rows again. The rows and
+pairs belong to the repertoire that bound the slots: any other
+repertoire the slots are applied to looks their features up and gathers
+them again.
 
 Populations only grow unless a per-message death rate is configured, in
 which case every known feature decays multiplicatively after each
@@ -62,7 +68,7 @@ populations stay bit-identical to it.
 A message's verdict is the sum of per-feature scores
 ``(R - E) / sqrt(R^2 + E^2)`` over its sample, read after the message's
 own interaction pass; a non-positive sum means spam. A verdict's scores
-come from one gather of its rows into Python floats, each scored by
+come from those pairs as Python floats, each scored by
 :func:`score_feature`, which divides by ``math.hypot`` (``np.hypot`` can
 be an ulp off it); a (0, 0) feature scores +0.0. Their sum is
 ``math.fsum``'s, correctly rounded. :meth:`IcrmClassifier.classify`
@@ -96,7 +102,7 @@ import sys
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, fields
 from functools import lru_cache, partial
-from itertools import chain, starmap
+from itertools import chain
 from operator import attrgetter
 from typing import Iterable, Sequence
 
@@ -177,9 +183,10 @@ class Repertoire(Mapping):
     :func:`decay` reads a true one. Rows are handed out in
     insertion order and never move, so iteration follows first sight.
     Reading a feature gives a tuple of Python floats; :meth:`add` appends
-    rows for new features. A state file of version 2 keeps the rows in
-    this order; one of version 1 listed features sorted, so a repertoire
-    loaded from it iterates in sorted order.
+    rows for new features and returns the rows of all it was given. A
+    state file of version 2 keeps the rows in this order; one of version 1
+    listed features sorted, so a repertoire loaded from it iterates in
+    sorted order.
 
     Every row is valid however the repertoire was made: its feature a
     ``str``, each population finite and >= 0, and each E + R finite,
@@ -214,51 +221,55 @@ class Repertoire(Mapping):
         self.rows: dict[str, int] = dict(zip(features, range(len(pops)), strict=True))
         if len(self.rows) != len(pops):
             raise ValueError("repeated feature")
-        self._pops = np.empty((max(len(pops), _INITIAL_ROWS), 2))
-        self._pops[: len(pops)] = pops
+        # each row as one complex E + iR: E and R side by side in memory
+        self._cells = np.empty(max(len(pops), _INITIAL_ROWS), np.complex128)
+        self._cells.view(np.float64)[: pops.size] = pops.reshape(-1)
         # a lower bound on max(E, R) over the rows; see decay
         self._floor = float(np.maximum(pops[:, 0], pops[:, 1]).min(initial=math.inf))
 
     @property
     def populations(self) -> np.ndarray:
         """A read-only view of the used rows: column 0 is E, column 1 is R."""
-        view = self._pops[: len(self.rows)]
+        view = self._cells[: len(self.rows)].view(np.float64).reshape(-1, 2)
         view.flags.writeable = False
         return view
 
-    def add(self, features: Iterable[str], pops: tuple[float, float]) -> None:
-        """Append a row set to ``pops`` for each feature not yet present.
+    def add(self, features: Sequence[str], pops: tuple[float, float]) -> np.ndarray:
+        """Append a row set to ``pops`` for each feature not yet present,
+        then return the row of each of ``features``, in order.
 
-        A pair that is not finite and >= 0, or whose sum overflows, or a
-        new feature that is not a ``str``, is a ValueError, raised before
-        the repertoire changes.
+        First-seen features get rows in first-sight order; one given twice
+        gets one new row, which both its positions return. A pair that is
+        not finite and >= 0, or whose sum overflows, or a new feature that
+        is not a ``str``, is a ValueError, raised before the repertoire
+        changes.
         """
         e, r = pops
         _check_pair(e, r, "populations")
         rows = self.rows
         new = [feature for feature in features if feature not in rows]
-        if not new:
-            return
-        check_features(new)
-        start = end = len(rows)
-        for feature in new:
-            if feature not in rows:  # a feature given twice gets one row
-                rows[feature] = end
-                end += 1
-        if end > len(self._pops):
-            grown = np.empty((max(end, 2 * len(self._pops)), 2))
-            grown[:start] = self._pops[:start]
-            self._pops = grown
-        self._pops[start:end] = e, r
-        self._floor = min(self._floor, max(e, r))
+        if new:
+            check_features(new)
+            start = end = len(rows)
+            for feature in new:
+                if feature not in rows:  # a feature given twice gets one row
+                    rows[feature] = end
+                    end += 1
+            if end > len(self._cells):
+                grown = np.empty(max(end, 2 * len(self._cells)), np.complex128)
+                grown[:start] = self._cells[:start]
+                self._cells = grown
+            self._cells[start:end] = complex(e, r)
+            self._floor = min(self._floor, max(e, r))
+        return self.find(features)
 
     def find(self, features: Sequence[str]) -> np.ndarray:
         """The rows of ``features``; a feature never seen is a KeyError."""
         return np.fromiter(map(self.rows.__getitem__, features), np.intp, len(features))
 
     def __getitem__(self, feature: str) -> tuple[float, float]:
-        e, r = self._pops[self.rows[feature]].tolist()
-        return (e, r)
+        # the row as a one-element array, whose float view is (E, R)
+        return tuple(self._cells[self.rows[feature], None].view(np.float64).tolist())
 
     def __contains__(self, feature) -> bool:
         return feature in self.rows
@@ -288,19 +299,24 @@ class SlotArray:
     ``keys`` are the message's distinct features, ``index`` gives each
     slot's position in ``keys`` and ``bound`` each slot's binding code.
     ``rows`` are the keys' rows in ``repertoire``, the :class:`Repertoire`
-    that bound the slots; ``interact`` uses them for that repertoire only
-    and looks the keys up in any other. ``keys`` is the sample
-    ``build_slot_array`` was given, not a copy, so the caller must not
-    change it afterwards: :func:`present_message` always passes the fresh
-    list ``preprocess`` returns.
+    the slots are bound to, and ``pops`` those rows' (E, R) pairs, each one
+    complex E + iR: as binding gathered them, then as :func:`interact`
+    wrote them (before decay). ``interact`` subtracts its losses from
+    ``pops`` on that repertoire, so slots interact once, right after
+    binding, as :func:`present_message` has them; any other repertoire
+    looks the keys up and gathers their rows again, and the slots are
+    bound to it from then on. ``keys`` is the sample ``build_slot_array``
+    was given, not a copy, so the caller must not change it afterwards:
+    :func:`present_message` always passes the fresh list ``preprocess``
+    returns.
     """
 
     def __init__(
         self, keys: list[str], index: np.ndarray, bound: np.ndarray,
-        rows: np.ndarray | None, repertoire: Repertoire | None,
+        rows: np.ndarray | None, pops: np.ndarray | None, repertoire: Repertoire | None,
     ):
         self.keys, self.index, self.bound = keys, index, bound
-        self.rows, self.repertoire = rows, repertoire
+        self.rows, self.pops, self.repertoire = rows, pops, repertoire
 
     def __len__(self) -> int:
         return len(self.index)
@@ -322,21 +338,21 @@ def score_feature(e: float, r: float) -> float:
 
 
 def init_features(
-    rep: Repertoire, sample: Iterable[str], stage: str, cfg: IcrmConfig
-) -> Repertoire:
-    """Insert first-seen features at the stage's initial populations.
+    rep: Repertoire, sample: Sequence[str], stage: str, cfg: IcrmConfig
+) -> np.ndarray:
+    """Insert first-seen features at the stage's initial populations and
+    return the sample's rows, in sample order (see :meth:`Repertoire.add`).
 
     Features already in the repertoire keep their populations: memory
     persists across messages and stages. New features get their rows in
     one append.
     """
-    rep.add(sample, cfg.initial_populations(stage))
-    return rep
+    return rep.add(sample, cfg.initial_populations(stage))
 
 
 def build_slot_array(
     sample: list[str], rep: Repertoire, cfg: IcrmConfig,
-    rng: np.random.Generator,
+    rng: np.random.Generator, rows: np.ndarray,
 ) -> SlotArray:
     """Lay out n_a slots per sampled feature and bind cells to them.
 
@@ -345,6 +361,10 @@ def build_slot_array(
     a regulator otherwise, and stays empty when both populations are zero.
     The sample's features must be distinct, as ``preprocess`` returns them:
     a repeated one is a ValueError, raised before the generator draws.
+    ``rows`` are the sample's rows in ``rep``, as :func:`init_features`
+    returns them, so the sample is not looked up again. The rows' (E, R)
+    pairs are gathered once and carried on the slots to :func:`interact`
+    (see :class:`SlotArray`).
     """
     # interact writes each feature's summed gains to its row once, so a
     # repeated feature would lose all but one of its gains
@@ -355,10 +375,9 @@ def build_slot_array(
     index = _slot_template(len(sample), cfg.n_a).copy()
     rng.shuffle(index)
     draws = rng.random(len(index))
-    rows = rep.find(sample)
-    pops = rep._pops.take(rows, 0)
-    e = pops[:, 0]
-    mass = e + pops[:, 1]
+    pops = rep._cells.take(rows)
+    e = pops.real
+    mass = e + pops.imag
     if np.count_nonzero(mass) == len(sample):
         # no extinct feature: a draw below E / (E + R) binds an effector (0),
         # any other a regulator (1), read straight off the comparison's bytes
@@ -368,7 +387,7 @@ def build_slot_array(
         p_effector = np.divide(e, mass, out=np.zeros(len(sample)), where=live)
         bound = np.where(draws < p_effector[index], BIND_E, BIND_R).astype(np.uint8)
         bound[~live[index]] = BIND_EMPTY
-    return SlotArray(sample, index, bound, rows, rep)
+    return SlotArray(sample, index, bound, rows, pops, rep)
 
 
 # n_a -> the read-only slot template of the longest sample seen at that n_a
@@ -433,24 +452,24 @@ def interact(rep: Repertoire, slots: SlotArray, cfg: IcrmConfig) -> Repertoire:
             codes = np.append(codes, np.uint8(BIND_EMPTY))
         # each slot's gain, negated, looked up by its pair's two codes read
         # as one uint16 key
-        slot_loss = _pair_loss(cfg.proliferation).take(
-            codes.view(np.uint16), 0
-        ).ravel()[:total]
+        table = _pair_loss(cfg.proliferation)
+        slot_loss = table.take(codes.view(np.uint16), 0).ravel()[:total]
         # bincount sums each feature's losses in slot order, as a running sum
         # would: row i of loss is minus feature i's (E, R) gain. An empty slot
         # loses -0.0, which changes no sum, so its target (the next feature's
         # E side, or one past the end) does not matter
         width = 2 * len(slots.keys)
-        loss = np.bincount(
-            2 * slots.index + slots.bound, weights=slot_loss, minlength=width
-        )[:width]
-        rows = slots.rows if slots.repertoire is rep else rep.find(slots.keys)
+        targets = 2 * slots.index + slots.bound
+        loss = np.bincount(targets, weights=slot_loss, minlength=width)[:width]
+        if slots.repertoire is not rep:  # bound elsewhere: bind the rows here
+            slots.rows = rep.find(slots.keys)
+            slots.pops, slots.repertoire = rep._cells.take(slots.rows), rep
         # each row's (E, R) as one complex, as decay clears them: complex
         # subtraction subtracts each part alone. x - (-d) is x + d, rounding
         # being symmetric in sign, and a side that gained nothing keeps its
         # bits: x - (+0.0) is x, also for x = -0.0
-        cells = rep._pops.reshape(-1).view(np.complex128)
-        cells[rows] = cells.take(rows) - loss.view(np.complex128)
+        slots.pops = pops = slots.pops - loss.view(np.complex128)
+        rep._cells[slots.rows] = pops
     return decay(rep, cfg)
 
 
@@ -466,14 +485,14 @@ def decay(rep: Repertoire, cfg: IcrmConfig) -> Repertoire:
     rate = cfg.death_rate
     if rate > 0.0:
         keep = 1.0 - rate
-        pops = rep._pops[: len(rep.rows)]
-        pops *= keep
+        cells = rep._cells[: len(rep.rows)]
+        flat = cells.view(np.float64)  # E0, R0, E1, R1, ...
+        flat *= keep
         rep._floor *= keep
         if not rep._floor >= _ZERO_CLAMP:  # a NaN bound tests too
-            flat = pops.reshape(-1)
             # a row's two flags as one uint16: 0x0101 where both are set
             dead = (flat < _ZERO_CLAMP).view(np.uint16) == 0x0101
-            np.putmask(flat.view(np.complex128), dead, 0)
+            np.putmask(cells, dead, 0)
     return rep
 
 
@@ -495,8 +514,8 @@ def present_message(
     """
     stage = training_label(msg) if train else TEST
     sample = preprocess(msg, cfg.n, stopwords, cfg.feature_sampler, rng)
-    init_features(rep, sample, stage, cfg)
-    slots = build_slot_array(sample, rep, cfg, rng)
+    rows = init_features(rep, sample, stage, cfg)
+    slots = build_slot_array(sample, rep, cfg, rng, rows)
     interact(rep, slots, cfg)
     return slots
 
@@ -519,7 +538,7 @@ def process_message(
     """
     slots = present_message(rep, msg, train, cfg, rng, stopwords)
     # the sample is distinct, so the slots' keys are the sample in order
-    scores, score = _exact_scores(rep._pops.take(slots.rows, 0))
+    scores, score = _exact_scores(_scored_pops(rep, slots, cfg))
     return Verdict(
         score=score,
         per_feature=list(zip(slots.keys, scores)),
@@ -527,16 +546,25 @@ def process_message(
     )
 
 
+def _scored_pops(rep: Repertoire, slots: SlotArray, cfg: IcrmConfig) -> np.ndarray:
+    """The slots' rows as their message's interaction and decay left them,
+    each one complex E + iR: the values interaction wrote or, with decay
+    on, which scales every row after them, the rows gathered again."""
+    return slots.pops if cfg.death_rate == 0.0 else rep._cells.take(slots.rows)
+
+
 def _exact_scores(pops: np.ndarray) -> tuple[list[float], float]:
-    """Each (E, R) row's score, the float :func:`score_feature` gives, and
-    the correctly rounded sum of those scores (``math.fsum``)."""
-    scores = list(starmap(score_feature, pops.tolist()))
+    """Each row's score, the float :func:`score_feature` gives, and the
+    correctly rounded sum of those scores (``math.fsum``); ``pops`` holds
+    each row as one complex E + iR."""
+    scores = list(map(score_feature, pops.real.tolist(), pops.imag.tolist()))
     return scores, math.fsum(scores)
 
 
 def _label(pops: np.ndarray, floor: float) -> str:
-    """The label of the exact score sum of the (E, R) rows ``pops``, read
-    from a numpy sum where an error bound proves its sign.
+    """The label of the exact score sum of the rows ``pops``, each one
+    complex E + iR, read from a numpy sum where an error bound proves its
+    sign.
 
     ``floor`` is a lower bound on max(E, R) over every row that is not
     (+0.0, +0.0): :class:`Repertoire` keeps one as ``_floor``, because
@@ -583,7 +611,7 @@ def _label(pops: np.ndarray, floor: float) -> str:
     """
     n = len(pops)
     if n and floor >= sys.float_info.min:
-        e, r = pops[:, 0], pops[:, 1]
+        e, r = pops.real, pops.imag
         approx = float(((r - e) / np.maximum(np.hypot(r, e), 5e-324)).sum())
         if abs(approx) > 4e-16 * n * (n + 4) + n * 1e-320:
             return SPAM if approx < 0.0 else HAM
@@ -626,9 +654,9 @@ class IcrmClassifier:
     def classify(self, msg: Message) -> str:
         """``verdict(msg).label``, leaving the same repertoire and random
         stream, without the per-feature scores (see :func:`_label`)."""
-        rep = self.repertoire
-        slots = present_message(rep, msg, False, self.config, self.rng, self.stopwords)
-        return _label(rep._pops.take(slots.rows, 0), rep._floor)
+        rep, cfg = self.repertoire, self.config
+        slots = present_message(rep, msg, False, cfg, self.rng, self.stopwords)
+        return _label(_scored_pops(rep, slots, cfg), rep._floor)
 
     # -- persistence ---------------------------------------------------
 

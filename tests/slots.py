@@ -5,12 +5,13 @@ features and binds them to a repertoire. The interaction-law tests want
 slots spelled feature by feature instead, repeats included: ``hand_slots``
 interns them into the kernel's ``keys`` and ``index`` and binds them to no
 repertoire, so ``interact`` looks their keys up in the repertoire it is
-given. ``slot_features`` spells any slot array's features back out.
+given. ``slot_features`` spells any slot array's features back out, and
+``bind`` lays a sample out on the rows a repertoire holds for it.
 """
 
 import numpy as np
 
-from icrm.model import SlotArray
+from icrm.model import SlotArray, build_slot_array
 
 
 def hand_slots(features, bound) -> SlotArray:
@@ -18,10 +19,16 @@ def hand_slots(features, bound) -> SlotArray:
     keys = list(dict.fromkeys(features))
     position = {feature: i for i, feature in enumerate(keys)}
     index = np.array([position[feature] for feature in features], dtype=np.int64)
-    return SlotArray(keys, index, np.array(bound, dtype=np.int64), None, None)
+    return SlotArray(keys, index, np.array(bound, dtype=np.int64), None, None, None)
 
 
 def slot_features(slots: SlotArray) -> list[str]:
     """Each slot's feature, in slot order."""
     keys = slots.keys
     return [keys[i] for i in slots.index.tolist()]
+
+
+def bind(sample, rep, cfg, rng) -> SlotArray:
+    """``build_slot_array`` on the sample's rows in ``rep``, as
+    ``present_message`` hands them on from ``init_features``."""
+    return build_slot_array(sample, rep, cfg, rng, rep.find(sample))

@@ -1,9 +1,11 @@
-"""The console entry point's refusals, run as the ``icrm`` script runs them.
+"""The console entry point, run as the ``icrm`` script runs it.
 
-Each case starts a fresh interpreter on ``python -m icrm.cli`` and checks
-the documented exit code (1 for usage, 2 for data), exactly one line on
-stderr and no traceback. The inputs are a short synthetic corpus and
-damaged copies of what the library writes, built once per module.
+Each refusal starts a fresh interpreter on ``python -m icrm.cli`` and
+checks the documented exit code (1 for usage, 2 for data), exactly one
+line on stderr and no traceback. The inputs are a short synthetic corpus
+and damaged copies of what the library writes, built once per module.
+The same corpus trains the states whose load -> save must give back the
+file's bytes, and the state the ``classify`` command reads.
 """
 
 import base64
@@ -19,7 +21,9 @@ import pytest
 
 from icrm.cli import EXIT_DATA, EXIT_USAGE
 from icrm.corpus import write_canonical
-from icrm.model import IcrmClassifier
+from icrm.corpus import read_canonical
+from icrm.model import IcrmClassifier, IcrmConfig
+from icrm.nbayes import NaiveBayesClassifier
 from icrm.synth import synthetic_dataset
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
@@ -107,17 +111,90 @@ def _case_id(argv: list[str]) -> str:
     return " ".join(argv).replace(str(10**400), "10**400").replace("\n", "\\n") or "no-args"
 
 
+def _icrm(argv: list[str], cwd: Path) -> subprocess.CompletedProcess:
+    """``icrm *argv`` in a fresh interpreter, RuntimeWarnings as errors."""
+    env = dict(os.environ, PYTHONPATH=str(_SRC), PYTHONWARNINGS="error::RuntimeWarning")
+    return subprocess.run(
+        [sys.executable, "-m", "icrm.cli", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True,
+    )
+
+
 @pytest.mark.parametrize(
     "code, argv, named", _REFUSALS, ids=[_case_id(argv) for _, argv, _ in _REFUSALS]
 )
 def test_a_refusal_exits_with_its_code_and_one_stderr_line(inputs, code, argv, named):
-    env = dict(os.environ, PYTHONPATH=str(_SRC), PYTHONWARNINGS="error::RuntimeWarning")
-    out = subprocess.run(
-        [sys.executable, "-m", "icrm.cli", *argv],
-        cwd=inputs, env=env, capture_output=True, text=True,
-    )
+    out = _icrm(argv, inputs)
     err = out.stderr
     assert out.returncode == code, err
     assert err.endswith("\n") and len(err.splitlines()) == 1, err
     assert err.startswith("icrm: ") and "Traceback" not in err, err
     assert named in err, err
+
+
+# the first line classify prints for a message: its label and score
+_VERDICT_LINE = re.compile(r"(ham|spam) -?[0-9.]+")
+
+_MODELS = {
+    "default": IcrmClassifier,
+    "forgetting": lambda: IcrmClassifier(IcrmConfig(death_rate=0.02)),
+    "random-sampler": lambda: IcrmClassifier(IcrmConfig(feature_sampler="random")),
+    "naive-bayes": NaiveBayesClassifier,
+}
+
+
+@pytest.mark.parametrize("model", list(_MODELS))
+def test_a_loaded_state_saves_back_byte_for_byte_and_classifies_alike(
+    inputs, tmp_path, model
+):
+    """Train on the corpus, save, load, save again: the two files are the
+    same bytes, and the loaded model labels the corpus as the trained one
+    does. The classify command reads each ICRM state."""
+    dataset = read_canonical(inputs / "short.jsonl")
+    messages = dataset.ham + dataset.spam
+    trained = _MODELS[model]()
+    trained.train(messages)
+    state, again = tmp_path / "state.json", tmp_path / "again.json"
+    trained.save(state)
+    loaded = type(trained).load(state)
+    loaded.save(again)
+    assert again.read_bytes() == state.read_bytes()
+    assert [loaded.classify(m) for m in messages] == [trained.classify(m) for m in messages]
+    if model != "naive-bayes":
+        out = _icrm(["classify", str(state), "msg.txt", "--explain"], inputs)
+        assert out.returncode == 0 and out.stderr == "", out.stderr
+        assert _VERDICT_LINE.fullmatch(out.stdout.splitlines()[0]), out.stdout
+
+
+def test_several_messages_print_what_each_alone_prints_first(inputs, tmp_path):
+    """``classify STATE msg empty`` begins with what ``classify STATE msg``
+    prints, through one load; an empty message prints ``spam 0.000000``."""
+    clf = IcrmClassifier()
+    dataset = read_canonical(inputs / "short.jsonl")
+    clf.train(dataset.ham + dataset.spam)
+    clf.save(tmp_path / "state.json")
+    (tmp_path / "msg.txt").write_bytes((inputs / "msg.txt").read_bytes())
+    (tmp_path / "empty.txt").write_text("")
+    printed = {}
+    for name, messages in (("msg", ["msg.txt"]), ("empty", ["empty.txt"]),
+                           ("both", ["msg.txt", "empty.txt"])):
+        out = _icrm(["classify", "state.json", *messages, "--explain"], tmp_path)
+        assert out.returncode == 0 and out.stderr == "", out.stderr
+        assert _VERDICT_LINE.fullmatch(out.stdout.splitlines()[0]), out.stdout
+        printed[name] = out.stdout
+    assert printed["both"].startswith(printed["msg"])
+    assert printed["both"].splitlines()[-1] == "spam 0.000000" == printed["empty"].strip()
+
+
+@pytest.mark.parametrize("settings", [
+    # first-seen test features at a subnormal norm: classify takes the exact sum
+    ["--e0-test", "5e-324", "--r0-test", "0"],
+    ["--death-rate", "0.02"],
+], ids=["subnormal-first-seen", "forgetting"])
+def test_a_dynamic_icrm_run_and_its_report_exit_0(inputs, tmp_path, settings):
+    out = _icrm(["eval", "dynamic", "icrm", *settings, "--window", "50",
+                 "--data", str(inputs / "short.jsonl"), "--out", "run"], tmp_path)
+    assert out.returncode == 0, out.stderr
+    report = _icrm(["report", "run"], tmp_path)
+    assert report.returncode == 0 and report.stderr == "", report.stderr
+    assert "dynamic_icrm_summary.csv" in report.stdout

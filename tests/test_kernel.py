@@ -47,7 +47,7 @@ from icrm.synth import synthetic_dataset
 from icrm.textprep import preprocess
 
 from conftest import make_message
-from slots import hand_slots, slot_features
+from slots import bind, hand_slots, slot_features
 
 
 def _random_repertoire(rng, n_features):
@@ -74,7 +74,7 @@ def test_bind_and_interact_match_reference(n_a, death_rate):
 
         fast_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         fast_rep, ref_rep = Repertoire(rep), dict(rep)
-        fast = build_slot_array(sample, fast_rep, cfg, fast_rng)
+        fast = bind(sample, fast_rep, cfg, fast_rng)
         expected = ref.build_slot_array(sample, ref_rep, cfg, ref_rng)
         assert slot_features(fast) == expected.features
         assert fast.bound.tolist() == expected.bound
@@ -91,7 +91,7 @@ def test_one_feature_sample_matches_reference():
     for seed in range(50):
         rep = {"only": (6.0, 5.0)}
         fast_rep, ref_rep = Repertoire(rep), dict(rep)
-        fast = build_slot_array(["only"], fast_rep, cfg, np.random.default_rng(seed))
+        fast = bind(["only"], fast_rep, cfg, np.random.default_rng(seed))
         expected = ref.build_slot_array(["only"], ref_rep, cfg, np.random.default_rng(seed))
         assert fast.bound.tolist() == expected.bound
         interact(fast_rep, fast, cfg)
@@ -108,7 +108,7 @@ def test_a_sample_with_a_repeated_feature_is_refused():
     rng = np.random.default_rng(5)
     untouched = rng.bit_generator.state
     with pytest.raises(ValueError, match="distinct"):
-        build_slot_array(["a", "b", "a", "c", "a"], rep, cfg, rng)
+        bind(["a", "b", "a", "c", "a"], rep, cfg, rng)
     assert rng.bit_generator.state == untouched
     assert _bits(rep) == before
 
@@ -138,7 +138,7 @@ def test_slots_of_a_sample_follow_the_permutation(positions, n_a, seed):
     sample = [f"w{i}" for i in positions]
     rep = Repertoire({f"w{i}": (6.0, 5.0) for i in range(60)})
     rng, expected = np.random.default_rng(seed), np.random.default_rng(seed)
-    slots = build_slot_array(sample, rep, IcrmConfig(n_a=n_a), rng)
+    slots = bind(sample, rep, IcrmConfig(n_a=n_a), rng)
     order = expected.permutation(len(sample) * n_a) // n_a
     expected.random(len(order))
     assert slot_features(slots) == [sample[i] for i in order.tolist()]
@@ -202,7 +202,7 @@ def test_interact_reads_uint8_and_int64_codes_alike(n_slots, death_rate):
 @pytest.mark.parametrize("extinct", [False, True], ids=["live", "masked"])
 def test_binding_codes_are_uint8_on_both_paths(extinct):
     rep = Repertoire({"a": (2.0, 1.0), "b": (0.0, 0.0) if extinct else (1.0, 4.0)})
-    slots = build_slot_array(["a", "b"], rep, IcrmConfig(n_a=5), np.random.default_rng(3))
+    slots = bind(["a", "b"], rep, IcrmConfig(n_a=5), np.random.default_rng(3))
     assert slots.bound.dtype == np.uint8 and len(slots) == 10
     assert (BIND_EMPTY in slots.bound.tolist()) == extinct
 
@@ -287,7 +287,7 @@ def test_slots_applied_to_another_repertoire_match_reference(
     # x binds only effectors and y only regulators, so every slot pair
     # credits a gain to one of them
     cfg = IcrmConfig(n_a=3, proliferation=0.5)
-    slots = build_slot_array(sample, Repertoire(bound_on), cfg, np.random.default_rng(0))
+    slots = bind(sample, Repertoire(bound_on), cfg, np.random.default_rng(0))
     fast_rep, ref_rep = Repertoire(applied_to), dict(applied_to)
     interact(fast_rep, slots, cfg)
     ref.interact(ref_rep, ref.SlotArray(slot_features(slots), slots.bound.tolist()), cfg)
@@ -366,6 +366,40 @@ def test_process_message_calls_bind_and_interact_once(monkeypatch):
     for count, msg in enumerate(messages, start=1):
         process_message(rep, msg, False, IcrmConfig(), rng)
         assert calls == {"build_slot_array": count, "interact": count}
+
+
+@pytest.mark.parametrize("death_rate", [0.0, 0.02, 0.5])
+def test_a_verdict_scores_the_rows_as_the_repertoire_holds_them_after_the_message(death_rate):
+    """Scoring reads the pairs interaction wrote, or the rows again after
+    decay has scaled them: each score is score_feature of the row as the
+    repertoire holds it once the message is done, bit for bit."""
+    cfg = IcrmConfig(death_rate=death_rate, seed=3)
+    clf = IcrmClassifier(cfg)
+    clf.train([make_message(HAM, body="meeting agenda notes monday"),
+               make_message(SPAM, body="cheap pills offer now")])
+    for body in ("cheap meeting pills", "agenda offer fresh words", "notes"):
+        verdict = clf.verdict(make_message(body=body))
+        rep = clf.repertoire
+        want = [(f, score_feature(*rep[f]).hex()) for f, _ in verdict.per_feature]
+        assert [(f, s.hex()) for f, s in verdict.per_feature] == want
+
+
+@pytest.mark.parametrize("read", ["verdict", "classify"])
+def test_a_row_that_dies_in_decay_scores_zero(read):
+    """A regulator-only row binds regulators alone, gains nothing and dies in
+    its own message's decay: read after decay it scores +0.0 (spam); the
+    pair interaction wrote would score +1 (ham)."""
+    cfg = IcrmConfig(death_rate=0.5)
+    msg = make_message(body="pills")
+    (feature,) = preprocess(msg, cfg.n)
+    clf = IcrmClassifier(cfg)
+    clf.repertoire = Repertoire({feature: (0.0, 1.5e-12)})
+    if read == "verdict":
+        verdict = clf.verdict(msg)
+        assert verdict.per_feature == [(feature, 0.0)] and verdict.label == SPAM
+    else:
+        assert clf.classify(msg) == SPAM
+    assert clf.repertoire[feature] == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("n_a, death_rate", [(10, 0.0), (3, 0.02), (1, 0.5)])
@@ -608,7 +642,7 @@ def test_decay_steps_match_the_per_feature_loop(case):
                 _assert_same_bytes(cols, rep)
         _assert_same_bytes(cols, rep)
     if start == "doubling" and len(cols) > _INITIAL_ROWS:
-        assert len(cols._pops) == 2 * _INITIAL_ROWS
+        assert len(cols._cells) == 2 * _INITIAL_ROWS
     with pytest.raises(ValueError, match="read-only"):
         cols.populations[:] = 1.0
     with pytest.raises(ValueError, match="read-only"):
@@ -655,7 +689,7 @@ def test_first_seen_features_across_a_capacity_doubling():
     )
     fast = process_message(cols, msg, True, cfg, np.random.default_rng(4))
     slow = ref.process_message(rep, msg, True, cfg, np.random.default_rng(4))
-    assert len(cols._pops) == 2 * _INITIAL_ROWS
+    assert len(cols._cells) == 2 * _INITIAL_ROWS
     assert len(cols) == _INITIAL_ROWS + 9
     assert fast == slow
     assert _bits(cols) == _bits(rep)
@@ -769,10 +803,11 @@ def test_a_sum_within_the_bound_takes_the_exact_label(rows, label):
     pops = np.array(rows)
     e, r = pops[:, 0], pops[:, 1]
     approx = ((r - e) / np.hypot(r, e)).sum()
-    exact = icrm.model._exact_scores(pops)[1]
+    cells = pops.view(np.complex128).ravel()  # each row as one complex E + iR
+    exact = icrm.model._exact_scores(cells)[1]
     # by the rule that a sum <= 0 is spam, the numpy sum alone reads the other label
     assert (SPAM if approx <= 0.0 else HAM) != label == (SPAM if exact <= 0.0 else HAM)
-    assert icrm.model._label(pops, floor=1.0) == label
+    assert icrm.model._label(cells, floor=1.0) == label
 
 
 def _agree_without_warnings(clf, bodies):

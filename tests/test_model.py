@@ -32,7 +32,7 @@ from icrm.nbayes import nb_train
 from icrm.ranges import check_range
 
 from conftest import make_message
-from slots import hand_slots, slot_features
+from slots import bind, hand_slots, slot_features
 
 
 class TestScoreFeature:
@@ -208,18 +208,76 @@ class TestInitFeatures:
             assert rep["f"] == (40.0, 3.0)
 
 
+def _state(rep: Repertoire):
+    """Rows in order, populations as hex (so -0.0 != 0.0), and the bound."""
+    pops = [(e.hex(), r.hex()) for e, r in rep.values()]
+    return list(rep.rows.items()), pops, rep._floor
+
+
+class TestAddReturnsRows:
+    def test_rows_in_order_for_known_first_seen_and_repeated_features(self):
+        rep = Repertoire({"known": (1.0, 2.0), "other": (3.0, 4.0)})
+        got = rep.add(["new", "other", "known", "new", "next"], (6.0, 5.0))
+        given = ("new", "other", "known", "new", "next")
+        assert got.tolist() == [rep.rows[f] for f in given]
+        # one new row per first-seen feature, in first-sight order
+        assert list(rep.rows.items()) == [
+            ("known", 0), ("other", 1), ("new", 2), ("next", 3)]
+        assert got.tolist() == [2, 1, 0, 2, 3]
+        assert rep["new"] == rep["next"] == (6.0, 5.0)
+        assert rep["known"] == (1.0, 2.0)
+
+    def test_known_features_alone_change_nothing(self):
+        rep = Repertoire({"known": (1.0, 2.0), "other": (3.0, 4.0)})
+        before = _state(rep)
+        assert rep.add(["other", "known", "other"], (6.0, 5.0)).tolist() == [1, 0, 1]
+        assert rep.add([], (6.0, 5.0)).tolist() == []
+        assert _state(rep) == before
+
+    def test_init_features_returns_the_rows_bind_reads(self):
+        rep = Repertoire({"known": (1.0, 2.0)})
+        cfg = IcrmConfig(n_a=3)
+        rows = init_features(rep, ["fresh", "known"], SPAM, cfg)
+        assert rows.tolist() == [1, 0]
+        passed, looked_up = np.random.default_rng(5), np.random.default_rng(5)
+        slots = build_slot_array(["fresh", "known"], rep, cfg, passed, rows)
+        again = bind(["fresh", "known"], rep, cfg, looked_up)
+        assert slots.rows is rows and again.rows.tolist() == rows.tolist()
+        assert slots.bound.tolist() == again.bound.tolist()
+        # the carried pairs are the rows' populations at binding
+        assert slots.pops.tolist() == [complex(*rep["fresh"]), complex(*rep["known"])]
+
+    @pytest.mark.parametrize("features, pair, text", [
+        (["known", "new"], (math.nan, 1.0), "finite and >= 0"),
+        (["known", "new"], (1.0, -2.0), "finite and >= 0"),
+        (["known", "new"], (1e308, 1e308), "sum past the largest float"),
+        (["known", "new", 7], (6.0, 5.0), "features must be a list of strings"),
+    ])
+    def test_a_refused_add_leaves_repertoire_and_generator_unchanged(
+        self, features, pair, text
+    ):
+        rep = Repertoire({"known": (1.0, 2.0)})
+        rng = np.random.default_rng(11)
+        before, drawn = _state(rep), rng.bit_generator.state
+        with pytest.raises(ValueError, match=re.escape(text)):
+            # the order present_message keeps: rows first, then bind and draw
+            build_slot_array(features, rep, IcrmConfig(), rng, rep.add(features, pair))
+        assert _state(rep) == before
+        assert rng.bit_generator.state == drawn
+
+
 class TestBuildSlotArray:
     def test_size_contract(self):
         cfg = IcrmConfig()
         rng = np.random.default_rng(0)
-        slots = build_slot_array(["f"], Repertoire({"f": (6.0, 5.0)}), cfg, rng)
+        slots = bind(["f"], Repertoire({"f": (6.0, 5.0)}), cfg, rng)
         assert len(slots) == 10
         assert set(slot_features(slots)) == {"f"}
 
     def test_each_feature_gets_na_slots(self):
         cfg = IcrmConfig(n_a=4)
         rng = np.random.default_rng(1)
-        slots = build_slot_array(
+        slots = bind(
             ["a", "b", "c"], Repertoire({k: (1.0, 1.0) for k in "abc"}), cfg, rng
         )
         assert len(slots) == 12
@@ -229,13 +287,13 @@ class TestBuildSlotArray:
     def test_pure_effector_population_binds_all_effector(self):
         cfg = IcrmConfig()
         rng = np.random.default_rng(2)
-        slots = build_slot_array(["f"], Repertoire({"f": (6.0, 0.0)}), cfg, rng)
+        slots = bind(["f"], Repertoire({"f": (6.0, 0.0)}), cfg, rng)
         assert all(b == BIND_E for b in slots.bound)
 
     def test_extinct_population_leaves_slots_empty(self):
         cfg = IcrmConfig()
         rng = np.random.default_rng(3)
-        slots = build_slot_array(["f"], Repertoire({"f": (0.0, 0.0)}), cfg, rng)
+        slots = bind(["f"], Repertoire({"f": (0.0, 0.0)}), cfg, rng)
         assert all(b == BIND_EMPTY for b in slots.bound)
 
     def test_binding_rate_matches_population_ratio(self):
@@ -244,15 +302,15 @@ class TestBuildSlotArray:
         rng = np.random.default_rng(4)
         effector_slots = 0
         for _ in range(1000):
-            slots = build_slot_array(["f"], Repertoire({"f": (5.0, 5.0)}), cfg, rng)
+            slots = bind(["f"], Repertoire({"f": (5.0, 5.0)}), cfg, rng)
             effector_slots += sum(1 for b in slots.bound if b == BIND_E)
         assert abs(effector_slots / 10000 - 0.5) < 0.02
 
     def test_shuffle_is_seed_deterministic(self):
         cfg = IcrmConfig()
         rep = Repertoire({"a": (3.0, 3.0), "b": (3.0, 3.0)})
-        s1 = build_slot_array(["a", "b"], rep, cfg, np.random.default_rng(7))
-        s2 = build_slot_array(["a", "b"], rep, cfg, np.random.default_rng(7))
+        s1 = bind(["a", "b"], rep, cfg, np.random.default_rng(7))
+        s2 = bind(["a", "b"], rep, cfg, np.random.default_rng(7))
         assert slot_features(s1) == slot_features(s2)
         assert np.array_equal(s1.bound, s2.bound)
 
@@ -476,7 +534,8 @@ _EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1.0, 7e30
 def test_exact_scores_are_score_feature_bit_for_bit():
     rows = [(e, r) for e, r in itertools.product(_EDGES, repeat=2)
             if math.isfinite(e + r)]
-    scores, total = _exact_scores(np.array(rows))
+    # each row as one complex E + iR, as the kernel carries them
+    scores, total = _exact_scores(np.array(rows).view(np.complex128).ravel())
     want = [score_feature(e, r) for e, r in rows]
     assert [s.hex() for s in scores] == [w.hex() for w in want]
     assert total.hex() == math.fsum(want).hex()
