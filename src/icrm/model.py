@@ -20,10 +20,10 @@ sample position ``n_a`` times, ``np.repeat(np.arange(n), n_a)``; one
 template per ``n_a``, whose prefixes serve shorter samples. The swaps of
 ``Generator.permutation(total)``, which shuffles ``np.arange(total)``,
 depend only on the length, so the shuffled template is that permutation
-floor-divided by ``n_a`` and leaves the generator in the same state. When
-no sampled feature is extinct, binding is one comparison of the draws with
-E / (E + R), whose bytes are the slots' ``uint8`` binding codes; a sample
-holding an extinct feature, whose slots stay empty, takes a masked path.
+floor-divided by ``n_a`` and leaves the generator in the same state.
+Binding is one comparison of the draws with E / (E + R), whose bytes are
+the slots' ``uint8`` binding codes; an extinct feature divides by 1.0
+instead, its E being 0, and its slots are emptied after the comparison.
 Interaction reads each slot pair's two codes as one ``uint16`` key (an
 odd total gets an empty slot appended) and looks both slots' gains up in
 one row of a table of negated gains, cached per proliferation amount; the
@@ -46,9 +46,8 @@ gathers the rows' (E, R) pairs once; interaction subtracts its losses
 from those pairs and scatters the results back, and scoring reads the
 pairs interaction wrote. With a nonzero death rate, decay scales every
 row after interaction, so scoring gathers the rows again. The rows and
-pairs belong to the repertoire that bound the slots: any other
-repertoire the slots are applied to looks their features up and gathers
-them again.
+pairs belong to the repertoire that bound the slots, and interaction
+applies the slots to that repertoire, which it then decays.
 
 Populations only grow unless a per-message death rate is configured, in
 which case every known feature decays multiplicatively after each
@@ -261,11 +260,7 @@ class Repertoire(Mapping):
                 self._cells = grown
             self._cells[start:end] = complex(e, r)
             self._floor = min(self._floor, max(e, r))
-        return self.find(features)
-
-    def find(self, features: Sequence[str]) -> np.ndarray:
-        """The rows of ``features``; a feature never seen is a KeyError."""
-        return np.fromiter(map(self.rows.__getitem__, features), np.intp, len(features))
+        return np.fromiter(map(rows.__getitem__, features), np.intp, len(features))
 
     def __getitem__(self, feature: str) -> tuple[float, float]:
         # the row as a one-element array, whose float view is (E, R)
@@ -294,26 +289,25 @@ def _check_pair(e: float, r: float, what: str) -> None:
 
 class SlotArray:
     """Per-message antigen presentation, in slot order, as
-    :func:`build_slot_array` lays it out.
+    :func:`build_slot_array` lays it out and binds it to one repertoire.
 
     ``keys`` are the message's distinct features, ``index`` gives each
-    slot's position in ``keys`` and ``bound`` each slot's binding code.
-    ``rows`` are the keys' rows in ``repertoire``, the :class:`Repertoire`
-    the slots are bound to, and ``pops`` those rows' (E, R) pairs, each one
-    complex E + iR: as binding gathered them, then as :func:`interact`
-    wrote them (before decay). ``interact`` subtracts its losses from
-    ``pops`` on that repertoire, so slots interact once, right after
-    binding, as :func:`present_message` has them; any other repertoire
-    looks the keys up and gathers their rows again, and the slots are
-    bound to it from then on. ``keys`` is the sample ``build_slot_array``
-    was given, not a copy, so the caller must not change it afterwards:
-    :func:`present_message` always passes the fresh list ``preprocess``
-    returns.
+    slot's position in ``keys`` and ``bound`` each slot's ``uint8`` binding
+    code. ``rows`` are the keys' rows in ``repertoire``, the
+    :class:`Repertoire` the slots are bound to, and ``pops`` those rows'
+    (E, R) pairs, each one complex E + iR: as binding gathered them, then
+    as :func:`interact` wrote them (before decay). ``interact`` applies the
+    slots to that repertoire and no other, subtracting its losses from
+    ``pops``, so slots interact once, right after binding, as
+    :func:`present_message` has them. ``keys`` is the sample
+    ``build_slot_array`` was given, not a copy, so the caller must not
+    change it afterwards: :func:`present_message` always passes the fresh
+    list ``preprocess`` returns.
     """
 
     def __init__(
         self, keys: list[str], index: np.ndarray, bound: np.ndarray,
-        rows: np.ndarray | None, pops: np.ndarray | None, repertoire: Repertoire | None,
+        rows: np.ndarray, pops: np.ndarray, repertoire: Repertoire,
     ):
         self.keys, self.index, self.bound = keys, index, bound
         self.rows, self.pops, self.repertoire = rows, pops, repertoire
@@ -378,15 +372,14 @@ def build_slot_array(
     pops = rep._cells.take(rows)
     e = pops.real
     mass = e + pops.imag
-    if np.count_nonzero(mass) == len(sample):
-        # no extinct feature: a draw below E / (E + R) binds an effector (0),
-        # any other a regulator (1), read straight off the comparison's bytes
-        bound = (draws >= (e / mass)[index]).view(np.uint8)
-    else:
-        live = mass > 0.0
-        p_effector = np.divide(e, mass, out=np.zeros(len(sample)), where=live)
-        bound = np.where(draws < p_effector[index], BIND_E, BIND_R).astype(np.uint8)
-        bound[~live[index]] = BIND_EMPTY
+    # an extinct row (E + R is +-0.0, so E is 0) divides by 1.0 instead: its
+    # slots compare without a 0 / 0 and are emptied after
+    extinct = mass == 0.0
+    mass[extinct] = 1.0
+    # a draw below E / (E + R) binds an effector (0), any other a regulator
+    # (1), read straight off the comparison's bytes
+    bound = (draws >= (e / mass)[index]).view(np.uint8)
+    bound[extinct[index]] = BIND_EMPTY
     return SlotArray(sample, index, bound, rows, pops, rep)
 
 
@@ -437,17 +430,18 @@ def _pair_loss(proliferation: float) -> np.ndarray:
     return loss
 
 
-def interact(rep: Repertoire, slots: SlotArray, cfg: IcrmConfig) -> Repertoire:
-    """Run one interaction pass and apply decay.
+def interact(slots: SlotArray, cfg: IcrmConfig) -> Repertoire:
+    """Run one interaction pass on the repertoire the slots are bound to,
+    apply decay to it and return it.
 
     Slots are paired consecutively, a trailing slot is handled alone, and
     all deltas are computed against pre-interaction populations before
     being applied, so pair processing order is irrelevant. Then
     :func:`decay` runs.
     """
-    total = len(slots)
+    rep, total = slots.repertoire, len(slots)
     if total:
-        codes = slots.bound.astype(np.uint8, copy=False)
+        codes = slots.bound
         if total % 2:
             codes = np.append(codes, np.uint8(BIND_EMPTY))
         # each slot's gain, negated, looked up by its pair's two codes read
@@ -461,9 +455,6 @@ def interact(rep: Repertoire, slots: SlotArray, cfg: IcrmConfig) -> Repertoire:
         width = 2 * len(slots.keys)
         targets = 2 * slots.index + slots.bound
         loss = np.bincount(targets, weights=slot_loss, minlength=width)[:width]
-        if slots.repertoire is not rep:  # bound elsewhere: bind the rows here
-            slots.rows = rep.find(slots.keys)
-            slots.pops, slots.repertoire = rep._cells.take(slots.rows), rep
         # each row's (E, R) as one complex, as decay clears them: complex
         # subtraction subtracts each part alone. x - (-d) is x + d, rounding
         # being symmetric in sign, and a side that gained nothing keeps its
@@ -516,7 +507,7 @@ def present_message(
     sample = preprocess(msg, cfg.n, stopwords, cfg.feature_sampler, rng)
     rows = init_features(rep, sample, stage, cfg)
     slots = build_slot_array(sample, rep, cfg, rng, rows)
-    interact(rep, slots, cfg)
+    interact(slots, cfg)
     return slots
 
 

@@ -29,7 +29,8 @@ RANGES = {  # each setting's type and (op, bound) limits; see the module docstri
     "death_rate": (float, [(">=", 0), ("<", 1)]),
     "seed": (int, [(">=", 0)]),
     "feature_sampler": (str, [("one of", SAMPLERS)]),
-    **dict.fromkeys(("runs", "train_per_class", "window", "shift"), (int, [(">=", 1)])),
+    **dict.fromkeys(("runs", "window", "shift"), (int, [(">=", 1)])),
+    "train_per_class": (int, [(">=", 1), ("<=", 10**9)]),  # no more than make_split takes
     "test_size": (int, [(">=", 1), ("<=", 10**9)]),  # its spam count is a float product
     "spam_ratio": (float, [(">", 0), ("<", 1)]),
     "shuffle_test": (bool, []),

@@ -3,23 +3,31 @@
 ``icrm.model.build_slot_array`` lays slots out over a sample of distinct
 features and binds them to a repertoire. The interaction-law tests want
 slots spelled feature by feature instead, repeats included: ``hand_slots``
-interns them into the kernel's ``keys`` and ``index`` and binds them to no
-repertoire, so ``interact`` looks their keys up in the repertoire it is
-given. ``slot_features`` spells any slot array's features back out, and
-``bind`` lays a sample out on the rows a repertoire holds for it.
+interns them into the kernel's ``keys`` and ``index`` and binds them to the
+repertoire given, as ``build_slot_array`` would, so ``interact`` applies
+them to it. ``slot_features`` spells any slot array's features back out,
+and ``bind`` lays a sample out on the rows a repertoire holds for it.
 """
 
 import numpy as np
 
-from icrm.model import SlotArray, build_slot_array
+from icrm.model import Repertoire, SlotArray, build_slot_array
 
 
-def hand_slots(features, bound) -> SlotArray:
-    """Unbound slots from parallel per-slot features and binding codes."""
+def _rows(rep: Repertoire, features) -> np.ndarray:
+    """The rows ``rep`` holds for ``features``; an unknown one is a KeyError."""
+    return np.array([rep.rows[feature] for feature in features], dtype=np.intp)
+
+
+def hand_slots(rep: Repertoire, features, bound) -> SlotArray:
+    """Slots bound to ``rep`` from parallel per-slot features, each one of
+    ``rep``'s, and binding codes, as ``uint8`` codes."""
     keys = list(dict.fromkeys(features))
     position = {feature: i for i, feature in enumerate(keys)}
-    index = np.array([position[feature] for feature in features], dtype=np.int64)
-    return SlotArray(keys, index, np.array(bound, dtype=np.int64), None, None, None)
+    index = np.array([position[feature] for feature in features], dtype=np.intp)
+    rows = _rows(rep, keys)
+    return SlotArray(keys, index, np.array(bound, dtype=np.uint8), rows,
+                     rep._cells.take(rows), rep)
 
 
 def slot_features(slots: SlotArray) -> list[str]:
@@ -31,4 +39,4 @@ def slot_features(slots: SlotArray) -> list[str]:
 def bind(sample, rep, cfg, rng) -> SlotArray:
     """``build_slot_array`` on the sample's rows in ``rep``, as
     ``present_message`` hands them on from ``init_features``."""
-    return build_slot_array(sample, rep, cfg, rng, rep.find(sample))
+    return build_slot_array(sample, rep, cfg, rng, _rows(rep, sample))

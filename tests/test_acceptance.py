@@ -175,12 +175,13 @@ def test_criterion_3_dynamics_invariants():
         before = dict(rep)
         n_slots = int(rng.integers(0, 11))
         slots = hand_slots(
+            rep,
             [features[int(rng.integers(0, n_features))] for _ in range(n_slots)],
             [int(rng.integers(0, 3)) for _ in range(n_slots)],
         )
         p = float(rng.uniform(0.005, 2.0))
         cfg = IcrmConfig(proliferation=p, death_rate=0.0)
-        interact(rep, slots, cfg)
+        interact(slots, cfg)
         pairs = (n_slots + 1) // 2
         total_before = sum(e + r for e, r in before.values())
         total_after = sum(e + r for e, r in rep.values())
@@ -195,7 +196,7 @@ def test_criterion_3_dynamics_invariants():
     rep = Repertoire({"untouched": (6.0, 12.0), "other": (1.0, 0.0)})
     k = 137
     for _ in range(k):
-        interact(rep, hand_slots(["other"], [BIND_E]), cfg)
+        interact(hand_slots(rep, ["other"], [BIND_E]), cfg)
     e, r = rep["untouched"]
     assert e == pytest.approx(6.0 * 0.98**k, abs=1e-9)
     assert r == pytest.approx(12.0 * 0.98**k, abs=1e-9)

@@ -250,6 +250,8 @@ class TestEval:
         ("static", ["--n-a", "1001"], None),
         ("static", ["--n", "1002"], None),
         ("static", ["--e0-test", "1000001"], None),
+        ("static", ["--train-per-class", "1000000001"], None),
+        ("dynamic", ["--train-per-class", "1000000001"], None),
     ], ids=[
         "e0-ham-20", "runs-0", "runs-negative", "window-0", "shift-0", "shift-negative",
         "config-runs-0", "config-proliferation-nan", "config-proliferation-inf",
@@ -261,7 +263,8 @@ class TestEval:
         "config-r0-test-negative", "config-jobs-2", "config-death-rate-2",
         "config-feature-sampler-bogus", "dynamic-proliferation-1e308",
         "dynamic-config-ham-populations-near-float-max", "n-a-1001", "n-1002",
-        "e0-test-above-10**6",
+        "e0-test-above-10**6", "train-per-class-above-10**9",
+        "dynamic-train-per-class-above-10**9",
     ])
     def test_invalid_model_config_reported_before_compute(
         self, tmp_path, canonical_file, mode, flags, config

@@ -204,7 +204,8 @@ class TestCanonical:
         ds = Dataset(name="t", ham=[make_message(body="line one\nline two")], spam=[])
         path = tmp_path / "nl.jsonl"
         write_canonical(ds, path)
-        assert sum(1 for _ in open(path)) == 1
+        with open(path, encoding="utf-8") as lines:
+            assert sum(1 for _ in lines) == 1
         assert read_canonical(path).ham[0].body == "line one\nline two"
 
 

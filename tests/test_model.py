@@ -322,61 +322,61 @@ def _cfg(p=1.0, r=0.0):
 class TestInteract:
     def test_effector_pair_both_proliferate(self):
         rep = Repertoire({"f": (1.0, 0.0), "g": (1.0, 0.0)})
-        interact(rep, hand_slots(["f", "g"], [BIND_E, BIND_E]), _cfg(p=1.0))
+        interact(hand_slots(rep, ["f", "g"], [BIND_E, BIND_E]), _cfg(p=1.0))
         assert rep == {"f": (2.0, 0.0), "g": (2.0, 0.0)}
 
     def test_mixed_pair_only_regulator_proliferates(self):
         rep = Repertoire({"f": (1.0, 0.0), "g": (0.0, 1.0)})
-        interact(rep, hand_slots(["f", "g"], [BIND_E, BIND_R]), _cfg(p=1.0))
+        interact(hand_slots(rep, ["f", "g"], [BIND_E, BIND_R]), _cfg(p=1.0))
         assert rep == {"f": (1.0, 0.0), "g": (0.0, 2.0)}
 
     def test_regulator_pair_no_change(self):
         rep = Repertoire({"f": (0.0, 1.0), "g": (0.0, 1.0)})
-        interact(rep, hand_slots(["f", "g"], [BIND_R, BIND_R]), _cfg(p=1.0))
+        interact(hand_slots(rep, ["f", "g"], [BIND_R, BIND_R]), _cfg(p=1.0))
         assert rep == {"f": (0.0, 1.0), "g": (0.0, 1.0)}
 
     def test_lone_effector_proliferates(self):
         rep = Repertoire({"f": (1.0, 0.0)})
-        interact(rep, hand_slots(["f"], [BIND_E]), _cfg(p=1.0))
+        interact(hand_slots(rep, ["f"], [BIND_E]), _cfg(p=1.0))
         assert rep["f"] == (2.0, 0.0)
 
     def test_effector_with_empty_partner_proliferates(self):
         rep = Repertoire({"f": (1.0, 0.0), "g": (0.0, 0.0)})
-        interact(rep, hand_slots(["f", "g"], [BIND_E, BIND_EMPTY]), _cfg(p=1.0))
+        interact(hand_slots(rep, ["f", "g"], [BIND_E, BIND_EMPTY]), _cfg(p=1.0))
         assert rep["f"] == (2.0, 0.0)
 
     def test_lone_regulator_persists(self):
         rep = Repertoire({"f": (0.0, 1.0)})
-        interact(rep, hand_slots(["f"], [BIND_R]), _cfg(p=1.0))
+        interact(hand_slots(rep, ["f"], [BIND_R]), _cfg(p=1.0))
         assert rep["f"] == (0.0, 1.0)
 
     def test_same_feature_effector_pair_gains_twice(self):
         rep = Repertoire({"f": (1.0, 0.0)})
-        interact(rep, hand_slots(["f", "f"], [BIND_E, BIND_E]), _cfg(p=1.0))
+        interact(hand_slots(rep, ["f", "f"], [BIND_E, BIND_E]), _cfg(p=1.0))
         assert rep["f"] == (3.0, 0.0)
 
     def test_deltas_applied_synchronously(self):
         # regulator proliferation reads pre-interaction populations only;
         # the effector gained in pair one must not affect pair two
         rep = Repertoire({"f": (1.0, 1.0), "g": (1.0, 1.0)})
-        slots = hand_slots(["f", "f", "f", "g"], [BIND_E, BIND_E, BIND_E, BIND_R])
-        interact(rep, slots, _cfg(p=1.0))
+        slots = hand_slots(rep, ["f", "f", "f", "g"], [BIND_E, BIND_E, BIND_E, BIND_R])
+        interact(slots, _cfg(p=1.0))
         assert rep == {"f": (3.0, 1.0), "g": (1.0, 2.0)}
 
     def test_decay_on_empty_slot_array(self):
         rep = Repertoire({"f": (10.0, 10.0)})
-        interact(rep, hand_slots([], []), _cfg(p=1.0, r=0.02))
+        interact(hand_slots(rep, [], []), _cfg(p=1.0, r=0.02))
         assert rep["f"] == pytest.approx((9.8, 9.8), abs=1e-15)
 
     def test_decay_hits_every_feature(self):
         rep = Repertoire({"f": (10.0, 0.0), "g": (4.0, 2.0)})
-        interact(rep, hand_slots(["f"], [BIND_E]), _cfg(p=1.0, r=0.5))
+        interact(hand_slots(rep, ["f"], [BIND_E]), _cfg(p=1.0, r=0.5))
         assert rep["f"] == pytest.approx((5.5, 0.0))  # (10 + 1) * 0.5
         assert rep["g"] == pytest.approx((2.0, 1.0))
 
     def test_tiny_populations_clamp_to_zero(self):
         rep = Repertoire({"f": (1e-12, 1e-12)})
-        interact(rep, hand_slots([], []), _cfg(p=1.0, r=0.5))
+        interact(hand_slots(rep, [], []), _cfg(p=1.0, r=0.5))
         assert rep["f"] == (0.0, 0.0)
 
     def test_randomized_invariants(self):
@@ -391,11 +391,12 @@ class TestInteract:
             before = dict(rep)
             n_slots = int(rng.integers(0, 13))
             slots = hand_slots(
+                rep,
                 [features[int(rng.integers(0, n_features))] for _ in range(n_slots)],
                 [int(rng.integers(0, 3)) for _ in range(n_slots)],
             )
             p = float(rng.uniform(0.01, 2.0))
-            interact(rep, slots, _cfg(p=p, r=0.0))
+            interact(slots, _cfg(p=p, r=0.0))
             groups = (n_slots + 1) // 2
             grown = sum(e + r for e, r in rep.values()) - sum(
                 e + r for e, r in before.values()
