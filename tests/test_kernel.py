@@ -175,6 +175,54 @@ def test_pair_loss_row_at_each_pair_key_is_its_negated_gains(proliferation):
             assert [x.hex() for x in loss[key].tolist()] == [x.hex() for x in want.tolist()]
 
 
+@pytest.mark.parametrize("n_slots", [1, 2, 7, 8, 13, 14])
+@pytest.mark.parametrize("death_rate", [0.0, 0.3])
+def test_interact_reads_uint8_codes_on_odd_and_even_totals(n_slots, death_rate):
+    """interact reads each pair of uint8 codes as one uint16 key, padding an
+    odd total with an empty slot: for even and odd slot totals and every
+    binding code it leaves the reference's populations and the codes as
+    they were."""
+    rng = np.random.default_rng(n_slots)
+    cfg = IcrmConfig(proliferation=0.37, death_rate=death_rate)
+    for _ in range(200):
+        rep = _random_repertoire(rng, 4)
+        names = list(rep)
+        features = [names[int(rng.integers(len(names)))] for _ in range(n_slots)]
+        bound = [int(rng.integers(0, 3)) for _ in range(n_slots)]
+        fast_rep, ref_rep = Repertoire(rep), dict(rep)
+        slots = hand_slots(fast_rep, features, bound)
+        assert slots.bound.dtype == np.uint8
+        interact(slots, cfg)
+        ref.interact(ref_rep, ref.SlotArray(features, bound), cfg)
+        assert _bits(fast_rep) == _bits(ref_rep)
+        assert slots.bound.dtype == np.uint8 and slots.bound.tolist() == bound
+
+
+@pytest.mark.parametrize(
+    "bound_on, sample, twin",
+    [
+        # the same features, inserted in the other order
+        ({"x": (6.0, 0.0), "y": (0.0, 6.0)}, ["x", "y"],
+         {"y": (0.0, 6.0), "x": (6.0, 0.0)}),
+        # fewer rows: x's row where the slots were bound is unused here
+        ({"w": (1.0, 1.0), "x": (6.0, 0.0)}, ["x"], {"x": (6.0, 0.0)}),
+    ],
+)
+def test_interact_changes_only_the_repertoire_the_slots_are_bound_to(
+    bound_on, sample, twin
+):
+    # x binds only effectors and y only regulators, so every slot pair
+    # credits a gain to one of them
+    cfg = IcrmConfig(n_a=3, proliferation=0.5)
+    rep, other = Repertoire(bound_on), Repertoire(twin)
+    slots = bind(sample, rep, cfg, np.random.default_rng(0))
+    ref_rep = dict(bound_on)
+    assert interact(slots, cfg) is rep
+    ref.interact(ref_rep, ref.SlotArray(slot_features(slots), slots.bound.tolist()), cfg)
+    assert rep == ref_rep and rep != bound_on
+    assert other == twin and list(other) == list(twin)
+
+
 @pytest.mark.parametrize("extinct", [False, True], ids=["live", "masked"])
 def test_binding_codes_are_uint8_on_both_paths(extinct):
     rep = Repertoire({"a": (2.0, 1.0), "b": (0.0, 0.0) if extinct else (1.0, 4.0)})
