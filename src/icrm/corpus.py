@@ -18,7 +18,7 @@ from datetime import date
 from operator import itemgetter
 from pathlib import Path
 
-from .ranges import RANGES, check_range
+from .ranges import MAX_COUNT, RANGES, check_range
 
 HAM = "ham"
 SPAM = "spam"
@@ -272,10 +272,9 @@ def block_counts(test_size: int, spam_ratio: float) -> tuple[int, int]:
 
 
 # make_split's counts. Each may be 0 (eval_dynamic asks for no test block);
-# none past 10**9, which no corpus class holds and below which the test
-# block's spam count, a float product, is exact.
+# none past MAX_COUNT (see icrm.ranges).
 _SPLIT_COUNTS = dict.fromkeys(("train_per_class", "test_size", "offset"),
-                              (int, [(">=", 0), ("<=", 10**9)]))
+                              (int, [(">=", 0), ("<=", MAX_COUNT)]))
 
 
 def make_split(

@@ -150,8 +150,11 @@ def counts_from_records(records: Iterable[tuple[str, str]]) -> ConfusionCounts:
     return ConfusionCounts(*_totals(spam[:, 0], spam[:, 1])[-1].tolist())
 
 
-def _classified(clf, stream: Sequence) -> tuple[np.ndarray, np.ndarray]:
-    """Whether each message is spam, and whether ``clf`` calls it spam, in order."""
+def _classified(factory, seed: int, train, stream) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each message of ``stream`` is spam, and whether the classifier
+    ``factory(seed)``, trained on ``train``, calls it spam, in order."""
+    clf = factory(seed)
+    clf.train(train)
     truth = np.array([msg.label == SPAM for msg in stream], bool)
     said = np.array([clf.classify(msg) == SPAM for msg in stream], bool)
     return truth, said
@@ -306,13 +309,11 @@ def eval_static(
     metrics = []
     for k, split in enumerate(splits):
         run_seed = seed + k
-        clf = factory(run_seed)
-        clf.train(split.train)
         stream = split.test
         if shuffle_test:
             perm = np.random.default_rng([run_seed, 1]).permutation(len(stream))
             stream = [stream[int(i)] for i in perm]
-        truth, said = _classified(clf, stream)
+        truth, said = _classified(factory, run_seed, split.train, stream)
         if balance:
             keep = _balanced(truth, np.random.default_rng([run_seed, 2]))
             truth, said = truth[keep], said[keep]
@@ -358,23 +359,16 @@ def eval_dynamic(
             f"validation stream of {len(stream)} messages holds {len(starts)} "
             f"window(s) of {window} at shift {shift}; at least 2 are needed"
         )
-    clf = factory(seed)
-    clf.train(train)
-    totals = _totals(*_classified(clf, stream))
+    totals = _totals(*_classified(factory, seed, train, stream))
     ends = np.array(starts)
     metrics = [
         metrics_from_counts(ConfusionCounts(*counts))
         for counts in (totals[ends + window] - totals[ends]).tolist()
     ]
-    report = EvalReport(
-        mode="dynamic",
-        classifier=getattr(factory, "name", "?"),
-        metrics=metrics,
-        window_starts=starts,
-    )
-    report.drift_fp = linear_fit(report.series("pct_fp"))
-    report.drift_fn = linear_fit(report.series("pct_fn"))
-    return report
+    return EvalReport(mode="dynamic", classifier=getattr(factory, "name", "?"),
+                      metrics=metrics, window_starts=starts,
+                      drift_fp=linear_fit([m.pct_fp for m in metrics]),
+                      drift_fn=linear_fit([m.pct_fn for m in metrics]))
 
 
 # -- report emission -----------------------------------------------------
@@ -409,11 +403,12 @@ def write_runs_csv(report: EvalReport, path) -> None:
 
 
 def write_summary_csv(report: EvalReport, path) -> None:
-    """Means and deviations per metric, plus drift slopes in dynamic mode."""
+    """Means and deviations per metric, plus the drift fits a dynamic
+    report carries."""
     drift = {"pct_fp": report.drift_fp, "pct_fn": report.drift_fn}
     rows = []
     for name in METRIC_FIELDS:
-        summary = drift.get(name) if report.mode == "dynamic" else None
+        summary = drift.get(name)
         fit = (_fmt(summary.slope), _fmt(summary.r_squared)) if summary else ("", "")
         rows.append((name, _fmt(report.mean(name)), _fmt(report.sd(name)), *fit))
     _write_csv(path, SUMMARY_COLUMNS, rows)
@@ -449,7 +444,7 @@ def format_summary_table(reports: list[EvalReport], dataset_name: str = "") -> s
     unit = "runs" if mode == "static" else "windows"
     lines = [f"{mode} evaluation of {dataset_name or 'dataset'} ({count} {unit})"]
     header = f"{'metric':<12}" + "".join(f"{r.classifier:<20}" for r in reports)
-    lines.append(header)
+    lines.append(header.rstrip())
     for name in METRIC_FIELDS:
         row = f"{_DISPLAY[name]:<12}"
         for r in reports:

@@ -56,11 +56,14 @@ populations both fell below ``_ZERO_CLAMP`` are cleared to (+0.0, +0.0).
 Dead rows are found by one comparison over the contiguous (E, R) pairs,
 whose two flags per row read as one uint16, and cleared by one masked
 write through a complex view of the same memory. The repertoire keeps a
-lower bound on max(E, R) over its rows: loading sets it to the minimum
-over the loaded rows, appending lowers it to the new rows' larger initial
-population, interaction leaves it (gains only add) and decay multiplies
-it by the same factor. Rounding is monotone, so while the bound stays at
-or above the clamp no row can have died and the test is skipped. Each
+lower bound on max(E, R) over its rows that are not (+0.0, +0.0):
+loading sets it to the minimum over the loaded rows, appending lowers it
+to the new rows' larger initial population, interaction leaves it (gains
+only add) and decay multiplies it by the same factor. Rounding is
+monotone, so while the bound stays at or above the clamp no row can have
+died and the test is skipped. Once it falls below, decay tests and
+clears, and every row it leaves that is not (+0.0, +0.0) then has E or R
+at or above the clamp, so the bound is raised to the clamp again. Each
 element gets the same IEEE product the per-feature loop computed, so
 populations stay bit-identical to it.
 
@@ -223,7 +226,8 @@ class Repertoire(Mapping):
         # each row as one complex E + iR: E and R side by side in memory
         self._cells = np.empty(max(len(pops), _INITIAL_ROWS), np.complex128)
         self._cells.view(np.float64)[: pops.size] = pops.reshape(-1)
-        # a lower bound on max(E, R) over the rows; see decay
+        # a lower bound on max(E, R) over the rows that are not (+0.0, +0.0);
+        # see decay
         self._floor = float(np.maximum(pops[:, 0], pops[:, 1]).min(initial=math.inf))
 
     @property
@@ -471,7 +475,8 @@ def decay(rep: Repertoire, cfg: IcrmConfig) -> Repertoire:
     end below ``_ZERO_CLAMP`` is then cleared to (+0.0, +0.0): one pair
     test over the contiguous rows, one masked write. Both are skipped
     while the repertoire's bound on max(E, R), multiplied by the same
-    factor, is at or above the clamp (see the module docstring).
+    factor, is at or above the clamp; after them the bound is the clamp
+    (see the module docstring).
     """
     rate = cfg.death_rate
     if rate > 0.0:
@@ -484,6 +489,8 @@ def decay(rep: Repertoire, cfg: IcrmConfig) -> Repertoire:
             # a row's two flags as one uint16: 0x0101 where both are set
             dead = (flat < _ZERO_CLAMP).view(np.uint16) == 0x0101
             np.putmask(cells, dead, 0)
+            # every row not (+0.0, +0.0) now has E or R >= the clamp
+            rep._floor = _ZERO_CLAMP
     return rep
 
 
@@ -562,10 +569,12 @@ def _label(pops: np.ndarray, floor: float) -> str:
     ``_fill`` sets it to the minimum over the rows, ``add`` lowers it to a
     new row's larger population, ``interact`` only adds to rows and
     ``decay`` multiplies rows and bound by one factor (rounding is
-    monotone) and clears rows to (+0.0, +0.0). With ``floor`` normal
-    (``>= sys.float_info.min``) every norm is 0 or normal. A subnormal
-    norm would void the relative bound below: a hypot a few subnormal ulp
-    off can be many percent off.
+    monotone); when the bound falls below ``_ZERO_CLAMP``, ``decay``
+    clears every row whose E and R both are below it to (+0.0, +0.0) and
+    sets the bound to ``_ZERO_CLAMP``, which E or R of every other row
+    reaches. With ``floor`` normal (``>= sys.float_info.min``) every norm
+    is 0 or normal. A subnormal norm would void the relative bound below:
+    a hypot a few subnormal ulp off can be many percent off.
 
     The exact scores t_i are (R - E) / math.hypot(R, E), and
     :func:`_exact_scores` sums them with ``math.fsum``, which is correctly

@@ -19,6 +19,9 @@ import sys
 from collections.abc import Mapping
 
 SAMPLERS = ("first-last", "random")  # feature selection rules, default first
+# the most messages a split count takes: more than any corpus class holds, and
+# few enough that a test block's spam count, a float product, is exact
+MAX_COUNT = 10**9
 
 RANGES = {  # each setting's type and (op, bound) limits; see the module docstring
     "n": (int, [(">=", 2), ("<=", 1000), ("a multiple of", 2)]),
@@ -30,8 +33,8 @@ RANGES = {  # each setting's type and (op, bound) limits; see the module docstri
     "seed": (int, [(">=", 0)]),
     "feature_sampler": (str, [("one of", SAMPLERS)]),
     **dict.fromkeys(("runs", "window", "shift"), (int, [(">=", 1)])),
-    "train_per_class": (int, [(">=", 1), ("<=", 10**9)]),  # no more than make_split takes
-    "test_size": (int, [(">=", 1), ("<=", 10**9)]),  # its spam count is a float product
+    **dict.fromkeys(("train_per_class", "test_size"),  # see MAX_COUNT
+                    (int, [(">=", 1), ("<=", MAX_COUNT)])),
     "spam_ratio": (float, [(">", 0), ("<", 1)]),
     "shuffle_test": (bool, []),
     "balance": (bool | None, []),  # None: balanced unless the ratio is 0.5

@@ -775,6 +775,19 @@ def test_each_model_alone_writes_the_csvs_it_writes_beside_the_other(
 
 
 @pytest.mark.parametrize("flags", [
+    ["static", "nb", "--runs", "2"],
+    ["static", "both", "--runs", "2"],
+    ["dynamic", "both", "--window", "100"],
+], ids=["static-nb", "static-both", "dynamic-both"])
+def test_no_line_eval_prints_ends_in_whitespace(tmp_path, short_corpus, capsys, flags):
+    code = main(["eval", *flags, "--train-per-class", "50", "--data", str(short_corpus),
+                 "--out", str(tmp_path / "o")])
+    printed = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert [line for line in printed.splitlines() if line != line.rstrip()] == []
+
+
+@pytest.mark.parametrize("flags", [
     ["dynamic", "both", "--window", "5000"], ["static", "both", "--runs", "50"],
 ], ids=["dynamic-window-5000", "static-runs-50"])
 def test_a_refused_eval_removes_the_out_directories_it_made(

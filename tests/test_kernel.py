@@ -816,6 +816,38 @@ def test_the_equivalence_stream_meets_extinct_rows_and_both_sums(tmp_path, monke
     assert len(bodies) < len(exact_calls) < 2 * len(bodies)
 
 
+def test_the_floor_stays_normal_on_a_long_forgetting_stream():
+    """Multiplied by 0.98 per decay, the bound on max(E, R) would fall below
+    the smallest normal float after some 35,150 messages; clearing sets it
+    back to the clamp, so classify keeps its numpy sum."""
+    rep = Repertoire({"feat0": (1.0, 2.0)})
+    cfg = IcrmConfig(death_rate=0.02)
+    for _ in range(40_000):
+        decay(rep, cfg)
+    assert rep._floor >= sys.float_info.min
+
+
+def test_a_loaded_extinct_row_leaves_the_floor_normal(tmp_path, monkeypatch):
+    """A state holding a (0.0, 0.0) row loads with a bound of 0.0; after one
+    forgetting classify the bound is normal again, and the next message's
+    label comes from the numpy sum."""
+    exact_calls = []
+    exact_scores = icrm.model._exact_scores
+    monkeypatch.setattr(icrm.model, "_exact_scores",
+                        lambda pops: exact_calls.append(1) or exact_scores(pops))
+    rows = {"feat0": (0.0, 0.0), "feat1": (1.0, 2.0)}
+    path = tmp_path / "extinct.json"
+    cfg = IcrmConfig(death_rate=0.02)
+    write_state(path, "icrm-state", 1, ref.state_body(rows, cfg, np.random.default_rng(0)))
+    clf = IcrmClassifier.load(path)
+    assert clf.repertoire._floor == 0.0
+    clf.classify(make_message(HAM, body="feat1"))
+    assert clf.repertoire._floor >= sys.float_info.min
+    exact_calls.clear()
+    assert clf.classify(make_message(HAM, body="feat1", day=2)) == HAM
+    assert not exact_calls
+
+
 # beside the next float up, 2**-32 away, this scores 2**-32 / hypot = 7.85e-17
 _X = 2.0**21 - 2.0**-31
 
