@@ -4,7 +4,7 @@ A state file is one JSON object, keys sorted, holding a ``format`` tag and
 an integer ``version`` next to the classifier's own body, and
 :func:`write_state` writes it whole or not at all. A loader names
 the versions it reads; :func:`read_state` hands back the version it found
-with the body, so each classifier decodes its own versions. Strict text
+with the body, so the caller decodes its own versions. Strict text
 inputs are read whole by :func:`read_text`, which turns a file that cannot
 be read or is not UTF-8 into the caller's typed error naming the file;
 :func:`read_state` does the same for the file it decodes.

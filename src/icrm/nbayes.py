@@ -9,12 +9,12 @@ P(spam | features) > 0.5, strictly.
 
 Every log term the posterior can add depends only on the trained counts,
 so a model builds its scoring table once, when it is made (by
-:func:`nb_train`, by :meth:`NaiveBayesClassifier.load` or directly). The
-table maps each vocabulary feature to ``complex(log P(f|ham), log P(f|spam))``,
-where each class's ``log((1 + c) / denom)`` is taken once per distinct
-count ``c`` and shared by every feature with that count (the same float a
-log per feature gives); beside it are one complex log prior and one
-complex term for a feature outside the vocabulary, the ``c = 0`` term.
+:func:`nb_train` or directly). The table maps each vocabulary feature to
+``complex(log P(f|ham), log P(f|spam))``, where each class's
+``log((1 + c) / denom)`` is taken once per distinct count ``c`` and shared
+by every feature with that count (the same float a log per feature
+gives); beside it are one complex log prior and one complex term for a
+feature outside the vocabulary, the ``c = 0`` term.
 Complex addition is two independent float additions, so
 :func:`nb_posterior`, one table lookup and one complex addition per
 feature, adds the same floats in the same order as evaluating the
@@ -32,13 +32,12 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .corpus import HAM, SPAM, LABELS, Message, training_label
-from .files import read_state, write_state
 from .ranges import RANGES, check_range
 from .textprep import SAMPLE_CAP, check_features, preprocess
 
 
 class ModelError(Exception):
-    """Raised when classifying with an untrained or unreadable model."""
+    """Raised when classifying with an untrained model."""
 
 
 # The log prior, each vocabulary feature's log smoothed likelihood and that
@@ -80,13 +79,6 @@ class NbModel:
         }))
         object.__setattr__(self, "vocabulary", vocab)
         object.__setattr__(self, "tables", _score_tables(docs, counts, distinct, vocab))
-
-    def __reduce__(self):
-        # read-only views do not pickle: rebuild from plain copies
-        return type(self), (
-            dict(self.doc_count),
-            {label: dict(counts) for label, counts in self.feature_doc_count.items()},
-        )
 
 
 def _score_tables(
@@ -183,39 +175,6 @@ class NaiveBayesClassifier:
         if self.model is None:
             raise ModelError("classifier has not been trained")
         return nb_classify(self.model, msg, self.n, self.stopwords)
-
-    # -- persistence (same versioned convention as the ICRM snapshot) ---
-
-    _FORMAT = "icrm-nbmodel"
-    _VERSION = 1
-
-    def save(self, path) -> None:
-        if self.model is None:
-            raise ModelError("nothing to save: classifier has not been trained")
-        write_state(path, self._FORMAT, self._VERSION, {
-            "n": self.n,
-            "doc_count": dict(self.model.doc_count),
-            "feature_doc_count": {
-                label: dict(counts)
-                for label, counts in self.model.feature_doc_count.items()
-            },
-            "vocabulary": sorted(self.model.vocabulary),
-        })
-
-    @classmethod
-    def load(cls, path, stopwords: frozenset[str] | None = None) -> "NaiveBayesClassifier":
-        _, state = read_state(path, cls._FORMAT, {cls._VERSION}, ModelError)
-        try:
-            clf = cls(n=state["n"], stopwords=stopwords)
-            clf.model = NbModel(state["doc_count"], state["feature_doc_count"])
-            # the vocabulary is saved for readers of the file; the model derives it
-            if state["vocabulary"] != sorted(clf.model.vocabulary):
-                raise ValueError(
-                    "vocabulary must be the sorted union of the features counted"
-                )
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise ModelError(f"malformed model file {path}: {exc!r}") from None
-        return clf
 
 
 def _per_label(value: Mapping) -> list[tuple[str, object]]:

@@ -23,7 +23,6 @@ from icrm.cli import EXIT_DATA, EXIT_USAGE
 from icrm.corpus import write_canonical
 from icrm.corpus import read_canonical
 from icrm.model import IcrmClassifier, IcrmConfig
-from icrm.nbayes import NaiveBayesClassifier
 from icrm.synth import synthetic_dataset
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
@@ -139,7 +138,6 @@ _MODELS = {
     "default": IcrmClassifier,
     "forgetting": lambda: IcrmClassifier(IcrmConfig(death_rate=0.02)),
     "random-sampler": lambda: IcrmClassifier(IcrmConfig(feature_sampler="random")),
-    "naive-bayes": NaiveBayesClassifier,
 }
 
 
@@ -149,7 +147,7 @@ def test_a_loaded_state_saves_back_byte_for_byte_and_classifies_alike(
 ):
     """Train on the corpus, save, load, save again: the two files are the
     same bytes, and the loaded model labels the corpus as the trained one
-    does. The classify command reads each ICRM state."""
+    does. The classify command reads each state."""
     dataset = read_canonical(inputs / "short.jsonl")
     messages = dataset.ham + dataset.spam
     trained = _MODELS[model]()
@@ -160,10 +158,9 @@ def test_a_loaded_state_saves_back_byte_for_byte_and_classifies_alike(
     loaded.save(again)
     assert again.read_bytes() == state.read_bytes()
     assert [loaded.classify(m) for m in messages] == [trained.classify(m) for m in messages]
-    if model != "naive-bayes":
-        out = _icrm(["classify", str(state), "msg.txt", "--explain"], inputs)
-        assert out.returncode == 0 and out.stderr == "", out.stderr
-        assert _VERDICT_LINE.fullmatch(out.stdout.splitlines()[0]), out.stdout
+    out = _icrm(["classify", str(state), "msg.txt", "--explain"], inputs)
+    assert out.returncode == 0 and out.stderr == "", out.stderr
+    assert _VERDICT_LINE.fullmatch(out.stdout.splitlines()[0]), out.stdout
 
 
 def test_several_messages_print_what_each_alone_prints_first(inputs, tmp_path):

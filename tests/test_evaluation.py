@@ -469,6 +469,12 @@ class TestEvalDynamic:
         assert nb.model == model_before
 
 
+@pytest.mark.parametrize("kind", ["svm", "NB", ""])
+def test_an_unknown_classifier_kind_is_refused(kind):
+    with pytest.raises(ValueError, match=f"^unknown classifier kind {kind!r}$"):
+        evaluation.make_factory(kind, IcrmConfig())
+
+
 def test_protocols_reuse_memoized_messages():
     """Reports on a dataset whose messages hold samples equal fresh ones."""
     def corpus():

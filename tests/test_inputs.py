@@ -1,5 +1,6 @@
 """Malformed inputs (canonical records, report, state, settings files) fail typed."""
 
+import csv
 import functools
 import json
 import os
@@ -19,7 +20,6 @@ from icrm.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from icrm.corpus import LABELS, CanonicalFormatError, Dataset, read_canonical, write_canonical
 from icrm.files import write_state
 from icrm.model import IcrmClassifier, IcrmConfig, SnapshotError
-from icrm.nbayes import ModelError, NaiveBayesClassifier
 from icrm.synth import synthetic_dataset
 
 from conftest import make_message
@@ -94,6 +94,25 @@ class TestCanonicalFieldTypes:
                      "--out", str(tmp_path / "out")])
         assert code == EXIT_DATA
         assert f"{path}: line 1: " in capsys.readouterr().err
+
+
+def test_a_line_holding_a_json_array_is_not_a_record(tmp_path):
+    path = _write_lines(tmp_path / "bad.jsonl", [_GOOD, [_GOOD]])
+    with pytest.raises(CanonicalFormatError,
+                       match=f"^{re.escape(str(path))}: line 2: record is not an object$"):
+        read_canonical(path)
+
+
+def test_blank_lines_between_records_read_as_the_file_without_them(tmp_path):
+    records = [_GOOD, dict(_GOOD, id="m2", label="spam"), dict(_GOOD, id="m3")]
+    plain = _write_lines(tmp_path / "plain.jsonl", records)
+    lines = plain.read_text(encoding="utf-8").splitlines(keepends=True)
+    spaced = tmp_path / "spaced.jsonl"
+    spaced.write_text("\n" + lines[0] + "  \t\n\n" + lines[1] + "\r\n" + lines[2] + " \n",
+                      encoding="utf-8", newline="")
+    want = read_canonical(plain, name="d")
+    assert len(want.ham) == 2 and len(want.spam) == 1
+    assert read_canonical(spaced, name="d") == want
 
 
 _JSON = st.recursive(
@@ -184,6 +203,23 @@ class TestReportFiles:
         assert "static_ttest.csv" in err
         assert named in err
 
+    def test_a_directory_without_report_files_is_data_error(self, tmp_path, capsys):
+        out = self._report_dir(tmp_path)
+        (out / "notes.csv").write_text("metric,t,p\n", encoding="utf-8")
+        assert main(["report", str(out)]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"icrm: error: no report files under {out}\n"
+
+    def test_a_field_the_csv_module_refuses_is_data_error(self, tmp_path, capsys):
+        field = "9" * (csv.field_size_limit() + 1)
+        out = self._report_dir(tmp_path, summary=self._HEADER + f"f_score,{field},0,,\n")
+        assert main(["report", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        path = out / "static_icrm_summary.csv"
+        assert err.startswith(f"icrm: error: cannot read report file {path}: field larger ")
+        assert err.count("\n") == 1
+
     def test_undecodable_file_is_data_error(self, tmp_path):
         out = self._report_dir(tmp_path)
         (out / "static_ttest.csv").write_bytes(b"metric,t,p\n\xff\xfe,1,2\n")
@@ -244,14 +280,10 @@ class TestReportFiles:
         )
 
 
-@pytest.mark.parametrize("case", ["config", "stopwords", "state", "nb-model", "corpus"])
+@pytest.mark.parametrize("case", ["config", "stopwords", "state", "corpus"])
 def test_non_utf8_file_is_typed_error_naming_it(tmp_path, capsys, case):
     bad = tmp_path / "bad.txt"
     bad.write_bytes(json.dumps(_GOOD).encode() + b"\n\xff\n")  # 0xff on line 2
-    if case == "nb-model":
-        with pytest.raises(ModelError, match="bad.txt"):
-            NaiveBayesClassifier.load(bad)
-        return
     good = _write_lines(tmp_path / "good.jsonl", [_GOOD, dict(_GOOD, id="m2")])
     msg = tmp_path / "m.txt"
     msg.write_text("Subject: x\nhello", encoding="utf-8")
@@ -271,29 +303,23 @@ def test_non_utf8_file_is_typed_error_naming_it(tmp_path, capsys, case):
         assert "line 2: not UTF-8" in err
 
 
-@pytest.mark.parametrize("kind, load, error", [
-    ("icrm", IcrmClassifier.load, SnapshotError),
-    ("nb", NaiveBayesClassifier.load, ModelError),
-])
-def test_an_integer_literal_too_long_to_convert_is_typed_error(
-    tmp_path, capsys, kind, load, error
-):
+def test_an_integer_literal_too_long_to_convert_is_typed_error(tmp_path, capsys):
     """JSON decoding refuses an integer of more than 4,300 digits with a plain
-    ValueError; a state or model file holding one is the loader's typed
-    error naming the file, and ``classify`` exits 2 with one line."""
+    ValueError; a state file holding one is a ``SnapshotError`` naming the
+    file, and ``classify`` exits 2 with one line."""
     path = tmp_path / "state.json"
-    path.write_text(_saved(kind).replace("{", '{"seed": ' + "9" * 5000 + ", ", 1),
+    path.write_text(_saved("icrm").replace("{", '{"seed": ' + "9" * 5000 + ", ", 1),
                     encoding="utf-8")
-    with pytest.raises(error, match=f"^cannot read .* file {re.escape(str(path))}: "):
-        load(path)
-    if kind == "icrm":
-        msg = tmp_path / "m.txt"
-        msg.write_text("Subject: x\nhello", encoding="utf-8")
-        assert main(["classify", str(path), str(msg)]) == EXIT_DATA
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(f"icrm: error: cannot read icrm-state file {path}: ")
-        assert captured.err.count("\n") == 1
+    with pytest.raises(SnapshotError,
+                       match=f"^cannot read icrm-state file {re.escape(str(path))}: "):
+        IcrmClassifier.load(path)
+    msg = tmp_path / "m.txt"
+    msg.write_text("Subject: x\nhello", encoding="utf-8")
+    assert main(["classify", str(path), str(msg)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"icrm: error: cannot read icrm-state file {path}: ")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("version", [1, 2])
@@ -388,7 +414,7 @@ def _saved(kind: str) -> str:
     """The text of a state file saved after training on a small corpus;
     ``icrm-v1`` is the ICRM state as version 1 wrote it."""
     ds = synthetic_dataset(n_ham=30, n_spam=30, vocab_per_class=60, seed=4)
-    clf = NaiveBayesClassifier() if kind == "nb" else IcrmClassifier(IcrmConfig(seed=2))
+    clf = IcrmClassifier(IcrmConfig(seed=2))
     clf.train(ds.ham + ds.spam)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "state.json"
@@ -407,26 +433,17 @@ _LONG = make_message(body=" ".join(
 ))
 
 
-@pytest.mark.parametrize("kind, load, error", [
-    ("icrm", IcrmClassifier.load, SnapshotError),
-    ("icrm-v1", IcrmClassifier.load, SnapshotError),
-    ("nb", NaiveBayesClassifier.load, ModelError),
-])
+@pytest.mark.parametrize("kind", ["icrm", "icrm-v1"])
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
-def test_any_value_under_any_key_gives_typed_error_or_classifier(kind, load, error, data):
+def test_any_value_under_any_key_gives_typed_error_or_classifier(kind, data):
     doc = json.loads(_saved(kind))
     _replace_one(data, doc)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "state.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         try:
-            clf = load(path)
-        except error:
+            clf = IcrmClassifier.load(path)
+        except SnapshotError:
             return
-    try:
-        label = clf.classify(_LONG)
-    except ModelError:
-        assert kind == "nb"  # a loaded model without documents of one class
-        return
-    assert label in LABELS
+    assert clf.classify(_LONG) in LABELS

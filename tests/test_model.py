@@ -266,6 +266,20 @@ class TestAddReturnsRows:
         assert rng.bit_generator.state == drawn
 
 
+def test_a_feature_is_in_the_repertoire_once_it_has_a_row():
+    rep = Repertoire({"known": (1.0, 2.0)})
+    assert "known" in rep
+    assert "new" not in rep and 7 not in rep
+    rep.add(["new"], (6.0, 5.0))
+    assert "new" in rep
+
+
+def test_repr_shows_the_rows_in_order_as_a_dict():
+    assert repr(Repertoire()) == "Repertoire({})"
+    rep = Repertoire({"b": (1.0, 2.5), "a": (0.0, 3.0)})
+    assert repr(rep) == "Repertoire({'b': (1.0, 2.5), 'a': (0.0, 3.0)})"
+
+
 class TestBuildSlotArray:
     def test_size_contract(self):
         cfg = IcrmConfig()
