@@ -340,6 +340,18 @@ class TestClassify:
         with pytest.raises(ValueError, match="^n must be <= 1000, got 1002$"):
             NaiveBayesClassifier(n=1002)
 
+    @pytest.mark.parametrize("n, text", [
+        pytest.param(3, "n must be a multiple of 2, got 3", id="odd-n"),
+        pytest.param(50.0, "n must be an integer, got 50.0", id="float-n"),
+        pytest.param(True, "n must be an integer, got True", id="bool-n"),
+        pytest.param("50", "n must be an integer, got '50'", id="string-n"),
+        pytest.param(None, "n must be an integer, got None", id="missing-n"),
+        pytest.param(0, "n must be >= 2, got 0", id="n-below-2"),
+    ])
+    def test_a_cap_outside_its_range_is_refused(self, n, text):
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            NaiveBayesClassifier(n=n)
+
 
 class TestCountsCheckThemselves:
     """``NbModel`` refuses, when it is made, every count training could not
@@ -412,6 +424,28 @@ class TestCountsCheckThemselves:
         pytest.param(lambda s: s["feature_doc_count"].update(other={}),
                      "expected one entry per label ('ham', 'spam'), got "
                      "['ham', 'other', 'spam']", id="third-label-of-features"),
+        pytest.param(lambda s: s["feature_doc_count"][HAM].update(alpha="x"),
+                     "counts must be integers in [0, 2**63), got 'x'", id="count-x"),
+        pytest.param(lambda s: s["feature_doc_count"][SPAM].update(beta=None),
+                     "counts must be integers in [0, 2**63), got None", id="none-count"),
+        pytest.param(lambda s: s["feature_doc_count"][HAM].update(alpha=2**63),
+                     f"counts must be integers in [0, 2**63), got {2**63}",
+                     id="count-too-large"),
+        pytest.param(lambda s: s["doc_count"].update(ham=10**400),
+                     f"counts must be integers in [0, 2**63), got {10**400}",
+                     id="huge-count"),
+        pytest.param(lambda s: s["doc_count"].update(spam=0),
+                     "spam feature counts must be in [1, doc_count 0]",
+                     id="count-without-documents"),
+        pytest.param(lambda s: s.update(doc_count=[1, 2]),
+                     "expected one entry per label ('ham', 'spam'), got [1, 2]",
+                     id="doc-count-list"),
+        pytest.param(lambda s: s["doc_count"].pop(SPAM),
+                     "expected one entry per label ('ham', 'spam'), got ['ham']",
+                     id="doc-count-missing-class"),
+        pytest.param(lambda s: s["feature_doc_count"].pop(HAM),
+                     "expected one entry per label ('ham', 'spam'), got ['spam']",
+                     id="features-missing-class"),
     ])
     def test_a_count_is_refused_when_made_with_its_text(self, mutate, text):
         counts = {"doc_count": {HAM: 1, SPAM: 1},
