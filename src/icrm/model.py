@@ -111,7 +111,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import HAM, SPAM, Message, training_label
-from .files import read_state, write_state
+from .files import BLOCK_VERSION, read_state, write_state
 from .ranges import RANGES, SAMPLERS, check_range
 from .textprep import SAMPLE_CAP, check_features, preprocess
 
@@ -186,9 +186,9 @@ class Repertoire(Mapping):
     insertion order and never move, so iteration follows first sight.
     Reading a feature gives a tuple of Python floats; :meth:`add` appends
     rows for new features and returns the rows of all it was given. A
-    state file of version 2 keeps the rows in this order; one of version 1
-    listed features sorted, so a repertoire loaded from it iterates in
-    sorted order.
+    state file of version 3 or 2 keeps the rows in this order; one of
+    version 1 listed features sorted, so a repertoire loaded from it
+    iterates in sorted order.
 
     Every row is valid however the repertoire was made: its feature a
     ``str``, each population finite and >= 0, and each E + R finite,
@@ -661,36 +661,37 @@ class IcrmClassifier:
     # -- persistence ---------------------------------------------------
 
     _FORMAT = "icrm-state"
-    _VERSION = 2
 
     def save(self, path) -> None:
-        """Write a lossless, versioned JSON snapshot of the full state.
+        """Write a lossless, versioned snapshot of the full state.
 
-        Version 2 lists the features in row order and holds their (E, R)
-        pairs, in the same order, as one base64 string of little-endian
-        float64s: loading it restores every population bit for bit and
-        the first-sight row order.
+        Version 3 is one line of ASCII JSON, keys sorted: the ``config``,
+        the ``sampler``, the generator's ``rng_state`` and the ``features``
+        in row order. A line feed follows, then the features' (E, R) pairs
+        in the same order as raw little-endian float64s, 16 bytes per
+        feature: loading it restores every population bit for bit and the
+        first-sight row order. ``save`` writes no other version.
         """
         rep = self.repertoire
-        raw = np.ascontiguousarray(rep.populations, "<f8").tobytes()
         config = asdict(self.config)
         sampler = config.pop("feature_sampler")
-        write_state(path, self._FORMAT, self._VERSION, {
+        write_state(path, self._FORMAT, {
             "config": config,
             "sampler": sampler,
             "rng_state": self.rng.bit_generator.state,
             "features": list(rep.rows),
-            "populations": base64.b64encode(raw).decode("ascii"),
-        })
+        }, np.ascontiguousarray(rep.populations, "<f8"))
 
     @classmethod
     def load(cls, path, stopwords: frozenset[str] | None = None) -> "IcrmClassifier":
-        """Resume from a version 1 or version 2 snapshot.
+        """Resume from a snapshot of version 3, 2 or 1.
 
-        Version 1 holds a ``repertoire`` object, feature -> [E, R], whose
-        keys were saved sorted, so its rows load in sorted order. The
-        sampler is the top-level ``sampler``, never a ``config`` key. The
-        loader only decodes: :class:`IcrmConfig` checks the settings,
+        Version 2 is one JSON object holding version 3's header keys and
+        the block as the base64 string ``populations``. Version 1 holds a
+        ``repertoire`` object, feature -> [E, R], whose keys were saved
+        sorted, so its rows load in sorted order. The sampler is the
+        top-level ``sampler``, never a ``config`` key. The loader only
+        decodes: :class:`IcrmConfig` checks the settings,
         :class:`Repertoire` the rows and the generator its state, which must
         read back unchanged, so a file holds exactly what :meth:`save` can
         write. Anything else is a :class:`SnapshotError` naming the file.
@@ -699,13 +700,17 @@ class IcrmClassifier:
         once: around the checked config, the loaded repertoire and a
         generator set to the saved state, with no empty repertoire first.
         """
-        version, state = read_state(path, cls._FORMAT, {1, 2}, SnapshotError)
+        version, state, block = read_state(path, cls._FORMAT, {1, 2, BLOCK_VERSION},
+                                           SnapshotError)
         try:
             sampler = state.get("sampler", SAMPLERS[0])
             # a config that also holds feature_sampler is a TypeError
             config = IcrmConfig(**state["config"], feature_sampler=sampler)
-            decode = _v1_rows if version == 1 else _v2_rows
-            repertoire = Repertoire.from_rows(*decode(state))  # which checks the rows
+            if version == 1:
+                rows = _v1_rows(state)
+            else:
+                rows = _block_rows(state, _v2_block(state) if version == 2 else block)
+            repertoire = Repertoire.from_rows(*rows)  # which checks the rows
             rng = np.random.default_rng(config.seed)  # __init__'s kind of generator
             rng.bit_generator.state = state["rng_state"]
             # numpy would read 1.5 or true as 1 and drop an unknown key; JSON
@@ -743,18 +748,27 @@ else:  # no strict_mode before 3.11
     _strict_b64decode = partial(base64.b64decode, validate=True)
 
 
-def _v2_rows(state: dict) -> tuple[list[str], np.ndarray]:
-    """Features and (E, R) rows of version 2's ``features`` and ``populations``."""
-    features = state["features"]
-    # a str or an object would join; None, standing in for them, does not
-    check_features(features if isinstance(features, list) else None)
+def _v2_block(state: dict) -> bytes:
+    """The block of version 2's strict base64 ``populations``."""
     text = state["populations"]
     raw = _strict_b64decode(text)  # binascii.Error is a ValueError
     if len(text) != 4 * -(-len(raw) // 3):
         raise ValueError("populations carry padding beyond their last byte")
-    if len(raw) != 16 * len(features):
+    return raw
+
+
+def _block_rows(state: dict, block: bytes) -> tuple[list[str], np.ndarray]:
+    """The ``features`` and their (E, R) rows in ``block``.
+
+    Only the list is checked here: :class:`Repertoire` refuses an item
+    that is not a ``str``, in its one pass over the features.
+    """
+    features = state["features"]
+    if not isinstance(features, list):
+        raise ValueError("features must be a list of strings")
+    if len(block) != 16 * len(features):
         raise ValueError(
-            f"populations hold {len(raw)} bytes, not 16 for each of "
+            f"populations hold {len(block)} bytes, not 16 for each of "
             f"{len(features)} features"
         )
-    return features, np.frombuffer(raw, "<f8").reshape(-1, 2)
+    return features, np.frombuffer(block, "<f8").reshape(-1, 2)

@@ -2,16 +2,18 @@
 
 These are the per-slot loops that ``icrm.model.build_slot_array`` and
 ``icrm.model.interact`` replaced, with the list-backed ``SlotArray`` they
-were written against, and the per-message cycle and state-file body as
+were written against, and the per-message cycle and state-file bodies as
 they were over a plain dict repertoire. The kernel must reproduce them bit
 for bit: same slot layout, same bindings, same float in every repertoire
-entry, same bytes in a saved state of either version. Test-only; never imported by the
-package.
+entry, same bytes in a saved state. ``save`` writes version 3 only;
+versions 1 and 2 are written here, as they were written, for the loader.
+Test-only; never imported by the package.
 """
 
 from __future__ import annotations
 
 import base64
+import json
 import math
 import struct
 from dataclasses import asdict, dataclass
@@ -172,3 +174,47 @@ def state_body_v2(rep: Repertoire, cfg: IcrmConfig, rng: np.random.Generator) ->
         "features": list(rep),
         "populations": base64.b64encode(packed).decode("ascii"),
     }
+
+
+def state_file_v3(rep: Repertoire, cfg: IcrmConfig, rng: np.random.Generator) -> bytes:
+    """The version 3 file for a dict repertoire: the header on one ASCII
+    line, keys sorted, then the (E, R) pairs packed one by one as
+    little-endian doubles, in insertion order."""
+    config, sampler = _settings(cfg)
+    header = {
+        "format": "icrm-state",
+        "version": 3,
+        "config": config,
+        "sampler": sampler,
+        "rng_state": rng.bit_generator.state,
+        "features": list(rep),
+    }
+    packed = b"".join(struct.pack("<dd", e, r) for e, r in rep.values())
+    return json.dumps(header, sort_keys=True).encode("ascii") + b"\n" + packed
+
+
+def edit_v3(header=lambda state: None, block=lambda raw: raw):
+    """An edit of a version 3 file's bytes: ``header`` edits its header
+    object in place, and ``block`` gives the new block from the old."""
+    def edit(raw: bytes) -> bytes:
+        line, _, old = raw.partition(b"\n")
+        state = json.loads(line)
+        header(state)
+        return json.dumps(state).encode("ascii") + b"\n" + block(old)
+    return edit
+
+
+def v2_populations_at_version_3(raw: bytes) -> bytes:
+    """A version 3 header holding its block as version 2's base64
+    ``populations`` key, and no block after it."""
+    line, _, block = raw.partition(b"\n")
+    state = json.loads(line)
+    state["populations"] = base64.b64encode(block).decode("ascii")
+    return json.dumps(state).encode("ascii")
+
+
+def write_json_state(path, version: int, body: dict) -> None:
+    """Write a state file as versions 1 and 2 were written: one JSON
+    object, its keys sorted, and nothing after it."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"format": "icrm-state", "version": version, **body}, fh, sort_keys=True)

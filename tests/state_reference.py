@@ -4,15 +4,19 @@ the oracle for ``IcrmClassifier.load``.
 ``read_text`` and ``read_state`` are ``icrm.files``' text-mode reader and
 envelope check, ``_v2_rows`` the version 2 row decoder with its per-item
 type scan, and ``load`` the classmethod that built a default classifier
-and then replaced its repertoire and generator state. The loader must
-accept and refuse the same files, and restore the same populations, row
-order, config and generator state. Test-only; never imported by the
-package.
+and then replaced its repertoire and generator state. Version 3 is read
+the plain way: ``read_state`` splits the bytes at the first line feed and
+takes the first line as the header when it is ASCII JSON of the format at
+version 3, and ``_v3_rows`` unpacks the block one pair at a time. The
+loader must accept and refuse the same files, and restore the same
+populations, row order, config and generator state. Test-only; never
+imported by the package.
 """
 
 import base64
 import json
 import math
+import struct
 
 import numpy as np
 
@@ -30,12 +34,27 @@ def read_text(path, error: type[Exception], what: str) -> str:
 
 def read_state(
     path, fmt: str, versions: set[int], error: type[Exception]
-) -> tuple[int, dict]:
-    """The version and body of a ``fmt`` file at one of ``versions``.
+) -> tuple[int, dict, bytes]:
+    """The version, body and block of a ``fmt`` file at one of ``versions``.
 
     The version must be an ``int`` (not a bool, not a float that equals
     one); the body's keys are not checked.
     """
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise error(f"cannot read {fmt} file {path}: {exc}") from None
+    if b"\n" in raw:
+        line, block = raw.split(b"\n", 1)
+        try:
+            header = json.loads(line.decode("ascii"))
+        except (UnicodeDecodeError, json.JSONDecodeError, ValueError, RecursionError):
+            header = None
+        if (isinstance(header, dict) and header.get("format") == fmt
+                and header.get("version") == 3 and type(header["version"]) is int):
+            del header["format"], header["version"]
+            return 3, header, block
     try:
         state = json.loads(read_text(path, error, f"{fmt} file"))
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -46,7 +65,7 @@ def read_state(
     if type(version) is not int or version not in versions:
         raise error(f"{path}: unsupported {fmt} version {version!r}")
     del state["format"], state["version"]
-    return version, state
+    return version, state, b""
 
 
 def _v2_rows(state: dict) -> tuple[list[str], np.ndarray]:
@@ -66,15 +85,32 @@ def _v2_rows(state: dict) -> tuple[list[str], np.ndarray]:
     return features, np.frombuffer(raw, "<f8").reshape(-1, 2)
 
 
+def _v3_rows(state: dict, block: bytes) -> tuple[list[str], np.ndarray]:
+    """Features and (E, R) rows of version 3's ``features`` and block."""
+    features = state["features"]
+    if not isinstance(features, list) or set(map(type, features)) - {str}:
+        raise ValueError("features must be a list of strings")
+    if len(block) != 16 * len(features):
+        raise ValueError(
+            f"populations hold {len(block)} bytes, not 16 for each of "
+            f"{len(features)} features"
+        )
+    pairs = [list(pair) for pair in struct.iter_unpack("<dd", block)]
+    return features, np.array(pairs, np.float64).reshape(-1, 2)
+
+
 def load(path, stopwords: frozenset[str] | None = None) -> IcrmClassifier:
-    """``IcrmClassifier.load``, its body as it was."""
+    """``IcrmClassifier.load``, its body as it was, and version 3 beside it."""
     cls = IcrmClassifier
-    version, state = read_state(path, cls._FORMAT, {1, 2}, SnapshotError)
+    version, state, block = read_state(path, cls._FORMAT, {1, 2, 3}, SnapshotError)
     try:
         sampler = state.get("sampler", SAMPLERS[0])
         # a config that also holds feature_sampler is a TypeError
         clf = cls(IcrmConfig(**state["config"], feature_sampler=sampler), stopwords)
-        features, pops = (_v1_rows if version == 1 else _v2_rows)(state)
+        if version == 3:
+            features, pops = _v3_rows(state, block)
+        else:
+            features, pops = (_v1_rows if version == 1 else _v2_rows)(state)
         ok = (pops >= 0.0) & (pops < math.inf)  # NaN fails too
         if not ok.all():
             e, r = pops[np.flatnonzero(~ok)[0] // 2].tolist()

@@ -21,13 +21,14 @@ from icrm import cli, ranges
 from icrm.cli import DEFAULTS, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from icrm.corpus import HAM, SPAM, read_canonical, read_message_file, write_canonical
 from icrm.evaluation import EvalError, check_settings, eval_dynamic, eval_static
-from icrm.files import write_state
 from icrm.model import IcrmClassifier, IcrmConfig, SnapshotError
 from icrm.synth import synthetic_dataset
 from icrm.textprep import preprocess
 
 from conftest import make_message
-from model_reference import state_body
+from model_reference import (
+    edit_v3, state_body, state_body_v2, v2_populations_at_version_3, write_json_state,
+)
 
 
 @pytest.fixture(scope="module")
@@ -396,6 +397,38 @@ def _set_first(value: float):
     return lambda raw: struct.pack("<d", value) + raw[8:]
 
 
+# edits to the header keys versions 2 and 3 share
+_HEADER_EDITS = [
+    ("missing-config", lambda s: s.pop("config")),
+    ("odd-n", lambda s: s["config"].update(n=3)),
+    ("unknown-config-key", lambda s: s["config"].update(bogus=1)),
+    ("unknown-sampler", lambda s: s.update(sampler="bogus")),
+    ("sampler-in-config", lambda s: s["config"].update(feature_sampler="first-last")),
+    ("rng-state", lambda s: s.update(rng_state={"a": 1})),
+    ("rng-state-1.5", lambda s: s["rng_state"]["state"].update(state=1.5)),
+    ("float-n", lambda s: s["config"].update(n=50.0)),
+    ("float-n_a", lambda s: s["config"].update(n_a=10.0)),
+    ("huge-int-e0", lambda s: s["config"].update(e0_test=10**400)),
+    ("proliferation-1e308", lambda s: s["config"].update(proliferation=1e308)),
+    ("ham-populations-near-float-max",
+     lambda s: s["config"].update(e0_ham=1e308, r0_ham=1.7e308)),
+    ("n_a-10**6", lambda s: s["config"].update(n_a=10**6)),
+]
+
+
+def _assert_malformed(snapshot: Path, tmp_path: Path, capsys) -> None:
+    """Loading ``snapshot`` is a ``SnapshotError`` naming it, and
+    ``classify`` exits 2 with one line that says the file is malformed."""
+    with pytest.raises(SnapshotError, match=re.escape(str(snapshot))):
+        IcrmClassifier.load(snapshot)
+    msg = tmp_path / "m.txt"
+    msg.write_text("Subject: x\nhello", encoding="utf-8")
+    assert main(["classify", str(snapshot), str(msg)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"icrm: error: malformed state file {snapshot}: ")
+    assert err.count("\n") == 1
+
+
 class TestClassify:
     @pytest.fixture()
     def snapshot(self, tmp_path, disjoint_corpus):
@@ -430,29 +463,13 @@ class TestClassify:
         float(value)
 
     @pytest.mark.parametrize("version, mutate", [
-        pytest.param(2, lambda s: s.pop("config"), id="missing-config"),
-        pytest.param(2, lambda s: s["config"].update(n=3), id="odd-n"),
-        pytest.param(2, lambda s: s["config"].update(bogus=1), id="unknown-config-key"),
-        pytest.param(2, lambda s: s.update(sampler="bogus"), id="unknown-sampler"),
-        pytest.param(2, lambda s: s["config"].update(feature_sampler="first-last"),
-                     id="sampler-in-config"),
+        *[pytest.param(2, edit, id=name) for name, edit in _HEADER_EDITS],
         pytest.param(1, lambda s: s["repertoire"].update(alpha=["x", 1.0]),
                      id="population-x"),
         pytest.param(1, lambda s: s["repertoire"].update(alpha=[-1.0, 1.0]),
                      id="population-negative"),
         pytest.param(1, lambda s: s["repertoire"].update(alpha=[1.0, float("nan")]),
                      id="population-nan"),
-        pytest.param(2, lambda s: s.update(rng_state={"a": 1}), id="rng-state"),
-        pytest.param(2, lambda s: s["rng_state"]["state"].update(state=1.5),
-                     id="rng-state-1.5"),
-        pytest.param(2, lambda s: s["config"].update(n=50.0), id="float-n"),
-        pytest.param(2, lambda s: s["config"].update(n_a=10.0), id="float-n_a"),
-        pytest.param(2, lambda s: s["config"].update(e0_test=10**400), id="huge-int-e0"),
-        pytest.param(2, lambda s: s["config"].update(proliferation=1e308),
-                     id="proliferation-1e308"),
-        pytest.param(2, lambda s: s["config"].update(e0_ham=1e308, r0_ham=1.7e308),
-                     id="ham-populations-near-float-max"),
-        pytest.param(2, lambda s: s["config"].update(n_a=10**6), id="n_a-10**6"),
         pytest.param(2, lambda s: s.update(populations=s["populations"][:-1]),
                      id="v2-truncated-base64"),
         pytest.param(2, lambda s: s.update(populations=s["populations"] + "="),
@@ -476,29 +493,57 @@ class TestClassify:
     def test_malformed_snapshot_is_data_error(
         self, tmp_path, snapshot, capsys, version, mutate
     ):
-        if version == 1:
-            clf = IcrmClassifier.load(snapshot)
-            write_state(snapshot, "icrm-state", 1,
-                        state_body(dict(clf.repertoire), clf.config, clf.rng))
-        state = json.loads(snapshot.read_text(encoding="utf-8"))
-        assert state["version"] == version
+        clf = IcrmClassifier.load(snapshot)
+        body = state_body if version == 1 else state_body_v2
+        state = body(dict(clf.repertoire), clf.config, clf.rng)
         mutate(state)
-        snapshot.write_text(json.dumps(state), encoding="utf-8")
-        with pytest.raises(SnapshotError, match=re.escape(str(snapshot))):
-            IcrmClassifier.load(snapshot)
-        msg = tmp_path / "m.txt"
-        msg.write_text("Subject: x\nhello", encoding="utf-8")
-        assert main(["classify", str(snapshot), str(msg)]) == EXIT_DATA
-        err = capsys.readouterr().err
-        assert err.startswith(f"icrm: error: malformed state file {snapshot}: ")
-        assert err.count("\n") == 1
+        write_json_state(snapshot, version, state)
+        _assert_malformed(snapshot, tmp_path, capsys)
+
+    @pytest.mark.parametrize("damage", [
+        *[pytest.param(edit_v3(header=edit), id=name) for name, edit in _HEADER_EDITS],
+        pytest.param(edit_v3(block=lambda raw: raw[:-1]), id="truncated-body"),
+        pytest.param(edit_v3(block=lambda raw: raw[:-8]), id="8-bytes-short"),
+        pytest.param(edit_v3(block=lambda raw: raw + b"\x00"), id="one-extra-byte"),
+        pytest.param(edit_v3(block=lambda raw: raw + b"\n"), id="extra-line-feed"),
+        pytest.param(edit_v3(block=lambda raw: b""), id="header-with-no-body"),
+        pytest.param(lambda raw: raw.partition(b"\n")[0], id="header-with-no-line-feed"),
+        pytest.param(edit_v3(header=lambda s: s.update(features=dict.fromkeys(s["features"], 1))),
+                     id="features-not-a-list"),
+        pytest.param(edit_v3(header=lambda s: s.update(features=None)), id="features-none"),
+        pytest.param(edit_v3(header=lambda s: s.pop("features")), id="no-features"),
+        pytest.param(edit_v3(header=lambda s: s["features"].__setitem__(0, 7)),
+                     id="non-string-feature"),
+        pytest.param(edit_v3(header=lambda s: s["features"].__setitem__(1, s["features"][0])),
+                     id="repeated-feature"),
+        pytest.param(v2_populations_at_version_3, id="v2-populations-key-at-version-3"),
+        pytest.param(edit_v3(block=_set_first(float("nan"))), id="nan"),
+        pytest.param(edit_v3(block=_set_first(float("inf"))), id="inf"),
+        pytest.param(edit_v3(block=_set_first(-1.0)), id="negative"),
+    ])
+    def test_malformed_version_3_snapshot_is_data_error(
+        self, tmp_path, snapshot, capsys, damage
+    ):
+        snapshot.write_bytes(damage(snapshot.read_bytes()))
+        _assert_malformed(snapshot, tmp_path, capsys)
 
     @pytest.mark.parametrize("version", [True, 1.0, 2.0, "2", None])
     def test_version_must_be_an_accepted_int(self, snapshot, version):
-        state = json.loads(snapshot.read_text(encoding="utf-8"))
-        state["version"] = version
+        clf = IcrmClassifier.load(snapshot)
+        state = state_body_v2(dict(clf.repertoire), clf.config, clf.rng)
+        state.update(format="icrm-state", version=version)
         snapshot.write_text(json.dumps(state), encoding="utf-8")
         with pytest.raises(SnapshotError, match=re.escape(f"{snapshot}: unsupported")):
+            IcrmClassifier.load(snapshot)
+
+    @pytest.mark.parametrize("version", [True, 3.0, "3", None, 2, 4])
+    def test_a_header_line_at_another_version_is_refused(self, snapshot, version):
+        """Only version 3 is a header line and a block; a file whose first
+        line holds another version is read as one JSON value, which its
+        block is not."""
+        snapshot.write_bytes(edit_v3(header=lambda s: s.update(version=version))(
+            snapshot.read_bytes()))
+        with pytest.raises(SnapshotError, match=re.escape(str(snapshot))):
             IcrmClassifier.load(snapshot)
 
     def test_deeply_nested_snapshot_is_data_error(self, tmp_path, capsys):
@@ -838,6 +883,12 @@ def test_seed_is_read_where_something_draws_from_it(mode, model):
     assert "seed" in cli._run_settings(mode, model)
 
 
+def _save_v2(clf: IcrmClassifier, path: Path) -> None:
+    """Write ``clf``'s state as version 2 wrote it: the digests recorded
+    before version 3 pin its populations and generator state."""
+    write_json_state(path, 2, state_body_v2(dict(clf.repertoire), clf.config, clf.rng))
+
+
 _FORGETTING = Path(__file__).parent / "data" / "forgetting-digests.json"
 
 
@@ -859,9 +910,10 @@ def test_forgetting_variant_outputs_keep_their_recorded_bytes(tmp_path, capsys):
     # the ham rows died during the spam block, so the digest covers the clear
     assert (0.0, 0.0) in clf.repertoire.values()
     clf.save(tmp_path / "state.json")
+    _save_v2(clf, tmp_path / "state-v2.json")
     written = {
         path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted(tmp_path.glob("*/*.csv")) + [tmp_path / "state.json"]
+        for path in sorted(tmp_path.glob("*/*.csv")) + sorted(tmp_path.glob("state*.json"))
     }
     assert written == json.loads(_FORGETTING.read_text(encoding="utf-8"))["sha256"]
 
@@ -886,14 +938,15 @@ def test_random_sampler_outputs_keep_their_recorded_bytes(tmp_path, capsys):
     assert clf.repertoire != first_last.repertoire  # the messages were sampled
     state = tmp_path / "state.json"
     clf.save(state)
-    body = json.loads(state.read_text(encoding="utf-8"))
+    body = json.loads(state.read_bytes().partition(b"\n")[0])
     assert body["sampler"] == "random" and "feature_sampler" not in body["config"]
     again = tmp_path / "again.json"
     IcrmClassifier.load(state).save(again)
     assert again.read_bytes() == state.read_bytes()
+    _save_v2(clf, tmp_path / "state-v2.json")
     written = {
         path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted(tmp_path.glob("*/*.csv")) + [state]
+        for path in sorted(tmp_path.glob("*/*.csv")) + sorted(tmp_path.glob("state*.json"))
     }
     assert written == json.loads(_RANDOM_SAMPLER.read_text(encoding="utf-8"))["sha256"]
 
@@ -948,6 +1001,7 @@ def _default_path_digests(root: Path) -> dict[str, str]:
     clf.train(full.ham + full.spam)
     state = root / "state.json"
     clf.save(state)
+    _save_v2(clf, root / "state-v2.json")
     spam = full.spam[-1]
     messages = {
         "corpus-msg.txt": f"Subject: {spam.subject}\n{spam.body}",
@@ -959,7 +1013,8 @@ def _default_path_digests(root: Path) -> dict[str, str]:
         explained = root / f"classify-{name}"
         with open(explained, "w", encoding="utf-8") as out, redirect_stdout(out):
             assert main(["classify", str(state), str(root / name), "--explain"]) == EXIT_OK
-    paths = sorted(root.glob("*/*.csv")) + [state] + sorted(root.glob("classify-*"))
+    paths = (sorted(root.glob("*/*.csv")) + sorted(root.glob("state*.json"))
+             + sorted(root.glob("classify-*")))
     return {
         path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in paths
@@ -980,7 +1035,7 @@ def test_default_path_outputs_keep_their_recorded_bytes(tmp_path, capsys):
         sizes[name] = {len(preprocess(m)) for m in ds.ham + ds.spam}
     assert sizes["cap"] == {50}
     assert 50 in sizes["n-a-3"] and any(size % 2 for size in sizes["n-a-3"])
-    assert len(written) == 4 * 5 + 1 + 2
+    assert len(written) == 4 * 5 + 2 + 2
     assert written == json.loads(_DEFAULT_PATH.read_text(encoding="utf-8"))["sha256"]
 
 

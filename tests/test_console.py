@@ -8,8 +8,6 @@ The same corpus trains the states whose load -> save must give back the
 file's bytes, and the state the ``classify`` command reads.
 """
 
-import base64
-import json
 import os
 import re
 import struct
@@ -20,24 +18,20 @@ from pathlib import Path
 import pytest
 
 from icrm.cli import EXIT_DATA, EXIT_USAGE
-from icrm.corpus import write_canonical
-from icrm.corpus import read_canonical
+from icrm.corpus import read_canonical, write_canonical
 from icrm.model import IcrmClassifier, IcrmConfig
 from icrm.synth import synthetic_dataset
+
+from model_reference import edit_v3, v2_populations_at_version_3
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def _damaged_state(path: Path, edit) -> None:
-    """A default classifier's saved state, with ``edit`` applied to its JSON."""
-    IcrmClassifier().save(path)
-    state = json.loads(path.read_text(encoding="utf-8"))
-    edit(state)
-    path.write_text(json.dumps(state), encoding="utf-8")
-
-
-def _populations(e: float, r: float) -> str:
-    return base64.b64encode(struct.pack("<2d", e, r)).decode("ascii")
+def _damaged_state(path: Path, clf: IcrmClassifier, edit) -> None:
+    """``clf``'s saved state with ``edit``, a ``model_reference.edit_v3``
+    edit, applied to its bytes."""
+    clf.save(path)
+    path.write_bytes(edit(path.read_bytes()))
 
 
 @pytest.fixture(scope="module")
@@ -57,14 +51,26 @@ def inputs(tmp_path_factory) -> Path:
         '{"format": "icrm-state", "version": 2, "seed": %s}\n' % ("9" * 5000)
     )
     # finite populations whose sum E + R is not, and a feature that is the
-    # number 7: Repertoire refuses both rows, so they are written as JSON
-    _damaged_state(root / "huge-state.json", lambda s: s.update(
-        features=["cheap"], populations=_populations(1e308, 1e308)))
-    _damaged_state(root / "int-features.json", lambda s: s.update(
-        features=[7], populations=_populations(6.0, 5.0)))
+    # number 7: Repertoire refuses both rows, so they are written by hand
+    empty, trained = IcrmClassifier(), IcrmClassifier()
+    trained.train(read_canonical(corpus).ham[:20])
+    _damaged_state(root / "huge-state.json", empty, edit_v3(
+        header=lambda s: s.update(features=["cheap"]),
+        block=lambda raw: struct.pack("<2d", 1e308, 1e308)))
+    _damaged_state(root / "int-features.json", empty, edit_v3(
+        header=lambda s: s.update(features=[7]),
+        block=lambda raw: struct.pack("<2d", 6.0, 5.0)))
     # a generator state holding 1.5, which numpy would read as 1
-    _damaged_state(root / "rng-float.json", lambda s: s["rng_state"]["state"].update(
-        state=1.5))
+    _damaged_state(root / "rng-float.json", empty, edit_v3(
+        header=lambda s: s["rng_state"]["state"].update(state=1.5)))
+    # version 3 files whose block does not hold 16 bytes for each feature
+    for name, edit in (("truncated-body", edit_v3(block=lambda raw: raw[:-1])),
+                       ("extra-byte", edit_v3(block=lambda raw: raw + b"\x00")),
+                       ("no-body", edit_v3(block=lambda raw: b"")),
+                       ("v2-populations", v2_populations_at_version_3)):
+        _damaged_state(root / f"{name}.state", trained, edit)
+    _damaged_state(root / "features-object.state", trained, edit_v3(
+        header=lambda s: s.update(features=dict.fromkeys(s["features"], 1))))
     # a record holding an id and none of the other fields
     (root / "fieldless.jsonl").write_text('{"id": "a"}\n', encoding="utf-8")
     (root / "msg.txt").write_text("Subject: cheap pills offer\nmeeting agenda for monday\n")
@@ -101,6 +107,16 @@ _REFUSALS = [
      "features must be a list of strings"),
     (EXIT_DATA, ["classify", "rng-float.json", "msg.txt"],
      "rng_state does not read back unchanged"),
+    (EXIT_DATA, ["classify", "truncated-body.state", "msg.txt"],
+     "truncated-body.state: ValueError('populations hold 3007 bytes, not 16 for each of 188 features"),
+    (EXIT_DATA, ["classify", "extra-byte.state", "msg.txt"],
+     "extra-byte.state: ValueError('populations hold 3009 bytes, not 16 for each of 188 features"),
+    (EXIT_DATA, ["classify", "no-body.state", "msg.txt"],
+     "no-body.state: ValueError('populations hold 0 bytes, not 16 for each of 188 features"),
+    (EXIT_DATA, ["classify", "v2-populations.state", "msg.txt"],
+     "v2-populations.state: ValueError('populations hold 0 bytes, not 16 for each of 188 features"),
+    (EXIT_DATA, ["classify", "features-object.state", "msg.txt"],
+     "features-object.state: ValueError('features must be a list of strings')"),
     # a refusal that quotes a line break still prints one line
     (EXIT_DATA, ["report", "a\nb"], "not a report directory"),
 ]

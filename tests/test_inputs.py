@@ -18,12 +18,11 @@ from hypothesis import given, settings, strategies as st
 
 from icrm.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from icrm.corpus import LABELS, CanonicalFormatError, Dataset, read_canonical, write_canonical
-from icrm.files import write_state
 from icrm.model import IcrmClassifier, IcrmConfig, SnapshotError
 from icrm.synth import synthetic_dataset
 
 from conftest import make_message
-from model_reference import state_body, state_body_v2
+from model_reference import state_body, state_body_v2, state_file_v3, write_json_state
 
 _GOOD = {
     "id": "m1", "timestamp": "2001-02-03", "label": "ham",
@@ -303,13 +302,14 @@ def test_non_utf8_file_is_typed_error_naming_it(tmp_path, capsys, case):
         assert "line 2: not UTF-8" in err
 
 
-def test_an_integer_literal_too_long_to_convert_is_typed_error(tmp_path, capsys):
+@pytest.mark.parametrize("kind", ["icrm", "icrm-v2"])
+def test_an_integer_literal_too_long_to_convert_is_typed_error(tmp_path, capsys, kind):
     """JSON decoding refuses an integer of more than 4,300 digits with a plain
-    ValueError; a state file holding one is a ``SnapshotError`` naming the
-    file, and ``classify`` exits 2 with one line."""
+    ValueError; a state file holding one, in a version 3 header line or a
+    version 2 document, is a ``SnapshotError`` naming the file, and
+    ``classify`` exits 2 with one line."""
     path = tmp_path / "state.json"
-    path.write_text(_saved("icrm").replace("{", '{"seed": ' + "9" * 5000 + ", ", 1),
-                    encoding="utf-8")
+    path.write_bytes(_saved(kind).replace(b"{", b'{"seed": ' + b"9" * 5000 + b", ", 1))
     with pytest.raises(SnapshotError,
                        match=f"^cannot read icrm-state file {re.escape(str(path))}: "):
         IcrmClassifier.load(path)
@@ -322,7 +322,16 @@ def test_an_integer_literal_too_long_to_convert_is_typed_error(tmp_path, capsys)
     assert captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("version", [1, 2])
+def _write_rows(path: Path, version: int, rows: dict) -> None:
+    """A state of ``rows`` and default settings, as ``version`` wrote it."""
+    if version == 3:
+        path.write_bytes(state_file_v3(rows, IcrmConfig(), np.random.default_rng(0)))
+    else:
+        body = state_body if version == 1 else state_body_v2
+        write_json_state(path, version, body(rows, IcrmConfig(), np.random.default_rng(0)))
+
+
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_a_state_whose_populations_sum_past_the_largest_float_is_refused(
     tmp_path, capsys, version
 ):
@@ -331,10 +340,8 @@ def test_a_state_whose_populations_sum_past_the_largest_float_is_refused(
     and ``classify`` exits 2 with one line and no numpy warning."""
     half = sys.float_info.max / 2
     rows = {"cheap": (3.0, 1.0), "pills": (1e308, 1e308), "agenda": (half, half)}
-    body = state_body if version == 1 else state_body_v2
     path = tmp_path / "huge-state.json"
-    write_state(path, "icrm-state", version,
-                body(rows, IcrmConfig(), np.random.default_rng(0)))
+    _write_rows(path, version, rows)
     with pytest.raises(SnapshotError, match=re.escape(
         f"malformed state file {path}: ValueError(\"populations of 'pills' sum "
         "past the largest float: 1e+308 + 1e+308\")"
@@ -350,8 +357,7 @@ def test_a_state_whose_populations_sum_past_the_largest_float_is_refused(
     assert captured.err.count("\n") == 1 and "'pills'" in captured.err
     # the largest sums that stay finite load and classify without a warning
     del rows["pills"]
-    write_state(path, "icrm-state", version,
-                body(rows, IcrmConfig(), np.random.default_rng(0)))
+    _write_rows(path, version, rows)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["classify", str(path), str(msg)]) == EXIT_OK
@@ -410,20 +416,22 @@ def _replace_one(data, doc) -> None:
 
 
 @functools.cache
-def _saved(kind: str) -> str:
-    """The text of a state file saved after training on a small corpus;
-    ``icrm-v1`` is the ICRM state as version 1 wrote it."""
+def _saved(kind: str) -> bytes:
+    """The bytes of a state file saved after training on a small corpus;
+    ``icrm-v1`` and ``icrm-v2`` are the ICRM state as versions 1 and 2
+    wrote it."""
     ds = synthetic_dataset(n_ham=30, n_spam=30, vocab_per_class=60, seed=4)
     clf = IcrmClassifier(IcrmConfig(seed=2))
     clf.train(ds.ham + ds.spam)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "state.json"
-        if kind == "icrm-v1":
-            body = state_body(dict(clf.repertoire), clf.config, clf.rng)
-            write_state(path, "icrm-state", 1, body)
-        else:
+        if kind == "icrm":
             clf.save(path)
-        return path.read_text(encoding="utf-8")
+        else:
+            body = state_body if kind == "icrm-v1" else state_body_v2
+            write_json_state(path, int(kind[-1]), body(dict(clf.repertoire), clf.config,
+                                                       clf.rng))
+        return path.read_bytes()
 
 
 # 120 distinct stems (synthetic words stem to themselves): more than any
@@ -433,15 +441,18 @@ _LONG = make_message(body=" ".join(
 ))
 
 
-@pytest.mark.parametrize("kind", ["icrm", "icrm-v1"])
+@pytest.mark.parametrize("kind", ["icrm", "icrm-v2", "icrm-v1"])
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_any_value_under_any_key_gives_typed_error_or_classifier(kind, data):
-    doc = json.loads(_saved(kind))
+    """A value replaced in a version 3 header line, which keeps its block,
+    or in a version 2 or 1 document."""
+    line, newline, block = _saved(kind).partition(b"\n")
+    doc = json.loads(line)
     _replace_one(data, doc)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "state.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
+        path.write_bytes(json.dumps(doc).encode("ascii") + newline + block)
         try:
             clf = IcrmClassifier.load(path)
         except SnapshotError:

@@ -21,7 +21,6 @@ from hypothesis import example, given, settings, strategies as st
 import icrm.model
 import model_reference as ref
 from icrm.corpus import HAM, SPAM
-from icrm.files import write_state
 from icrm.model import (
     BIND_E,
     BIND_EMPTY,
@@ -527,16 +526,16 @@ def test_array_repertoire_matches_dict_reference(tmp_path, death_rate):
     if death_rate == 0.3:  # the clamp has run on real data
         assert (0.0, 0.0) in clf.repertoire.values()
 
-    # the version 2 state file the dict classifier writes, byte for byte
-    clf.save(tmp_path / "array.json")
-    write_state(tmp_path / "dict-v2.json", "icrm-state", 2,
-                ref.state_body_v2(rep, cfg, rng))
-    assert (tmp_path / "array.json").read_bytes() == (tmp_path / "dict-v2.json").read_bytes()
-    # version 2 keeps the rows in first-sight order
-    assert _bits(IcrmClassifier.load(tmp_path / "array.json").repertoire) == _bits(rep)
+    # the version 3 state file the dict classifier writes, byte for byte
+    clf.save(tmp_path / "array.state")
+    assert (tmp_path / "array.state").read_bytes() == ref.state_file_v3(rep, cfg, rng)
+    # versions 3 and 2 keep the rows in first-sight order
+    ref.write_json_state(tmp_path / "dict-v2.json", 2, ref.state_body_v2(rep, cfg, rng))
+    for name in ("array.state", "dict-v2.json"):
+        assert _bits(IcrmClassifier.load(tmp_path / name).repertoire) == _bits(rep)
 
     # and a version 1 state written the dict way resumes on the same path
-    write_state(tmp_path / "dict.json", "icrm-state", 1, ref.state_body(rep, cfg, rng))
+    ref.write_json_state(tmp_path / "dict.json", 1, ref.state_body(rep, cfg, rng))
     resumed = IcrmClassifier.load(tmp_path / "dict.json")
     assert [resumed.verdict(m).score for m in stream[200:]] == [
         ref.process_message(rep, m, False, cfg, rng).score for m in stream[200:]
@@ -692,14 +691,15 @@ def test_edge_populations_round_trip_through_a_state_file(tmp_path):
 _V1_FIXTURE = Path(__file__).parent / "data" / "icrm-state-v1.json"
 
 
-def test_version_1_fixture_loads_like_its_version_2_resave(tmp_path):
+def test_version_1_fixture_loads_like_its_version_3_resave(tmp_path):
     """A version 1 state, written by the version 1 ``save`` after training on
-    ``synthetic_dataset(30, 30, seed=4)`` with seed 2, resaved as version 2."""
+    ``synthetic_dataset(30, 30, seed=4)`` with seed 2, resaved as version 3."""
     assert json.loads(_V1_FIXTURE.read_text(encoding="utf-8"))["version"] == 1
     old = IcrmClassifier.load(_V1_FIXTURE)
-    old.save(tmp_path / "v2.json")
-    new = IcrmClassifier.load(tmp_path / "v2.json")
-    assert json.loads((tmp_path / "v2.json").read_text(encoding="utf-8"))["version"] == 2
+    old.save(tmp_path / "v3.state")
+    new = IcrmClassifier.load(tmp_path / "v3.state")
+    header = (tmp_path / "v3.state").read_bytes().partition(b"\n")[0]
+    assert json.loads(header)["version"] == 3
     assert _bits(new.repertoire) == _bits(old.repertoire)
     assert new.rng.bit_generator.state == old.rng.bit_generator.state
     data = synthetic_dataset(30, 30, seed=4)
@@ -838,7 +838,7 @@ def test_a_loaded_extinct_row_leaves_the_floor_normal(tmp_path, monkeypatch):
     rows = {"feat0": (0.0, 0.0), "feat1": (1.0, 2.0)}
     path = tmp_path / "extinct.json"
     cfg = IcrmConfig(death_rate=0.02)
-    write_state(path, "icrm-state", 1, ref.state_body(rows, cfg, np.random.default_rng(0)))
+    ref.write_json_state(path, 1, ref.state_body(rows, cfg, np.random.default_rng(0)))
     clf = IcrmClassifier.load(path)
     assert clf.repertoire._floor == 0.0
     clf.classify(make_message(HAM, body="feat1"))
@@ -911,7 +911,7 @@ def test_populations_near_the_largest_float_classify_without_overflow(tmp_path):
             "feat3": (2.0, 1.0), "feat4": (3.0, 1.0)}
     cfg = IcrmConfig(proliferation=5e-324)
     path = tmp_path / "huge.json"
-    write_state(path, "icrm-state", 1, ref.state_body(rows, cfg, np.random.default_rng(0)))
+    ref.write_json_state(path, 1, ref.state_body(rows, cfg, np.random.default_rng(0)))
     clf = IcrmClassifier.load(path)
     assert _agree_without_warnings(clf, ["feat0", "feat0 feat1 feat2 feat3 feat4"]) == [
         SPAM, SPAM]

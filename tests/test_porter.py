@@ -5,7 +5,7 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from icrm.porter import _STEP1A, _STEP2, _STEP3, _STEP4, _TOUCHED, stem
+from icrm.porter import _STEP1A, _STEP2, _STEP3, _STEP4, _TOUCHED, _replace_suffix, stem
 
 from porter_reference import reference_stem
 
@@ -146,6 +146,16 @@ PACKAGE_SUFFIXES = [
 def test_package_tables_hold_the_written_out_suffixes():
     assert len(PACKAGE_SUFFIXES) == len(set(PACKAGE_SUFFIXES)) == 50
     assert set(PACKAGE_SUFFIXES) <= set(TABLE_SUFFIXES)
+
+
+@pytest.mark.parametrize("step", [_STEP1A, _STEP2, _STEP3, _STEP4])
+@pytest.mark.parametrize("min_measure", [-1, 0, 1])
+def test_a_word_ending_in_none_of_a_steps_suffixes_is_returned_as_it_is(step, min_measure):
+    """The stemmer calls ``_replace_suffix`` only on a word that ends in one
+    of the step's suffixes, so only a direct call reaches its last line."""
+    word = "tree"
+    assert not word.endswith(step.suffixes)
+    assert _replace_suffix(word, step, min_measure) is word
 
 
 # Every suffix of the package's own tables after a random stem: the stem's

@@ -2,19 +2,24 @@
 and the repertoire as the one check of the rows a state holds.
 
 ``tests/state_reference.py`` keeps the text-mode reader, the per-item type
-scan and the build-then-replace load. Both loaders are given the same
-mutated state files: a ``features`` value of the wrong shape, a byte-order
-mark, CR or CRLF line breaks, invalid UTF-8, trailing data, populations
-that are not an ASCII string or whose base64 is padded or cut wrong, and a
-config setting out of range. They must accept and refuse the same files, every
-refusal a ``SnapshotError`` naming the file, and every accepted file must
-load to the same populations, row order, config and generator state.
+scan and the build-then-replace load, and reads version 3 the plain way.
+Both loaders are given the same mutated state files of versions 1, 2 and
+3: a ``features`` value of the wrong shape or held as raw UTF-8 (which a
+version 3 header, ASCII JSON, may not hold), a byte-order mark, CR or CRLF
+line breaks, invalid UTF-8, trailing data, version 2 populations that are
+not an ASCII string or whose base64 is padded or cut wrong, a version 3
+block cut, lengthened or overwritten, or a header line broken, and a
+config setting out of range. They must accept and refuse the same files,
+every refusal a ``SnapshotError`` naming the file, and every accepted file
+must load to the same populations, row order, config and generator state.
+Files of versions 1 and 2 still load bit for bit, and resave as version 3.
 
 The loader only decodes rows; :class:`Repertoire` refuses the bad ones,
 however it is made. So any repertoire saves a file that loads back bit for
 bit, and a row it refuses is refused from a file with the same text.
 """
 
+import base64
 import functools
 import json
 import math
@@ -29,27 +34,30 @@ from hypothesis import event, example, given, settings, strategies as st
 
 import icrm.files
 import state_reference
-from icrm.files import write_state
 from icrm.model import IcrmClassifier, IcrmConfig, Repertoire, SnapshotError
 from icrm.synth import synthetic_dataset
 
-from model_reference import state_body, state_body_v2
+from conftest import make_message
+from model_reference import (
+    edit_v3, state_body, state_body_v2, state_file_v3, write_json_state,
+)
 
 
 @functools.cache
-def _saved(version: int) -> str:
-    """The text of a state saved after training on a small corpus."""
+def _saved(version: int) -> bytes:
+    """The bytes of a state saved after training on a small corpus; the
+    older versions as they were written."""
     ds = synthetic_dataset(n_ham=15, n_spam=15, vocab_per_class=40, seed=6)
     clf = IcrmClassifier(IcrmConfig(seed=5))
     clf.train(ds.ham + ds.spam)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "state.json"
-        if version == 1:
-            write_state(path, "icrm-state", 1,
-                        state_body(dict(clf.repertoire), clf.config, clf.rng))
-        else:
+        if version == 3:
             clf.save(path)
-        return path.read_text(encoding="utf-8")
+        else:
+            body = state_body if version == 1 else state_body_v2
+            write_json_state(path, version, body(dict(clf.repertoire), clf.config, clf.rng))
+        return path.read_bytes()
 
 
 # a features item of each JSON type that is not a string
@@ -64,7 +72,7 @@ _BASE64_TAILS = ["=", "==", "===", "A", "AA", "AAA", "AAAA", "A=", "AA=", "AA=="
 
 def _mutate_features(data, doc: dict) -> None:
     features = doc["features"]
-    how = data.draw(st.sampled_from(["not-a-list", "item", "drop", "repeat"]))
+    how = data.draw(st.sampled_from(["not-a-list", "item", "drop", "repeat", "non-ascii"]))
     if how == "not-a-list":
         doc["features"] = data.draw(st.sampled_from(
             [{}, {"a": 1}, "abc", "", 7, 1.5, None, True, dict.fromkeys(features[:3], 1)]))
@@ -75,6 +83,9 @@ def _mutate_features(data, doc: dict) -> None:
         features.pop()
     elif how == "repeat":
         features[-1] = features[0]
+    elif how == "non-ascii":  # a string the file holds as raw UTF-8, not escaped
+        i = data.draw(st.integers(0, len(features) - 1))
+        features[i] += data.draw(st.sampled_from(["\xe9", "\u20ac", "\U0001f600"]))
 
 
 def _mutate_populations(data, doc: dict) -> None:
@@ -92,23 +103,43 @@ def _mutate_populations(data, doc: dict) -> None:
     doc["populations"] = text
 
 
+def _mutate_block(data, block: bytes) -> bytes:
+    """Version 3's block cut, lengthened, overwritten at one byte, or gone."""
+    how = data.draw(st.sampled_from(["cut", "extend", "replace", "drop"]))
+    if how == "cut":
+        return block[: -data.draw(st.integers(1, 17))]
+    if how == "extend":
+        return block + data.draw(st.binary(min_size=1, max_size=17))
+    if how == "replace" and block:
+        i = data.draw(st.integers(0, len(block) - 1))
+        return block[:i] + data.draw(st.binary(min_size=1, max_size=1)) + block[i + 1:]
+    return b""
+
+
 def _damage(data, version: int) -> bytes:
     """The saved state of ``version`` with none, one or two kinds of damage,
-    its values maybe broken onto lines by CR, CRLF or LF, which JSON allows."""
-    doc = json.loads(_saved(version))
+    its values maybe broken onto lines by CR, CRLF or LF, which JSON allows
+    (in a version 3 header, such a break ends the header line)."""
+    raw = _saved(version)
+    line, _, block = raw.partition(b"\n") if version == 3 else (raw, b"", b"")
+    doc = json.loads(line)
     kinds = data.draw(st.lists(st.sampled_from(
         ["config", "features", "populations", "break", "bom", "utf8", "trailing"]),
         max_size=2))
     if "config" in kinds:
         key = data.draw(st.sampled_from([*sorted(doc["config"]), "bogus"]))
         doc["config"][key] = data.draw(st.sampled_from(_SETTINGS))
-    if version == 2 and "features" in kinds:
+    if version > 1 and "features" in kinds:
         _mutate_features(data, doc)
     if version == 2 and "populations" in kinds:
         _mutate_populations(data, doc)
-    text = json.dumps(doc)
+    if version == 3 and "populations" in kinds:
+        block = _mutate_block(data, block)
+    text = json.dumps(doc, ensure_ascii=False)
     lines = data.draw(st.sampled_from(["", "\r", "\r\n", "\n"]))
     text = text.replace(", ", "," + lines) if lines else text
+    if version == 3:  # the line feed after the header, or a CR, CRLF or nothing
+        text += data.draw(st.sampled_from(["\n", "\n", "\r\n", "\r", ""]))
     if "break" in kinds:
         i = data.draw(st.integers(0, len(text)))
         text = text[:i] + data.draw(st.sampled_from(["\r", "\r\n", "\n"])) + text[i:]
@@ -120,7 +151,7 @@ def _damage(data, version: int) -> bytes:
     if "utf8" in kinds:
         i = data.draw(st.integers(0, len(raw)))
         raw = raw[:i] + data.draw(st.sampled_from(_BAD_UTF8)) + raw[i:]
-    return raw
+    return raw + block
 
 
 def _outcome(load, path: Path):
@@ -136,13 +167,13 @@ def _outcome(load, path: Path):
 
 
 @given(data=st.data())
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=600, deadline=None)
 @example(data=None)  # the saved file unchanged
 def test_loaders_accept_and_refuse_the_same_files(data):
     if data is None:
-        raw = _saved(2).encode("utf-8")
+        raw = _saved(3)
     else:
-        raw = _damage(data, data.draw(st.sampled_from([1, 2, 2, 2])))
+        raw = _damage(data, data.draw(st.sampled_from([1, 2, 2, 3, 3, 3])))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "state.json"
         path.write_bytes(raw)
@@ -153,20 +184,60 @@ def test_loaders_accept_and_refuse_the_same_files(data):
         assert got != "refused"
 
 
+@pytest.mark.parametrize("version, inside", [
+    pytest.param(2, b'"populations": "', id="v2"),
+    pytest.param(3, b'"features": ["', id="v3"),
+])
 @pytest.mark.parametrize("raw", [
     pytest.param(b"\xef\xbb\xbf", id="bom"),
     pytest.param(b"\r\n", id="crlf"),
     pytest.param(b"\xff", id="invalid-utf8"),
 ])
-def test_each_damage_alone_is_refused_alike(tmp_path, raw):
-    text = _saved(2).encode("utf-8")
-    # a BOM in front; a line break or a bad byte inside the base64 string
-    at = 0 if raw.startswith(b"\xef") else text.index(b'"populations": "') + 20
+def test_each_damage_alone_is_refused_alike(tmp_path, raw, version, inside):
+    text = _saved(version)
+    # a BOM in front; a line break or a bad byte inside version 2's base64
+    # string, or inside the first feature of a version 3 header
+    at = 0 if raw.startswith(b"\xef") else text.index(inside) + len(inside) + 4
     path = tmp_path / "state.json"
     path.write_bytes(text[:at] + raw + text[at:])
     for load in (IcrmClassifier.load, state_reference.load):
         with pytest.raises(SnapshotError, match=re.escape(str(path))):
             load(path)
+
+
+@pytest.mark.parametrize("after", ["\n", "\r\n", "\n\n", "\nx", "\n{}", '\n"a"'])
+@pytest.mark.parametrize("version", [1, 2])
+def test_an_older_file_is_read_whole_after_its_first_line_feed(tmp_path, version, after):
+    """Only a version 3 header line is followed by a block. A version 1 or 2
+    document on one line is read whole, so only JSON whitespace may follow
+    it, whatever follows a line feed."""
+    plain, path = tmp_path / "plain.json", tmp_path / "state.json"
+    plain.write_bytes(_saved(version))
+    path.write_bytes(_saved(version) + after.encode("ascii"))
+    for load in (IcrmClassifier.load, state_reference.load):
+        if after.strip():
+            with pytest.raises(SnapshotError, match="^cannot read icrm-state file .*Extra data"):
+                load(path)
+        else:
+            assert _outcome(load, path) == _outcome(load, plain) != "refused"
+
+
+@pytest.mark.parametrize("breaks", ["", "\n", "\r\n", "\r"])
+def test_a_state_of_no_features_loads_from_its_header_alone(tmp_path, breaks):
+    """A version 3 state of no features has an empty block: its header is
+    the whole file, with or without its line feed, and broken onto lines as
+    JSON allows it is read whole, as version 3 with an empty block."""
+    clf = IcrmClassifier(IcrmConfig(seed=9))
+    path = tmp_path / "state.json"
+    clf.save(path)
+    line, newline, block = path.read_bytes().partition(b"\n")
+    assert (newline, block) == (b"\n", b"")
+    for text in (line, line + b"\n"):
+        path.write_bytes(text.replace(b", ", b"," + breaks.encode("ascii")))
+        for load in (IcrmClassifier.load, state_reference.load):
+            loaded = load(path)
+            assert len(loaded.repertoire) == 0
+            assert loaded.rng.bit_generator.state == clf.rng.bit_generator.state
 
 
 @pytest.mark.parametrize("edit", [
@@ -181,10 +252,8 @@ def test_each_damage_alone_is_refused_alike(tmp_path, raw):
 def test_a_generator_state_that_does_not_read_back_unchanged_is_refused(tmp_path, edit):
     """numpy would read a float or a bool as an int and drop a key it does
     not know, so load then save would write a different state."""
-    doc = json.loads(_saved(2))
-    edit(doc["rng_state"])
     path = tmp_path / "state.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    path.write_bytes(edit_v3(header=lambda state: edit(state["rng_state"]))(_saved(3)))
     with pytest.raises(SnapshotError, match=re.escape(str(path))):
         IcrmClassifier.load(path)
 
@@ -206,11 +275,21 @@ def test_a_generator_state_holding_a_spare_half_word_loads_back_unchanged(tmp_pa
     pytest.param([["a"]], id="list"), pytest.param([{"a": "b"}], id="dict"),
     pytest.param("ab", id="str"), pytest.param({"a": 1}, id="object"),
 ])
-def test_features_that_are_not_a_list_of_strings_are_refused(tmp_path, features):
-    doc = json.loads(_saved(2))
-    doc["features"] = features
+@pytest.mark.parametrize("version", [2, 3])
+def test_features_that_are_not_a_list_of_strings_are_refused(tmp_path, features, version):
+    """Each file holds 16 bytes of populations for each item of a list, so
+    only the features are wrong."""
     path = tmp_path / "state.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    zeros = bytes(16 * len(features)) if isinstance(features, list) else None
+    if version == 3:
+        path.write_bytes(edit_v3(header=lambda state: state.update(features=features),
+                                 block=lambda raw: raw if zeros is None else zeros)(_saved(3)))
+    else:
+        doc = json.loads(_saved(2))
+        doc["features"] = features
+        if zeros is not None:
+            doc["populations"] = base64.b64encode(zeros).decode("ascii")
+        path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(SnapshotError, match="features must be a list of strings"):
         IcrmClassifier.load(path)
 
@@ -227,13 +306,13 @@ def _valid(e: float, r: float) -> bool:
 
 @given(rows=st.lists(st.tuples(st.text(max_size=4), _POPULATIONS, _POPULATIONS),
                      max_size=8, unique_by=lambda row: row[0]),
-       version=st.sampled_from([1, 2]))
+       version=st.sampled_from([1, 2, 3]))
 @settings(max_examples=300, deadline=None)
-@example(rows=[("a", -0.0, -0.0), ("b", 8.9e307, 8.9e307)], version=2)
+@example(rows=[("a", -0.0, -0.0), ("b", 8.9e307, 8.9e307)], version=3)
 def test_any_repertoire_saves_a_file_that_loads_back_bit_for_bit(rows, version):
     """A repertoire is made exactly when its rows are valid, and then it
-    saves (or a version 1 file of it is written) and loads back with the
-    same populations, bit for bit, in the same row order."""
+    saves (or a version 1 or 2 file of it is written) and loads back with
+    the same populations, bit for bit, in the same row order."""
     features = [f for f, _, _ in rows]
     pops = [(e, r) for _, e, r in rows]
     mapping = dict(zip(features, pops))
@@ -253,8 +332,10 @@ def test_any_repertoire_saves_a_file_that_loads_back_bit_for_bit(rows, version):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "state.json"
         if version == 1:  # version 1 keeps the rows in sorted order
-            write_state(path, "icrm-state", 1, state_body(rep, clf.config, clf.rng))
+            write_json_state(path, 1, state_body(rep, clf.config, clf.rng))
             features = sorted(features)
+        elif version == 2:
+            write_json_state(path, 2, state_body_v2(rep, clf.config, clf.rng))
         else:
             clf.save(path)
         loaded = IcrmClassifier.load(path).repertoire
@@ -281,7 +362,7 @@ _REFUSED = [
 ]
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 @pytest.mark.parametrize("row, text", _REFUSED)
 def test_a_row_is_refused_when_made_with_the_text_load_gives(tmp_path, version, row, text):
     rows = {"cheap": (3.0, 1.0), "pills": row}
@@ -290,9 +371,11 @@ def test_a_row_is_refused_when_made_with_the_text_load_gives(tmp_path, version, 
         with pytest.raises(ValueError, match=f"^{re.escape(text)}$") as made:
             make()
     path = tmp_path / "state.json"
-    body = state_body if version == 1 else state_body_v2
-    write_state(path, "icrm-state", version,
-                body(rows, IcrmConfig(), np.random.default_rng(0)))
+    if version == 3:
+        path.write_bytes(state_file_v3(rows, IcrmConfig(), np.random.default_rng(0)))
+    else:
+        body = state_body if version == 1 else state_body_v2
+        write_json_state(path, version, body(rows, IcrmConfig(), np.random.default_rng(0)))
     with pytest.raises(SnapshotError) as loaded:
         IcrmClassifier.load(path)
     assert str(loaded.value) == f"malformed state file {path}: {made.value!r}"
@@ -369,11 +452,77 @@ def test_any_features_a_repertoire_accepts_save_and_load_back_equal(features):
             make()
 
 
+_V1_FIXTURE = Path(__file__).parent / "data" / "icrm-state-v1.json"
+
+
+def _by_feature(rep: Repertoire) -> dict[str, list[int]]:
+    return dict(zip(rep.rows, _bits(rep)))
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_an_older_file_loads_bit_for_bit_and_resaves_as_version_3(tmp_path, version):
+    """The version 1 fixture, and a version 2 file written as version 2
+    wrote it, load to the populations and generator state of the classifier
+    that saved them, bit for bit, and give its next verdicts. Each resaves
+    as version 3 with the same rows, and that file saves back byte for
+    byte. The fixture was saved after training on the ham then the spam of
+    ``synthetic_dataset(30, 30, seed=4)`` with seed 2."""
+    ds = synthetic_dataset(30, 30, seed=4)
+    saver = IcrmClassifier(IcrmConfig(seed=2))
+    saver.train(ds.ham + ds.spam)
+    if version == 1:
+        path = _V1_FIXTURE
+    else:
+        path = tmp_path / "v2.json"
+        write_json_state(path, 2, state_body_v2(dict(saver.repertoire), saver.config,
+                                                saver.rng))
+    old = IcrmClassifier.load(path)
+    assert _by_feature(old.repertoire) == _by_feature(saver.repertoire)
+    order = list(saver.repertoire.rows)  # version 1 listed the features sorted
+    assert list(old.repertoire.rows) == (sorted(order) if version == 1 else order)
+    assert old.rng.bit_generator.state == saver.rng.bit_generator.state
+    old.save(tmp_path / "v3.state")
+    new = IcrmClassifier.load(tmp_path / "v3.state")
+    assert list(new.repertoire.rows) == list(old.repertoire.rows)
+    assert _bits(new.repertoire) == _bits(old.repertoire)
+    new.save(tmp_path / "again.state")
+    assert (tmp_path / "again.state").read_bytes() == (tmp_path / "v3.state").read_bytes()
+    probe = ds.ham[:5] + ds.spam[:5] + [make_message(body="unseen words")]
+    for msg in probe:
+        want = saver.verdict(msg)
+        assert old.verdict(msg) == want and new.verdict(msg) == want
+    assert _by_feature(new.repertoire) == _by_feature(saver.repertoire)
+
+
 class _Stopped(Exception):
     """A save stopped part-way, as by a full disk or a signal."""
 
 
-def test_an_interrupted_save_keeps_the_previous_file(tmp_path, monkeypatch):
+class _HalfFile:
+    """A binary file that writes half of the first bytes it is given, then
+    stops."""
+
+    def __init__(self, path, mode):
+        self._fh = open(path, mode)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, data):
+        data = bytes(data)
+        self._fh.write(data[: len(data) // 2])
+        raise _Stopped
+
+
+def _stop_rename(src, dst):
+    raise _Stopped
+
+
+@pytest.mark.parametrize("stop", ["part-way", "before-rename"])
+def test_an_interrupted_save_keeps_the_previous_file(tmp_path, monkeypatch, stop):
     ds = synthetic_dataset(n_ham=15, n_spam=15, vocab_per_class=40, seed=6)
     clf = IcrmClassifier()
     clf.train(ds.ham + ds.spam)
@@ -382,12 +531,10 @@ def test_an_interrupted_save_keeps_the_previous_file(tmp_path, monkeypatch):
     before = path.read_bytes()
     clf.train(ds.ham[:5] + ds.spam[:5])  # the state to save now differs from the file
 
-    def half_dump(obj, fh, **kwargs):
-        text = json.dumps(obj, **kwargs)
-        fh.write(text[: len(text) // 2])
-        raise _Stopped
-
-    monkeypatch.setattr(icrm.files.json, "dump", half_dump)
+    if stop == "part-way":  # the temporary file holds half the header line
+        monkeypatch.setattr(icrm.files, "open", _HalfFile, raising=False)
+    else:  # the temporary file is whole
+        monkeypatch.setattr(icrm.files.os, "replace", _stop_rename)
     with pytest.raises(_Stopped):
         clf.save(path)
     assert path.read_bytes() == before
