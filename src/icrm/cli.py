@@ -41,7 +41,6 @@ from .evaluation import (
     write_summary_csv,
     write_ttest_csv,
 )
-from .files import read_text
 from .model import IcrmClassifier, IcrmConfig, SnapshotError
 from .nbayes import ModelError
 from .ranges import RANGES
@@ -54,6 +53,16 @@ EXIT_DATA = 2
 
 class ConfigError(Exception):
     pass
+
+
+def _read_text(path, error: type[Exception], what: str) -> str:
+    """The whole of the UTF-8 text file at ``path``; a file that cannot be
+    read or is not UTF-8 is ``error`` naming it as ``what``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from None
 
 
 def _keyword_defaults(func) -> dict[str, object]:
@@ -112,7 +121,7 @@ def _coerce(key: str, raw: str):
 
 def _parse_config_file(path) -> dict:
     settings = {}
-    text = read_text(path, ConfigError, "config file")
+    text = _read_text(path, ConfigError, "config file")
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -156,7 +165,7 @@ def _load_stopwords(settings: dict):
     path = settings.get("stopwords")
     if path is None:
         return None  # modules fall back to the shipped list
-    return parse_stopwords(read_text(path, ConfigError, "stopword file"))
+    return parse_stopwords(_read_text(path, ConfigError, "stopword file"))
 
 
 # -- commands -------------------------------------------------------------
@@ -301,7 +310,7 @@ def cmd_report(args) -> int:
 def _read_csv(path, columns: tuple[str, ...]) -> list[dict[str, str]]:
     """The rows of a report CSV: a header naming every one of ``columns``,
     then one or more rows, each holding every one of them."""
-    reader = csv.DictReader(io.StringIO(read_text(path, CorpusError, "report file")))
+    reader = csv.DictReader(io.StringIO(_read_text(path, CorpusError, "report file")))
     rows = []
     try:
         if reader.fieldnames is None:

@@ -97,9 +97,9 @@ that a training :func:`process_message` per message leaves.
 from __future__ import annotations
 
 import base64
-import binascii
 import json
 import math
+import os
 import sys
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, fields
@@ -111,7 +111,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import HAM, SPAM, Message, training_label
-from .files import BLOCK_VERSION, read_state, write_state
 from .ranges import RANGES, SAMPLERS, check_range
 from .textprep import SAMPLE_CAP, check_features, preprocess
 
@@ -132,6 +131,9 @@ _ZERO_CLAMP = 1e-12
 
 # Rows an empty repertoire has room for before its columns first double.
 _INITIAL_ROWS = 256
+
+# The state file version save writes: a header line, then a block of raw bytes.
+_VERSION = 3
 
 # Fixed additive amount a proliferating cell gains per slot-pair event.
 # Calibrated so that binding noise on a fresh feature (population ~11 cells
@@ -675,7 +677,9 @@ class IcrmClassifier:
         rep = self.repertoire
         config = asdict(self.config)
         sampler = config.pop("feature_sampler")
-        write_state(path, self._FORMAT, {
+        _write_state(path, {
+            "format": self._FORMAT,
+            "version": _VERSION,
             "config": config,
             "sampler": sampler,
             "rng_state": self.rng.bit_generator.state,
@@ -700,8 +704,7 @@ class IcrmClassifier:
         once: around the checked config, the loaded repertoire and a
         generator set to the saved state, with no empty repertoire first.
         """
-        version, state, block = read_state(path, cls._FORMAT, {1, 2, BLOCK_VERSION},
-                                           SnapshotError)
+        version, state, block = _read_state(path)
         try:
             sampler = state.get("sampler", SAMPLERS[0])
             # a config that also holds feature_sampler is a TypeError
@@ -728,6 +731,85 @@ class IcrmClassifier:
 _json = partial(json.dumps, sort_keys=True)  # a value's JSON text in any key order
 
 
+def _write_state(path, header: dict, block) -> None:
+    """Write ``header`` as one line of ASCII JSON, keys sorted, then a line
+    feed, then the bytes of ``block``, to ``path`` whole or not at all.
+
+    The file is written beside ``path`` and renamed over it, so a write
+    stopped part-way leaves any previous file as it was. ``open`` creates
+    the temporary file, so its permissions follow the umask.
+    """
+    line = json.dumps(header, sort_keys=True)
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(line.encode("ascii"))  # json.dumps escapes all but ASCII
+            fh.write(b"\n")
+            fh.write(block)
+        os.replace(tmp, path)
+    finally:  # after a successful rename there is no temporary file left
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _read_state(path) -> tuple[int, dict, bytes]:
+    """The version, header and block of the state file at ``path``.
+
+    The file is read as bytes once, and its first line decides the
+    version. When that line is ASCII JSON, an object of the format, and a
+    line feed follows it, its ``version`` decides: at 3 the object is the
+    header and the bytes after the line feed are the block; at 1 or 2 the
+    file is read whole, as below; at any other value the file is refused.
+    Any other file is decoded whole, once, as strict UTF-8, so a
+    byte-order mark and CR or CRLF line breaks reach the JSON decoder as
+    they are; its block is empty and its version must be 1, 2 or 3. A file
+    that cannot be read, is not UTF-8 or is not one JSON value, or that
+    holds an integer too long for Python to convert, is a
+    :class:`SnapshotError` naming the file, as is a version that is not
+    such an ``int`` (a bool, or a float that equals one). The header's
+    other keys are not checked.
+    """
+    fmt = IcrmClassifier._FORMAT
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise SnapshotError(f"cannot read {fmt} file {path}: {exc}") from None
+    line, newline, block = raw.partition(b"\n")
+    state = _header(line) if newline else None
+    if state is None or _version(state) in (1, 2):
+        block = b""
+        try:
+            state = json.loads(raw.decode("utf-8"))
+        # UnicodeDecodeError, JSONDecodeError and the integer limit are ValueErrors
+        except (ValueError, RecursionError) as exc:
+            raise SnapshotError(f"cannot read {fmt} file {path}: {exc}") from None
+        if not isinstance(state, dict) or state.get("format") != fmt:
+            raise SnapshotError(f"{path} is not an {fmt} file")
+    version = _version(state)
+    if version not in (1, 2, _VERSION):
+        raise SnapshotError(f"{path}: unsupported {fmt} version {state.get('version')!r}")
+    del state["format"], state["version"]
+    return version, state, block
+
+
+def _header(line: bytes) -> dict | None:
+    """``line`` as ASCII JSON, an object of the state format, or None."""
+    try:
+        state = json.loads(line.decode("ascii"))
+    except (ValueError, RecursionError):
+        return None
+    if isinstance(state, dict) and state.get("format") == IcrmClassifier._FORMAT:
+        return state
+    return None
+
+
+def _version(state: dict) -> int | None:
+    """``state``'s version if it is an ``int`` (not a bool or a float), else None."""
+    version = state.get("version")
+    return version if type(version) is int else None
+
+
 def _v1_rows(state: dict) -> tuple[list[str], np.ndarray]:
     """Features and (E, R) rows of a version 1 ``repertoire`` object."""
     entries = state["repertoire"]
@@ -738,20 +820,10 @@ def _v1_rows(state: dict) -> tuple[list[str], np.ndarray]:
     return list(entries), pops.reshape(-1, 2)
 
 
-# base64.b64decode(text, validate=True) copies an ASCII str to bytes before
-# decoding; from 3.11 the same strict decoder reads the str itself, which
-# spares a large state's populations a copy whose pages are often faulted
-# in afresh.
-if sys.version_info >= (3, 11):
-    _strict_b64decode = partial(binascii.a2b_base64, strict_mode=True)
-else:  # no strict_mode before 3.11
-    _strict_b64decode = partial(base64.b64decode, validate=True)
-
-
 def _v2_block(state: dict) -> bytes:
     """The block of version 2's strict base64 ``populations``."""
     text = state["populations"]
-    raw = _strict_b64decode(text)  # binascii.Error is a ValueError
+    raw = base64.b64decode(text, validate=True)  # binascii.Error is a ValueError
     if len(text) != 4 * -(-len(raw) // 3):
         raise ValueError("populations carry padding beyond their last byte")
     return raw

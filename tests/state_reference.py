@@ -1,13 +1,17 @@
 """The state loader as it read files before it read them as bytes, kept as
 the oracle for ``IcrmClassifier.load``.
 
-``read_text`` and ``read_state`` are ``icrm.files``' text-mode reader and
-envelope check, ``_v2_rows`` the version 2 row decoder with its per-item
-type scan, and ``load`` the classmethod that built a default classifier
-and then replaced its repertoire and generator state. Version 3 is read
-the plain way: ``read_state`` splits the bytes at the first line feed and
-takes the first line as the header when it is ASCII JSON of the format at
-version 3, and ``_v3_rows`` unpacks the block one pair at a time. The
+``read_text`` and ``read_state`` are the text-mode reader and envelope
+check the package used before ``icrm.model`` took over its state file,
+``_v2_rows`` the version 2 row decoder with its per-item type scan, and
+``load`` the classmethod that built a default classifier and then
+replaced its repertoire and generator state. Version 3 is read the plain
+way: ``read_state`` splits the bytes at the first line feed and takes the
+first line as the header when it is ASCII JSON of the format at version
+3, and ``_v3_rows`` unpacks the block one pair at a time. Any other file
+is read whole, so a header line at a version other than 1, 2 or 3 is
+refused here with the decoder's text, where the loader names the
+version; both are refusals, which is all the comparison reads. The
 loader must accept and refuse the same files, and restore the same
 populations, row order, config and generator state. Test-only; never
 imported by the package.

@@ -539,12 +539,36 @@ class TestClassify:
     @pytest.mark.parametrize("version", [True, 3.0, "3", None, 2, 4])
     def test_a_header_line_at_another_version_is_refused(self, snapshot, version):
         """Only version 3 is a header line and a block; a file whose first
-        line holds another version is read as one JSON value, which its
-        block is not."""
+        line holds version 1 or 2 is read as one JSON value, which its block
+        is not, and any other version is refused by that version."""
         snapshot.write_bytes(edit_v3(header=lambda s: s.update(version=version))(
             snapshot.read_bytes()))
         with pytest.raises(SnapshotError, match=re.escape(str(snapshot))):
             IcrmClassifier.load(snapshot)
+
+    @pytest.mark.parametrize("edit, shown", [
+        pytest.param(lambda s: s.update(version=4), "4", id="4"),
+        pytest.param(lambda s: s.update(version=3.0), "3.0", id="3.0"),
+        pytest.param(lambda s: s.update(version="3"), "'3'", id="str-3"),
+        pytest.param(lambda s: s.update(version=True), "True", id="true"),
+        pytest.param(lambda s: s.update(version=None), "None", id="null"),
+        pytest.param(lambda s: s.pop("version"), "None", id="absent"),
+    ])
+    def test_a_header_line_at_an_unsupported_version_is_refused_by_its_version(
+        self, tmp_path, snapshot, capsys, edit, shown
+    ):
+        """A header line of the format decides the version: at any version
+        but 1, 2 or 3 the file is refused by that version, and its block is
+        never decoded as text."""
+        snapshot.write_bytes(edit_v3(header=edit)(snapshot.read_bytes()))
+        text = f"{snapshot}: unsupported icrm-state version {shown}"
+        with pytest.raises(SnapshotError, match=f"^{re.escape(text)}$"):
+            IcrmClassifier.load(snapshot)
+        msg = tmp_path / "m.txt"
+        msg.write_text("Subject: x\nhello", encoding="utf-8")
+        assert main(["classify", str(snapshot), str(msg)]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"icrm: error: {text}\n")
 
     def test_deeply_nested_snapshot_is_data_error(self, tmp_path, capsys):
         state = tmp_path / "state.json"
@@ -1131,9 +1155,9 @@ def _declared_defaults():
     """(place, setting, default) for each parameter or ``IcrmConfig`` field
     of the library that declares a ``cli.DEFAULTS`` setting with a default.
     ``synthetic_dataset`` is left out: its ``seed`` draws a corpus, not a run."""
-    from icrm import corpus, evaluation, files, model, nbayes, porter, textprep
+    from icrm import corpus, evaluation, model, nbayes, porter, textprep
 
-    for module in (corpus, evaluation, files, model, nbayes, porter, textprep):
+    for module in (corpus, evaluation, model, nbayes, porter, textprep):
         for name, obj in vars(module).items():
             if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
                 continue

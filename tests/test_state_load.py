@@ -32,7 +32,7 @@ import numpy as np
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
-import icrm.files
+import icrm.model
 import state_reference
 from icrm.model import IcrmClassifier, IcrmConfig, Repertoire, SnapshotError
 from icrm.synth import synthetic_dataset
@@ -532,9 +532,9 @@ def test_an_interrupted_save_keeps_the_previous_file(tmp_path, monkeypatch, stop
     clf.train(ds.ham[:5] + ds.spam[:5])  # the state to save now differs from the file
 
     if stop == "part-way":  # the temporary file holds half the header line
-        monkeypatch.setattr(icrm.files, "open", _HalfFile, raising=False)
+        monkeypatch.setattr(icrm.model, "open", _HalfFile, raising=False)
     else:  # the temporary file is whole
-        monkeypatch.setattr(icrm.files.os, "replace", _stop_rename)
+        monkeypatch.setattr(icrm.model.os, "replace", _stop_rename)
     with pytest.raises(_Stopped):
         clf.save(path)
     assert path.read_bytes() == before
