@@ -42,7 +42,6 @@ from .evaluation import (
     write_ttest_csv,
 )
 from .model import IcrmClassifier, IcrmConfig, SnapshotError
-from .nbayes import ModelError
 from .ranges import RANGES
 from .textprep import parse_stopwords
 
@@ -138,15 +137,20 @@ def _parse_config_file(path) -> dict:
     return settings
 
 
-def _merge_settings(args: argparse.Namespace) -> dict:
-    settings = dict(DEFAULTS)
-    if getattr(args, "config", None):
-        settings.update(_parse_config_file(args.config))
-    for key in DEFAULTS:
-        value = getattr(args, key, None)
-        if value is not None:
-            settings[key] = value
-    return settings
+def _settings(args: argparse.Namespace, reads) -> dict:
+    """A command's settings: ``DEFAULTS``, then the config file's keys in
+    ``reads``, then the flags. A given flag outside ``reads`` is refused
+    before the config file is read; only ``eval`` wires flags a run of it
+    may not read. A config key outside ``reads`` is parsed, never merged, so
+    its range is never checked."""
+    flags = {key: value for key in DEFAULTS
+             if (value := getattr(args, key, None)) is not None}
+    for key, value in flags.items():
+        if key not in reads:
+            flag = "--" + "no-" * (value is False) + key.replace("_", "-")
+            raise ConfigError(f"eval {args.mode} {args.model} does not read {flag}")
+    config = _parse_config_file(args.config) if args.config else {}
+    return {**DEFAULTS, **{k: v for k, v in config.items() if k in reads}, **flags}
 
 
 def _run_settings(mode: str, model: str) -> set[str]:
@@ -172,7 +176,7 @@ def _load_stopwords(settings: dict):
 
 
 def cmd_ingest(args) -> int:
-    settings = _merge_settings(args)
+    settings = _settings(args, {"limit"})
     try:
         result = ingest_enron_dir(args.src_dir, limit_per_class=settings["limit"])
     except ValueError as exc:  # only the limit check raises it
@@ -198,7 +202,7 @@ def cmd_classify(args) -> int:
     state file. Each message prints its block: ``label score`` and, with
     ``--explain``, one line per sampled feature.
     """
-    settings = _merge_settings(args)
+    settings = _settings(args, {"stopwords"})
     stopwords = _load_stopwords(settings)
     messages = []
     for path in args.message_files:
@@ -227,15 +231,7 @@ def _write_report(write, data, path: Path) -> None:
 
 
 def cmd_eval(args) -> int:
-    reads = _run_settings(args.mode, args.model)
-    for key in DEFAULTS:
-        value = getattr(args, key, None)
-        if value is not None and key not in reads:
-            flag = "--" + "no-" * (value is False) + key.replace("_", "-")
-            raise ConfigError(f"eval {args.mode} {args.model} does not read {flag}")
-    settings = _merge_settings(args)
-    # a setting the run does not read keeps its default, so it is never checked
-    settings.update((key, DEFAULTS[key]) for key in DEFAULTS.keys() - reads)
+    settings = _settings(args, _run_settings(args.mode, args.model))
     model_settings = {f.name: settings[f.name] for f in dataclass_fields(IcrmConfig)}
     try:
         cfg = IcrmConfig(**model_settings)
@@ -427,7 +423,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"icrm: config error: {str(exc).translate(_ONE_LINE)}", file=sys.stderr)
         return EXIT_USAGE
-    except (CorpusError, SnapshotError, ModelError, EvalError) as exc:
+    except (CorpusError, SnapshotError, EvalError) as exc:
         print(f"icrm: error: {str(exc).translate(_ONE_LINE)}", file=sys.stderr)
         return EXIT_DATA
 

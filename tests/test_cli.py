@@ -88,6 +88,21 @@ class TestIngest:
         assert err == f"icrm: config error: limit must be >= 1, got {limit}\n"
         assert not out.exists()
 
+    def test_config_keys_ingest_does_not_read_are_never_checked(self, tmp_path, capsys):
+        """A config file's ``limit`` is read, and the settings beside it that
+        only ``eval`` reads are left unmerged, out of range as they are."""
+        _write_enron_tree(tmp_path / "tree")
+        conf = tmp_path / "ingest.conf"
+        conf.write_text("limit = 1\nruns = 0\nwindow = 0\n", encoding="utf-8")
+        outs = {}
+        for name, extra in (("flag", ["--limit", "1"]), ("file", ["--config", str(conf)])):
+            outs[name] = tmp_path / f"{name}.jsonl"
+            code = main(["ingest", str(tmp_path / "tree"), str(outs[name]), *extra])
+            assert code == EXIT_OK, capsys.readouterr().err
+        assert outs["file"].read_bytes() == outs["flag"].read_bytes()
+        ds = read_canonical(outs["file"])
+        assert (len(ds.ham), len(ds.spam)) == (1, 1)
+
     def test_missing_class_dir_is_data_error(self, tmp_path, capsys):
         (tmp_path / "tree" / HAM).mkdir(parents=True)
         code = main(["ingest", str(tmp_path / "tree"), str(tmp_path / "out.jsonl")])
@@ -536,14 +551,15 @@ class TestClassify:
         with pytest.raises(SnapshotError, match=re.escape(f"{snapshot}: unsupported")):
             IcrmClassifier.load(snapshot)
 
-    @pytest.mark.parametrize("version", [True, 3.0, "3", None, 2, 4])
+    @pytest.mark.parametrize("version", [1, 2])
     def test_a_header_line_at_another_version_is_refused(self, snapshot, version):
         """Only version 3 is a header line and a block; a file whose first
-        line holds version 1 or 2 is read as one JSON value, which its block
-        is not, and any other version is refused by that version."""
+        line holds version 1 or 2 is read as one JSON value, which a header
+        line and its block are not."""
         snapshot.write_bytes(edit_v3(header=lambda s: s.update(version=version))(
             snapshot.read_bytes()))
-        with pytest.raises(SnapshotError, match=re.escape(str(snapshot))):
+        text = f"cannot read icrm-state file {snapshot}: "
+        with pytest.raises(SnapshotError, match=f"^{re.escape(text)}"):
             IcrmClassifier.load(snapshot)
 
     @pytest.mark.parametrize("edit, shown", [
@@ -569,6 +585,37 @@ class TestClassify:
         assert main(["classify", str(snapshot), str(msg)]) == EXIT_DATA
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"icrm: error: {text}\n")
+
+    def test_a_config_key_classify_does_not_read_must_still_parse(
+        self, tmp_path, snapshot, capsys
+    ):
+        conf = tmp_path / "other.conf"
+        conf.write_text("seed = abc\n", encoding="utf-8")
+        msg = tmp_path / "m.txt"
+        msg.write_text("Subject: x\nhello", encoding="utf-8")
+        assert main(["classify", str(snapshot), str(msg), "--config", str(conf)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"icrm: config error: {conf}: line 1: bad value 'abc' for 'seed'\n")
+
+    def test_config_keys_classify_does_not_read_are_never_checked(
+        self, tmp_path, snapshot, capsys, disjoint_corpus
+    ):
+        """Out-of-range model settings in the config file neither refuse the
+        command nor reach the loaded state: the verdicts are the ones printed
+        without the file."""
+        conf = tmp_path / "other.conf"
+        conf.write_text("death_rate = 2\nn = 3\n", encoding="utf-8")
+        msg = tmp_path / "m.txt"
+        msg.write_text(f"Subject: x\n{disjoint_corpus.spam[70].body}", encoding="utf-8")
+        printed = []
+        for extra in ([], ["--config", str(conf)]):
+            code = main(["classify", str(snapshot), str(msg), "--explain", *extra])
+            captured = capsys.readouterr()
+            assert (code, captured.err) == (EXIT_OK, "")
+            printed.append(captured.out)
+        assert printed[0] == printed[1]
+        assert len(printed[0].splitlines()) > 4  # n = 3 would explain three features
 
     def test_deeply_nested_snapshot_is_data_error(self, tmp_path, capsys):
         state = tmp_path / "state.json"
@@ -751,6 +798,18 @@ def test_flag_a_command_does_not_read_is_refused(
     assert err.startswith("icrm: config error: ") and err.count("\n") == 1, err
     assert flag[0] in err
     assert not out.exists()
+
+
+def test_an_unread_flag_is_refused_before_the_config_file_is_read(
+    tmp_path, canonical_file, capsys
+):
+    conf = tmp_path / "bad.conf"
+    conf.write_text("seed = abc\n", encoding="utf-8")
+    code = main(["eval", "static", "nb", "--data", str(canonical_file), "--window", "100",
+                 "--config", str(conf), "--out", str(tmp_path / "o")])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "icrm: config error: eval static nb does not read --window\n")
 
 
 @pytest.mark.parametrize("flags, config", [
