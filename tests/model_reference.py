@@ -2,12 +2,13 @@
 
 These are the per-slot loops that ``icrm.model.build_slot_array`` and
 ``icrm.model.interact`` replaced, with the list-backed ``SlotArray`` they
-were written against, and the per-message cycle and state-file bodies as
-they were over a plain dict repertoire. The kernel must reproduce them bit
-for bit: same slot layout, same bindings, same float in every repertoire
+were written against, and the per-message cycle and state files as they
+were over a plain dict repertoire. The kernel must reproduce them bit for
+bit: same slot layout, same bindings, same float in every repertoire
 entry, same bytes in a saved state. ``save`` writes version 3 only;
-versions 1 and 2 are written here, as they were written, for the loader.
-Test-only; never imported by the package.
+``state_file`` writes versions 1, 2 and 3 as they were written, and
+``edit_state`` damages them, so the tests know a state file's layout only
+here and in ``state_reference``. Test-only; never imported by the package.
 """
 
 from __future__ import annotations
@@ -151,56 +152,48 @@ def _settings(cfg: IcrmConfig) -> tuple[dict, str]:
     return config, config.pop("feature_sampler")
 
 
-def state_body(rep: Repertoire, cfg: IcrmConfig, rng: np.random.Generator) -> dict:
-    """The version 1 body ``IcrmClassifier.save`` wrote for a dict repertoire."""
+def state_file(version: int, rep: Repertoire, cfg: IcrmConfig,
+               rng: np.random.Generator) -> bytes:
+    """The state file of a dict repertoire as ``version`` wrote it.
+
+    Version 3 is its header on one ASCII line, keys sorted, then the (E, R)
+    pairs packed one by one as little-endian doubles, in insertion order.
+    Versions 1 and 2 are one JSON object, keys sorted, and nothing after
+    it: version 1 maps each feature to its pair, and version 2 lists the
+    features and holds the packed pairs as base64 ``populations``.
+    """
     config, sampler = _settings(cfg)
-    return {
-        "config": config,
-        "sampler": sampler,
-        "rng_state": rng.bit_generator.state,
-        "repertoire": {f: [e, r] for f, (e, r) in rep.items()},
-    }
-
-
-def state_body_v2(rep: Repertoire, cfg: IcrmConfig, rng: np.random.Generator) -> dict:
-    """The version 2 body for a dict repertoire: features in insertion
-    order, their (E, R) pairs packed one by one as little-endian doubles."""
+    state = {"format": "icrm-state", "version": version, "config": config,
+             "sampler": sampler, "rng_state": rng.bit_generator.state}
     packed = b"".join(struct.pack("<dd", e, r) for e, r in rep.values())
-    config, sampler = _settings(cfg)
-    return {
-        "config": config,
-        "sampler": sampler,
-        "rng_state": rng.bit_generator.state,
-        "features": list(rep),
-        "populations": base64.b64encode(packed).decode("ascii"),
-    }
+    if version == 1:
+        state["repertoire"] = {f: [e, r] for f, (e, r) in rep.items()}
+    else:
+        state["features"] = list(rep)
+    if version == 2:
+        state["populations"] = base64.b64encode(packed).decode("ascii")
+    text = json.dumps(state, sort_keys=True).encode("ascii")
+    return text + b"\n" + packed if version == 3 else text
 
 
-def state_file_v3(rep: Repertoire, cfg: IcrmConfig, rng: np.random.Generator) -> bytes:
-    """The version 3 file for a dict repertoire: the header on one ASCII
-    line, keys sorted, then the (E, R) pairs packed one by one as
-    little-endian doubles, in insertion order."""
-    config, sampler = _settings(cfg)
-    header = {
-        "format": "icrm-state",
-        "version": 3,
-        "config": config,
-        "sampler": sampler,
-        "rng_state": rng.bit_generator.state,
-        "features": list(rep),
-    }
-    packed = b"".join(struct.pack("<dd", e, r) for e, r in rep.values())
-    return json.dumps(header, sort_keys=True).encode("ascii") + b"\n" + packed
-
-
-def edit_v3(header=lambda state: None, block=lambda raw: raw):
-    """An edit of a version 3 file's bytes: ``header`` edits its header
-    object in place, and ``block`` gives the new block from the old."""
+def edit_state(header=lambda state: None, block=lambda old: old):
+    """An edit of a state file's bytes. ``block`` gives the new population
+    bytes from the old: those after version 3's header line, or those
+    version 2's base64 ``populations`` decode to. Then ``header`` edits the
+    JSON object in place: version 3's header line, written back in its own
+    key order, or the whole version 1 or 2 document, written back with its
+    keys sorted, as those versions wrote it."""
     def edit(raw: bytes) -> bytes:
-        line, _, old = raw.partition(b"\n")
+        line, newline, old = raw.partition(b"\n")
         state = json.loads(line)
+        if newline:
+            header(state)
+            return json.dumps(state).encode("ascii") + b"\n" + block(old)
+        if "populations" in state:
+            new = block(base64.b64decode(state["populations"]))
+            state["populations"] = base64.b64encode(new).decode("ascii")
         header(state)
-        return json.dumps(state).encode("ascii") + b"\n" + block(old)
+        return json.dumps(state, sort_keys=True).encode("ascii")
     return edit
 
 
@@ -211,10 +204,3 @@ def v2_populations_at_version_3(raw: bytes) -> bytes:
     state = json.loads(line)
     state["populations"] = base64.b64encode(block).decode("ascii")
     return json.dumps(state).encode("ascii")
-
-
-def write_json_state(path, version: int, body: dict) -> None:
-    """Write a state file as versions 1 and 2 were written: one JSON
-    object, its keys sorted, and nothing after it."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"format": "icrm-state", "version": version, **body}, fh, sort_keys=True)

@@ -1,6 +1,5 @@
 """End-to-end CLI behaviour: commands, files, exit codes, determinism."""
 
-import base64
 import csv
 import functools
 import hashlib
@@ -26,9 +25,7 @@ from icrm.synth import synthetic_dataset
 from icrm.textprep import preprocess
 
 from conftest import make_message
-from model_reference import (
-    edit_v3, state_body, state_body_v2, v2_populations_at_version_3, write_json_state,
-)
+from model_reference import edit_state, state_file, v2_populations_at_version_3
 
 
 @pytest.fixture(scope="module")
@@ -394,21 +391,8 @@ def test_any_config_line_gives_config_error_or_valid_settings(
     assert err.startswith("icrm: config error: ") and err.count("\n") == 1, err
 
 
-def _edit_block(state: dict, edit) -> None:
-    """Replace a version 2 state's population bytes with ``edit`` of them."""
-    raw = base64.b64decode(state["populations"])
-    state["populations"] = base64.b64encode(edit(raw)).decode("ascii")
-
-
-def _keep_rows(state: dict, count: int, suffix: str) -> None:
-    """Cut a version 2 state to its first ``count`` rows, then append ``suffix``."""
-    state["features"] = state["features"][:count]
-    _edit_block(state, lambda raw: raw[: 16 * count])
-    state["populations"] += suffix
-
-
 def _set_first(value: float):
-    """An edit that sets the first population to ``value``."""
+    """A block edit that sets the first population to ``value``."""
     return lambda raw: struct.pack("<d", value) + raw[8:]
 
 
@@ -428,6 +412,52 @@ _HEADER_EDITS = [
     ("ham-populations-near-float-max",
      lambda s: s["config"].update(e0_ham=1e308, r0_ham=1.7e308)),
     ("n_a-10**6", lambda s: s["config"].update(n_a=10**6)),
+    ("features-not-a-list", lambda s: s.update(features=dict.fromkeys(s["features"], 1))),
+    ("features-none", lambda s: s.update(features=None)),
+    ("no-features", lambda s: s.pop("features")),
+    ("non-string-feature", lambda s: s["features"].__setitem__(0, 7)),
+    ("repeated-feature", lambda s: s["features"].__setitem__(1, s["features"][0])),
+]
+
+# edits to the population bytes versions 2 and 3 share
+_BLOCK_EDITS = [
+    ("truncated-body", lambda raw: raw[:-1]),
+    ("8-bytes-short", lambda raw: raw[:-8]),
+    ("8-bytes-long", lambda raw: raw + bytes(8)),
+    ("one-extra-byte", lambda raw: raw + b"\x00"),
+    ("header-with-no-body", lambda raw: b""),
+    ("nan", _set_first(float("nan"))),
+    ("inf", _set_first(float("inf"))),
+    ("negative", _set_first(-1.0)),
+]
+
+_DAMAGES = ([(name, edit_state(header=edit)) for name, edit in _HEADER_EDITS]
+            + [(name, edit_state(block=edit)) for name, edit in _BLOCK_EDITS])
+
+# damages to the text only one version encodes
+_ENCODED = [
+    (1, "population-x",
+     edit_state(header=lambda s: s["repertoire"].update(alpha=["x", 1.0]))),
+    (1, "population-negative",
+     edit_state(header=lambda s: s["repertoire"].update(alpha=[-1.0, 1.0]))),
+    (1, "population-nan",
+     edit_state(header=lambda s: s["repertoire"].update(alpha=[1.0, float("nan")]))),
+    (1, "population-not-a-pair",
+     edit_state(header=lambda s: s["repertoire"].update(alpha=[1.0]))),
+    (2, "truncated-base64",
+     edit_state(header=lambda s: s.update(populations=s["populations"][:-1]))),
+    (2, "extra-padding",
+     edit_state(header=lambda s: s.update(populations=s["populations"] + "="))),
+    # 48 bytes fill 16 base64 quads exactly, and decoding lets a "=" after them pass
+    (2, "padding-after-last-quad", edit_state(
+        header=lambda s: s.update(features=s["features"][:3],
+                                  populations=s["populations"] + "="),
+        block=lambda raw: raw[:48])),
+    (2, "outside-alphabet",
+     edit_state(header=lambda s: s.update(populations="-" + s["populations"][1:]))),
+    (3, "extra-line-feed", edit_state(block=lambda raw: raw + b"\n")),
+    (3, "header-with-no-line-feed", lambda raw: raw.partition(b"\n")[0]),
+    (3, "populations-key", v2_populations_at_version_3),
 ]
 
 
@@ -442,6 +472,12 @@ def _assert_malformed(snapshot: Path, tmp_path: Path, capsys) -> None:
     err = capsys.readouterr().err
     assert err.startswith(f"icrm: error: malformed state file {snapshot}: ")
     assert err.count("\n") == 1
+
+
+def _resaved(path: Path, version: int) -> bytes:
+    """The state saved at ``path`` as ``version`` wrote it."""
+    clf = IcrmClassifier.load(path)
+    return state_file(version, dict(clf.repertoire), clf.config, clf.rng)
 
 
 class TestClassify:
@@ -477,77 +513,22 @@ class TestClassify:
         feature, value = lines[1].split()
         float(value)
 
-    @pytest.mark.parametrize("version, mutate", [
-        *[pytest.param(2, edit, id=name) for name, edit in _HEADER_EDITS],
-        pytest.param(1, lambda s: s["repertoire"].update(alpha=["x", 1.0]),
-                     id="population-x"),
-        pytest.param(1, lambda s: s["repertoire"].update(alpha=[-1.0, 1.0]),
-                     id="population-negative"),
-        pytest.param(1, lambda s: s["repertoire"].update(alpha=[1.0, float("nan")]),
-                     id="population-nan"),
-        pytest.param(2, lambda s: s.update(populations=s["populations"][:-1]),
-                     id="v2-truncated-base64"),
-        pytest.param(2, lambda s: s.update(populations=s["populations"] + "="),
-                     id="v2-extra-padding"),
-        # 48 bytes fill 16 base64 quads exactly, and decoding lets a "=" after them pass
-        pytest.param(2, lambda s: _keep_rows(s, 3, "="), id="v2-padding-after-last-quad"),
-        pytest.param(2, lambda s: s.update(populations="-" + s["populations"][1:]),
-                     id="v2-outside-alphabet"),
-        pytest.param(2, lambda s: _edit_block(s, lambda raw: raw[:-8]),
-                     id="v2-8-bytes-short"),
-        pytest.param(2, lambda s: _edit_block(s, lambda raw: raw + bytes(8)),
-                     id="v2-8-bytes-long"),
-        pytest.param(2, lambda s: s["features"].__setitem__(0, 7),
-                     id="v2-non-string-feature"),
-        pytest.param(2, lambda s: s["features"].__setitem__(1, s["features"][0]),
-                     id="v2-repeated-feature"),
-        pytest.param(2, lambda s: _edit_block(s, _set_first(float("nan"))), id="v2-nan"),
-        pytest.param(2, lambda s: _edit_block(s, _set_first(float("inf"))), id="v2-inf"),
-        pytest.param(2, lambda s: _edit_block(s, _set_first(-1.0)), id="v2-negative"),
+    @pytest.mark.parametrize("version, damage", [
+        *[pytest.param(version, damage, id=f"v{version}-{name}")
+          for name, damage in _DAMAGES for version in (2, 3)],
+        *[pytest.param(version, damage, id=f"v{version}-{name}")
+          for version, name, damage in _ENCODED],
     ])
     def test_malformed_snapshot_is_data_error(
-        self, tmp_path, snapshot, capsys, version, mutate
+        self, tmp_path, snapshot, capsys, version, damage
     ):
-        clf = IcrmClassifier.load(snapshot)
-        body = state_body if version == 1 else state_body_v2
-        state = body(dict(clf.repertoire), clf.config, clf.rng)
-        mutate(state)
-        write_json_state(snapshot, version, state)
-        _assert_malformed(snapshot, tmp_path, capsys)
-
-    @pytest.mark.parametrize("damage", [
-        *[pytest.param(edit_v3(header=edit), id=name) for name, edit in _HEADER_EDITS],
-        pytest.param(edit_v3(block=lambda raw: raw[:-1]), id="truncated-body"),
-        pytest.param(edit_v3(block=lambda raw: raw[:-8]), id="8-bytes-short"),
-        pytest.param(edit_v3(block=lambda raw: raw + b"\x00"), id="one-extra-byte"),
-        pytest.param(edit_v3(block=lambda raw: raw + b"\n"), id="extra-line-feed"),
-        pytest.param(edit_v3(block=lambda raw: b""), id="header-with-no-body"),
-        pytest.param(lambda raw: raw.partition(b"\n")[0], id="header-with-no-line-feed"),
-        pytest.param(edit_v3(header=lambda s: s.update(features=dict.fromkeys(s["features"], 1))),
-                     id="features-not-a-list"),
-        pytest.param(edit_v3(header=lambda s: s.update(features=None)), id="features-none"),
-        pytest.param(edit_v3(header=lambda s: s.pop("features")), id="no-features"),
-        pytest.param(edit_v3(header=lambda s: s["features"].__setitem__(0, 7)),
-                     id="non-string-feature"),
-        pytest.param(edit_v3(header=lambda s: s["features"].__setitem__(1, s["features"][0])),
-                     id="repeated-feature"),
-        pytest.param(v2_populations_at_version_3, id="v2-populations-key-at-version-3"),
-        pytest.param(edit_v3(block=_set_first(float("nan"))), id="nan"),
-        pytest.param(edit_v3(block=_set_first(float("inf"))), id="inf"),
-        pytest.param(edit_v3(block=_set_first(-1.0)), id="negative"),
-    ])
-    def test_malformed_version_3_snapshot_is_data_error(
-        self, tmp_path, snapshot, capsys, damage
-    ):
-        snapshot.write_bytes(damage(snapshot.read_bytes()))
+        snapshot.write_bytes(damage(_resaved(snapshot, version)))
         _assert_malformed(snapshot, tmp_path, capsys)
 
     @pytest.mark.parametrize("version", [True, 1.0, 2.0, "2", None])
     def test_version_must_be_an_accepted_int(self, snapshot, version):
-        clf = IcrmClassifier.load(snapshot)
-        state = state_body_v2(dict(clf.repertoire), clf.config, clf.rng)
-        state.update(format="icrm-state", version=version)
-        snapshot.write_text(json.dumps(state), encoding="utf-8")
+        snapshot.write_bytes(edit_state(header=lambda s: s.update(version=version))(
+            _resaved(snapshot, 2)))
         with pytest.raises(SnapshotError, match=re.escape(f"{snapshot}: unsupported")):
             IcrmClassifier.load(snapshot)
 
@@ -556,7 +537,7 @@ class TestClassify:
         """Only version 3 is a header line and a block; a file whose first
         line holds version 1 or 2 is read as one JSON value, which a header
         line and its block are not."""
-        snapshot.write_bytes(edit_v3(header=lambda s: s.update(version=version))(
+        snapshot.write_bytes(edit_state(header=lambda s: s.update(version=version))(
             snapshot.read_bytes()))
         text = f"cannot read icrm-state file {snapshot}: "
         with pytest.raises(SnapshotError, match=f"^{re.escape(text)}"):
@@ -576,7 +557,7 @@ class TestClassify:
         """A header line of the format decides the version: at any version
         but 1, 2 or 3 the file is refused by that version, and its block is
         never decoded as text."""
-        snapshot.write_bytes(edit_v3(header=edit)(snapshot.read_bytes()))
+        snapshot.write_bytes(edit_state(header=edit)(snapshot.read_bytes()))
         text = f"{snapshot}: unsupported icrm-state version {shown}"
         with pytest.raises(SnapshotError, match=f"^{re.escape(text)}$"):
             IcrmClassifier.load(snapshot)
@@ -966,12 +947,6 @@ def test_seed_is_read_where_something_draws_from_it(mode, model):
     assert "seed" in cli._run_settings(mode, model)
 
 
-def _save_v2(clf: IcrmClassifier, path: Path) -> None:
-    """Write ``clf``'s state as version 2 wrote it: the digests recorded
-    before version 3 pin its populations and generator state."""
-    write_json_state(path, 2, state_body_v2(dict(clf.repertoire), clf.config, clf.rng))
-
-
 _FORGETTING = Path(__file__).parent / "data" / "forgetting-digests.json"
 
 
@@ -993,7 +968,8 @@ def test_forgetting_variant_outputs_keep_their_recorded_bytes(tmp_path, capsys):
     # the ham rows died during the spam block, so the digest covers the clear
     assert (0.0, 0.0) in clf.repertoire.values()
     clf.save(tmp_path / "state.json")
-    _save_v2(clf, tmp_path / "state-v2.json")
+    (tmp_path / "state-v2.json").write_bytes(
+        state_file(2, dict(clf.repertoire), clf.config, clf.rng))
     written = {
         path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(tmp_path.glob("*/*.csv")) + sorted(tmp_path.glob("state*.json"))
@@ -1026,7 +1002,8 @@ def test_random_sampler_outputs_keep_their_recorded_bytes(tmp_path, capsys):
     again = tmp_path / "again.json"
     IcrmClassifier.load(state).save(again)
     assert again.read_bytes() == state.read_bytes()
-    _save_v2(clf, tmp_path / "state-v2.json")
+    (tmp_path / "state-v2.json").write_bytes(
+        state_file(2, dict(clf.repertoire), clf.config, clf.rng))
     written = {
         path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(tmp_path.glob("*/*.csv")) + sorted(tmp_path.glob("state*.json"))
@@ -1084,7 +1061,8 @@ def _default_path_digests(root: Path) -> dict[str, str]:
     clf.train(full.ham + full.spam)
     state = root / "state.json"
     clf.save(state)
-    _save_v2(clf, root / "state-v2.json")
+    (root / "state-v2.json").write_bytes(
+        state_file(2, dict(clf.repertoire), clf.config, clf.rng))
     spam = full.spam[-1]
     messages = {
         "corpus-msg.txt": f"Subject: {spam.subject}\n{spam.body}",

@@ -22,16 +22,9 @@ from icrm.corpus import read_canonical, write_canonical
 from icrm.model import IcrmClassifier, IcrmConfig
 from icrm.synth import synthetic_dataset
 
-from model_reference import edit_v3, v2_populations_at_version_3
+from model_reference import edit_state, state_file, v2_populations_at_version_3
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
-
-
-def _damaged_state(path: Path, clf: IcrmClassifier, edit) -> None:
-    """``clf``'s saved state with ``edit``, a ``model_reference.edit_v3``
-    edit, applied to its bytes."""
-    clf.save(path)
-    path.write_bytes(edit(path.read_bytes()))
 
 
 @pytest.fixture(scope="module")
@@ -52,25 +45,27 @@ def inputs(tmp_path_factory) -> Path:
     )
     # finite populations whose sum E + R is not, and a feature that is the
     # number 7: Repertoire refuses both rows, so they are written by hand
-    empty, trained = IcrmClassifier(), IcrmClassifier()
-    trained.train(read_canonical(corpus).ham[:20])
-    _damaged_state(root / "huge-state.json", empty, edit_v3(
+    clf = IcrmClassifier()
+    empty = state_file(3, {}, clf.config, clf.rng)
+    clf.train(read_canonical(corpus).ham[:20])
+    trained = state_file(3, dict(clf.repertoire), clf.config, clf.rng)
+    (root / "huge-state.json").write_bytes(edit_state(
         header=lambda s: s.update(features=["cheap"]),
-        block=lambda raw: struct.pack("<2d", 1e308, 1e308)))
-    _damaged_state(root / "int-features.json", empty, edit_v3(
+        block=lambda raw: struct.pack("<2d", 1e308, 1e308))(empty))
+    (root / "int-features.json").write_bytes(edit_state(
         header=lambda s: s.update(features=[7]),
-        block=lambda raw: struct.pack("<2d", 6.0, 5.0)))
+        block=lambda raw: struct.pack("<2d", 6.0, 5.0))(empty))
     # a generator state holding 1.5, which numpy would read as 1
-    _damaged_state(root / "rng-float.json", empty, edit_v3(
-        header=lambda s: s["rng_state"]["state"].update(state=1.5)))
+    (root / "rng-float.json").write_bytes(edit_state(
+        header=lambda s: s["rng_state"]["state"].update(state=1.5))(empty))
     # version 3 files whose block does not hold 16 bytes for each feature
-    for name, edit in (("truncated-body", edit_v3(block=lambda raw: raw[:-1])),
-                       ("extra-byte", edit_v3(block=lambda raw: raw + b"\x00")),
-                       ("no-body", edit_v3(block=lambda raw: b"")),
+    for name, edit in (("truncated-body", edit_state(block=lambda raw: raw[:-1])),
+                       ("extra-byte", edit_state(block=lambda raw: raw + b"\x00")),
+                       ("no-body", edit_state(block=lambda raw: b"")),
                        ("v2-populations", v2_populations_at_version_3)):
-        _damaged_state(root / f"{name}.state", trained, edit)
-    _damaged_state(root / "features-object.state", trained, edit_v3(
-        header=lambda s: s.update(features=dict.fromkeys(s["features"], 1))))
+        (root / f"{name}.state").write_bytes(edit(trained))
+    (root / "features-object.state").write_bytes(edit_state(
+        header=lambda s: s.update(features=dict.fromkeys(s["features"], 1)))(trained))
     # a record holding an id and none of the other fields
     (root / "fieldless.jsonl").write_text('{"id": "a"}\n', encoding="utf-8")
     (root / "msg.txt").write_text("Subject: cheap pills offer\nmeeting agenda for monday\n")

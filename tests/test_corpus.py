@@ -91,6 +91,14 @@ class TestIngest:
         assert len(result.dataset.ham) == 1
         assert result.rejected == 2
 
+    def test_a_directory_named_like_a_message_is_skipped(self, tmp_path):
+        """Neither read nor counted as rejected."""
+        _write_enron_tree(tmp_path, [("0001.1999-12-10.x.ham.txt", "ok")], [])
+        (tmp_path / HAM / "0002.1999-12-11.x.ham.txt").mkdir()
+        result = ingest_enron_dir(tmp_path)
+        assert [m.body for m in result.dataset.ham] == ["ok"]
+        assert result.rejected == 0
+
     def test_subject_split(self):
         assert split_subject("Subject: hello there\nbody") == ("hello there", "body")
         assert split_subject("no subject line") == ("", "no subject line")
@@ -101,6 +109,13 @@ class TestIngest:
         ds = ingest_enron_dir(tmp_path).dataset
         stamps = [m.timestamp for m in ds.ham]
         assert stamps == sorted(stamps)
+
+
+def test_by_label_names_a_label_it_does_not_hold():
+    ds = Dataset("d", ham=[make_message(HAM)], spam=[make_message(SPAM)])
+    assert (ds.by_label(HAM), ds.by_label(SPAM)) == (ds.ham, ds.spam)
+    with pytest.raises(ValueError, match="^unknown label 'junk'$"):
+        ds.by_label("junk")
 
 
 class TestCanonical:

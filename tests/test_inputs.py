@@ -22,7 +22,7 @@ from icrm.model import IcrmClassifier, IcrmConfig, SnapshotError
 from icrm.synth import synthetic_dataset
 
 from conftest import make_message
-from model_reference import state_body, state_body_v2, state_file_v3, write_json_state
+from model_reference import edit_state, state_file
 
 _GOOD = {
     "id": "m1", "timestamp": "2001-02-03", "label": "ham",
@@ -302,14 +302,14 @@ def test_non_utf8_file_is_typed_error_naming_it(tmp_path, capsys, case):
         assert "line 2: not UTF-8" in err
 
 
-@pytest.mark.parametrize("kind", ["icrm", "icrm-v2"])
-def test_an_integer_literal_too_long_to_convert_is_typed_error(tmp_path, capsys, kind):
+@pytest.mark.parametrize("version", [pytest.param(3, id="icrm"), pytest.param(2, id="icrm-v2")])
+def test_an_integer_literal_too_long_to_convert_is_typed_error(tmp_path, capsys, version):
     """JSON decoding refuses an integer of more than 4,300 digits with a plain
     ValueError; a state file holding one, in a version 3 header line or a
     version 2 document, is a ``SnapshotError`` naming the file, and
     ``classify`` exits 2 with one line."""
     path = tmp_path / "state.json"
-    path.write_bytes(_saved(kind).replace(b"{", b'{"seed": ' + b"9" * 5000 + b", ", 1))
+    path.write_bytes(_saved(version).replace(b"{", b'{"seed": ' + b"9" * 5000 + b", ", 1))
     with pytest.raises(SnapshotError,
                        match=f"^cannot read icrm-state file {re.escape(str(path))}: "):
         IcrmClassifier.load(path)
@@ -322,15 +322,6 @@ def test_an_integer_literal_too_long_to_convert_is_typed_error(tmp_path, capsys,
     assert captured.err.count("\n") == 1
 
 
-def _write_rows(path: Path, version: int, rows: dict) -> None:
-    """A state of ``rows`` and default settings, as ``version`` wrote it."""
-    if version == 3:
-        path.write_bytes(state_file_v3(rows, IcrmConfig(), np.random.default_rng(0)))
-    else:
-        body = state_body if version == 1 else state_body_v2
-        write_json_state(path, version, body(rows, IcrmConfig(), np.random.default_rng(0)))
-
-
 @pytest.mark.parametrize("version", [1, 2, 3])
 def test_a_state_whose_populations_sum_past_the_largest_float_is_refused(
     tmp_path, capsys, version
@@ -341,7 +332,7 @@ def test_a_state_whose_populations_sum_past_the_largest_float_is_refused(
     half = sys.float_info.max / 2
     rows = {"cheap": (3.0, 1.0), "pills": (1e308, 1e308), "agenda": (half, half)}
     path = tmp_path / "huge-state.json"
-    _write_rows(path, version, rows)
+    path.write_bytes(state_file(version, rows, IcrmConfig(), np.random.default_rng(0)))
     with pytest.raises(SnapshotError, match=re.escape(
         f"malformed state file {path}: ValueError(\"populations of 'pills' sum "
         "past the largest float: 1e+308 + 1e+308\")"
@@ -357,7 +348,7 @@ def test_a_state_whose_populations_sum_past_the_largest_float_is_refused(
     assert captured.err.count("\n") == 1 and "'pills'" in captured.err
     # the largest sums that stay finite load and classify without a warning
     del rows["pills"]
-    _write_rows(path, version, rows)
+    path.write_bytes(state_file(version, rows, IcrmConfig(), np.random.default_rng(0)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["classify", str(path), str(msg)]) == EXIT_OK
@@ -416,22 +407,13 @@ def _replace_one(data, doc) -> None:
 
 
 @functools.cache
-def _saved(kind: str) -> bytes:
-    """The bytes of a state file saved after training on a small corpus;
-    ``icrm-v1`` and ``icrm-v2`` are the ICRM state as versions 1 and 2
-    wrote it."""
+def _saved(version: int) -> bytes:
+    """The bytes of a state file of ``version`` after training on a small
+    corpus."""
     ds = synthetic_dataset(n_ham=30, n_spam=30, vocab_per_class=60, seed=4)
     clf = IcrmClassifier(IcrmConfig(seed=2))
     clf.train(ds.ham + ds.spam)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "state.json"
-        if kind == "icrm":
-            clf.save(path)
-        else:
-            body = state_body if kind == "icrm-v1" else state_body_v2
-            write_json_state(path, int(kind[-1]), body(dict(clf.repertoire), clf.config,
-                                                       clf.rng))
-        return path.read_bytes()
+    return state_file(version, dict(clf.repertoire), clf.config, clf.rng)
 
 
 # 120 distinct stems (synthetic words stem to themselves): more than any
@@ -441,18 +423,16 @@ _LONG = make_message(body=" ".join(
 ))
 
 
-@pytest.mark.parametrize("kind", ["icrm", "icrm-v2", "icrm-v1"])
+@pytest.mark.parametrize("version", [pytest.param(3, id="icrm"), pytest.param(2, id="icrm-v2"),
+                                     pytest.param(1, id="icrm-v1")])
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
-def test_any_value_under_any_key_gives_typed_error_or_classifier(kind, data):
+def test_any_value_under_any_key_gives_typed_error_or_classifier(version, data):
     """A value replaced in a version 3 header line, which keeps its block,
     or in a version 2 or 1 document."""
-    line, newline, block = _saved(kind).partition(b"\n")
-    doc = json.loads(line)
-    _replace_one(data, doc)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "state.json"
-        path.write_bytes(json.dumps(doc).encode("ascii") + newline + block)
+        path.write_bytes(edit_state(header=lambda doc: _replace_one(data, doc))(_saved(version)))
         try:
             clf = IcrmClassifier.load(path)
         except SnapshotError:

@@ -528,14 +528,14 @@ def test_array_repertoire_matches_dict_reference(tmp_path, death_rate):
 
     # the version 3 state file the dict classifier writes, byte for byte
     clf.save(tmp_path / "array.state")
-    assert (tmp_path / "array.state").read_bytes() == ref.state_file_v3(rep, cfg, rng)
+    assert (tmp_path / "array.state").read_bytes() == ref.state_file(3, rep, cfg, rng)
     # versions 3 and 2 keep the rows in first-sight order
-    ref.write_json_state(tmp_path / "dict-v2.json", 2, ref.state_body_v2(rep, cfg, rng))
+    (tmp_path / "dict-v2.json").write_bytes(ref.state_file(2, rep, cfg, rng))
     for name in ("array.state", "dict-v2.json"):
         assert _bits(IcrmClassifier.load(tmp_path / name).repertoire) == _bits(rep)
 
     # and a version 1 state written the dict way resumes on the same path
-    ref.write_json_state(tmp_path / "dict.json", 1, ref.state_body(rep, cfg, rng))
+    (tmp_path / "dict.json").write_bytes(ref.state_file(1, rep, cfg, rng))
     resumed = IcrmClassifier.load(tmp_path / "dict.json")
     assert [resumed.verdict(m).score for m in stream[200:]] == [
         ref.process_message(rep, m, False, cfg, rng).score for m in stream[200:]
@@ -838,7 +838,7 @@ def test_a_loaded_extinct_row_leaves_the_floor_normal(tmp_path, monkeypatch):
     rows = {"feat0": (0.0, 0.0), "feat1": (1.0, 2.0)}
     path = tmp_path / "extinct.json"
     cfg = IcrmConfig(death_rate=0.02)
-    ref.write_json_state(path, 1, ref.state_body(rows, cfg, np.random.default_rng(0)))
+    path.write_bytes(ref.state_file(1, rows, cfg, np.random.default_rng(0)))
     clf = IcrmClassifier.load(path)
     assert clf.repertoire._floor == 0.0
     clf.classify(make_message(HAM, body="feat1"))
@@ -911,7 +911,7 @@ def test_populations_near_the_largest_float_classify_without_overflow(tmp_path):
             "feat3": (2.0, 1.0), "feat4": (3.0, 1.0)}
     cfg = IcrmConfig(proliferation=5e-324)
     path = tmp_path / "huge.json"
-    ref.write_json_state(path, 1, ref.state_body(rows, cfg, np.random.default_rng(0)))
+    path.write_bytes(ref.state_file(1, rows, cfg, np.random.default_rng(0)))
     clf = IcrmClassifier.load(path)
     assert _agree_without_warnings(clf, ["feat0", "feat0 feat1 feat2 feat3 feat4"]) == [
         SPAM, SPAM]

@@ -19,7 +19,6 @@ however it is made. So any repertoire saves a file that loads back bit for
 bit, and a row it refuses is refused from a file with the same text.
 """
 
-import base64
 import functools
 import json
 import math
@@ -38,30 +37,21 @@ from icrm.model import IcrmClassifier, IcrmConfig, Repertoire, SnapshotError
 from icrm.synth import synthetic_dataset
 
 from conftest import make_message
-from model_reference import (
-    edit_v3, state_body, state_body_v2, state_file_v3, write_json_state,
-)
+from model_reference import edit_state, state_file
 
 
 @functools.cache
 def _saved(version: int) -> bytes:
-    """The bytes of a state saved after training on a small corpus; the
-    older versions as they were written."""
+    """The bytes of a state file of ``version`` after training on a small
+    corpus."""
     ds = synthetic_dataset(n_ham=15, n_spam=15, vocab_per_class=40, seed=6)
     clf = IcrmClassifier(IcrmConfig(seed=5))
     clf.train(ds.ham + ds.spam)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "state.json"
-        if version == 3:
-            clf.save(path)
-        else:
-            body = state_body if version == 1 else state_body_v2
-            write_json_state(path, version, body(dict(clf.repertoire), clf.config, clf.rng))
-        return path.read_bytes()
+    return state_file(version, dict(clf.repertoire), clf.config, clf.rng)
 
 
 # a features item of each JSON type that is not a string
-_NOT_STRINGS = [0, 1.5, True, None, [], ["a"], {}, {"a": "b"}]
+_JSON_NOT_STRINGS = [0, 1.5, True, None, [], ["a"], {}, {"a": "b"}]
 _BAD_UTF8 = [b"\xff", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\xc0\xaf", b"\xf8\x88"]
 _TRAILING = [" ", "\n", "\r\n", "\t", "x", "{}", "0", "\x00", '"a"']
 # config values, some in range for some settings
@@ -78,7 +68,8 @@ def _mutate_features(data, doc: dict) -> None:
             [{}, {"a": 1}, "abc", "", 7, 1.5, None, True, dict.fromkeys(features[:3], 1)]))
     elif how == "item":
         i = data.draw(st.integers(0, len(features) - 1))
-        features[i] = data.draw(st.sampled_from(_NOT_STRINGS))
+        features[i] = data.draw(st.sampled_from(_JSON_NOT_STRINGS))
+        event(f"features item {json.dumps(features[i])}")
     elif how == "drop":
         features.pop()
     elif how == "repeat":
@@ -253,7 +244,7 @@ def test_a_generator_state_that_does_not_read_back_unchanged_is_refused(tmp_path
     """numpy would read a float or a bool as an int and drop a key it does
     not know, so load then save would write a different state."""
     path = tmp_path / "state.json"
-    path.write_bytes(edit_v3(header=lambda state: edit(state["rng_state"]))(_saved(3)))
+    path.write_bytes(edit_state(header=lambda state: edit(state["rng_state"]))(_saved(3)))
     with pytest.raises(SnapshotError, match=re.escape(str(path))):
         IcrmClassifier.load(path)
 
@@ -281,15 +272,9 @@ def test_features_that_are_not_a_list_of_strings_are_refused(tmp_path, features,
     only the features are wrong."""
     path = tmp_path / "state.json"
     zeros = bytes(16 * len(features)) if isinstance(features, list) else None
-    if version == 3:
-        path.write_bytes(edit_v3(header=lambda state: state.update(features=features),
-                                 block=lambda raw: raw if zeros is None else zeros)(_saved(3)))
-    else:
-        doc = json.loads(_saved(2))
-        doc["features"] = features
-        if zeros is not None:
-            doc["populations"] = base64.b64encode(zeros).decode("ascii")
-        path.write_text(json.dumps(doc), encoding="utf-8")
+    edit = edit_state(header=lambda state: state.update(features=features),
+                      block=lambda raw: raw if zeros is None else zeros)
+    path.write_bytes(edit(_saved(version)))
     with pytest.raises(SnapshotError, match="features must be a list of strings"):
         IcrmClassifier.load(path)
 
@@ -311,8 +296,9 @@ def _valid(e: float, r: float) -> bool:
 @example(rows=[("a", -0.0, -0.0), ("b", 8.9e307, 8.9e307)], version=3)
 def test_any_repertoire_saves_a_file_that_loads_back_bit_for_bit(rows, version):
     """A repertoire is made exactly when its rows are valid, and then it
-    saves (or a version 1 or 2 file of it is written) and loads back with
-    the same populations, bit for bit, in the same row order."""
+    saves the version 3 file the dict repertoire writes, and a file of it
+    at any version loads back with the same populations, bit for bit, in
+    the same row order."""
     features = [f for f, _, _ in rows]
     pops = [(e, r) for _, e, r in rows]
     mapping = dict(zip(features, pops))
@@ -331,14 +317,12 @@ def test_any_repertoire_saves_a_file_that_loads_back_bit_for_bit(rows, version):
     clf.repertoire = rep
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "state.json"
-        if version == 1:  # version 1 keeps the rows in sorted order
-            write_json_state(path, 1, state_body(rep, clf.config, clf.rng))
-            features = sorted(features)
-        elif version == 2:
-            write_json_state(path, 2, state_body_v2(rep, clf.config, clf.rng))
-        else:
-            clf.save(path)
+        clf.save(path)
+        assert path.read_bytes() == state_file(3, rep, clf.config, clf.rng)
+        path.write_bytes(state_file(version, rep, clf.config, clf.rng))
         loaded = IcrmClassifier.load(path).repertoire
+    if version == 1:  # version 1 keeps the rows in sorted order
+        features = sorted(features)
     assert list(loaded.rows) == features
     assert _bits(loaded) == [_bits(rep)[rep.rows[f]] for f in features]
 
@@ -371,11 +355,7 @@ def test_a_row_is_refused_when_made_with_the_text_load_gives(tmp_path, version, 
         with pytest.raises(ValueError, match=f"^{re.escape(text)}$") as made:
             make()
     path = tmp_path / "state.json"
-    if version == 3:
-        path.write_bytes(state_file_v3(rows, IcrmConfig(), np.random.default_rng(0)))
-    else:
-        body = state_body if version == 1 else state_body_v2
-        write_json_state(path, version, body(rows, IcrmConfig(), np.random.default_rng(0)))
+    path.write_bytes(state_file(version, rows, IcrmConfig(), np.random.default_rng(0)))
     with pytest.raises(SnapshotError) as loaded:
         IcrmClassifier.load(path)
     assert str(loaded.value) == f"malformed state file {path}: {made.value!r}"
@@ -474,8 +454,7 @@ def test_an_older_file_loads_bit_for_bit_and_resaves_as_version_3(tmp_path, vers
         path = _V1_FIXTURE
     else:
         path = tmp_path / "v2.json"
-        write_json_state(path, 2, state_body_v2(dict(saver.repertoire), saver.config,
-                                                saver.rng))
+        path.write_bytes(state_file(2, dict(saver.repertoire), saver.config, saver.rng))
     old = IcrmClassifier.load(path)
     assert _by_feature(old.repertoire) == _by_feature(saver.repertoire)
     order = list(saver.repertoire.rows)  # version 1 listed the features sorted

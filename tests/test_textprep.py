@@ -136,20 +136,6 @@ _VOCAB = [f"wordx{i:03d}" for i in range(80)] + ["the", "about", "running", "run
 _CUSTOM_STOPWORDS = frozenset(_VOCAB[::3])
 
 
-def _oracle(msg, n, stopwords, sampler, rng):
-    """The sampling rule from scratch, on a fresh copy of the message."""
-    fresh = dataclasses.replace(msg)
-    stems = [stem(t) for t in tokenize(fresh.subject, fresh.body) if t not in stopwords]
-    unique = list(dict.fromkeys(stems))
-    if len(unique) <= n:
-        return unique
-    if sampler == "random":
-        picked = rng.choice(len(unique), size=n, replace=False)
-        return [unique[i] for i in sorted(int(i) for i in picked)]
-    half = n // 2
-    return list(dict.fromkeys(unique[:half] + unique[-half:]))
-
-
 @given(
     words=st.lists(st.sampled_from(_VOCAB), max_size=150),
     calls=st.lists(
@@ -173,7 +159,7 @@ def test_memo_matches_memo_free_oracle(words, calls, seed):
         stopwords = {"default": None, "custom": _CUSTOM_STOPWORDS, "plain": plain}[which]
         got = preprocess(msg, n, stopwords, sampler=sampler, rng=rng)
         full = default_stopwords() if stopwords is None else stopwords
-        want = _oracle(msg, n, full, sampler, oracle_rng)
+        want = textprep_reference.sample(msg.subject, msg.body, n, full, sampler, oracle_rng)
         assert got == want
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
         got.append("mutated")  # a caller's list is its own
@@ -232,10 +218,12 @@ def test_the_memo_is_keyed_by_the_stopwords_object(monkeypatch):
     assert preprocess(msg, n=10, stopwords=equal) == first  # plain stored nothing
     assert len(calls) == 5
     plain.add("wordx000")
-    assert preprocess(msg, n=10, stopwords=plain) == _oracle(msg, 10, plain, "first-last", None)
+    assert preprocess(msg, n=10, stopwords=plain) == textprep_reference.sample(
+        msg.subject, msg.body, 10, plain)
     assert len(calls) == 6
     other = frozenset({"wordx001"})
-    assert preprocess(msg, n=10, stopwords=other) == _oracle(msg, 10, other, "first-last", None)
+    assert preprocess(msg, n=10, stopwords=other) == textprep_reference.sample(
+        msg.subject, msg.body, 10, other)
     assert len(calls) == 7
 
 
@@ -332,7 +320,7 @@ def test_front_end_matches_reference_on_edges(subject, body):
     )
     for n in (2, 4, 50):
         assert preprocess(make_message(subject=subject, body=body), n=n) == (
-            textprep_reference.first_last_sample(subject, body, n, stopwords)
+            textprep_reference.sample(subject, body, n, stopwords)
         )
 
 
@@ -363,6 +351,6 @@ def test_preprocess_matches_reference(subject, body, n, every):
     # stopwords drawn from the message itself, so some tokens always drop
     stopwords = frozenset(textprep_reference.tokenize(subject, body)[::every])
     msg = make_message(subject=subject, body=body)
-    want = textprep_reference.first_last_sample(subject, body, n, stopwords)
+    want = textprep_reference.sample(subject, body, n, stopwords)
     assert preprocess(msg, n=n, stopwords=stopwords) == want
     assert preprocess(msg, n=n, stopwords=stopwords) == want  # from the memo

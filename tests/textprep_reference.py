@@ -4,7 +4,8 @@ This is the tokenizer and stem listing that the one-split tokenizer and
 the stem-each-distinct-token-once listing replaced: every whitespace
 token is lowercased on its own and cleaned by a per-character loop, and
 every surviving token, repeats included, is stemmed before repeated stems
-are dropped. ``icrm.textprep`` must give the same lists for any text.
+are dropped. ``sample`` applies either sampler's rule to that listing,
+with no memo. ``icrm.textprep`` must give the same lists for any text.
 Test-only; never imported by the package.
 """
 
@@ -39,9 +40,15 @@ def distinct_stems(subject: str, body: str, stopwords) -> list[str]:
     return list(dict.fromkeys(stems))
 
 
-def first_last_sample(subject: str, body: str, n: int, stopwords) -> list[str]:
+def sample(subject: str, body: str, n: int, stopwords, sampler: str = "first-last",
+           rng=None) -> list[str]:
+    """At most ``n`` distinct stems: the first and last ``n // 2``, or ``n``
+    drawn from ``rng`` without replacement and kept in document order."""
     unique = distinct_stems(subject, body, stopwords)
     if len(unique) <= n:
         return unique
+    if sampler == "random":
+        picked = rng.choice(len(unique), size=n, replace=False)
+        return [unique[i] for i in sorted(int(i) for i in picked)]
     half = n // 2
     return list(dict.fromkeys(unique[:half] + unique[-half:]))
